@@ -400,6 +400,55 @@ func BenchmarkUniversalWarm(b *testing.B) {
 	})
 }
 
+// The two benchmarks below are the two paths of a universal-object operation
+// in the served configuration (2 pids, truncation at the default window), on
+// one goroutine with the pids alternating so every operation has a delta of
+// one. They report ns/op and allocs/op for the local half of Execute —
+// extraction, linearization, replay — on top of the one root scan and one
+// root update every operation takes.
+
+func steadyObject(b *testing.B, caching bool) *Object {
+	o := NewObject(CounterType{}, 2)
+	o.SetCaching(caching)
+	o.SetGC(ObjectGCOptions{Window: DefaultObjectGCWindow})
+	for i := 0; i < 4*DefaultObjectGCWindow; i++ { // past the first truncations
+		if _, err := o.Execute(i%2, "inc()"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return o
+}
+
+// BenchmarkUniversalHitPath: replay cache on, every operation replays the
+// one node since its process's anchor; every window-th also runs a collector
+// pass over the live nodes.
+func BenchmarkUniversalHitPath(b *testing.B) {
+	o := steadyObject(b, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := o.Execute(i%2, "inc()"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkUniversalMissPath: replay cache off, so every operation does what
+// a cache miss does — extract, linearize and replay every live node past the
+// truncation root (between one and two windows of them).
+func BenchmarkUniversalMissPath(b *testing.B) {
+	o := steadyObject(b, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := o.Execute(i%2, "inc()"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(o.GCStats(0).LiveNodes), "live-nodes")
+}
+
 // --- E5 companion: space growth as a benchmark metric ---------------------------
 
 func BenchmarkVersionedSpaceGrowth(b *testing.B) {

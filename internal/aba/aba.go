@@ -50,6 +50,45 @@ type tag struct {
 
 func (c cell[V]) tag() tag { return tag{pid: c.pid, seq: c.seq} }
 
+// pack puts a tag in one word, both halves shifted by one so that ⊥ is 0.
+// A tag's domain is bounded by the algorithm — pid < n, seq <= 2n+1 — which
+// is what lets the announcement registers, alone among the registers here,
+// live in a memory.Word.
+func (t tag) pack() uint64 { return uint64(t.pid+1)<<32 | uint64(t.seq+1) }
+
+func unpack(w uint64) tag { return tag{pid: int(w>>32) - 1, seq: int(uint32(w)) - 1} }
+
+// annReg is one announcement register A[q]: natively a packed word, read
+// with one load of a line only its owner writes and written without
+// allocating; under any other allocator (counting, simulated) an ordinary
+// register holding the tag, step for step and value for value as before.
+type annReg struct {
+	word *memory.Word
+	reg  memory.Reg[tag]
+}
+
+func newAnnReg(alloc memory.Allocator, name string, init tag) annReg {
+	if w, ok := memory.NewWord(alloc, name, init.pack()); ok {
+		return annReg{word: w}
+	}
+	return annReg{reg: memory.NewReg(alloc, name, init)}
+}
+
+func (a annReg) Read(pid int) tag {
+	if a.word != nil {
+		return unpack(a.word.Read())
+	}
+	return a.reg.Read(pid)
+}
+
+func (a annReg) Write(pid int, t tag) {
+	if a.word != nil {
+		a.word.Write(t.pack())
+		return
+	}
+	a.reg.Write(pid, t)
+}
+
 // seqQueue is the paper's usedQ: the writer's n+1 most recently used
 // sequence numbers, as a fixed-size ring. enqueue-then-dequeue of the paper
 // is replacing the oldest entry.
@@ -58,12 +97,11 @@ type seqQueue struct {
 	head int
 }
 
-func newSeqQueue(size int) *seqQueue {
-	buf := make([]int, size)
+func noSeqs(buf []int) []int {
 	for i := range buf {
 		buf[i] = noSeq
 	}
-	return &seqQueue{buf: buf}
+	return buf
 }
 
 func (q *seqQueue) pushPop(s int) {
@@ -80,12 +118,21 @@ func (q *seqQueue) contains(s int) bool {
 	return false
 }
 
-// writerLocal is the per-process local state of the DWrite/GetSeq machinery.
+// writerLocal is the per-process local state of the DWrite/GetSeq machinery:
+// indexed by pid, written by the goroutine driving that pid only, and padded
+// so that two processes' cursors and ring heads — written on every DWrite —
+// never share a cache line.
 type writerLocal struct {
-	usedQ *seqQueue
+	usedQ seqQueue
 	na    []int // na[i] = sequence number announced at A[i], noSeq if none
 	c     int   // round-robin cursor over A
+	_     [64]byte
 }
+
+// localStride is the distance, in ints, between the backing arrays of two
+// processes' usedQ and na: their 2n+1 entries rounded up to whole cache
+// lines, plus one line so the split holds wherever the array starts.
+func localStride(n int) int { return (2*n+1+7)/8*8 + 8 }
 
 // base holds the shared registers and per-process locals common to both
 // implementations.
@@ -93,7 +140,7 @@ type base[V any] struct {
 	n  int
 	eq func(a, b V) bool
 	x  memory.Reg[cell[V]]
-	a  []memory.Reg[tag]
+	a  []annReg
 	w  []writerLocal
 }
 
@@ -105,20 +152,21 @@ func newBase[V any](alloc memory.Allocator, n int, initial V, eq func(a, b V) bo
 		n:  n,
 		eq: eq,
 		x:  memory.NewReg(alloc, "aba.X", cell[V]{val: initial, pid: noSeq, seq: noSeq}),
-		a:  make([]memory.Reg[tag], n),
+		a:  make([]annReg, n),
 		w:  make([]writerLocal, n),
 	}
 	for i := range b.a {
-		b.a[i] = memory.NewReg(alloc, fmt.Sprintf("aba.A[%d]", i), tag{pid: noSeq, seq: noSeq})
+		b.a[i] = newAnnReg(alloc, fmt.Sprintf("aba.A[%d]", i), tag{pid: noSeq, seq: noSeq})
 	}
+	// One backing array for every process's ring and announcement memory,
+	// a whole number of cache lines apart: allocated one by one these few
+	// words of different processes would sit side by side.
+	stride := localStride(n)
+	backing := noSeqs(make([]int, n*stride))
 	for i := range b.w {
-		b.w[i] = writerLocal{
-			usedQ: newSeqQueue(n + 1),
-			na:    make([]int, n),
-		}
-		for j := range b.w[i].na {
-			b.w[i].na[j] = noSeq
-		}
+		own := backing[i*stride : i*stride+2*n+1 : i*stride+2*n+1]
+		b.w[i].usedQ = seqQueue{buf: own[: n+1 : n+1]}
+		b.w[i].na = own[n+1:]
 	}
 	return b
 }

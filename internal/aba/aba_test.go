@@ -164,7 +164,7 @@ func TestSeqAvoidsAnnouncement(t *testing.T) {
 }
 
 func TestSeqQueue(t *testing.T) {
-	q := newSeqQueue(3)
+	q := seqQueue{buf: noSeqs(make([]int, 3))}
 	for _, s := range []int{0, 1, 2} {
 		q.pushPop(s)
 	}
@@ -469,5 +469,43 @@ func TestDWriteAlwaysTwoSteps(t *testing.T) {
 		if i%7 == 0 {
 			reg.DRead((pid + 1) % n)
 		}
+	}
+}
+
+// TestTagPackRoundTrip covers the packed announcement word: every tag the
+// algorithm can announce, ⊥ included, survives pack/unpack, and ⊥ packs to
+// the zero word.
+func TestTagPackRoundTrip(t *testing.T) {
+	const n = 70000 // pids and sequence numbers well past 16 bits
+	if w := (tag{pid: noSeq, seq: noSeq}).pack(); w != 0 {
+		t.Errorf("⊥ packs to %#x, want 0", w)
+	}
+	for _, pid := range []int{noSeq, 0, 1, 255, 65535, n - 1} {
+		for _, seq := range []int{noSeq, 0, 1, 2*n + 1} {
+			in := tag{pid: pid, seq: seq}
+			if out := unpack(in.pack()); out != in {
+				t.Errorf("unpack(pack(%+v)) = %+v", in, out)
+			}
+		}
+	}
+}
+
+// TestAnnouncementRegisterModes pins which allocator gets which register:
+// a bare native allocator the packed word, a decorated one the ordinary
+// register whose steps it can count.
+func TestAnnouncementRegisterModes(t *testing.T) {
+	var native memory.NativeAllocator
+	if a := newAnnReg(&native, "A", tag{pid: noSeq, seq: noSeq}); a.word == nil {
+		t.Error("native allocator did not get a packed word")
+	}
+	steps := memory.NewStepCounter(1)
+	counting := &memory.CountingAllocator{Inner: &native, Counter: steps}
+	a := newAnnReg(counting, "A", tag{pid: noSeq, seq: noSeq})
+	if a.word != nil {
+		t.Fatal("counting allocator got a packed word: its steps would go uncounted")
+	}
+	a.Write(0, tag{pid: 3, seq: 5})
+	if got := a.Read(0); got != (tag{pid: 3, seq: 5}) || steps.Steps(0) != 2 {
+		t.Errorf("read %+v after %d counted steps, want {3 5} after 2", got, steps.Steps(0))
 	}
 }

@@ -39,7 +39,9 @@ type ABARegister[V any] interface {
 }
 
 // Stats counts base-object operations, supporting the Theorem 32 experiments
-// (E3/E4/E8 in DESIGN.md). All fields are safe for concurrent use.
+// (E3/E4/E8 in DESIGN.md). A Stats value is a reading: Snapshot.Stats sums
+// the per-process counters into a fresh one on each call, so a caller that
+// wants later counts asks again.
 type Stats struct {
 	// SUpdates, SScans, RDWrites, RDReads count operations on S and R.
 	SUpdates atomic.Int64
@@ -55,18 +57,51 @@ type Stats struct {
 	MaxScanIters atomic.Int64
 }
 
-func (st *Stats) observeIters(iters int64) {
-	for {
-		cur := st.MaxScanIters.Load()
-		if iters <= cur || st.MaxScanIters.CompareAndSwap(cur, iters) {
-			return
-		}
-	}
-}
-
 // TotalScanOps returns the number of base-object operations issued during
 // SLscan operations — the quantity Theorem 32(b) bounds by O(s + n³u).
 func (st *Stats) TotalScanOps() int64 { return st.OpsInScan.Load() }
+
+// pidStats is one process's share of the counters, written by the goroutine
+// driving that pid only and padded to its own cache lines: indexed by pid,
+// never shared, so that counting does not turn a read-only scan into a
+// writer of a line every process writes. What Stats reports follows from
+// three counts, because the algorithm's operations come in fixed bundles: an
+// SLupdate is one S.update, one S.scan and one R.DWrite; a scan iteration is
+// two R.DReads and one S.scan; a helping write is one R.DWrite.
+type pidStats struct {
+	updates   atomic.Int64 // SLupdates completed
+	scanIters atomic.Int64 // SLscan main-loop iterations
+	helps     atomic.Int64 // R.DWrites issued by SLscans (lines 50-52)
+	maxIters  atomic.Int64 // most iterations in one SLscan
+	_         [96]byte
+}
+
+// scanned records a completed SLscan of iters iterations.
+func (c *pidStats) scanned(iters int64) {
+	if iters > c.maxIters.Load() {
+		c.maxIters.Store(iters) // single writer: no other store can intervene
+	}
+}
+
+// sumStats folds the per-process counters into one reading.
+func sumStats(per []pidStats) *Stats {
+	var updates, iters, helps, maxIters int64
+	for p := range per {
+		updates += per[p].updates.Load()
+		iters += per[p].scanIters.Load()
+		helps += per[p].helps.Load()
+		maxIters = max(maxIters, per[p].maxIters.Load())
+	}
+	st := new(Stats)
+	st.SUpdates.Store(updates)
+	st.SScans.Store(updates + iters)
+	st.RDWrites.Store(updates + helps)
+	st.RDReads.Store(2 * iters)
+	st.OpsInUpdate.Store(3 * updates)
+	st.OpsInScan.Store(3*iters + helps)
+	st.MaxScanIters.Store(maxIters)
+	return st
+}
 
 // Snapshot is the strongly linearizable snapshot of Algorithm 3. Component p
 // is writable only by process p. Views are vectors of V.
@@ -77,7 +112,7 @@ type Snapshot[V comparable] struct {
 	n     int
 	s     snapshot.Snapshot[V]
 	r     ABARegister[[]V]
-	stats *Stats
+	stats []pidStats
 }
 
 // New constructs the snapshot for n processes over comparable values using
@@ -101,11 +136,11 @@ func NewWith[V comparable](n int, s snapshot.Snapshot[V], r ABARegister[[]V]) *S
 	if n < 1 {
 		panic(fmt.Sprintf("core: n = %d, need at least 1 process", n))
 	}
-	return &Snapshot[V]{n: n, s: s, r: r, stats: &Stats{}}
+	return &Snapshot[V]{n: n, s: s, r: r, stats: make([]pidStats, n)}
 }
 
-// Stats returns the base-object operation counters.
-func (o *Snapshot[V]) Stats() *Stats { return o.stats }
+// Stats returns a reading of the base-object operation counters.
+func (o *Snapshot[V]) Stats() *Stats { return sumStats(o.stats) }
 
 // N returns the number of components.
 func (o *Snapshot[V]) N() int { return o.n }
@@ -126,39 +161,34 @@ func viewsEqual[V comparable](a, b []V) bool {
 // exactly one S.update, one S.scan, and one R.DWrite (Theorem 32a).
 func (o *Snapshot[V]) Update(p int, x V) {
 	o.s.Update(p, x) // line 43
-	o.stats.SUpdates.Add(1)
 	s := o.s.Scan(p) // line 44
-	o.stats.SScans.Add(1)
 	o.r.DWrite(p, s) // line 45
-	o.stats.RDWrites.Add(1)
-	o.stats.OpsInUpdate.Add(3)
+	o.stats[p].updates.Add(1)
 }
 
 // Scan returns a consistent view of all components (Algorithm 3, SLscan,
 // lines 46-54). Lock-free: the loop repeats only when a concurrent Update
 // or helping write landed.
 func (o *Snapshot[V]) Scan(p int) []V {
+	st := &o.stats[p]
 	var iters int64
 	for { // line 46
 		iters++
+		st.scanIters.Add(1)
 		s1, _ := o.r.DRead(p)  // line 47
 		l := o.s.Scan(p)       // line 48
 		s2, c2 := o.r.DRead(p) // line 49
-		o.stats.RDReads.Add(2)
-		o.stats.SScans.Add(1)
-		o.stats.OpsInScan.Add(3)
 
 		agree := viewsEqual(s1, l) && viewsEqual(l, s2)
 		if !agree { // lines 50-52: help pending updates by publishing l
 			o.r.DWrite(p, l)
-			o.stats.RDWrites.Add(1)
-			o.stats.OpsInScan.Add(1)
+			st.helps.Add(1)
 			continue
 		}
 		if c2 { // line 53: R changed during the read sequence; retry
 			continue
 		}
-		o.stats.observeIters(iters)
+		st.scanned(iters)
 		out := make([]V, len(s2))
 		copy(out, s2) // copy at the boundary; R's stored view is shared
 		return out    // line 54
@@ -184,7 +214,7 @@ type SeqSnapshot[V comparable] struct {
 	s     snapshot.Snapshot[SeqCell[V]]
 	r     ABARegister[[]SeqCell[V]]
 	seq   []uint64
-	stats *Stats
+	stats []pidStats
 }
 
 // NewSeq constructs Algorithm 4 with the default substrates.
@@ -203,12 +233,12 @@ func NewSeq[V comparable](alloc memory.Allocator, n int, initial V) *SeqSnapshot
 		s:     s,
 		r:     r,
 		seq:   make([]uint64, n),
-		stats: &Stats{},
+		stats: make([]pidStats, n),
 	}
 }
 
-// Stats returns the base-object operation counters.
-func (o *SeqSnapshot[V]) Stats() *Stats { return o.stats }
+// Stats returns a reading of the base-object operation counters.
+func (o *SeqSnapshot[V]) Stats() *Stats { return sumStats(o.stats) }
 
 // Vals projects a sequence-numbered view onto its values (the paper's
 // vals(X)).
@@ -246,38 +276,33 @@ func valsEqual[V comparable](a, b []SeqCell[V]) bool {
 func (o *SeqSnapshot[V]) Update(p int, x V) {
 	o.seq[p]++                                       // line 55
 	o.s.Update(p, SeqCell[V]{Val: x, Seq: o.seq[p]}) // line 56
-	o.stats.SUpdates.Add(1)
-	s := o.s.Scan(p) // line 57
-	o.stats.SScans.Add(1)
-	o.r.DWrite(p, s) // line 58
-	o.stats.RDWrites.Add(1)
-	o.stats.OpsInUpdate.Add(3)
+	s := o.s.Scan(p)                                 // line 57
+	o.r.DWrite(p, s)                                 // line 58
+	o.stats[p].updates.Add(1)
 }
 
 // Scan returns a consistent view of component values (Algorithm 4, lines
 // 59-67). Agreement is on values only (the paper's vals), matching line 63.
 func (o *SeqSnapshot[V]) Scan(p int) []V {
+	st := &o.stats[p]
 	var iters int64
 	for { // line 59
 		iters++
+		st.scanIters.Add(1)
 		s1, _ := o.r.DRead(p)  // line 60
 		l := o.s.Scan(p)       // line 61
 		s2, c2 := o.r.DRead(p) // line 62
-		o.stats.RDReads.Add(2)
-		o.stats.SScans.Add(1)
-		o.stats.OpsInScan.Add(3)
 
 		agree := valsEqual(s1, l) && valsEqual(l, s2)
 		if !agree { // lines 63-65
 			o.r.DWrite(p, l)
-			o.stats.RDWrites.Add(1)
-			o.stats.OpsInScan.Add(1)
+			st.helps.Add(1)
 			continue
 		}
 		if c2 { // line 66
 			continue
 		}
-		o.stats.observeIters(iters)
+		st.scanned(iters)
 		return Vals(s2) // line 67
 	}
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"testing"
 
-	"slmem/internal/core"
 	"slmem/internal/lincheck"
 	"slmem/internal/sched"
 	"slmem/internal/spec"
@@ -63,8 +62,7 @@ func TestStrongABAOnDeepTrees(t *testing.T) {
 // TestStrongSnapshotOnDeepTrees: the composed snapshot (Algorithm 3) must
 // remain prefix-preserving across nested branching futures.
 func TestStrongSnapshotOnDeepTrees(t *testing.T) {
-	var stats *core.Stats
-	sys := SnapshotSystem(2, 1, 2, 2, &stats)
+	sys := SnapshotSystem(2, 1, 2, 2, nil)
 	for seed := int64(0); seed < 6; seed++ {
 		tree, err := DeepBranchTree(sys, seed, 2, 2, 9)
 		if err != nil {

@@ -213,7 +213,7 @@ func E3SnapshotSteps() (*Table, error) {
 	}
 	for _, c := range cfgs {
 		for _, advName := range []string{"random", "scanner-storm"} {
-			var stats *core.Stats
+			var stats func() *core.Stats
 			sys := SnapshotSystem(c.n, c.scanners, c.scans, c.updates, &stats)
 			var adv sched.Adversary
 			if advName == "random" {
@@ -228,10 +228,11 @@ func E3SnapshotSteps() (*Table, error) {
 			u := (c.n - c.scanners) * c.updates
 			s := c.scanners * c.scans
 			bound := s + c.n*c.n*c.n*u
-			got := int(stats.TotalScanOps())
+			st := stats()
+			got := int(st.TotalScanOps())
 			t.AddRow(c.n, u, s, advName, got, bound,
 				fmt.Sprintf("%.4f", float64(got)/float64(bound)),
-				stats.MaxScanIters.Load())
+				st.MaxScanIters.Load())
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -271,6 +272,7 @@ func E4SoloOps() (*Table, error) {
 	t.AddRow("core.Snapshot", "Update (solo)", "substrate ops", st.OpsInUpdate.Load(), 3)
 	beforeScan := st.OpsInScan.Load()
 	snap.Scan(1)
+	st = snap.Stats()
 	t.AddRow("core.Snapshot", "Scan (solo)", "substrate ops", st.OpsInScan.Load()-beforeScan, 3)
 	t.AddRow("core.Snapshot", "Scan (solo)", "loop iterations", st.MaxScanIters.Load(), 1)
 	return t, nil
@@ -465,8 +467,7 @@ func E8Starvation() (*Table, error) {
 	}
 
 	for _, w := range []int{4, 16, 64} {
-		var stats *core.Stats
-		sys := SnapshotSystem(2, 1, 1, w, &stats)
+		sys := SnapshotSystem(2, 1, 1, w, nil)
 		res := sched.Run(sys, &sched.Storm{IsVictim: func(pid int) bool { return pid == 0 }, Period: 6},
 			sched.Options{StepLimit: 4 << 20})
 		if !res.Completed() {

@@ -204,15 +204,16 @@ func TestABASystemWorkloadShape(t *testing.T) {
 }
 
 func TestSnapshotSystemStatsExposed(t *testing.T) {
-	var stats *core.Stats
-	sys := SnapshotSystem(2, 1, 2, 2, &stats)
+	var read func() *core.Stats
+	sys := SnapshotSystem(2, 1, 2, 2, &read)
 	res := sched.Run(sys, &sched.RoundRobin{}, sched.Options{})
 	if !res.Completed() {
 		t.Fatalf("incomplete: %v", res.Err)
 	}
-	if stats == nil {
-		t.Fatal("stats pointer not populated by Setup")
+	if read == nil {
+		t.Fatal("stats reader not populated by Setup")
 	}
+	stats := read()
 	if stats.SUpdates.Load() != 2 {
 		t.Errorf("SUpdates = %d, want 2", stats.SUpdates.Load())
 	}

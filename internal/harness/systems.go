@@ -68,14 +68,15 @@ func ABASystem(impl ABAImpl, n, readers, reads, writes int) sched.System {
 
 // SnapshotSystem builds a simulated workload on the paper's Algorithm 3
 // snapshot: scanners perform scans each, the rest perform updates each.
-// statsOut, if non-nil, receives the object's Stats pointer.
-func SnapshotSystem(n, scanners, scans, updates int, statsOut **core.Stats) sched.System {
+// statsOut, if non-nil, receives the object's Stats method: a Stats value is
+// a reading, so the caller takes one when the run is over.
+func SnapshotSystem(n, scanners, scans, updates int, statsOut *func() *core.Stats) sched.System {
 	return sched.System{
 		N: n,
 		Setup: func(env *sched.Env) []sched.Program {
 			s := core.New[string](env, n, spec.Bot)
 			if statsOut != nil {
-				*statsOut = s.Stats()
+				*statsOut = s.Stats
 			}
 			progs := make([]sched.Program, n)
 			for pid := 0; pid < n; pid++ {

@@ -4,10 +4,18 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"slmem"
 )
+
+// runs numbers the names these tests register: the registry is global and
+// refuses a name twice, and -cpu 1,4 or -count 2 runs every test twice in
+// one process.
+var runs atomic.Int64
+
+func fresh(name string) string { return fmt.Sprintf("%s-%d", name, runs.Add(1)) }
 
 // stubDriver is a minimal driver for registration tests.
 type stubDriver struct {
@@ -36,13 +44,14 @@ type stubCompiled struct{}
 func (stubCompiled) Run(pid int) (Result, error) { return Result{Value: "stub"}, nil }
 
 func TestRegisterLookupDescribe(t *testing.T) {
-	d := stubDriver{name: "test-alpha", ops: []OpInfo{{Name: "poke", Doc: "pokes"}}}
+	alpha := fresh("test-alpha")
+	d := stubDriver{name: alpha, ops: []OpInfo{{Name: "poke", Doc: "pokes"}}}
 	Register(d)
-	got, ok := Lookup("test-alpha")
+	got, ok := Lookup(alpha)
 	if !ok {
 		t.Fatal("registered driver not found")
 	}
-	if got.Kind() != "test-alpha" {
+	if got.Kind() != alpha {
 		t.Fatalf("Lookup returned driver %q", got.Kind())
 	}
 	if _, ok := Lookup("test-never-registered"); ok {
@@ -50,7 +59,7 @@ func TestRegisterLookupDescribe(t *testing.T) {
 	}
 	found := false
 	for _, info := range Describe() {
-		if info.Kind == "test-alpha" {
+		if info.Kind == alpha {
 			found = true
 			if len(info.Ops) != 1 || info.Ops[0].Name != "poke" {
 				t.Fatalf("Describe ops = %+v", info.Ops)
@@ -76,13 +85,14 @@ func TestRegisterRejectsBadDrivers(t *testing.T) {
 	mustPanic("slash in name", stubDriver{name: "a/b"})
 	mustPanic("reserved op", stubDriver{name: "test-reserved", ops: []OpInfo{{Name: "names"}}})
 
-	Register(stubDriver{name: "test-dup"})
-	mustPanic("duplicate", stubDriver{name: "test-dup"})
+	dup := fresh("test-dup")
+	Register(stubDriver{name: dup})
+	mustPanic("duplicate", stubDriver{name: dup})
 }
 
 func TestNamesSorted(t *testing.T) {
-	Register(stubDriver{name: "test-zz"})
-	Register(stubDriver{name: "test-aa"})
+	Register(stubDriver{name: fresh("test-zz")})
+	Register(stubDriver{name: fresh("test-aa")})
 	names := Names()
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
@@ -98,6 +108,7 @@ func TestConcurrentRegistration(t *testing.T) {
 	const writers = 16
 	var wg, readers sync.WaitGroup
 	stop := make(chan struct{})
+	conc := fresh("test-conc")
 
 	// Readers: hammer Lookup and Names while registration happens.
 	for r := 0; r < 4; r++ {
@@ -110,7 +121,7 @@ func TestConcurrentRegistration(t *testing.T) {
 					return
 				default:
 				}
-				Lookup("test-conc-7")
+				Lookup(conc + "-7")
 				for i, name := range Names() {
 					if i > 0 && name == "" {
 						t.Error("empty name in Names")
@@ -125,14 +136,14 @@ func TestConcurrentRegistration(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			Register(stubDriver{name: fmt.Sprintf("test-conc-%d", w)})
+			Register(stubDriver{name: fmt.Sprintf("%s-%d", conc, w)})
 		}()
 	}
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			Lookup("test-conc-0")
+			Lookup(conc + "-0")
 		}()
 	}
 	// Wait for writers+lookups, then stop readers.
@@ -141,8 +152,8 @@ func TestConcurrentRegistration(t *testing.T) {
 	readers.Wait()
 
 	for w := 0; w < writers; w++ {
-		if _, ok := Lookup(fmt.Sprintf("test-conc-%d", w)); !ok {
-			t.Errorf("driver test-conc-%d lost during concurrent registration", w)
+		if _, ok := Lookup(fmt.Sprintf("%s-%d", conc, w)); !ok {
+			t.Errorf("driver %s-%d lost during concurrent registration", conc, w)
 		}
 	}
 }
@@ -172,7 +183,7 @@ func TestErrorClassification(t *testing.T) {
 // through to instances.
 func TestEnvCarriesPool(t *testing.T) {
 	pool := slmem.NewPIDPool(2)
-	d := stubDriver{name: "test-env"}
+	d := stubDriver{name: fresh("test-env")}
 	Register(d)
 	inst, err := d.New(Env{Name: "n", Procs: 2, Pool: pool})
 	if err != nil {

@@ -190,6 +190,47 @@ func (r *typedNative[V]) write(v V) {
 	r.v.Store(p)
 }
 
+// Word is a native register holding one 64-bit word in place: a read is one
+// load of the register's own cache line and a write allocates nothing, where
+// a typed register loads a pointer and then the cell it points at — written,
+// hence owned, by another core — and allocates that cell on every write.
+//
+// Only a register whose whole value domain packs into 64 bits can use it,
+// and in the paper's algorithms that is exactly one: the announcement
+// registers A[q] of the ABA-detecting register (a process id paired with a
+// sequence number bounded by 2n+1). Every other register holds an arbitrary
+// V or an unbounded sequence number. There is no simulated Word: under any
+// allocator but a bare *NativeAllocator NewWord declines, and the caller
+// keeps an ordinary Reg, so simulated schedules and transcripts are the same
+// with and without it.
+type Word struct {
+	name string
+	v    atomic.Uint64
+	_    [cacheLine - 24]byte // name (16) + v (8) = 24
+}
+
+// NewWord allocates a native word register initialized to init, or reports
+// false when the allocator is not a bare *NativeAllocator.
+func NewWord(a Allocator, name string, init uint64) (*Word, bool) {
+	na, ok := a.(*NativeAllocator)
+	if !ok {
+		return nil, false
+	}
+	na.count.Add(1)
+	w := &Word{name: name}
+	w.v.Store(init)
+	return w, true
+}
+
+// Read returns the current word.
+func (w *Word) Read() uint64 { return w.v.Load() }
+
+// Write replaces the current word.
+func (w *Word) Write(v uint64) { w.v.Store(v) }
+
+// Name returns the register's allocation name.
+func (w *Word) Name() string { return w.name }
+
 // Reg is a typed view over a register. The zero value is unusable; construct
 // with NewReg.
 //

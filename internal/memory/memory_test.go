@@ -146,3 +146,19 @@ func TestCountingAllocatorNesting(t *testing.T) {
 		t.Errorf("Registers = %d", a2.Registers())
 	}
 }
+
+func TestWordNativeOnly(t *testing.T) {
+	var native NativeAllocator
+	w, ok := NewWord(&native, "w", 7)
+	if !ok || w.Read() != 7 || w.Name() != "w" || native.Registers() != 1 {
+		t.Fatalf("native word: ok=%v value=%d registers=%d", ok, w.Read(), native.Registers())
+	}
+	w.Write(1<<40 | 3)
+	if got := w.Read(); got != 1<<40|3 {
+		t.Errorf("word read back %#x", got)
+	}
+	counting := &CountingAllocator{Inner: &native, Counter: NewStepCounter(1)}
+	if _, ok := NewWord(counting, "w", 0); ok {
+		t.Error("a decorated allocator was handed a word its steps cannot see")
+	}
+}

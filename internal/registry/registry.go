@@ -87,9 +87,13 @@ type Registry struct {
 	kindPools sync.Map
 }
 
+// shard is one slice of the name space, padded to a cache line: at 32 bytes
+// two shards share one, and readers of different shards bounce each other's
+// reader count.
 type shard struct {
 	mu sync.RWMutex
 	m  map[string]entry
+	_  [32]byte
 }
 
 // entry is one registered instance with the pool its operations lease from.

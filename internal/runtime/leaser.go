@@ -28,6 +28,11 @@ import (
 // means a goroutine usually gets back the hint last used on its P, keeping a
 // pid close to the core that last used it. When every stripe is empty,
 // acquirers queue FIFO and releases hand ids directly to the oldest waiter.
+//
+// An uncontended lease touches its stripe and its own holder word and
+// nothing every P shares: the counters Stats and InUse report are kept in
+// the stripe, under the mutex the lease holds anyway, and a release looks at
+// the wait queue only when the waiter count says someone is in it.
 type Leaser struct {
 	n       int
 	stripes []stripe
@@ -36,24 +41,50 @@ type Leaser struct {
 	// pid is leased. Transitions are CASed so misuse (double release, release
 	// of a never-acquired pid) fails loudly instead of corrupting per-process
 	// state of the objects above.
-	holders []atomic.Int32
-	inUse   atomic.Int64
+	holders []holder
 
 	qmu     sync.Mutex
 	waiters waiterQueue
+	// nwait is the length of waiters, changed only under qmu and read
+	// without it by releases deciding whether the queue is worth locking.
+	nwait atomic.Int32
 
 	hints    sync.Pool
 	hintSeed atomic.Uint32
 
-	stats LeaserStats
+	// Slow-path counters: hand-offs are the acquisitions that never went
+	// through a stripe.
+	handoffs, blocks, cancels atomic.Int64
 }
 
-// stripe is one shard of the free list; the trailing pad keeps neighbouring
-// stripes off one cache line.
+// stripe is one shard of the free list with its share of the counters, all
+// guarded by mu; the trailing pad keeps neighbouring stripes off one cache
+// line.
 type stripe struct {
-	mu   sync.Mutex
-	free []int
-	_    [40]byte
+	mu      sync.Mutex
+	free    []int
+	leases  int64 // ids popped from this stripe
+	home    int64 // of those, by an acquirer whose home stripe this is
+	returns int64 // ids pushed back
+	_       [72]byte
+}
+
+// pop takes the most recently freed id off the stripe; the caller holds mu.
+func (s *stripe) pop() (int, bool) {
+	k := len(s.free)
+	if k == 0 {
+		return 0, false
+	}
+	pid := s.free[k-1]
+	s.free = s.free[:k-1]
+	return pid, true
+}
+
+// holder is one pid's ownership word on a cache line of its own: sixteen to
+// a line, every lease would invalidate its neighbours' words.
+type holder struct {
+	leased atomic.Int32
+	_      [60]byte
 }
 
 type waiter struct {
@@ -108,25 +139,20 @@ func (q *waiterQueue) remove(target *waiter) bool {
 	return false
 }
 
-// LeaserStats are monotone counters exposed for monitoring. Read them with
-// Stats; they are updated atomically and individually, so a snapshot is not
-// a consistent cut (fine for metrics).
-type LeaserStats struct {
-	// Acquires counts successful lease acquisitions.
-	Acquires atomic.Int64
-	// FastPath counts acquisitions satisfied by the acquirer's home stripe.
-	FastPath atomic.Int64
-	// Steals counts acquisitions satisfied by scanning another stripe.
-	Steals atomic.Int64
-	// Blocks counts acquisitions that had to queue behind an empty pool.
-	Blocks atomic.Int64
-	// Cancels counts acquisitions abandoned via context.
-	Cancels atomic.Int64
-}
-
-// StatsSnapshot is a plain-value copy of LeaserStats.
+// StatsSnapshot is a reading of the leaser's monotone counters. The counters
+// are kept apart and read one after another, so a reading is not a
+// consistent cut (fine for metrics).
 type StatsSnapshot struct {
-	Acquires, FastPath, Steals, Blocks, Cancels int64
+	// Acquires counts successful lease acquisitions.
+	Acquires int64
+	// FastPath counts acquisitions satisfied by the acquirer's home stripe.
+	FastPath int64
+	// Steals counts acquisitions satisfied by scanning another stripe.
+	Steals int64
+	// Blocks counts acquisitions that had to queue behind an empty pool.
+	Blocks int64
+	// Cancels counts acquisitions abandoned via context.
+	Cancels int64
 }
 
 // NewLeaser constructs a leaser over ids 0..n-1 with a stripe count scaled
@@ -150,7 +176,7 @@ func NewLeaserStripes(n, stripes int) *Leaser {
 	l := &Leaser{
 		n:       n,
 		stripes: make([]stripe, stripes),
-		holders: make([]atomic.Int32, n),
+		holders: make([]holder, n),
 	}
 	l.hints.New = func() any {
 		h := new(uint32)
@@ -182,8 +208,19 @@ func defaultStripes(n int) int {
 // Size returns the number of process ids managed.
 func (l *Leaser) Size() int { return l.n }
 
-// InUse returns the number of ids currently leased.
-func (l *Leaser) InUse() int { return int(l.inUse.Load()) }
+// InUse returns the number of ids currently leased: those popped from a
+// stripe and not yet pushed back (an id handed from a release straight to a
+// waiter stays leased throughout).
+func (l *Leaser) InUse() int {
+	var out int64
+	for i := range l.stripes {
+		s := &l.stripes[i]
+		s.mu.Lock()
+		out += s.leases - s.returns
+		s.mu.Unlock()
+	}
+	return int(out)
+}
 
 // Holds reports whether pid is currently leased. Callers that reuse one
 // lease across many operations (batch execution) assert this between
@@ -194,7 +231,7 @@ func (l *Leaser) Holds(pid int) bool {
 	if pid < 0 || pid >= l.n {
 		return false
 	}
-	return l.holders[pid].Load() == 1
+	return l.holders[pid].leased.Load() == 1
 }
 
 // Held returns the ids currently leased, in ascending order. Intended for
@@ -203,22 +240,29 @@ func (l *Leaser) Holds(pid int) bool {
 func (l *Leaser) Held() []int {
 	var held []int
 	for pid := range l.holders {
-		if l.holders[pid].Load() == 1 {
+		if l.holders[pid].leased.Load() == 1 {
 			held = append(held, pid)
 		}
 	}
 	return held
 }
 
-// Stats returns a copy of the monotone counters.
+// Stats returns a reading of the monotone counters.
 func (l *Leaser) Stats() StatsSnapshot {
-	return StatsSnapshot{
-		Acquires: l.stats.Acquires.Load(),
-		FastPath: l.stats.FastPath.Load(),
-		Steals:   l.stats.Steals.Load(),
-		Blocks:   l.stats.Blocks.Load(),
-		Cancels:  l.stats.Cancels.Load(),
+	st := StatsSnapshot{
+		Acquires: l.handoffs.Load(),
+		Blocks:   l.blocks.Load(),
+		Cancels:  l.cancels.Load(),
 	}
+	for i := range l.stripes {
+		s := &l.stripes[i]
+		s.mu.Lock()
+		st.Acquires += s.leases
+		st.FastPath += s.home
+		st.Steals += s.leases - s.home
+		s.mu.Unlock()
+	}
+	return st
 }
 
 // TryAcquire leases an id without blocking. It reports false when every id
@@ -243,15 +287,12 @@ func (l *Leaser) scan(hint uint32) (int, uint32) {
 		idx := (hint + i) % ns
 		s := &l.stripes[idx]
 		s.mu.Lock()
-		if k := len(s.free); k > 0 {
-			pid := s.free[k-1]
-			s.free = s.free[:k-1]
-			s.mu.Unlock()
+		if pid, ok := s.pop(); ok {
+			s.leases++
 			if i == 0 {
-				l.stats.FastPath.Add(1)
-			} else {
-				l.stats.Steals.Add(1)
+				s.home++
 			}
+			s.mu.Unlock()
 			return pid, idx
 		}
 		s.mu.Unlock()
@@ -266,13 +307,15 @@ func (l *Leaser) Acquire(ctx context.Context) (int, error) {
 	if pid, ok := l.TryAcquire(); ok {
 		return pid, nil
 	}
-	// Slow path: queue, then re-scan once under the queue lock. The re-scan
-	// closes the race where every stripe emptied before we queued but a
-	// Release ran in between (releases check the queue first, so a release
-	// after we enqueue will find us).
+	// Slow path: queue, then re-scan once. The re-scan closes the race where
+	// every stripe emptied before we queued but a Release ran in between: a
+	// release that pushed its id before our re-scan reached that stripe is
+	// found by the re-scan, and one that pushes after it re-checks the
+	// waiter count after the push and finds us (see free).
 	w := &waiter{ch: make(chan int, 1)}
 	l.qmu.Lock()
 	l.waiters.push(w)
+	l.nwait.Add(1)
 	l.qmu.Unlock()
 	if pid, ok := l.TryAcquire(); ok {
 		if l.dequeue(w) {
@@ -284,23 +327,23 @@ func (l *Leaser) Acquire(ctx context.Context) (int, error) {
 		l.Release(pid)
 		return <-w.ch, nil
 	}
-	l.stats.Blocks.Add(1)
+	l.blocks.Add(1)
 
 	select {
 	case pid := <-w.ch:
 		// The releasing goroutine transferred ownership directly: holders
 		// bookkeeping stayed leased throughout, only the holder changed.
-		l.stats.Acquires.Add(1)
+		l.handoffs.Add(1)
 		return pid, nil
 	case <-ctx.Done():
 		if l.dequeue(w) {
-			l.stats.Cancels.Add(1)
+			l.cancels.Add(1)
 			return 0, ctx.Err()
 		}
 		// Lost the race: a release delivered an id while we were cancelling.
 		// Take it and put it back so it is not leaked.
 		l.Release(<-w.ch)
-		l.stats.Cancels.Add(1)
+		l.cancels.Add(1)
 		return 0, ctx.Err()
 	}
 }
@@ -310,7 +353,25 @@ func (l *Leaser) Acquire(ctx context.Context) (int, error) {
 func (l *Leaser) dequeue(w *waiter) bool {
 	l.qmu.Lock()
 	defer l.qmu.Unlock()
-	return l.waiters.remove(w)
+	if !l.waiters.remove(w) {
+		return false
+	}
+	l.nwait.Add(-1)
+	return true
+}
+
+// popWaiter takes the oldest waiter off the queue, nil if there is none.
+func (l *Leaser) popWaiter() *waiter {
+	if l.nwait.Load() == 0 {
+		return nil
+	}
+	l.qmu.Lock()
+	defer l.qmu.Unlock()
+	w := l.waiters.pop()
+	if w != nil {
+		l.nwait.Add(-1)
+	}
+	return w
 }
 
 // Release returns a leased id to the pool. Releasing an id that is not
@@ -322,35 +383,71 @@ func (l *Leaser) Release(pid int) {
 	}
 	// Hand off to a waiter first: ownership transfers without the id ever
 	// becoming free, so a TryAcquire cannot jump the queue.
-	l.qmu.Lock()
-	w := l.waiters.pop()
-	l.qmu.Unlock()
-	if w != nil {
+	if w := l.popWaiter(); w != nil {
 		w.ch <- pid
 		return
 	}
+	l.free(pid)
+}
+
+// free is the rest of a Release that found the queue empty: push the id,
+// then look at the queue again. A waiter may have queued and re-scanned the
+// stripes between the first look and the push: it found nothing, and nobody
+// would wake it before the next release — never, if this was the only id.
+// The push and the waiter's re-scan lock the same stripe, so either the
+// re-scan saw the id or the waiter count shows the waiter by now: take an id
+// back out (this one, unless it is already gone — then whoever took it will
+// release it and look here again) and hand it over.
+func (l *Leaser) free(pid int) {
 	l.release(pid)
+	for l.nwait.Load() > 0 {
+		pid, ok := l.takeBack()
+		if !ok {
+			return
+		}
+		if w := l.popWaiter(); w != nil {
+			w.ch <- pid
+			return
+		}
+		l.release(pid)
+	}
+}
+
+// takeBack undoes a release: it pops a free id from any stripe and marks it
+// leased again, counted as a push that did not happen rather than as an
+// acquisition — the acquisition is the waiter's, who counts the hand-off.
+func (l *Leaser) takeBack() (int, bool) {
+	for i := range l.stripes {
+		s := &l.stripes[i]
+		s.mu.Lock()
+		if pid, ok := s.pop(); ok {
+			s.returns--
+			s.mu.Unlock()
+			l.lease(pid)
+			return pid, true
+		}
+		s.mu.Unlock()
+	}
+	return 0, false
 }
 
 // release marks pid free and pushes it on its home stripe.
 func (l *Leaser) release(pid int) {
-	if !l.holders[pid].CompareAndSwap(1, 0) {
+	if !l.holders[pid].leased.CompareAndSwap(1, 0) {
 		panic(fmt.Sprintf("runtime: pid %d released while not leased", pid))
 	}
-	l.inUse.Add(-1)
 	s := &l.stripes[pid%len(l.stripes)]
 	s.mu.Lock()
 	s.free = append(s.free, pid)
+	s.returns++
 	s.mu.Unlock()
 }
 
 // lease marks pid held after it was popped from a stripe.
 func (l *Leaser) lease(pid int) {
-	if !l.holders[pid].CompareAndSwap(0, 1) {
+	if !l.holders[pid].leased.CompareAndSwap(0, 1) {
 		panic(fmt.Sprintf("runtime: pid %d acquired while already leased", pid))
 	}
-	l.inUse.Add(1)
-	l.stats.Acquires.Add(1)
 }
 
 // With acquires an id, runs fn as that process, and releases the id even if

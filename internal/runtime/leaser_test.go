@@ -310,3 +310,99 @@ func TestLeaserHoldsDuringHandoff(t *testing.T) {
 		t.Fatalf("Holds(%d) = true after final release", p)
 	}
 }
+
+// TestLeaserNoLostWakeup hammers a one-id pool from two goroutines. Before
+// Release re-checked the waiter count after its push, this hung: a release
+// looks at the (empty) queue, a waiter then queues and re-scans the (still
+// empty) stripe, the release pushes the id — and the waiter sleeps on a free
+// id that no later release will ever hand it. Run under -cpu 2,4; a watchdog
+// turns the hang into a failure with the leaser's state.
+func TestLeaserNoLostWakeup(t *testing.T) {
+	const workers = 2
+	perWorker := 200_000
+	if testing.Short() {
+		perWorker = 50_000
+	}
+	l := NewLeaser(1)
+	ctx := context.Background()
+	var inside atomic.Int32
+	done := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for i := 0; i < perWorker; i++ {
+				err := l.With(ctx, func(pid int) error {
+					if inside.Add(1) != 1 {
+						return errors.New("two holders of the only pid")
+					}
+					inside.Add(-1)
+					return nil
+				})
+				if err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+	}
+	watchdog := time.After(2 * time.Minute)
+	for w := 0; w < workers; w++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-watchdog:
+			t.Fatalf("lost wake-up: a waiter sleeps while the pid is free (in use %d, held %v, stats %+v)",
+				l.InUse(), l.Held(), l.Stats())
+		}
+	}
+	st := l.Stats()
+	if want := int64(workers * perWorker); st.Acquires != want {
+		t.Errorf("Acquires = %d, want %d: every With is one acquisition, hand-off or not", st.Acquires, want)
+	}
+	if st.FastPath+st.Steals > st.Acquires || st.Blocks > st.Acquires {
+		t.Errorf("counters out of meaning: %+v", st)
+	}
+	if l.InUse() != 0 {
+		t.Errorf("InUse = %d after quiesce", l.InUse())
+	}
+}
+
+// TestLeaserReleaseRechecksWaiters replays the lost wake-up step by step: the
+// releaser has looked at the queue and found it empty; only then does the
+// waiter queue and re-scan the still-empty stripes; the releaser pushes the
+// id. The push must notice the waiter and hand the id over — otherwise the
+// waiter sleeps on a free id until some later release, which on a one-id
+// pool never comes.
+func TestLeaserReleaseRechecksWaiters(t *testing.T) {
+	l := NewLeaser(1)
+	pid, ok := l.TryAcquire()
+	if !ok {
+		t.Fatal("fresh pool refused its only id")
+	}
+	if w := l.popWaiter(); w != nil { // Release's look at the queue
+		t.Fatal("waiter on a fresh leaser")
+	}
+	w := &waiter{ch: make(chan int, 1)} // Acquire's slow path, up to its block
+	l.qmu.Lock()
+	l.waiters.push(w)
+	l.nwait.Add(1)
+	l.qmu.Unlock()
+	if _, ok := l.TryAcquire(); ok {
+		t.Fatal("re-scan found an id that is still leased")
+	}
+	l.free(pid) // the rest of Release
+	select {
+	case got := <-w.ch:
+		if got != pid || !l.Holds(pid) || l.InUse() != 1 {
+			t.Fatalf("handed %d (holds %v, in use %d), want the released pid %d still leased", got, l.Holds(pid), l.InUse(), pid)
+		}
+	default:
+		t.Fatal("the waiter was left asleep with the pid free")
+	}
+	l.Release(pid)
+	if l.InUse() != 0 || l.nwait.Load() != 0 {
+		t.Fatalf("in use %d, waiters %d after the hand-off was released", l.InUse(), l.nwait.Load())
+	}
+}

@@ -24,7 +24,6 @@ package snapshot
 
 import (
 	"fmt"
-	"sync"
 
 	"slmem/internal/memory"
 )
@@ -47,10 +46,20 @@ type dcell[V any] struct {
 
 // DoubleCollect is the lock-free clean-double-collect snapshot.
 type DoubleCollect[V any] struct {
-	n    int
-	regs []memory.Reg[dcell[V]]
-	seq  []uint64  // local per-writer sequence numbers
-	bufs sync.Pool // *[]dcell[V] collect scratch, recycled across Scans
+	n     int
+	regs  []memory.Reg[dcell[V]]
+	local []dcLocal[V]
+}
+
+// dcLocal is what one process keeps between operations: its two collect
+// buffers and its writer sequence number. It is indexed by pid and padded,
+// never pooled and never shared — a pid is driven by one goroutine at a
+// time, so none of it needs synchronising. The buffers never escape a Scan:
+// values() copies the result out.
+type dcLocal[V any] struct {
+	c1, c2 []dcell[V]
+	seq    uint64
+	_      [72]byte // 56 bytes above: two cache lines a process
 }
 
 var _ Snapshot[int] = (*DoubleCollect[int])(nil)
@@ -62,34 +71,23 @@ func NewDoubleCollect[V any](alloc memory.Allocator, n int, initial V) *DoubleCo
 		panic(fmt.Sprintf("snapshot: n = %d, need at least 1 process", n))
 	}
 	s := &DoubleCollect[V]{
-		n:    n,
-		regs: make([]memory.Reg[dcell[V]], n),
-		seq:  make([]uint64, n),
+		n:     n,
+		regs:  make([]memory.Reg[dcell[V]], n),
+		local: make([]dcLocal[V], n),
 	}
 	for i := range s.regs {
 		s.regs[i] = memory.NewReg(alloc, fmt.Sprintf("snap.R[%d]", i), dcell[V]{val: initial})
+		s.local[i].c1, s.local[i].c2 = make([]dcell[V], n), make([]dcell[V], n)
 	}
 	return s
 }
 
 // Update implements Snapshot: one shared write.
 func (s *DoubleCollect[V]) Update(pid int, x V) {
-	s.seq[pid]++
-	s.regs[pid].Write(pid, dcell[V]{val: x, seq: s.seq[pid]})
+	l := &s.local[pid]
+	l.seq++
+	s.regs[pid].Write(pid, dcell[V]{val: x, seq: l.seq})
 }
-
-// getBuf returns a collect scratch buffer from the pool. Scratch buffers
-// never escape a Scan: values() copies the result out before putBuf, so
-// recycling them cuts the two collect allocations off every Scan.
-func (s *DoubleCollect[V]) getBuf() *[]dcell[V] {
-	if p, ok := s.bufs.Get().(*[]dcell[V]); ok {
-		return p
-	}
-	buf := make([]dcell[V], s.n)
-	return &buf
-}
-
-func (s *DoubleCollect[V]) putBuf(p *[]dcell[V]) { s.bufs.Put(p) }
 
 func (s *DoubleCollect[V]) collectInto(pid int, out []dcell[V]) {
 	for i := range s.regs {
@@ -120,16 +118,12 @@ func values[V any](cells []dcell[V]) []V {
 // (a "clean double collect"). Lock-free: a failed pair of collects means a
 // concurrent Update completed.
 func (s *DoubleCollect[V]) Scan(pid int) []V {
-	b1, b2 := s.getBuf(), s.getBuf()
-	c1, c2 := *b1, *b2
+	c1, c2 := s.local[pid].c1, s.local[pid].c2
 	s.collectInto(pid, c1)
 	for {
 		s.collectInto(pid, c2)
 		if seqsEqual(c1, c2) {
-			out := values(c2)
-			s.putBuf(b1)
-			s.putBuf(b2)
-			return out
+			return values(c2)
 		}
 		c1, c2 = c2, c1
 	}
@@ -139,8 +133,7 @@ func (s *DoubleCollect[V]) Scan(pid int) []V {
 // component sequence numbers, which increases with every Update (the
 // versioned-object interface of paper Section 4.1).
 func (s *DoubleCollect[V]) ScanVersioned(pid int) ([]V, uint64) {
-	b1, b2 := s.getBuf(), s.getBuf()
-	c1, c2 := *b1, *b2
+	c1, c2 := s.local[pid].c1, s.local[pid].c2
 	s.collectInto(pid, c1)
 	for {
 		s.collectInto(pid, c2)
@@ -149,10 +142,7 @@ func (s *DoubleCollect[V]) ScanVersioned(pid int) ([]V, uint64) {
 			for _, c := range c2 {
 				version += c.seq
 			}
-			out := values(c2)
-			s.putBuf(b1)
-			s.putBuf(b2)
-			return out, version
+			return values(c2), version
 		}
 		c1, c2 = c2, c1
 	}
@@ -168,17 +158,19 @@ type acell[V any] struct {
 
 // Afek is the wait-free snapshot with embedded scans.
 type Afek[V any] struct {
-	n    int
-	regs []memory.Reg[acell[V]]
-	seq  []uint64
-	bufs sync.Pool // *afekScratch[V], recycled across Scans
+	n     int
+	regs  []memory.Reg[acell[V]]
+	local []afekLocal[V]
 }
 
-// afekScratch is one Scan's worth of Afek scratch: two collect buffers and
-// the moved flags. None of it escapes a Scan (borrowed views are copied out).
-type afekScratch[V any] struct {
+// afekLocal is one process's state between operations, indexed by pid and
+// padded like dcLocal: two collect buffers, the moved flags and the writer
+// sequence number. None of it escapes a Scan (borrowed views are copied out).
+type afekLocal[V any] struct {
 	c1, c2 []acell[V]
 	moved  []bool
+	seq    uint64
+	_      [48]byte // 80 bytes above: two cache lines a process
 }
 
 var _ Snapshot[int] = (*Afek[int])(nil)
@@ -190,12 +182,14 @@ func NewAfek[V any](alloc memory.Allocator, n int, initial V) *Afek[V] {
 		panic(fmt.Sprintf("snapshot: n = %d, need at least 1 process", n))
 	}
 	s := &Afek[V]{
-		n:    n,
-		regs: make([]memory.Reg[acell[V]], n),
-		seq:  make([]uint64, n),
+		n:     n,
+		regs:  make([]memory.Reg[acell[V]], n),
+		local: make([]afekLocal[V], n),
 	}
 	for i := range s.regs {
 		s.regs[i] = memory.NewReg(alloc, fmt.Sprintf("snap.A[%d]", i), acell[V]{val: initial})
+		l := &s.local[i]
+		l.c1, l.c2, l.moved = make([]acell[V], n), make([]acell[V], n), make([]bool, n)
 	}
 	return s
 }
@@ -204,22 +198,9 @@ func NewAfek[V any](alloc memory.Allocator, n int, initial V) *Afek[V] {
 // publishes the new value together with the scanned view.
 func (s *Afek[V]) Update(pid int, x V) {
 	view := s.Scan(pid)
-	s.seq[pid]++
-	s.regs[pid].Write(pid, acell[V]{val: x, seq: s.seq[pid], view: view})
-}
-
-func (s *Afek[V]) getScratch() *afekScratch[V] {
-	if sc, ok := s.bufs.Get().(*afekScratch[V]); ok {
-		for q := range sc.moved {
-			sc.moved[q] = false
-		}
-		return sc
-	}
-	return &afekScratch[V]{
-		c1:    make([]acell[V], s.n),
-		c2:    make([]acell[V], s.n),
-		moved: make([]bool, s.n),
-	}
+	l := &s.local[pid]
+	l.seq++
+	s.regs[pid].Write(pid, acell[V]{val: x, seq: l.seq, view: view})
 }
 
 func (s *Afek[V]) collectInto(pid int, out []acell[V]) {
@@ -232,7 +213,8 @@ func (s *Afek[V]) collectInto(pid int, out []acell[V]) {
 // process has been seen to move twice, and its embedded view (which is a
 // valid snapshot taken within our interval) is borrowed.
 func (s *Afek[V]) Scan(pid int) []V {
-	sc := s.getScratch()
+	sc := &s.local[pid]
+	clear(sc.moved)
 	c1, c2 := sc.c1, sc.c2
 	s.collectInto(pid, c1)
 	for {
@@ -246,16 +228,13 @@ func (s *Afek[V]) Scan(pid int) []V {
 					// embedded view was taken entirely inside our interval.
 					out := make([]V, len(c2[q].view))
 					copy(out, c2[q].view)
-					s.bufs.Put(sc)
 					return out
 				}
 				sc.moved[q] = true
 			}
 		}
 		if clean {
-			out := avalues(c2)
-			s.bufs.Put(sc)
-			return out
+			return avalues(c2)
 		}
 		c1, c2 = c2, c1
 	}

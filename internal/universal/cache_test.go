@@ -323,28 +323,68 @@ func TestReplayCacheUsesCheckpointHook(t *testing.T) {
 	}
 }
 
-// TestDeltaNodesCovering pins the covering rule at the unit level: a node
-// whose scanned view misses an anchored node forces ok=false.
+// TestDeltaNodesCovering pins the covering rule at the unit level, for the
+// extraction Execute runs and for the reference the differential tests hold
+// it to: a node whose scanned view misses an anchored node forces ok=false.
 func TestDeltaNodesCovering(t *testing.T) {
 	// Two processes. Anchor: p0 up to index 1, p1 none.
-	a := &node{pid: 0, index: 0, invocation: "inc()"}
+	a := &node{pid: 0, index: 0, invocation: "inc()", preceding: []*node{nil, nil}}
 	b := &node{pid: 0, index: 1, invocation: "inc()", preceding: []*node{a, nil}}
 	anchor := []int{1, -1}
+	sc := &scratch{n: 2}
 
 	covering := &node{pid: 1, index: 0, invocation: "inc()", preceding: []*node{b, nil}}
 	nodes, ok := deltaNodes(anchor, []*node{b, covering})
 	if !ok || len(nodes) != 1 || nodes[0] != covering {
-		t.Fatalf("covering node: nodes=%v ok=%v, want exactly the new node", nodes, ok)
+		t.Fatalf("reference, covering node: nodes=%v ok=%v, want exactly the new node", nodes, ok)
 	}
+	live, ok := sc.extract(anchor, []*node{b, covering})
+	if !ok || live != 1 || len(sc.nodes) != 1 || sc.nodes[0] != covering {
+		t.Fatalf("covering node: nodes=%v live=%d ok=%v, want exactly the new node", sc.nodes, live, ok)
+	}
+	sc.release()
 
 	straggler := &node{pid: 1, index: 0, invocation: "inc()", preceding: []*node{a, nil}}
-	if _, ok := deltaNodes(anchor, []*node{b, straggler}); ok {
-		t.Fatal("straggler whose view misses anchored node b must force a fallback")
-	}
-
 	blind := &node{pid: 1, index: 0, invocation: "inc()", preceding: []*node{nil, nil}}
-	if _, ok := deltaNodes(anchor, []*node{b, blind}); ok {
-		t.Fatal("node with an empty view must force a fallback against a non-empty anchor")
+	for name, nd := range map[string]*node{
+		"straggler whose view misses anchored node b": straggler,
+		"node with an empty view":                     blind,
+	} {
+		if _, ok := deltaNodes(anchor, []*node{b, nd}); ok {
+			t.Fatalf("reference: %s must force a fallback", name)
+		}
+		if live, ok := sc.extract(anchor, []*node{b, nd}); ok || live != 1 || len(sc.nodes) != 0 {
+			t.Fatalf("%s must force a fallback and leave nothing behind: live=%d ok=%v nodes=%v", name, live, ok, sc.nodes)
+		}
+	}
+}
+
+// TestExtractRefusesBrokenChains pins the checked walk: a graph that is not
+// per-process chains under monotone scans is refused, never walked short.
+func TestExtractRefusesBrokenChains(t *testing.T) {
+	none := []int{-1, -1}
+	a0 := &node{pid: 0, index: 0, preceding: []*node{nil, nil}}
+	b0 := &node{pid: 1, index: 0, preceding: []*node{a0, nil}}
+	for name, view := range map[string][]*node{
+		"own component skips an index": {
+			&node{pid: 0, index: 2, preceding: []*node{a0, nil}}, nil},
+		"own component is another process's node": {
+			&node{pid: 0, index: 1, preceding: []*node{{pid: 1, index: 0, preceding: []*node{nil, nil}}, nil}}, nil},
+		"a view ahead of the scan it is reachable from": {
+			a0, &node{pid: 1, index: 1, preceding: []*node{{pid: 0, index: 1, preceding: []*node{a0, nil}}, b0}}},
+		"a view of the wrong width": {
+			&node{pid: 0, index: 1, preceding: []*node{a0}}, nil},
+	} {
+		sc := &scratch{n: 2}
+		if _, ok := sc.extract(none, view); ok {
+			t.Errorf("%s: extraction accepted it", name)
+		}
+	}
+	// The same shapes, well-formed, pass.
+	a1 := &node{pid: 0, index: 1, preceding: []*node{a0, b0}}
+	sc := &scratch{n: 2}
+	if live, ok := sc.extract(none, []*node{a1, b0}); !ok || live != 3 {
+		t.Errorf("well-formed graph refused: live=%d ok=%v", live, ok)
 	}
 }
 

@@ -141,13 +141,34 @@ type watermarkRec struct {
 	version int64
 }
 
+// watermarkSlab is the number of records a process allocates at a time: a
+// record and its anchor are carved out of two slabs, so publishing costs an
+// eighth of an allocation instead of two. A slab stays reachable as long as
+// any record in it is the published one — at most the slab itself.
+const watermarkSlab = 16
+
 // watermark is a single-writer padded register: rec is stored only by the
-// owning process and loaded by collector passes; ops is owner-local
-// bookkeeping for the collection cadence.
+// owning process and loaded by collector passes; the rest is owner-local —
+// ops is the bookkeeping for the collection cadence, recs and anchors are
+// what is left of the current slabs.
 type watermark struct {
-	rec atomic.Pointer[watermarkRec]
-	ops int
-	_   [48]byte // pad to a cache line
+	rec     atomic.Pointer[watermarkRec]
+	ops     int
+	recs    []watermarkRec
+	anchors []int
+	_       [64]byte // keep the next process's register off these lines
+}
+
+// next carves the next record out of the slabs.
+func (w *watermark) next(n int) *watermarkRec {
+	if len(w.recs) == 0 {
+		w.recs = make([]watermarkRec, watermarkSlab)
+		w.anchors = make([]int, watermarkSlab*n)
+	}
+	rec := &w.recs[0]
+	rec.anchor = w.anchors[:n:n]
+	w.recs, w.anchors = w.recs[1:], w.anchors[n:]
+	return rec
 }
 
 // pendingTrim queues one truncation's boundary nodes for pointer cuts once
@@ -162,12 +183,12 @@ type gcInfo struct {
 	window      int
 	state       atomic.Pointer[gcState]
 	marks       []watermark
-	mu          sync.Mutex // serializes collector passes; guards pending
+	mu          sync.Mutex // serializes collector passes; guards pending and scratch
 	pending     []pendingTrim
+	scratch     scratch // the collector's own: a pass runs as no process
 	truncations atomic.Int64
 	truncated   atomic.Int64
 	trims       atomic.Int64
-	coverFails  atomic.Int64
 	replayFails atomic.Int64
 }
 
@@ -184,7 +205,7 @@ func (o *Object) SetGC(opts GCOptions) {
 		o.gc.window = window
 		return
 	}
-	g := &gcInfo{window: window, marks: make([]watermark, o.n)}
+	g := &gcInfo{window: window, marks: make([]watermark, o.n), scratch: scratch{n: o.n}}
 	cut := make([]int, o.n)
 	for q := range cut {
 		cut[q] = -1
@@ -200,25 +221,18 @@ func (o *Object) GCEnabled() bool { return o.gc != nil }
 // pid ownership rules as Execute). With GC disabled only LiveNodes is set,
 // to the full history size.
 func (o *Object) GCStats(p int) GCStats {
+	live, gs := o.liveNodes(p)
 	if o.gc == nil {
-		return GCStats{LiveNodes: o.HistorySize(p)}
+		return GCStats{LiveNodes: live, CoverageFailures: o.coverFails.Load()}
 	}
 	g := o.gc
-	gs := g.state.Load()
-	delta, ok := deltaNodes(gs.cut, o.root.Scan(p))
-	if !ok {
-		// A reachable node does not cover the root: the truncation
-		// invariant is broken and the extraction (hence LiveNodes) is
-		// partial. Count it so the breakage surfaces in the stats.
-		g.coverFails.Add(1)
-	}
 	return GCStats{
-		LiveNodes:        len(delta),
+		LiveNodes:        live,
 		Truncations:      g.truncations.Load(),
 		TruncatedNodes:   g.truncated.Load(),
 		RootVersion:      gs.version,
 		PendingTrims:     g.truncations.Load() - g.trims.Load(),
-		CoverageFailures: g.coverFails.Load(),
+		CoverageFailures: o.coverFails.Load(),
 		ReplayFailures:   g.replayFails.Load(),
 	}
 }
@@ -227,16 +241,10 @@ func (o *Object) GCStats(p int) GCStats {
 // completed (node e over view, executed against root gs) and runs the
 // amortized collector every window operations.
 func (g *gcInfo) afterOp(o *Object, p int, view []*node, e *node, gs *gcState) {
-	rec := &watermarkRec{anchor: make([]int, o.n), version: gs.version}
-	for q, nd := range view {
-		if nd == nil {
-			rec.anchor[q] = -1
-		} else {
-			rec.anchor[q] = nd.index
-		}
-	}
-	rec.anchor[e.pid] = e.index
 	w := &g.marks[p]
+	rec := w.next(o.n)
+	rec.version = gs.version
+	setAnchor(rec.anchor, view, e)
 	w.rec.Store(rec)
 
 	w.ops++
@@ -327,11 +335,13 @@ func (o *Object) collect(view []*node) {
 		return
 	}
 
-	delta, ok := deltaNodes(cur.cut, view)
-	if !ok {
-		g.coverFails.Add(1)
+	sc := &g.scratch
+	defer sc.release()
+	if _, ok := sc.extract(cur.cut, view); !ok {
+		o.coverFails.Add(1)
 		return // unreachable: every live node covers the current root
 	}
+	delta := sc.nodes
 
 	// Lower m to the covering fixpoint: every node left outside the prefix
 	// must cover it. A violating node's own view caps the prefix — nodes it
@@ -378,7 +388,7 @@ func (o *Object) collect(view []*node) {
 	}
 	state := cur.base
 	count := 0
-	for _, nd := range o.linearize(deltaGraph(cur.cut, delta)) {
+	for _, nd := range sc.linearize(o.t) {
 		if !anchored(m, nd) {
 			break
 		}

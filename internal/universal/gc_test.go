@@ -2,7 +2,6 @@ package universal
 
 import (
 	"math/rand"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -302,7 +301,7 @@ func TestGCScanWatermarkGap(t *testing.T) {
 	// stalled, and publishes only now — after the collector's scan.
 	slow := &node{invocation: "inc()", response: "1", pid: 1, index: 0, preceding: make([]*node, 2)}
 	o.root.Update(1, slow)
-	o.index[1] = 1
+	o.local[1].index = 1
 	// p1 then completes a second operation with a fresh scan, raising its
 	// watermark past the slow node before the collector reads it.
 	if _, err := o.Execute(1, "inc()"); err != nil {
@@ -360,7 +359,7 @@ func TestGCReplayFailureSurfaced(t *testing.T) {
 	// prefix containing it fails to replay.
 	bogus := &node{invocation: "bogus()", pid: 1, index: 0, preceding: o.root.Scan(1)}
 	o.root.Update(1, bogus)
-	o.index[1] = 1
+	o.local[1].index = 1
 	view := o.root.Scan(0)
 	g := o.gc
 	g.marks[0].rec.Store(&watermarkRec{anchor: []int{2, 0}, version: 0})
@@ -396,9 +395,9 @@ func TestGCCoverageFailureSurfaced(t *testing.T) {
 	}
 	// Fabricate the violation: a node above the cut whose view covers
 	// nothing.
-	bad := &node{invocation: "inc()", pid: 1, index: o.index[1], preceding: make([]*node, 2)}
+	bad := &node{invocation: "inc()", pid: 1, index: o.local[1].index, preceding: make([]*node, 2)}
 	o.root.Update(1, bad)
-	o.index[1]++
+	o.local[1].index++
 
 	if _, err := o.Execute(0, "read()"); err == nil {
 		t.Fatal("Execute succeeded against a node that does not cover the root")
@@ -432,8 +431,8 @@ func TestGCStaleAnchorFallback(t *testing.T) {
 	}
 	// Strand p0's anchor below the root and poison its cached state: the
 	// floor must reject the anchor and replay from the root checkpoint.
-	o.cache[0].anchor = []int{-1, -1}
-	o.cache[0].state = "POISON"
+	o.local[0].anchor = []int{-1, -1}
+	o.local[0].state = "POISON"
 	got, err := o.Execute(0, "read()")
 	if err != nil {
 		t.Fatalf("stale-anchor Execute failed: %v", err)
@@ -472,8 +471,8 @@ func TestGCStaleAnchorUnderAdversary(t *testing.T) {
 								// the trivial cut and would be legally used,
 								// poisoned state and all.
 								if cut := o.gc.state.Load().cut; cut[0] >= 0 || cut[1] >= 0 || cut[2] >= 0 {
-									o.cache[pid].anchor = []int{-1, -1, -1}
-									o.cache[pid].state = "POISON"
+									o.local[pid].anchor = []int{-1, -1, -1}
+									o.local[pid].state = "POISON"
 								}
 							}
 							desc := desc
@@ -588,12 +587,13 @@ func TestGCConcurrentChurn(t *testing.T) {
 	o.SetCaching(true) // production config: without it a pinned collector makes ops O(history)
 	o.SetGC(GCOptions{Window: 64})
 
-	// Interleave for real: on one CPU the goroutines otherwise run in
-	// staggered bursts — the first finishes before the last starts — and a
-	// process that has not yet published a watermark pins the collector
-	// (the documented idle-process caveat), degrading the whole run to the
-	// unbounded path. The barrier plus a per-op yield keeps all n watermarks
-	// advancing, which is the scenario this test exists to exercise.
+	// No per-op yield: on one CPU the goroutines run in scheduler-sized
+	// bursts, and while one process has not published a watermark yet the
+	// collector is pinned (the idle-process caveat) and the others replay
+	// from an ever-longer graph. That costs O(live·n) per miss, not the
+	// pairwise O(live²) that used to stall this test on two cores, so the
+	// run finishes under -cpu 1,2,4 either way; the barrier only makes the
+	// overlap start at once.
 	start := make(chan struct{})
 	done := make(chan error, n)
 	for p := 0; p < n; p++ {
@@ -607,7 +607,6 @@ func TestGCConcurrentChurn(t *testing.T) {
 				if i%512 == 511 {
 					_ = o.GCStats(pid) // concurrent stats reads race-patrol the collector
 				}
-				runtime.Gosched()
 			}
 			done <- nil
 		}(p)

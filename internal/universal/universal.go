@@ -22,7 +22,7 @@
 //
 // # Replay cache
 //
-// This implementation amortizes that cost to O(Δ) in the number of
+// This implementation amortizes that cost to O(Δ·n) in the number Δ of
 // operations since the calling process's previous operation, using a purely
 // process-local replay cache. After an operation, process p remembers an
 // anchor — the per-process operation-index prefix {(q, i) : i <= anchor[q]}
@@ -48,7 +48,6 @@ package universal
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"slmem/internal/core"
@@ -116,13 +115,6 @@ type node struct {
 	preceding  []*node // view[i] at this operation's scan; nil = ⊥
 }
 
-func (nd *node) less(other *node) bool {
-	if nd.pid != other.pid {
-		return nd.pid < other.pid
-	}
-	return nd.index < other.index
-}
-
 // Root is the snapshot interface the construction needs. Theorem 3 requires
 // a strongly linearizable implementation (internal/core); a merely
 // linearizable one still yields a linearizable object (Aspnes–Herlihy).
@@ -131,12 +123,16 @@ type Root interface {
 	Scan(pid int) []*node
 }
 
-// pcache is one process's replay-cache entry, written only by the goroutine
-// driving that pid (the counters are atomic so CacheStats may read them
-// concurrently). Padded so adjacent entries do not false-share — which is
-// also why the hit/miss counters live here per-process rather than as one
-// shared pair the hot path would contend on.
-type pcache struct {
+// plocal is everything process p keeps between its operations: its operation
+// count, its replay-cache entry and the scratch its extractions and
+// linearizations run in. It is written only by the goroutine driving that pid
+// (the counters are atomic so CacheStats may read them concurrently), it is
+// indexed by pid, and it is never pooled and never shared: exclusive pid
+// ownership is the model's own invariant, so none of it needs synchronising.
+// The trailing pad keeps one process's entry off the cache lines of the next.
+type plocal struct {
+	// index counts the operations the process has executed.
+	index int
 	// anchor[q] is the highest operation index of process q in the cached
 	// linearized prefix, -1 for none; a nil slice means no anchor yet.
 	anchor []int
@@ -152,7 +148,9 @@ type pcache struct {
 	hits    atomic.Int64
 	misses  atomic.Int64
 	anchors atomic.Int64
-	_       [56]byte // pad to two cache lines (72 bytes above)
+
+	scratch
+	_ [128]byte
 }
 
 // CacheStats counts replay-cache outcomes across all processes.
@@ -177,10 +175,13 @@ type Object struct {
 	sp      spec.Spec
 	n       int
 	root    Root
-	index   []int // per-process count of executed operations
 	caching bool
-	cache   []pcache
+	local   []plocal
+	noFloor []int   // all -1: the floor of a full extraction
 	gc      *gcInfo // nil until SetGC enables truncation
+	// coverFails counts extractions refused because a reachable node does
+	// not cover the floor they must start from, or breaks the chain rules.
+	coverFails atomic.Int64
 }
 
 // New constructs the object over the strongly linearizable snapshot of
@@ -195,15 +196,20 @@ func NewWithRoot(t Type, n int, root Root) *Object {
 	if n < 1 {
 		panic(fmt.Sprintf("universal: n = %d, need at least 1 process", n))
 	}
-	return &Object{
+	o := &Object{
 		t:       t,
 		sp:      t.Spec(),
 		n:       n,
 		root:    root,
-		index:   make([]int, n),
 		caching: true,
-		cache:   make([]pcache, n),
+		local:   make([]plocal, n),
+		noFloor: make([]int, n),
 	}
+	for p := range o.local {
+		o.local[p].n = n
+		o.noFloor[p] = -1
+	}
+	return o
 }
 
 // SetCaching enables or disables the replay cache (enabled by default).
@@ -218,10 +224,10 @@ func (o *Object) SetCaching(on bool) { o.caching = on }
 // processes.
 func (o *Object) CacheStats() CacheStats {
 	var st CacheStats
-	for p := range o.cache {
-		st.Hits += o.cache[p].hits.Load()
-		st.Misses += o.cache[p].misses.Load()
-		st.Anchors += o.cache[p].anchors.Load()
+	for p := range o.local {
+		st.Hits += o.local[p].hits.Load()
+		st.Misses += o.local[p].misses.Load()
+		st.Anchors += o.local[p].anchors.Load()
 	}
 	return st
 }
@@ -239,50 +245,46 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 	}
 	view := o.root.Scan(p) // line 81
 
-	anchor, state, fromCache := o.floor(p, gs)
-	delta, ok := deltaNodes(anchor, view) // line 82, restricted past the floor
-	switch {
-	case !ok && fromCache:
+	l := &o.local[p]
+	floor, state, fromCache := o.floor(p, gs)
+	_, ok := l.extract(floor, view) // line 82, restricted past the floor
+	if !ok && fromCache {
 		// Some extracted node does not cover the anchor and may linearize
 		// inside the cached prefix: fall back. With GC enabled the fallback
 		// floor is the truncation root — the history below it may already be
 		// trimmed — replayed from the checkpointed root state; without GC it
 		// is the full extraction.
-		o.cache[p].misses.Add(1)
+		l.misses.Add(1)
+		floor, state = o.rootFloor(gs)
+		_, ok = l.extract(floor, view)
+	} else if fromCache {
+		l.hits.Add(1)
+	}
+	if !ok {
+		// The floor was the truncation root, which every reachable node
+		// covers (the truncation invariant), or nothing at all: only a graph
+		// that is not the construction's can get here.
+		o.coverFails.Add(1)
 		if gs != nil {
-			anchor, state = gs.cut, gs.base
-		} else {
-			anchor, state = nil, o.sp.Initial()
-		}
-		delta, ok = deltaNodes(anchor, view)
-		if !ok {
-			o.gc.coverFails.Add(1)
 			return "", fmt.Errorf("universal: extracted node does not cover truncation root v%d", gs.version)
 		}
-	case !ok:
-		// The floor was the truncation root itself; every reachable node
-		// covers it (the truncation invariant), so this cannot happen. A nil
-		// floor never fails extraction at all.
-		ver := int64(-1)
-		if gs != nil {
-			ver = gs.version
-			o.gc.coverFails.Add(1)
-		}
-		return "", fmt.Errorf("universal: extracted node does not cover truncation root v%d", ver)
-	case fromCache:
-		o.cache[p].hits.Add(1)
+		return "", fmt.Errorf("universal: precedence graph is not a set of per-process chains")
 	}
-	g := deltaGraph(anchor, delta)
-	h := o.linearize(g) // line 83: topological sort of lingraph(G)
 
-	// Lines 84-87: compute the response valid after H. With a warm cache, H
-	// is only the suffix past the anchored prefix, replayed onto its state.
+	// Line 83: topological sort of lingraph(G); lines 84-87: compute the
+	// response valid after H. With a warm cache, H is only the suffix past
+	// the anchored prefix, replayed onto its state.
 	var err error
-	for _, nd := range h {
+	for _, nd := range l.linearize(o.t) {
 		state, _, err = o.sp.Apply(state, nd.pid, nd.invocation)
 		if err != nil {
-			return "", fmt.Errorf("universal: replaying %s: %w", nd.invocation, err)
+			err = fmt.Errorf("universal: replaying %s: %w", nd.invocation, err)
+			break
 		}
+	}
+	l.release()
+	if err != nil {
+		return "", err
 	}
 	next, resp, err := o.sp.Apply(state, p, invoke)
 	if err != nil {
@@ -293,10 +295,10 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 		invocation: invoke,
 		response:   resp,
 		pid:        p,
-		index:      o.index[p],
+		index:      l.index,
 		preceding:  view, // lines 88-90 (Scan already returned a fresh copy)
 	}
-	o.index[p]++
+	l.index++
 	o.root.Update(p, e) // line 91
 	if o.caching {
 		o.remember(p, view, e, next)
@@ -308,20 +310,26 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 }
 
 // floor picks process p's replay floor: its cache anchor when one exists and
-// still covers the truncation root, else the truncation root itself (a
-// checkpoint replay), else nothing (the full extraction). A cache anchor
-// below the root — stale since before a truncation, e.g. after a caching
-// toggle — is simply unusable, never an error: the root state subsumes it.
-func (o *Object) floor(p int, gs *gcState) (anchor []int, state string, fromCache bool) {
+// still covers the truncation root, else the root floor. A cache anchor below
+// the root — stale since before a truncation, e.g. after a caching toggle —
+// is simply unusable, never an error: the root state subsumes it.
+func (o *Object) floor(p int, gs *gcState) (floor []int, state string, fromCache bool) {
 	if o.caching {
-		if a := o.cache[p].anchor; a != nil && (gs == nil || atOrAbove(a, gs.cut)) {
-			return a, o.cache[p].state, true
+		if a := o.local[p].anchor; a != nil && (gs == nil || atOrAbove(a, gs.cut)) {
+			return a, o.local[p].state, true
 		}
 	}
+	floor, state = o.rootFloor(gs)
+	return floor, state, false
+}
+
+// rootFloor is the floor under every cache anchor: the truncation root (a
+// checkpoint replay), or without GC nothing (the full extraction).
+func (o *Object) rootFloor(gs *gcState) (floor []int, state string) {
 	if gs != nil {
-		return gs.cut, gs.base, false
+		return gs.cut, gs.base
 	}
-	return nil, o.sp.Initial(), false
+	return o.noFloor, o.sp.Initial()
 }
 
 // atOrAbove reports whether anchor a includes the cut pointwise.
@@ -340,25 +348,31 @@ func atOrAbove(a, cut []int) bool {
 // is deferred to EndBatch; the rolling anchor and raw state still advance so
 // every batch entry replays only its own delta.
 func (o *Object) remember(p int, view []*node, e *node, state string) {
-	pc := &o.cache[p]
-	if pc.anchor == nil {
-		pc.anchor = make([]int, o.n)
+	l := &o.local[p]
+	if l.anchor == nil {
+		l.anchor = make([]int, o.n)
 	}
-	for q, nd := range view {
-		if nd == nil {
-			pc.anchor[q] = -1
-		} else {
-			pc.anchor[q] = nd.index
-		}
-	}
-	pc.anchor[e.pid] = e.index
-	if pc.deferred {
-		pc.state = state
-		pc.dirty = true
+	setAnchor(l.anchor, view, e)
+	if l.deferred {
+		l.state = state
+		l.dirty = true
 		return
 	}
-	pc.state = spec.Checkpoint(o.sp, state)
-	pc.anchors.Add(1)
+	l.state = spec.Checkpoint(o.sp, state)
+	l.anchors.Add(1)
+}
+
+// setAnchor writes into dst the per-process index prefix an operation has
+// linearized once it published e over view: the view's indexes (-1 for ⊥),
+// and e's own.
+func setAnchor(dst []int, view []*node, e *node) {
+	for q, nd := range view {
+		dst[q] = -1
+		if nd != nil {
+			dst[q] = nd.index
+		}
+	}
+	dst[e.pid] = e.index
 }
 
 // BeginBatch puts process p's replay cache into deferred-anchor mode: the
@@ -366,17 +380,17 @@ func (o *Object) remember(p int, view []*node, e *node, state string) {
 // checkpoint for the whole batch, at EndBatch, instead of one per
 // operation. Must be paired with EndBatch under the same pid ownership
 // rules as Execute.
-func (o *Object) BeginBatch(p int) { o.cache[p].deferred = true }
+func (o *Object) BeginBatch(p int) { o.local[p].deferred = true }
 
 // EndBatch leaves deferred-anchor mode, re-anchoring process p's cache once
 // for the whole batch.
 func (o *Object) EndBatch(p int) {
-	pc := &o.cache[p]
-	pc.deferred = false
-	if pc.dirty {
-		pc.dirty = false
-		pc.state = spec.Checkpoint(o.sp, pc.state)
-		pc.anchors.Add(1)
+	l := &o.local[p]
+	l.deferred = false
+	if l.dirty {
+		l.dirty = false
+		l.state = spec.Checkpoint(o.sp, l.state)
+		l.anchors.Add(1)
 	}
 }
 
@@ -386,98 +400,28 @@ func (o *Object) EndBatch(p int) {
 // past the truncation root — the truncated prefix survives only as the
 // root's checkpointed state.
 func (o *Object) HistorySize(p int) int {
-	view := o.root.Scan(p)
+	live, _ := o.liveNodes(p)
+	return live
+}
+
+// liveNodes counts the operations past the truncation root (all of them
+// without GC) as process p, from one root scan, with the root it counted
+// against. An extraction the graph refuses still yields the count, and is
+// surfaced through the coverage-failure counter rather than under-reported.
+func (o *Object) liveNodes(p int) (int, *gcState) {
+	var gs *gcState
 	if o.gc != nil {
-		delta, ok := deltaNodes(o.gc.state.Load().cut, view)
-		if !ok {
-			// Broken truncation invariant: the count is partial; surface it
-			// through the stats counter rather than silently under-report.
-			o.gc.coverFails.Add(1)
-		}
-		return len(delta)
+		gs = o.gc.state.Load()
 	}
-	return len(precgraph(view).nodes)
-}
-
-// graph is a precedence/linearization graph over operation nodes.
-// Successors are kept in deterministic order so every process derives the
-// same topological sorts from the same view.
-type graph struct {
-	nodes []*node           // canonical order: (pid, index)
-	succ  map[*node][]*node // u -> nodes that must come after u
-	edges map[[2]*node]bool // membership for dedup and reachability
-}
-
-func newGraph(nodes []*node) *graph {
-	return &graph{
-		nodes: nodes,
-		succ:  make(map[*node][]*node, len(nodes)),
-		edges: make(map[[2]*node]bool),
+	view := o.root.Scan(p)
+	floor, _ := o.rootFloor(gs)
+	l := &o.local[p]
+	live, ok := l.extract(floor, view)
+	if !ok {
+		o.coverFails.Add(1)
 	}
-}
-
-func (g *graph) addEdge(u, v *node) {
-	key := [2]*node{u, v}
-	if g.edges[key] {
-		return
-	}
-	g.edges[key] = true
-	g.succ[u] = append(g.succ[u], v)
-}
-
-// reaches reports whether v is reachable from u by a path of length >= 1.
-func (g *graph) reaches(u, v *node) bool {
-	seen := make(map[*node]bool, len(g.nodes))
-	stack := append([]*node(nil), g.succ[u]...)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cur == v {
-			return true
-		}
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		stack = append(stack, g.succ[cur]...)
-	}
-	return false
-}
-
-// topoSort returns the deterministic minimal topological order: among ready
-// nodes, the canonical-smallest (pid, index) goes first.
-func (g *graph) topoSort() []*node {
-	indeg := make(map[*node]int, len(g.nodes))
-	for _, u := range g.nodes {
-		for _, v := range g.succ[u] {
-			indeg[v]++
-		}
-	}
-	// ready is kept sorted; nodes start in canonical order.
-	var ready []*node
-	for _, u := range g.nodes {
-		if indeg[u] == 0 {
-			ready = append(ready, u)
-		}
-	}
-	out := make([]*node, 0, len(g.nodes))
-	for len(ready) > 0 {
-		u := ready[0]
-		ready = ready[1:]
-		out = append(out, u)
-		changed := false
-		for _, v := range g.succ[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				ready = append(ready, v)
-				changed = true
-			}
-		}
-		if changed {
-			sort.Slice(ready, func(i, j int) bool { return ready[i].less(ready[j]) })
-		}
-	}
-	return out
+	l.release()
+	return live, gs
 }
 
 // anchored reports whether nd is inside the anchored prefix. The anchored
@@ -501,93 +445,4 @@ func covers(view []*node, anchor []int) bool {
 		}
 	}
 	return true
-}
-
-// deltaNodes implements Algorithm 6 restricted past an anchor: extract, in
-// canonical order, the nodes reachable from a root view whose operations are
-// not already in the anchored prefix (a nil anchor extracts everything —
-// the original algorithm). It reports ok=false when some extracted node does
-// not cover the anchor; such a node may linearize inside the anchored
-// prefix, so the caller must re-extract with a nil anchor. On failure the
-// nodes extracted so far are still returned (unsorted) so counting callers
-// can report a partial size instead of zero.
-func deltaNodes(anchor []int, view []*node) (nodes []*node, ok bool) {
-	visited := make(map[*node]bool)
-	var queue []*node
-	push := func(nd *node) {
-		if nd != nil && !visited[nd] && !anchored(anchor, nd) {
-			visited[nd] = true
-			queue = append(queue, nd)
-		}
-	}
-	for _, nd := range view { // lines 108-114
-		push(nd)
-	}
-	for len(queue) > 0 { // lines 115-124
-		nd := queue[0]
-		queue = queue[1:]
-		nodes = append(nodes, nd)
-		if anchor != nil && !covers(nd.preceding, anchor) {
-			return nodes, false
-		}
-		for _, prev := range nd.preceding {
-			push(prev)
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].less(nodes[j]) })
-	return nodes, true
-}
-
-// deltaGraph builds the precedence graph over extracted nodes (lines
-// 117-118), keeping only edges between nodes past the anchor. Edges from
-// anchored nodes are redundant for ordering the delta: every anchored node
-// precedes every delta node (delta nodes cover the anchor), so they are
-// emitted first unconditionally.
-func deltaGraph(anchor []int, nodes []*node) *graph {
-	g := newGraph(nodes)
-	for _, nd := range nodes {
-		for _, prev := range nd.preceding {
-			if prev != nil && !anchored(anchor, prev) {
-				g.addEdge(prev, nd)
-			}
-		}
-	}
-	return g
-}
-
-// precgraph implements Algorithm 6: extract the precedence graph reachable
-// from a root view by following preceding pointers.
-func precgraph(view []*node) *graph {
-	nodes, _ := deltaNodes(nil, view)
-	return deltaGraph(nil, nodes)
-}
-
-// linearize implements Algorithm 5's lingraph (lines 68-80) followed by the
-// final topological sort (line 83).
-func (o *Object) linearize(g *graph) []*node {
-	ordered := g.topoSort() // line 68
-
-	l := newGraph(g.nodes) // line 69: L <- G
-	for _, u := range g.nodes {
-		for _, v := range g.succ[u] {
-			l.addEdge(u, v)
-		}
-	}
-
-	for i := 0; i < len(ordered); i++ { // lines 70-79
-		for j := i + 1; j < len(ordered); j++ {
-			oi, oj := ordered[i], ordered[j]
-			if Dominates(o.t, oi.invocation, oi.pid, oj.invocation, oj.pid) {
-				// oi dominates oj: edge from dominated oj to dominating oi.
-				if !l.edges[[2]*node{oj, oi}] && !l.reaches(oi, oj) {
-					l.addEdge(oj, oi)
-				}
-			} else if Dominates(o.t, oj.invocation, oj.pid, oi.invocation, oi.pid) {
-				if !l.edges[[2]*node{oi, oj}] && !l.reaches(oj, oi) {
-					l.addEdge(oi, oj)
-				}
-			}
-		}
-	}
-	return l.topoSort() // line 83
 }
