@@ -16,6 +16,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -26,8 +27,13 @@ import (
 // acquirers on different Ps rarely touch the same cache line. A sync.Pool of
 // stripe hints gives each P a sticky home stripe: sync.Pool's per-P caching
 // means a goroutine usually gets back the hint last used on its P, keeping a
-// pid close to the core that last used it. When every stripe is empty,
-// acquirers queue FIFO and releases hand ids directly to the oldest waiter.
+// pid close to the core that last used it. Hints start on the lowest
+// GOMAXPROCS stripes and fall back to them whenever their stripe is found
+// empty, so which ids a pool hands out depends on how many leases are held
+// at once and not on when a holder happened to be preempted: the per-pid
+// state of the objects above is touched for a few low ids and stays cold for
+// the rest. When every stripe is empty, acquirers queue FIFO and releases
+// hand ids directly to the oldest waiter.
 //
 // An uncontended lease touches its stripe and its own holder word and
 // nothing every P shares: the counters Stats and InUse report are kept in
@@ -69,6 +75,21 @@ type stripe struct {
 	_       [72]byte
 }
 
+// take leases the most recently freed id of the stripe, counting it; home
+// says the stripe is the one the acquirer's hint named.
+func (s *stripe) take(home bool) (int, bool) {
+	s.mu.Lock()
+	pid, ok := s.pop()
+	if ok {
+		s.leases++
+		if home {
+			s.home++
+		}
+	}
+	s.mu.Unlock()
+	return pid, ok
+}
+
 // pop takes the most recently freed id off the stripe; the caller holds mu.
 func (s *stripe) pop() (int, bool) {
 	k := len(s.free)
@@ -78,6 +99,16 @@ func (s *stripe) pop() (int, bool) {
 	pid := s.free[k-1]
 	s.free = s.free[:k-1]
 	return pid, true
+}
+
+// hint is where one P looks for an id. cur is the stripe that served it last
+// and is tried first. base is fixed when the hint is made: a search that
+// finds cur empty — its id is with a holder that was preempted, or two hints
+// have met on one stripe — restarts there and not at cur, so a hint that was
+// pushed off its stripe moves to the nearest free one at or above base and
+// never wanders round the pool.
+type hint struct {
+	base, cur uint32
 }
 
 // holder is one pid's ownership word on a cache line of its own: sixteen to
@@ -179,9 +210,12 @@ func NewLeaserStripes(n, stripes int) *Leaser {
 		holders: make([]holder, n),
 	}
 	l.hints.New = func() any {
-		h := new(uint32)
-		*h = l.hintSeed.Add(1) - 1
-		return h
+		// A P runs one goroutine at a time, so GOMAXPROCS bases give each P
+		// a stripe of its own; holders beyond that (leases kept across
+		// blocking calls) find theirs by searching upward from a base.
+		bases := uint32(min(len(l.stripes), goruntime.GOMAXPROCS(0)))
+		b := (l.hintSeed.Add(1) - 1) % bases
+		return &hint{base: b, cur: b}
 	}
 	// Deal ids round-robin so every stripe starts non-empty.
 	for pid := n - 1; pid >= 0; pid-- {
@@ -268,36 +302,32 @@ func (l *Leaser) Stats() StatsSnapshot {
 // TryAcquire leases an id without blocking. It reports false when every id
 // is leased.
 func (l *Leaser) TryAcquire() (int, bool) {
-	hint := l.hints.Get().(*uint32)
-	pid, home := l.scan(*hint)
-	*hint = home
-	l.hints.Put(hint)
-	if pid < 0 {
+	h := l.hints.Get().(*hint)
+	pid, ok := l.scan(h)
+	l.hints.Put(h)
+	if !ok {
 		return 0, false
 	}
 	l.lease(pid)
 	return pid, true
 }
 
-// scan pops a free id starting from stripe hint, returning the id (or -1)
-// and the stripe it came from (to refresh the hint).
-func (l *Leaser) scan(hint uint32) (int, uint32) {
+// scan pops a free id: from the hint's current stripe when that has one,
+// otherwise from the first stripe at or after the hint's base that has,
+// which becomes current.
+func (l *Leaser) scan(h *hint) (int, bool) {
+	if pid, ok := l.stripes[h.cur].take(true); ok {
+		return pid, true
+	}
 	ns := uint32(len(l.stripes))
 	for i := uint32(0); i < ns; i++ {
-		idx := (hint + i) % ns
-		s := &l.stripes[idx]
-		s.mu.Lock()
-		if pid, ok := s.pop(); ok {
-			s.leases++
-			if i == 0 {
-				s.home++
-			}
-			s.mu.Unlock()
-			return pid, idx
+		idx := (h.base + i) % ns
+		if pid, ok := l.stripes[idx].take(false); ok {
+			h.cur = idx
+			return pid, true
 		}
-		s.mu.Unlock()
 	}
-	return -1, hint
+	return 0, false
 }
 
 // Acquire leases an id, blocking while all ids are leased. It returns

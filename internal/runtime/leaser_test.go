@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -248,6 +249,29 @@ func TestLeaserSoakChurn(t *testing.T) {
 		t.Fatalf("stats.Acquires = %d < %d grants observed", st.Acquires, granted.Load())
 	}
 	t.Logf("soak: %d grants, %d cancels, stats=%+v", granted.Load(), cancelled.Load(), st)
+}
+
+// TestLeaserIdsFollowConcurrency pins which ids a pool hands out to how many
+// leases are held at once. Acquiring while the id of one's own stripe is out —
+// what an acquirer sees when that id's holder was preempted — is a miss, and a
+// hint that moved on from wherever it missed walked through all 64 ids here.
+func TestLeaserIdsFollowConcurrency(t *testing.T) {
+	l := NewLeaser(64)
+	used := make(map[int]bool)
+	for i := 0; i < 1000; i++ {
+		a, okA := l.TryAcquire()
+		b, okB := l.TryAcquire() // a's stripe is empty now
+		if !okA || !okB {
+			t.Fatalf("round %d: pool of 64 ran dry with two leases out", i)
+		}
+		used[a], used[b] = true, true
+		l.Release(a)
+		l.Release(b)
+	}
+	// One base per P, and one step up from it for the second lease.
+	if bound := goruntime.GOMAXPROCS(0) + 1; len(used) > bound {
+		t.Fatalf("two leases at a time used %d ids, want at most %d: %v", len(used), bound, used)
+	}
 }
 
 func TestLeaserHolds(t *testing.T) {
