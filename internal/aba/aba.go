@@ -104,18 +104,12 @@ func noSeqs(buf []int) []int {
 	return buf
 }
 
-func (q *seqQueue) pushPop(s int) {
+// pushPop enqueues s and returns the entry it displaced.
+func (q *seqQueue) pushPop(s int) int {
+	old := q.buf[q.head]
 	q.buf[q.head] = s
 	q.head = (q.head + 1) % len(q.buf)
-}
-
-func (q *seqQueue) contains(s int) bool {
-	for _, v := range q.buf {
-		if v == s {
-			return true
-		}
-	}
-	return false
+	return old
 }
 
 // writerLocal is the per-process local state of the DWrite/GetSeq machinery:
@@ -125,14 +119,30 @@ func (q *seqQueue) contains(s int) bool {
 type writerLocal struct {
 	usedQ seqQueue
 	na    []int // na[i] = sequence number announced at A[i], noSeq if none
-	c     int   // round-robin cursor over A
-	_     [64]byte
+	// held[s] counts the entries of usedQ and na that name sequence number
+	// s, so GetSeq's "neither announced nor recently used" is held[s] == 0.
+	held []int
+	c    int // round-robin cursor over A
+	_    [64]byte
+}
+
+// hold and drop account for s entering and leaving usedQ or na.
+func (l *writerLocal) hold(s int) {
+	if s != noSeq {
+		l.held[s]++
+	}
+}
+
+func (l *writerLocal) drop(s int) {
+	if s != noSeq {
+		l.held[s]--
+	}
 }
 
 // localStride is the distance, in ints, between the backing arrays of two
-// processes' usedQ and na: their 2n+1 entries rounded up to whole cache
-// lines, plus one line so the split holds wherever the array starts.
-func localStride(n int) int { return (2*n+1+7)/8*8 + 8 }
+// processes' usedQ, na and held: their 4n+3 entries rounded up to whole
+// cache lines, plus one line so the split holds wherever the array starts.
+func localStride(n int) int { return (4*n+3+7)/8*8 + 8 }
 
 // base holds the shared registers and per-process locals common to both
 // implementations.
@@ -158,15 +168,16 @@ func newBase[V any](alloc memory.Allocator, n int, initial V, eq func(a, b V) bo
 	for i := range b.a {
 		b.a[i] = newAnnReg(alloc, fmt.Sprintf("aba.A[%d]", i), tag{pid: noSeq, seq: noSeq})
 	}
-	// One backing array for every process's ring and announcement memory,
-	// a whole number of cache lines apart: allocated one by one these few
-	// words of different processes would sit side by side.
+	// One backing array for every process's ring, announcement memory and
+	// counts, a whole number of cache lines apart: allocated one by one
+	// these few words of different processes would sit side by side.
 	stride := localStride(n)
-	backing := noSeqs(make([]int, n*stride))
+	backing := make([]int, n*stride)
 	for i := range b.w {
-		own := backing[i*stride : i*stride+2*n+1 : i*stride+2*n+1]
-		b.w[i].usedQ = seqQueue{buf: own[: n+1 : n+1]}
-		b.w[i].na = own[n+1:]
+		own := backing[i*stride : i*stride+4*n+3 : i*stride+4*n+3]
+		b.w[i].usedQ = seqQueue{buf: noSeqs(own[: n+1 : n+1])}
+		b.w[i].na = noSeqs(own[n+1 : 2*n+1 : 2*n+1])
+		b.w[i].held = own[2*n+1:]
 	}
 	return b
 }
@@ -178,29 +189,21 @@ func newBase[V any](alloc memory.Allocator, n int, initial V, eq func(a, b V) bo
 func (b *base[V]) getSeq(p int) int {
 	l := &b.w[p]
 	ann := b.a[l.c].Read(p) // line 3
-	if ann.pid == p {       // lines 4-9
-		l.na[l.c] = ann.seq
-	} else {
-		l.na[l.c] = noSeq
+	seen := noSeq           // lines 4-9
+	if ann.pid == p {
+		seen = ann.seq
 	}
+	l.drop(l.na[l.c])
+	l.na[l.c] = seen
+	l.hold(seen)
 	l.c = (l.c + 1) % b.n // line 10
 
 	// Line 11: choose the smallest available sequence number. The domain has
 	// 2n+2 values; at most n are announced and n+1 recently used, so one is
 	// always free.
 	s := noSeq
-	for cand := 0; cand <= 2*b.n+1; cand++ {
-		if l.usedQ.contains(cand) {
-			continue
-		}
-		announced := false
-		for _, v := range l.na {
-			if v == cand {
-				announced = true
-				break
-			}
-		}
-		if !announced {
+	for cand, held := range l.held {
+		if held == 0 {
 			s = cand
 			break
 		}
@@ -209,7 +212,8 @@ func (b *base[V]) getSeq(p int) int {
 		// Unreachable by the counting argument above.
 		panic("aba: no available sequence number")
 	}
-	l.usedQ.pushPop(s) // lines 12-13
+	l.drop(l.usedQ.pushPop(s)) // lines 12-13
+	l.hold(s)
 	return s
 }
 

@@ -166,19 +166,15 @@ func TestSeqAvoidsAnnouncement(t *testing.T) {
 func TestSeqQueue(t *testing.T) {
 	q := seqQueue{buf: noSeqs(make([]int, 3))}
 	for _, s := range []int{0, 1, 2} {
-		q.pushPop(s)
-	}
-	for _, s := range []int{0, 1, 2} {
-		if !q.contains(s) {
-			t.Errorf("queue lost %d", s)
+		if old := q.pushPop(s); old != noSeq {
+			t.Errorf("push %d into a queue with room displaced %d", s, old)
 		}
 	}
-	q.pushPop(3) // evicts 0
-	if q.contains(0) {
-		t.Error("oldest entry not evicted")
-	}
-	if !q.contains(3) || !q.contains(1) || !q.contains(2) {
-		t.Error("queue dropped a recent entry")
+	// A full queue gives up its entries oldest first and keeps the rest.
+	for i, s := range []int{3, 4, 5} {
+		if old := q.pushPop(s); old != i {
+			t.Errorf("push %d displaced %d, want the oldest entry %d", s, old, i)
+		}
 	}
 }
 

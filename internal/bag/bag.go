@@ -14,9 +14,10 @@
 // Each process p owns an append-only log of the items it inserted, stored
 // in chunks whose cells carry the value and a test-and-set "claimed" bit.
 // How many items p has published is component p of an n-component strongly
-// linearizable snapshot (slmem.Snapshot[int]): Insert writes the value
+// linearizable snapshot (core.Snapshot[int]): Insert writes the value
 // into the log and then publishes the new count with Update; Remove and
-// Size learn about items only through Scan, so a cell is read only after
+// Size learn about items only through its scans — View, the stored view
+// uncopied, since they only read the counts — so a cell is read only after
 // the Update that published it (the snapshot's internal synchronization
 // makes the value write visible).
 //
@@ -106,7 +107,8 @@ package bag
 import (
 	"sync/atomic"
 
-	"slmem"
+	"slmem/internal/core"
+	"slmem/internal/memory"
 )
 
 // chunkSize is the cell count of one log chunk.
@@ -195,15 +197,16 @@ const maxSweepBackoff = 64
 // access.
 type Bag struct {
 	n    int
-	pub  *slmem.Snapshot[int] // component p: #items p has published
+	pub  *core.Snapshot[int] // component p: #items p has published
 	logs []ownerLog
 }
 
 // New constructs a bag for n processes, initially empty.
 func New(n int) *Bag {
+	var alloc memory.NativeAllocator
 	b := &Bag{
 		n:    n,
-		pub:  slmem.NewSnapshot[int](n, 0),
+		pub:  core.New[int](&alloc, n, 0),
 		logs: make([]ownerLog, n),
 	}
 	for p := range b.logs {
@@ -370,7 +373,7 @@ func (b *Bag) walkPublished(p int, limit int, visit func(c *chunk, i int) bool) 
 // remover's test-and-set winning, or an owner's bounded migration window
 // progressing.
 func (b *Bag) Remove(pid int) (string, bool) {
-	view := b.pub.Scan(pid)
+	view := b.pub.View(pid)
 	l := &b.logs[pid]
 	for {
 		b.readTransit(&l.tcBefore)
@@ -395,7 +398,7 @@ func (b *Bag) Remove(pid int) (string, bool) {
 		if won != nil {
 			return won.vals[wonIdx], true
 		}
-		view2 := b.pub.Scan(pid)
+		view2 := b.pub.View(pid)
 		b.readTransit(&l.tcAfter)
 		if allClaimed && equalViews(view, view2) && transitClean(l.tcBefore, l.tcAfter) {
 			// Empty case: at the last claimed-bit read, every item
@@ -418,7 +421,7 @@ func (b *Bag) Remove(pid int) (string, bool) {
 // Lock-free: it retries only when an insert publishes between the two
 // scans or an owner's bounded migration window progresses.
 func (b *Bag) Size(pid int) int {
-	view := b.pub.Scan(pid)
+	view := b.pub.View(pid)
 	l := &b.logs[pid]
 	for {
 		b.readTransit(&l.tcBefore)
@@ -435,7 +438,7 @@ func (b *Bag) Size(pid int) int {
 			// Published cells not visited were recycled: all claimed.
 			claimed += reachableClaimed + (view[p] - visited)
 		}
-		view2 := b.pub.Scan(pid)
+		view2 := b.pub.View(pid)
 		b.readTransit(&l.tcAfter)
 		if equalViews(view, view2) && transitClean(l.tcBefore, l.tcAfter) {
 			return total - claimed
@@ -498,7 +501,7 @@ type BagStats struct {
 // walk of the reachable chunks; counters are monotone except the Live*
 // fields, which can shrink as recycling runs.
 func (b *Bag) Stats(pid int) BagStats {
-	view := b.pub.Scan(pid)
+	view := b.pub.View(pid)
 	var st BagStats
 	for p := 0; p < b.n; p++ {
 		st.Published += view[p]

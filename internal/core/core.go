@@ -19,10 +19,22 @@
 // R.DWrite), which makes the linearization order prefix-preserving
 // (Theorem 25). Lock-freedom and the O(s + n³u) total-work bound are
 // Theorem 32.
+//
+// Those base operations are all an operation does to shared memory, and the
+// local work around them is kept to one comparison and at most one copy. A
+// scan of S is the calling process's buffer inside S (see internal/snapshot);
+// a view written to R is never written again. So a view is copied exactly
+// where it is published to R (SLupdate's line 45, SLscan's helping line 51)
+// or returned to a caller (Scan), and two views read from R that share their
+// backing array are equal without being compared — which is how line 50's
+// test of s1 against s2 is almost always decided. View is Scan without the
+// copy: the readers that only fold a view (Counter.Read, MaxRegister.MaxRead,
+// the bag, the universal object's root scan) allocate nothing.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"slmem/internal/aba"
@@ -61,30 +73,40 @@ type Stats struct {
 // SLscan operations — the quantity Theorem 32(b) bounds by O(s + n³u).
 func (st *Stats) TotalScanOps() int64 { return st.OpsInScan.Load() }
 
-// pidStats is one process's share of the counters, written by the goroutine
+// pidState is one process's share of the counters, written by the goroutine
 // driving that pid only and padded to its own cache lines: indexed by pid,
 // never shared, so that counting does not turn a read-only scan into a
-// writer of a line every process writes. What Stats reports follows from
-// three counts, because the algorithm's operations come in fixed bundles: an
-// SLupdate is one S.update, one S.scan and one R.DWrite; a scan iteration is
-// two R.DReads and one S.scan; a helping write is one R.DWrite.
-type pidStats struct {
+// writer of a line every process writes. Single-writer also means a count
+// goes up by a load and a store, no read-modify-write. What Stats reports
+// follows from three counts, because the algorithm's operations come in fixed
+// bundles: an SLupdate is one S.update, one S.scan and one R.DWrite; a scan
+// iteration is two R.DReads and one S.scan; a helping write is one R.DWrite.
+//
+// local is the process's state in the object built on the snapshot — the
+// increments a Counter's process has made, the largest value a MaxRegister's
+// process has written, a SeqSnapshot's process's sequence number — kept here
+// because it is written on every update and belongs on the writer's own line.
+type pidState struct {
 	updates   atomic.Int64 // SLupdates completed
 	scanIters atomic.Int64 // SLscan main-loop iterations
 	helps     atomic.Int64 // R.DWrites issued by SLscans (lines 50-52)
 	maxIters  atomic.Int64 // most iterations in one SLscan
-	_         [96]byte
+	local     uint64
+	_         [88]byte
 }
 
+// bump adds one to a counter only this process writes.
+func bump(c *atomic.Int64) { c.Store(c.Load() + 1) }
+
 // scanned records a completed SLscan of iters iterations.
-func (c *pidStats) scanned(iters int64) {
+func (c *pidState) scanned(iters int64) {
 	if iters > c.maxIters.Load() {
 		c.maxIters.Store(iters) // single writer: no other store can intervene
 	}
 }
 
 // sumStats folds the per-process counters into one reading.
-func sumStats(per []pidStats) *Stats {
+func sumStats(per []pidState) *Stats {
 	var updates, iters, helps, maxIters int64
 	for p := range per {
 		updates += per[p].updates.Load()
@@ -103,16 +125,58 @@ func sumStats(per []pidStats) *Stats {
 	return st
 }
 
+// sameView reports whether a and b are one stored view: same backing array,
+// same length. A view is immutable once it is written to R, so one stored
+// view read twice is equal to itself without looking at its contents.
+func sameView[C any](a, b []C) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// slUpdate is SLupdate after its S.update (Algorithm 3, lines 44-45): scan S
+// and publish a copy of the scan — the scan itself is p's buffer inside S.
+func slUpdate[C any](p int, s snapshot.Snapshot[C], r ABARegister[[]C], st *pidState) {
+	r.DWrite(p, slices.Clone(s.Scan(p)))
+	bump(&st.updates)
+}
+
+// slScan is SLscan (Algorithm 3, lines 46-54; Algorithm 4, lines 59-67, which
+// differs only in the equality eq of line 63). It returns the view as R
+// stores it: shared with every other reader, never to be written. Lock-free:
+// the loop repeats only when a concurrent Update or helping write landed.
+func slScan[C any](p int, s snapshot.Snapshot[C], r ABARegister[[]C], st *pidState, eq func(a, b []C) bool) []C {
+	var iters int64
+	for { // line 46
+		iters++
+		bump(&st.scanIters)
+		s1, _ := r.DRead(p)  // line 47
+		l := s.Scan(p)       // line 48: p's buffer inside S
+		s2, c2 := r.DRead(p) // line 49
+
+		// Line 50, s1 = l = s2: s1 and s2 are stored views and almost always
+		// the same one; l is compared once.
+		if !(sameView(s1, s2) || eq(s1, s2)) || !eq(l, s2) {
+			r.DWrite(p, slices.Clone(l)) // lines 50-52: help pending updates by publishing l
+			bump(&st.helps)
+			continue
+		}
+		if c2 { // line 53: R changed during the read sequence; retry
+			continue
+		}
+		st.scanned(iters)
+		return s2 // line 54
+	}
+}
+
 // Snapshot is the strongly linearizable snapshot of Algorithm 3. Component p
 // is writable only by process p. Views are vectors of V.
 //
 // Methods take the calling process id; at most one goroutine may drive a
 // given pid at a time.
 type Snapshot[V comparable] struct {
-	n     int
-	s     snapshot.Snapshot[V]
-	r     ABARegister[[]V]
-	stats []pidStats
+	n    int
+	s    snapshot.Snapshot[V]
+	r    ABARegister[[]V]
+	pids []pidState
 }
 
 // New constructs the snapshot for n processes over comparable values using
@@ -120,13 +184,14 @@ type Snapshot[V comparable] struct {
 // for S and the strongly linearizable ABA-detecting register (Algorithm 2)
 // for R. All components start as initial (the paper's ⊥).
 func New[V comparable](alloc memory.Allocator, n int, initial V) *Snapshot[V] {
-	s := snapshot.NewDoubleCollect[V](alloc, n, initial)
-	initView := make([]V, n)
-	for i := range initView {
-		initView[i] = initial
-	}
-	r := aba.NewStrongFunc(alloc, n, initView, viewsEqual[V])
-	return NewWith[V](n, s, r)
+	return NewOver[V](alloc, n, initial, snapshot.NewDoubleCollect[V](alloc, n, initial))
+}
+
+// NewOver is New over an explicit substrate s, which must hold initial in
+// every component.
+func NewOver[V comparable](alloc memory.Allocator, n int, initial V, s snapshot.Snapshot[V]) *Snapshot[V] {
+	initView := slices.Repeat([]V{initial}, n)
+	return NewWith[V](n, s, aba.NewStrongFunc(alloc, n, initView, viewsEqual[V]))
 }
 
 // NewWith constructs the snapshot over explicit substrates. The composition
@@ -136,63 +201,37 @@ func NewWith[V comparable](n int, s snapshot.Snapshot[V], r ABARegister[[]V]) *S
 	if n < 1 {
 		panic(fmt.Sprintf("core: n = %d, need at least 1 process", n))
 	}
-	return &Snapshot[V]{n: n, s: s, r: r, stats: make([]pidStats, n)}
+	return &Snapshot[V]{n: n, s: s, r: r, pids: make([]pidState, n)}
 }
 
 // Stats returns a reading of the base-object operation counters.
-func (o *Snapshot[V]) Stats() *Stats { return sumStats(o.stats) }
+func (o *Snapshot[V]) Stats() *Stats { return sumStats(o.pids) }
 
 // N returns the number of components.
 func (o *Snapshot[V]) N() int { return o.n }
 
+// viewsEqual is the equality of views, and the one R is given for its values:
+// one stored view is equal to itself (sameView), anything else is compared
+// component by component.
 func viewsEqual[V comparable](a, b []V) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return sameView(a, b) || slices.Equal(a, b)
 }
 
 // Update sets component p to x (Algorithm 3, SLupdate, lines 43-45):
 // exactly one S.update, one S.scan, and one R.DWrite (Theorem 32a).
 func (o *Snapshot[V]) Update(p int, x V) {
 	o.s.Update(p, x) // line 43
-	s := o.s.Scan(p) // line 44
-	o.r.DWrite(p, s) // line 45
-	o.stats[p].updates.Add(1)
+	slUpdate(p, o.s, o.r, &o.pids[p])
 }
 
 // Scan returns a consistent view of all components (Algorithm 3, SLscan,
-// lines 46-54). Lock-free: the loop repeats only when a concurrent Update
-// or helping write landed.
-func (o *Snapshot[V]) Scan(p int) []V {
-	st := &o.stats[p]
-	var iters int64
-	for { // line 46
-		iters++
-		st.scanIters.Add(1)
-		s1, _ := o.r.DRead(p)  // line 47
-		l := o.s.Scan(p)       // line 48
-		s2, c2 := o.r.DRead(p) // line 49
+// lines 46-54) as a copy the caller owns.
+func (o *Snapshot[V]) Scan(p int) []V { return slices.Clone(o.View(p)) }
 
-		agree := viewsEqual(s1, l) && viewsEqual(l, s2)
-		if !agree { // lines 50-52: help pending updates by publishing l
-			o.r.DWrite(p, l)
-			st.helps.Add(1)
-			continue
-		}
-		if c2 { // line 53: R changed during the read sequence; retry
-			continue
-		}
-		st.scanned(iters)
-		out := make([]V, len(s2))
-		copy(out, s2) // copy at the boundary; R's stored view is shared
-		return out    // line 54
-	}
+// View is Scan without the copy: the view as R stores it, shared with every
+// process that reads it. The caller must not write to it; it may keep it.
+func (o *Snapshot[V]) View(p int) []V {
+	return slScan(p, o.s, o.r, &o.pids[p], viewsEqual[V])
 }
 
 // --- Algorithm 4: sequence-numbered variant ------------------------------------
@@ -210,11 +249,10 @@ type SeqCell[V comparable] struct {
 // shared-memory operations as Algorithm 3 but needs unbounded sequence
 // numbers.
 type SeqSnapshot[V comparable] struct {
-	n     int
-	s     snapshot.Snapshot[SeqCell[V]]
-	r     ABARegister[[]SeqCell[V]]
-	seq   []uint64
-	stats []pidStats
+	n    int
+	s    snapshot.Snapshot[SeqCell[V]]
+	r    ABARegister[[]SeqCell[V]]
+	pids []pidState // local is the process's sequence number
 }
 
 // NewSeq constructs Algorithm 4 with the default substrates.
@@ -228,17 +266,11 @@ func NewSeq[V comparable](alloc memory.Allocator, n int, initial V) *SeqSnapshot
 	if n < 1 {
 		panic(fmt.Sprintf("core: n = %d, need at least 1 process", n))
 	}
-	return &SeqSnapshot[V]{
-		n:     n,
-		s:     s,
-		r:     r,
-		seq:   make([]uint64, n),
-		stats: make([]pidStats, n),
-	}
+	return &SeqSnapshot[V]{n: n, s: s, r: r, pids: make([]pidState, n)}
 }
 
 // Stats returns a reading of the base-object operation counters.
-func (o *SeqSnapshot[V]) Stats() *Stats { return sumStats(o.stats) }
+func (o *SeqSnapshot[V]) Stats() *Stats { return sumStats(o.pids) }
 
 // Vals projects a sequence-numbered view onto its values (the paper's
 // vals(X)).
@@ -274,35 +306,14 @@ func valsEqual[V comparable](a, b []SeqCell[V]) bool {
 
 // Update sets component p to x (Algorithm 4, lines 55-58).
 func (o *SeqSnapshot[V]) Update(p int, x V) {
-	o.seq[p]++                                       // line 55
-	o.s.Update(p, SeqCell[V]{Val: x, Seq: o.seq[p]}) // line 56
-	s := o.s.Scan(p)                                 // line 57
-	o.r.DWrite(p, s)                                 // line 58
-	o.stats[p].updates.Add(1)
+	st := &o.pids[p]
+	st.local++                                       // line 55
+	o.s.Update(p, SeqCell[V]{Val: x, Seq: st.local}) // line 56
+	slUpdate(p, o.s, o.r, st)                        // lines 57-58
 }
 
 // Scan returns a consistent view of component values (Algorithm 4, lines
 // 59-67). Agreement is on values only (the paper's vals), matching line 63.
 func (o *SeqSnapshot[V]) Scan(p int) []V {
-	st := &o.stats[p]
-	var iters int64
-	for { // line 59
-		iters++
-		st.scanIters.Add(1)
-		s1, _ := o.r.DRead(p)  // line 60
-		l := o.s.Scan(p)       // line 61
-		s2, c2 := o.r.DRead(p) // line 62
-
-		agree := valsEqual(s1, l) && valsEqual(l, s2)
-		if !agree { // lines 63-65
-			o.r.DWrite(p, l)
-			st.helps.Add(1)
-			continue
-		}
-		if c2 { // line 66
-			continue
-		}
-		st.scanned(iters)
-		return Vals(s2) // line 67
-	}
+	return Vals(slScan(p, o.s, o.r, &o.pids[p], valsEqual[V])) // line 67
 }

@@ -412,12 +412,12 @@ func TestSeqIncrementsPerUpdate(t *testing.T) {
 	s := NewSeq[string](&alloc, 2, spec.Bot)
 	for i := 1; i <= 5; i++ {
 		s.Update(0, strconv.Itoa(i))
-		if s.seq[0] != uint64(i) {
-			t.Fatalf("after %d updates seq[0] = %d", i, s.seq[0])
+		if s.pids[0].local != uint64(i) {
+			t.Fatalf("after %d updates seq[0] = %d", i, s.pids[0].local)
 		}
 	}
-	if s.seq[1] != 0 {
-		t.Errorf("seq[1] = %d, want 0", s.seq[1])
+	if s.pids[1].local != 0 {
+		t.Errorf("seq[1] = %d, want 0", s.pids[1].local)
 	}
 }
 

@@ -12,28 +12,25 @@ import (
 // a bounded number of registers — previously strongly linearizable counters
 // required unboundedly many.
 type Counter struct {
-	snap  *Snapshot[uint64]
-	count []uint64 // local increment counts, one slot per process
+	snap *Snapshot[uint64] // pids[p].local is process p's increment count
 }
 
 // NewCounter constructs a counter for n processes.
 func NewCounter(alloc memory.Allocator, n int) *Counter {
-	return &Counter{
-		snap:  New[uint64](alloc, n, 0),
-		count: make([]uint64, n),
-	}
+	return &Counter{snap: New[uint64](alloc, n, 0)}
 }
 
 // Inc increments the counter as process p.
 func (c *Counter) Inc(p int) {
-	c.count[p]++
-	c.snap.Update(p, c.count[p])
+	l := &c.snap.pids[p]
+	l.local++
+	c.snap.Update(p, l.local)
 }
 
 // Read returns the current count as process p.
 func (c *Counter) Read(p int) uint64 {
 	var sum uint64
-	for _, v := range c.snap.Scan(p) {
+	for _, v := range c.snap.View(p) {
 		sum += v
 	}
 	return sum
@@ -47,33 +44,30 @@ func (c *Counter) Stats() *Stats { return c.snap.Stats() }
 // component p holds the largest value written by process p, and a read takes
 // the maximum of the components.
 type MaxRegister struct {
-	snap  *Snapshot[uint64]
-	local []uint64 // largest value each process has written
+	snap *Snapshot[uint64] // pids[p].local is the largest value process p has written
 }
 
 // NewMaxRegister constructs a max-register for n processes, initially 0.
 func NewMaxRegister(alloc memory.Allocator, n int) *MaxRegister {
-	return &MaxRegister{
-		snap:  New[uint64](alloc, n, 0),
-		local: make([]uint64, n),
-	}
+	return &MaxRegister{snap: New[uint64](alloc, n, 0)}
 }
 
 // MaxWrite raises the register to v if v exceeds its current value, as
 // process p. Writes not exceeding the process's own prior maximum are
 // no-ops with zero shared steps.
 func (m *MaxRegister) MaxWrite(p int, v uint64) {
-	if v <= m.local[p] {
+	l := &m.snap.pids[p]
+	if v <= l.local {
 		return
 	}
-	m.local[p] = v
+	l.local = v
 	m.snap.Update(p, v)
 }
 
 // MaxRead returns the largest value ever written, as process p.
 func (m *MaxRegister) MaxRead(p int) uint64 {
 	var max uint64
-	for _, v := range m.snap.Scan(p) {
+	for _, v := range m.snap.View(p) {
 		if v > max {
 			max = v
 		}

@@ -313,23 +313,7 @@ func E5SpaceGrowth() (*Table, error) {
 // newFullyBoundedSnapshot composes Algorithm 3 over the bounded handshake
 // substrate: every register holds bounded state.
 func newFullyBoundedSnapshot(alloc memory.Allocator, n int) *core.Snapshot[string] {
-	s := snapshot.NewHandshake[string](alloc, n, spec.Bot)
-	initView := make([]string, n)
-	for i := range initView {
-		initView[i] = spec.Bot
-	}
-	eq := func(a, b []string) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	return core.NewWith[string](n, s, aba.NewStrongFunc(alloc, n, initView, eq))
+	return core.NewOver[string](alloc, n, spec.Bot, snapshot.NewHandshake[string](alloc, n, spec.Bot))
 }
 
 // E6Universal regenerates Theorem 3/54 evidence and the Section 5.3 caveat:

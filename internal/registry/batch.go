@@ -85,13 +85,6 @@ type step struct {
 	k    Kind           // kind operand (stepNames only)
 }
 
-// memoKey identifies a resolved object within one batch without allocating
-// a concatenated string key per op.
-type memoKey struct {
-	kind Kind
-	name string
-}
-
 // resolvedEntry memoizes one registry resolution within a batch.
 type resolvedEntry struct {
 	inst kind.Instance
@@ -162,7 +155,7 @@ func (r *Registry) BatchExecute(ctx context.Context, ops []BatchOp) (BatchOutcom
 	// phase below is a tight dispatch loop. Resolution is memoized per
 	// batch — repeated ops against one hot object pay the registry lookup
 	// once.
-	resolved := make(map[memoKey]resolvedEntry)
+	resolved := make(map[objectKey]resolvedEntry)
 	valid := 0
 	for i := range ops {
 		st, err := r.compile(&ops[i], resolved)
@@ -287,7 +280,7 @@ func batchPools(steps []step) []*slmem.PIDPool {
 // step, resolving (and lazily creating) the target instance through the
 // memo map. A non-nil error means the op can never succeed; no object is
 // created for it.
-func (r *Registry) compile(op *BatchOp, resolved map[memoKey]resolvedEntry) (step, error) {
+func (r *Registry) compile(op *BatchOp, resolved map[objectKey]resolvedEntry) (step, error) {
 	// Reserved introspection ops resolve against the registry itself.
 	switch op.Op {
 	case OpNames:
@@ -312,7 +305,7 @@ func (r *Registry) compile(op *BatchOp, resolved map[memoKey]resolvedEntry) (ste
 	if err := d.Validate(req); err != nil {
 		return step{}, err
 	}
-	key := memoKey{op.Kind, op.Name}
+	key := objectKey{op.Kind, op.Name}
 	re, hit := resolved[key]
 	if !hit {
 		inst, pool, err := r.Get(op.Kind, op.Name, req)

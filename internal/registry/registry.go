@@ -92,8 +92,15 @@ type Registry struct {
 // reader count.
 type shard struct {
 	mu sync.RWMutex
-	m  map[string]entry
+	m  map[objectKey]entry
 	_  [32]byte
+}
+
+// objectKey names one object. The maps are keyed by the pair rather than by
+// a concatenated "kind/name", which would cost a heap string per lookup.
+type objectKey struct {
+	kind Kind
+	name string
 }
 
 // entry is one registered instance with the pool its operations lease from.
@@ -117,7 +124,7 @@ func New(opts Options) *Registry {
 		shards: make([]shard, opts.Shards),
 	}
 	for i := range r.shards {
-		r.shards[i].m = make(map[string]entry)
+		r.shards[i].m = make(map[objectKey]entry)
 	}
 	return r
 }
@@ -128,9 +135,13 @@ func (r *Registry) Procs() int { return r.procs }
 // Pool returns the shared pid pool (for metrics and direct leasing).
 func (r *Registry) Pool() *slmem.PIDPool { return r.pool }
 
-func (r *Registry) shard(key string) *shard {
-	h := maphash.String(r.seed, key)
-	return &r.shards[h%uint64(len(r.shards))]
+func (r *Registry) shard(key objectKey) *shard {
+	var h maphash.Hash
+	h.SetSeed(r.seed)
+	h.WriteString(string(key.kind))
+	h.WriteByte('/') // keeps ("ab", "c") and ("a", "bc") apart
+	h.WriteString(key.name)
+	return &r.shards[h.Sum64()%uint64(len(r.shards))]
 }
 
 // poolFor returns the pool instances of driver d lease from: the shared
@@ -160,7 +171,7 @@ func (r *Registry) Get(k Kind, name string, req kind.Request) (kind.Instance, *s
 	if !ok {
 		return nil, nil, kind.UnknownKind(string(k))
 	}
-	key := string(k) + "/" + name
+	key := objectKey{k, name}
 	s := r.shard(key)
 	s.mu.RLock()
 	e, hit := s.m[key]
@@ -239,14 +250,13 @@ func (r *Registry) Object(name, typeName string) (*slmem.PooledObject, error) {
 
 // Names returns the names registered under kind, sorted.
 func (r *Registry) Names(kind Kind) []string {
-	prefix := string(kind) + "/"
 	var names []string
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.RLock()
 		for key := range s.m {
-			if len(key) > len(prefix) && key[:len(prefix)] == prefix {
-				names = append(names, key[len(prefix):])
+			if key.kind == kind {
+				names = append(names, key.name)
 			}
 		}
 		s.mu.RUnlock()

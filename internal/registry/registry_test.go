@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"slmem/internal/kind"
 )
 
 func TestRegistryLazyCreateAndIdentity(t *testing.T) {
@@ -156,5 +158,23 @@ func TestRegistryConcurrentMixedTraffic(t *testing.T) {
 	wg.Wait()
 	if st := r.Stats(); st.PIDsInUse != 0 {
 		t.Fatalf("pids in use after quiesce: %d", st.PIDsInUse)
+	}
+}
+
+// TestWarmGetDoesNotAllocate pins the lookup every single-operation request
+// and every first touch in a batch pays: the shard maps are keyed by the
+// (kind, name) pair, so resolving an existing object builds no key string.
+func TestWarmGetDoesNotAllocate(t *testing.T) {
+	r := New(Options{Procs: 4})
+	if _, _, err := r.Get(KindCounter, "warm", kind.Request{}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := r.Get(KindCounter, "warm", kind.Request{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm Get = %.2f allocs/op, want 0", allocs)
 	}
 }

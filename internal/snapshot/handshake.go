@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"fmt"
+	"slices"
 
 	"slmem/internal/memory"
 )
@@ -37,9 +38,24 @@ type Handshake[V any] struct {
 	// q[j][i]: written by updater j to handshake with scanner i.
 	q [][]memory.Reg[bool]
 	// p[i][j]: written by scanner i to handshake with updater j.
-	p [][]memory.Reg[bool]
-	// toggle[j]: local mirror of j's toggle bit (single writer).
-	toggle []bool
+	p     [][]memory.Reg[bool]
+	local []hsLocal[V]
+}
+
+// hsLocal is one process's state between operations, indexed by pid: the
+// mirror of its toggle bit (single writer) and the scratch of its scans —
+// the acknowledged handshake bits, the round each updater was first seen
+// starting in, what the two collects of a round observed, and the scan
+// buffer vals that Scan hands out.
+type hsLocal[V any] struct {
+	toggle     bool
+	shake      []bool
+	startRound []int // 0 = no start recorded; else round number
+	q1, q2     []bool
+	t1, t2     []bool
+	vals       []V
+	views      [][]V // embedded views seen by the second collect
+	_          [64]byte
 }
 
 var _ Snapshot[int] = (*Handshake[int])(nil)
@@ -51,11 +67,11 @@ func NewHandshake[V any](alloc memory.Allocator, n int, initial V) *Handshake[V]
 		panic(fmt.Sprintf("snapshot: n = %d, need at least 1 process", n))
 	}
 	s := &Handshake[V]{
-		n:      n,
-		regs:   make([]memory.Reg[hcell[V]], n),
-		q:      make([][]memory.Reg[bool], n),
-		p:      make([][]memory.Reg[bool], n),
-		toggle: make([]bool, n),
+		n:     n,
+		regs:  make([]memory.Reg[hcell[V]], n),
+		q:     make([][]memory.Reg[bool], n),
+		p:     make([][]memory.Reg[bool], n),
+		local: make([]hsLocal[V], n),
 	}
 	initView := make([]V, n)
 	for i := range initView {
@@ -69,36 +85,29 @@ func NewHandshake[V any](alloc memory.Allocator, n int, initial V) *Handshake[V]
 			s.q[j][i] = memory.NewReg(alloc, fmt.Sprintf("snap.q[%d][%d]", j, i), false)
 			s.p[j][i] = memory.NewReg(alloc, fmt.Sprintf("snap.p[%d][%d]", j, i), false)
 		}
+		bits := make([]bool, 5*n)
+		s.local[j] = hsLocal[V]{
+			shake: bits[:n], q1: bits[n : 2*n], q2: bits[2*n : 3*n], t1: bits[3*n : 4*n], t2: bits[4*n:],
+			startRound: make([]int, n),
+			vals:       make([]V, n),
+			views:      make([][]V, n),
+		}
 	}
 	return s
 }
 
-// Update implements Snapshot: handshake with every scanner, embed a scan,
-// write value + flipped toggle. Wait-free.
+// Update implements Snapshot: handshake with every scanner, embed a copy of
+// a scan, write value + flipped toggle. Wait-free.
 func (s *Handshake[V]) Update(pid int, x V) {
 	// Handshake: announce "an update is in progress" to every scanner by
 	// making q[pid][i] differ from p[i][pid].
 	for i := 0; i < s.n; i++ {
 		s.q[pid][i].Write(pid, !s.p[i][pid].Read(pid))
 	}
-	view := s.Scan(pid)
-	s.toggle[pid] = !s.toggle[pid]
-	s.regs[pid].Write(pid, hcell[V]{val: x, toggle: s.toggle[pid], view: view})
-}
-
-// hsObservation is one scanner observation of updater j.
-type hsObservation[V any] struct {
-	q    bool
-	cell hcell[V]
-}
-
-func (s *Handshake[V]) collect(pid int) []hsObservation[V] {
-	out := make([]hsObservation[V], s.n)
-	for j := 0; j < s.n; j++ {
-		out[j].q = s.q[j][pid].Read(pid)
-		out[j].cell = s.regs[j].Read(pid)
-	}
-	return out
+	view := slices.Clone(s.Scan(pid))
+	l := &s.local[pid]
+	l.toggle = !l.toggle
+	s.regs[pid].Write(pid, hcell[V]{val: x, toggle: l.toggle, view: view})
 }
 
 // Scan implements Snapshot.
@@ -122,45 +131,47 @@ func (s *Handshake[V]) collect(pid int) []hsObservation[V] {
 // one recorded start before a borrow triggers, so the loop runs at most
 // O(n) rounds.
 func (s *Handshake[V]) Scan(pid int) []V {
+	l := &s.local[pid]
+	shake, startRound := l.shake, l.startRound
 	// Handshake with every updater and remember what we acknowledged.
-	shake := make([]bool, s.n)
 	for j := 0; j < s.n; j++ {
 		shake[j] = s.q[j][pid].Read(pid)
 		s.p[pid][j].Write(pid, shake[j])
 	}
-	startRound := make([]int, s.n) // 0 = no start recorded; else round number
+	clear(startRound)
 	for round := 1; ; round++ {
-		c1 := s.collect(pid)
-		c2 := s.collect(pid)
+		for j := 0; j < s.n; j++ {
+			l.q1[j] = s.q[j][pid].Read(pid)
+			l.t1[j] = s.regs[j].Read(pid).toggle
+		}
+		for j := 0; j < s.n; j++ {
+			l.q2[j] = s.q[j][pid].Read(pid)
+			c := s.regs[j].Read(pid)
+			l.t2[j], l.vals[j], l.views[j] = c.toggle, c.val, c.view
+		}
 		clean := true
 		for j := 0; j < s.n; j++ {
-			started := c1[j].q != shake[j] || c2[j].q != shake[j]
-			completed := c1[j].cell.toggle != c2[j].cell.toggle
+			started := l.q1[j] != shake[j] || l.q2[j] != shake[j]
+			completed := l.t1[j] != l.t2[j]
 			if !started && !completed {
 				continue
 			}
 			clean = false
-			if startRound[j] > 0 && startRound[j] < round && (started || completed) {
+			if startRound[j] > 0 && startRound[j] < round {
 				// The register now holds a write from an update that began
 				// after startRound[j]'s evidence, i.e. inside this scan;
 				// its embedded view is a snapshot within our interval.
-				out := make([]V, len(c2[j].cell.view))
-				copy(out, c2[j].cell.view)
-				return out
+				return l.views[j]
 			}
 			if started && startRound[j] == 0 {
 				startRound[j] = round
 				// Acknowledge, so only a further update counts as started.
-				shake[j] = c2[j].q
+				shake[j] = l.q2[j]
 				s.p[pid][j].Write(pid, shake[j])
 			}
 		}
 		if clean {
-			out := make([]V, s.n)
-			for j := range out {
-				out[j] = c2[j].cell.val
-			}
-			return out
+			return l.vals
 		}
 	}
 }

@@ -17,6 +17,16 @@
 // bounds; both algorithms here are behaviourally interchangeable with it as
 // the substrate (see DESIGN.md, "Model mismatch and substitutions").
 //
+// Ownership of views: a Scan allocates nothing and copies nothing. Each
+// process keeps one scan buffer per object — its latest collect, as a
+// pointer-free vector of sequence numbers (or handshake bits) beside the
+// vector of values — and Scan returns that buffer, or the immutable view an
+// updater embedded when the scan borrows one. The result is the object's
+// storage: valid until the process's next call, never to be written. A view
+// is copied exactly where it outlives that — where an updater embeds it in a
+// register (Afek, Handshake), and in the callers that publish or return it
+// (internal/core, internal/versioned).
+//
 // A Versioned wrapper exposes the per-scan version number (the sum of the
 // per-component sequence numbers) needed by the Denysyuk–Woelfel unbounded
 // construction of Section 4.1 (internal/versioned).
@@ -24,6 +34,7 @@ package snapshot
 
 import (
 	"fmt"
+	"slices"
 
 	"slmem/internal/memory"
 )
@@ -34,7 +45,10 @@ import (
 type Snapshot[V any] interface {
 	// Update sets component pid to x.
 	Update(pid int, x V)
-	// Scan returns a copy of the component vector.
+	// Scan returns the component vector in storage the object owns — the
+	// pid's scan buffer, or a view an updater embedded with its write. The
+	// caller may read it until its next call on the object as pid and must
+	// not write to it; to publish, return or keep a view, copy it.
 	Scan(pid int) []V
 }
 
@@ -51,15 +65,16 @@ type DoubleCollect[V any] struct {
 	local []dcLocal[V]
 }
 
-// dcLocal is what one process keeps between operations: its two collect
-// buffers and its writer sequence number. It is indexed by pid and padded,
-// never pooled and never shared — a pid is driven by one goroutine at a
-// time, so none of it needs synchronising. The buffers never escape a Scan:
-// values() copies the result out.
+// dcLocal is what one process keeps between operations: its scan buffer —
+// the sequence numbers and values of its latest collect — and its writer
+// sequence number. It is indexed by pid and padded, never pooled and never
+// shared — a pid is driven by one goroutine at a time, so none of it needs
+// synchronising. vals is what Scan hands out.
 type dcLocal[V any] struct {
-	c1, c2 []dcell[V]
-	seq    uint64
-	_      [72]byte // 56 bytes above: two cache lines a process
+	seqs []uint64
+	vals []V
+	seq  uint64
+	_    [72]byte // 56 bytes above: two cache lines a process
 }
 
 var _ Snapshot[int] = (*DoubleCollect[int])(nil)
@@ -77,7 +92,7 @@ func NewDoubleCollect[V any](alloc memory.Allocator, n int, initial V) *DoubleCo
 	}
 	for i := range s.regs {
 		s.regs[i] = memory.NewReg(alloc, fmt.Sprintf("snap.R[%d]", i), dcell[V]{val: initial})
-		s.local[i].c1, s.local[i].c2 = make([]dcell[V], n), make([]dcell[V], n)
+		s.local[i].seqs, s.local[i].vals = make([]uint64, n), make([]V, n)
 	}
 	return s
 }
@@ -89,63 +104,45 @@ func (s *DoubleCollect[V]) Update(pid int, x V) {
 	s.regs[pid].Write(pid, dcell[V]{val: x, seq: l.seq})
 }
 
-func (s *DoubleCollect[V]) collectInto(pid int, out []dcell[V]) {
+// collect reads every component until two consecutive collects agree (a
+// "clean double collect") and leaves the agreed collect in pid's buffer.
+// Every collect reads all n registers in order; after the first, only a
+// component whose sequence number moved is rewritten — sequence numbers
+// identify writes, so an unchanged number means an unchanged value — and a
+// collect that rewrote nothing was clean. Lock-free: a collect that was not
+// clean means a concurrent Update completed.
+func (s *DoubleCollect[V]) collect(pid int) *dcLocal[V] {
+	l := &s.local[pid]
+	seqs, vals := l.seqs, l.vals
 	for i := range s.regs {
-		out[i] = s.regs[i].Read(pid)
+		c := s.regs[i].Read(pid)
+		seqs[i], vals[i] = c.seq, c.val
 	}
-}
-
-func seqsEqual[V any](a, b []dcell[V]) bool {
-	for i := range a {
-		// Sequence numbers identify writes: a component with an unchanged
-		// sequence number has an unchanged value.
-		if a[i].seq != b[i].seq {
-			return false
+	for clean := false; !clean; {
+		clean = true
+		for i := range s.regs {
+			if c := s.regs[i].Read(pid); c.seq != seqs[i] {
+				seqs[i], vals[i] = c.seq, c.val
+				clean = false
+			}
 		}
 	}
-	return true
+	return l
 }
 
-func values[V any](cells []dcell[V]) []V {
-	out := make([]V, len(cells))
-	for i, c := range cells {
-		out[i] = c.val
-	}
-	return out
-}
-
-// Scan implements Snapshot: collect until two consecutive collects agree
-// (a "clean double collect"). Lock-free: a failed pair of collects means a
-// concurrent Update completed.
-func (s *DoubleCollect[V]) Scan(pid int) []V {
-	c1, c2 := s.local[pid].c1, s.local[pid].c2
-	s.collectInto(pid, c1)
-	for {
-		s.collectInto(pid, c2)
-		if seqsEqual(c1, c2) {
-			return values(c2)
-		}
-		c1, c2 = c2, c1
-	}
-}
+// Scan implements Snapshot.
+func (s *DoubleCollect[V]) Scan(pid int) []V { return s.collect(pid).vals }
 
 // ScanVersioned is Scan returning also the view's version: the sum of all
 // component sequence numbers, which increases with every Update (the
 // versioned-object interface of paper Section 4.1).
 func (s *DoubleCollect[V]) ScanVersioned(pid int) ([]V, uint64) {
-	c1, c2 := s.local[pid].c1, s.local[pid].c2
-	s.collectInto(pid, c1)
-	for {
-		s.collectInto(pid, c2)
-		if seqsEqual(c1, c2) {
-			var version uint64
-			for _, c := range c2 {
-				version += c.seq
-			}
-			return values(c2), version
-		}
-		c1, c2 = c2, c1
+	l := s.collect(pid)
+	var version uint64
+	for _, seq := range l.seqs {
+		version += seq
 	}
+	return l.vals, version
 }
 
 // acell is an Afek-snapshot component: value, sequence number, and the view
@@ -164,13 +161,14 @@ type Afek[V any] struct {
 }
 
 // afekLocal is one process's state between operations, indexed by pid and
-// padded like dcLocal: two collect buffers, the moved flags and the writer
-// sequence number. None of it escapes a Scan (borrowed views are copied out).
+// padded like dcLocal: its scan buffer, the moved flags and the writer
+// sequence number.
 type afekLocal[V any] struct {
-	c1, c2 []acell[V]
-	moved  []bool
-	seq    uint64
-	_      [48]byte // 80 bytes above: two cache lines a process
+	seqs  []uint64
+	vals  []V
+	moved []bool
+	seq   uint64
+	_     [48]byte // 80 bytes above: two cache lines a process
 }
 
 var _ Snapshot[int] = (*Afek[int])(nil)
@@ -189,61 +187,54 @@ func NewAfek[V any](alloc memory.Allocator, n int, initial V) *Afek[V] {
 	for i := range s.regs {
 		s.regs[i] = memory.NewReg(alloc, fmt.Sprintf("snap.A[%d]", i), acell[V]{val: initial})
 		l := &s.local[i]
-		l.c1, l.c2, l.moved = make([]acell[V], n), make([]acell[V], n), make([]bool, n)
+		l.seqs, l.vals, l.moved = make([]uint64, n), make([]V, n), make([]bool, n)
 	}
 	return s
 }
 
 // Update implements Snapshot: an embedded Scan followed by one write that
-// publishes the new value together with the scanned view.
+// publishes the new value together with a copy of the scanned view.
 func (s *Afek[V]) Update(pid int, x V) {
-	view := s.Scan(pid)
+	view := slices.Clone(s.Scan(pid))
 	l := &s.local[pid]
 	l.seq++
 	s.regs[pid].Write(pid, acell[V]{val: x, seq: l.seq, view: view})
 }
 
-func (s *Afek[V]) collectInto(pid int, out []acell[V]) {
-	for i := range s.regs {
-		out[i] = s.regs[i].Read(pid)
-	}
-}
-
 // Scan implements Snapshot. Wait-free: after at most n+1 collect pairs some
 // process has been seen to move twice, and its embedded view (which is a
-// valid snapshot taken within our interval) is borrowed.
+// valid snapshot taken within our interval) is borrowed. Collects proceed as
+// in DoubleCollect; a collect runs to its end before its moves are judged.
 func (s *Afek[V]) Scan(pid int) []V {
-	sc := &s.local[pid]
-	clear(sc.moved)
-	c1, c2 := sc.c1, sc.c2
-	s.collectInto(pid, c1)
+	l := &s.local[pid]
+	seqs, vals, moved := l.seqs, l.vals, l.moved
+	clear(moved)
+	for i := range s.regs {
+		c := s.regs[i].Read(pid)
+		seqs[i], vals[i] = c.seq, c.val
+	}
 	for {
-		s.collectInto(pid, c2)
+		var borrowed []V
 		clean := true
-		for q := 0; q < s.n; q++ {
-			if c1[q].seq != c2[q].seq {
-				clean = false
-				if sc.moved[q] {
-					// q performed two Updates during this Scan; its second
-					// embedded view was taken entirely inside our interval.
-					out := make([]V, len(c2[q].view))
-					copy(out, c2[q].view)
-					return out
-				}
-				sc.moved[q] = true
+		for q := range s.regs {
+			c := s.regs[q].Read(pid)
+			if c.seq == seqs[q] {
+				continue
 			}
+			seqs[q], vals[q] = c.seq, c.val
+			clean = false
+			if moved[q] && borrowed == nil {
+				// q performed two Updates during this Scan; its second
+				// embedded view was taken entirely inside our interval.
+				borrowed = c.view
+			}
+			moved[q] = true
+		}
+		if borrowed != nil {
+			return borrowed
 		}
 		if clean {
-			return avalues(c2)
+			return vals
 		}
-		c1, c2 = c2, c1
 	}
-}
-
-func avalues[V any](cells []acell[V]) []V {
-	out := make([]V, len(cells))
-	for i, c := range cells {
-		out[i] = c.val
-	}
-	return out
 }

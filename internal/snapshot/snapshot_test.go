@@ -48,7 +48,11 @@ func TestSequentialSemantics(t *testing.T) {
 	}
 }
 
-func TestScanReturnsCopy(t *testing.T) {
+// TestScanBufferIsPrivateToItsPid: a Scan hands out the scanning process's
+// own buffer. Nothing another process reads can come from it — not even when
+// a caller breaks the rule and writes to it — the next scan by the same
+// process refills it, and two processes never share one.
+func TestScanBufferIsPrivateToItsPid(t *testing.T) {
 	const n = 2
 	for name := range implementations(&memory.NativeAllocator{}, n) {
 		name := name
@@ -56,13 +60,36 @@ func TestScanReturnsCopy(t *testing.T) {
 			var alloc memory.NativeAllocator
 			s := implementations(&alloc, n)[name]
 			s.Update(0, "a")
-			v1 := s.Scan(0)
-			v1[0] = "mutated"
-			v2 := s.Scan(0)
-			if v2[0] != "a" {
-				t.Error("Scan result shares storage with the object")
+			v0 := s.Scan(0)
+			v0[0] = "mutated"
+			if v1 := s.Scan(1); v1[0] != "a" {
+				t.Errorf("process 1 scanned %q: process 0's buffer is shared with the object", v1[0])
+			} else if &v1[0] == &v0[0] {
+				t.Error("processes 0 and 1 scan into one buffer")
+			}
+			s.Update(0, "b")
+			s.Update(1, "c")
+			if v2 := s.Scan(0); v2[0] != "b" || v2[1] != "c" {
+				t.Errorf("scan after the scribble = %q, want [b c]", v2)
 			}
 		})
+	}
+}
+
+// TestEmbeddedViewsAreCopies: an updater that embeds its scan with its write
+// (afek, handshake) puts a copy in the register, where every scanner may
+// borrow it, not the buffer its own next scan will overwrite.
+func TestEmbeddedViewsAreCopies(t *testing.T) {
+	var alloc memory.NativeAllocator
+	a := NewAfek[string](&alloc, 2, spec.Bot)
+	a.Update(0, "a")
+	if view := a.regs[0].Read(0).view; &view[0] == &a.local[0].vals[0] {
+		t.Error("afek: the embedded view is the updater's scan buffer")
+	}
+	h := NewHandshake[string](&alloc, 2, spec.Bot)
+	h.Update(0, "a")
+	if view := h.regs[0].Read(0).view; &view[0] == &h.local[0].vals[0] {
+		t.Error("handshake: the embedded view is the updater's scan buffer")
 	}
 }
 

@@ -234,7 +234,7 @@ func TestGCTruncationRules(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return o, o.root.Scan(0)
+		return o, o.root.View(0)
 	}
 
 	t.Run("refuses-uncovered-cut", func(t *testing.T) {
@@ -295,7 +295,7 @@ func TestGCScanWatermarkGap(t *testing.T) {
 		}
 	}
 	// The collector's scan: p1 has published nothing yet.
-	view := o.root.Scan(0)
+	view := o.root.View(0)
 
 	// p1's slow first operation: it scanned at time zero (empty view),
 	// stalled, and publishes only now — after the collector's scan.
@@ -329,7 +329,7 @@ func TestGCScanWatermarkGap(t *testing.T) {
 	if _, err := o.Execute(1, "inc()"); err != nil {
 		t.Fatal(err)
 	}
-	view = o.root.Scan(0)
+	view = o.root.View(0)
 	g.mu.Lock()
 	o.collect(view)
 	g.mu.Unlock()
@@ -357,10 +357,10 @@ func TestGCReplayFailureSurfaced(t *testing.T) {
 	}
 	// A fabricated node whose invocation the spec rejects: any truncation
 	// prefix containing it fails to replay.
-	bogus := &node{invocation: "bogus()", pid: 1, index: 0, preceding: o.root.Scan(1)}
+	bogus := &node{invocation: "bogus()", pid: 1, index: 0, preceding: o.root.View(1)}
 	o.root.Update(1, bogus)
 	o.local[1].index = 1
-	view := o.root.Scan(0)
+	view := o.root.View(0)
 	g := o.gc
 	g.marks[0].rec.Store(&watermarkRec{anchor: []int{2, 0}, version: 0})
 	g.marks[1].rec.Store(&watermarkRec{anchor: []int{2, 0}, version: 0})
@@ -556,7 +556,7 @@ func TestGCChurnSoak(t *testing.T) {
 	// Physical truncation: an unrestricted walk from a fresh scan must stop
 	// at the severed boundaries, reaching far fewer nodes than executed.
 	// (Quiescent now, so reading trimmed views is safe.)
-	if reachable := len(precgraph(bounded.root.Scan(0)).nodes); reachable >= ops/10 {
+	if reachable := len(precgraph(bounded.root.View(0)).nodes); reachable >= ops/10 {
 		t.Errorf("unrestricted walk still reaches %d of %d nodes; boundary views not cut", reachable, ops)
 	}
 

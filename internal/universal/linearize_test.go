@@ -193,7 +193,7 @@ func recordGraph(t *testing.T, typ Type, ops []string, n, perProc int, seed int6
 	for err := range errs {
 		t.Fatal(err)
 	}
-	all, ok := deltaNodes(nil, o.root.Scan(0))
+	all, ok := deltaNodes(nil, o.root.View(0))
 	if !ok || len(all) != n*perProc {
 		t.Fatalf("recorded %d of %d nodes (ok=%v)", len(all), n*perProc, ok)
 	}
@@ -311,7 +311,7 @@ func TestDominanceAskedPerClass(t *testing.T) {
 
 			// The straggler: p1 scanned before p0's latest operation and
 			// publishes after it, so it does not cover p0's anchor.
-			stale := o.root.Scan(1)
+			stale := o.root.View(1)
 			if _, err := o.Execute(0, "inc()"); err != nil {
 				t.Fatal(err)
 			}
@@ -331,7 +331,7 @@ func TestDominanceAskedPerClass(t *testing.T) {
 			if _, err := o.Execute(1, "inc()"); err != nil {
 				t.Fatal(err)
 			}
-			view := o.root.Scan(0)
+			view := o.root.View(0)
 			o.gc.mu.Lock()
 			o.collect(view)
 			o.gc.mu.Unlock()

@@ -118,9 +118,13 @@ type node struct {
 // Root is the snapshot interface the construction needs. Theorem 3 requires
 // a strongly linearizable implementation (internal/core); a merely
 // linearizable one still yields a linearizable object (Aspnes–Herlihy).
+//
+// View is the snapshot's scan as the snapshot stores it — shared, never
+// written: the construction only reads a view, and keeps it as its node's
+// preceding vector, which it never writes through either.
 type Root interface {
 	Update(pid int, x *node)
-	Scan(pid int) []*node
+	View(pid int) []*node
 }
 
 // plocal is everything process p keeps between its operations: its operation
@@ -243,7 +247,7 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 	if o.gc != nil {
 		gs = o.gc.state.Load()
 	}
-	view := o.root.Scan(p) // line 81
+	view := o.root.View(p) // line 81
 
 	l := &o.local[p]
 	floor, state, fromCache := o.floor(p, gs)
@@ -296,7 +300,7 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 		response:   resp,
 		pid:        p,
 		index:      l.index,
-		preceding:  view, // lines 88-90 (Scan already returned a fresh copy)
+		preceding:  view, // lines 88-90 (a stored view is immutable: see Root)
 	}
 	l.index++
 	o.root.Update(p, e) // line 91
@@ -413,7 +417,7 @@ func (o *Object) liveNodes(p int) (int, *gcState) {
 	if o.gc != nil {
 		gs = o.gc.state.Load()
 	}
-	view := o.root.Scan(p)
+	view := o.root.View(p)
 	floor, _ := o.rootFloor(gs)
 	l := &o.local[p]
 	live, ok := l.extract(floor, view)

@@ -329,7 +329,7 @@ func TestPrecgraphStructure(t *testing.T) {
 	mustExecute(t, o, 1, "inc()")
 	mustExecute(t, o, 0, "read()")
 
-	g := precgraph(o.root.Scan(0))
+	g := precgraph(o.root.View(0))
 	if len(g.nodes) != 3 {
 		t.Fatalf("graph has %d nodes, want 3", len(g.nodes))
 	}

@@ -21,6 +21,7 @@ package versioned
 
 import (
 	"fmt"
+	"slices"
 
 	"slmem/internal/maxreg"
 	"slmem/internal/memory"
@@ -64,8 +65,9 @@ func (o *Snapshot[V]) Update(p int, x V) {
 	o.s.Update(p, x)
 	state, version := o.s.ScanVersioned(p)
 	// The max-register ignores stale versions; equal versions denote equal
-	// states (two scans with the same version saw the same writes).
-	if err := o.r.MaxWrite(p, version, state); err != nil {
+	// states (two scans with the same version saw the same writes). The
+	// state is p's scan buffer, so what is published is a copy.
+	if err := o.r.MaxWrite(p, version, slices.Clone(state)); err != nil {
 		// Unreachable: versions are sums of uint64 sequence numbers and the
 		// register spans the full uint64 range.
 		panic(fmt.Sprintf("versioned: %v", err))

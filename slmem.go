@@ -74,23 +74,7 @@ func NewSnapshot[V comparable](n int, initial V, opts ...SnapshotOption) *Snapsh
 	if !cfg.waitFreeSubstrate {
 		return &Snapshot[V]{inner: core.New[V](&alloc, n, initial)}
 	}
-	s := snapshot.NewAfek[V](&alloc, n, initial)
-	initView := make([]V, n)
-	for i := range initView {
-		initView[i] = initial
-	}
-	r := aba.NewStrongFunc(&alloc, n, initView, func(a, b []V) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	})
-	return &Snapshot[V]{inner: core.NewWith[V](n, s, r)}
+	return &Snapshot[V]{inner: core.NewOver[V](&alloc, n, initial, snapshot.NewAfek[V](&alloc, n, initial))}
 }
 
 // Update sets component pid to x, as process pid. Wait-free given a
