@@ -5,7 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"slmem"
 	"slmem/internal/kind"
@@ -81,14 +82,134 @@ const (
 type step struct {
 	kind stepKind
 	run  kind.Compiled
-	pool *slmem.PIDPool // pool run leases from (stepRun only)
-	k    Kind           // kind operand (stepNames only)
+	pool int  // index into BatchWork.pools (stepRun only)
+	k    Kind // kind operand (stepNames only)
 }
 
-// resolvedEntry memoizes one registry resolution within a batch.
-type resolvedEntry struct {
+// leasedPool is one distinct pid pool among a batch's valid driver ops and,
+// between acquisition and release, the pid the batch leased from it.
+type leasedPool struct {
+	pool *slmem.PIDPool
+	// k is the kind that owns a dedicated pool ("" for the shared pool, so it
+	// sorts first): acquisition order is by k.
+	k   Kind
+	pid int
+}
+
+// batcherRef is one kind.Batcher instance of the batch, keyed by its
+// registry name so repeats can be told apart without comparing instances.
+type batcherRef struct {
+	key  objectKey
+	b    kind.Batcher
+	pool int // index into BatchWork.pools
+}
+
+// resolution is the registry lookup of the previous entry. A batch memoizes
+// only that: a run of ops on one object (insert then remove, a burst of
+// executes) pays one Get, and a batch over many names pays no memo at all.
+type resolution struct {
+	key  objectKey
 	inst kind.Instance
 	pool *slmem.PIDPool
+	// bracketed records that inst was already considered for the batch
+	// bracket, which waits for the first op on it that compiles.
+	bracketed bool
+}
+
+// BatchWork is the working storage of one BatchExecuteWith call: results,
+// compiled steps, the batch's distinct pools with their leased pids, and its
+// Batcher instances. The zero value is ready to use, and a BatchWork may be
+// reused by one call after another (not concurrently) so that a warm batch
+// allocates nothing of its own.
+//
+// Ownership: the Results of the BatchOutcome a call returns are the
+// BatchWork's storage. They stay valid until the next call with it or its
+// Reset, whichever comes first; the strings and views in them are the
+// caller's to keep (a View is a private copy made by the object, never
+// storage a later operation writes).
+type BatchWork struct {
+	results []BatchResult
+	steps   []step
+	// pools is in discovery order, which is what steps index; order lists
+	// its indices in acquisition order.
+	pools    []leasedPool
+	order    []int
+	batchers []batcherRef
+	begun    int // how many of batchers are inside BeginBatch
+}
+
+// Reset drops every string, view, error, instance and pool the BatchWork
+// refers to and keeps its capacity, so a pooled BatchWork pins nothing of the
+// batch it last served.
+func (w *BatchWork) Reset() {
+	clear(w.results)
+	clear(w.steps)
+	clear(w.pools)
+	clear(w.batchers)
+	w.results, w.steps = w.results[:0], w.steps[:0]
+	w.pools, w.order, w.batchers = w.pools[:0], w.order[:0], w.batchers[:0]
+	w.begun = 0
+}
+
+// poolIndex returns the index of pool in w.pools, adding it when this is the
+// first valid step to lease from it. A batch touches at most the shared pool
+// and one pool per dedicated kind, so the scan is over a handful of entries.
+func (w *BatchWork) poolIndex(pool *slmem.PIDPool, d kind.Driver) int {
+	for i := range w.pools {
+		if w.pools[i].pool == pool {
+			return i
+		}
+	}
+	var k Kind
+	if d.Options().DedicatedPool {
+		k = Kind(d.Kind())
+	}
+	w.pools = append(w.pools, leasedPool{pool: pool, k: k})
+	return len(w.pools) - 1
+}
+
+// sortPools fills w.order with the indices of w.pools in the global
+// acquisition order: the shared pool first, then dedicated pools by the name
+// of the kind that owns them.
+func (w *BatchWork) sortPools() {
+	w.order = w.order[:0]
+	for i := range w.pools {
+		j := len(w.order)
+		w.order = append(w.order, i)
+		for ; j > 0 && w.pools[w.order[j-1]].k > w.pools[i].k; j-- {
+			w.order[j] = w.order[j-1]
+		}
+		w.order[j] = i
+	}
+}
+
+// uniqueBatchers removes repeats from w.batchers: an object named again after
+// ops on another one is collected twice, and gets one bracket.
+func (w *BatchWork) uniqueBatchers() {
+	if len(w.batchers) < 2 {
+		return
+	}
+	slices.SortFunc(w.batchers, func(a, b batcherRef) int {
+		if c := strings.Compare(string(a.key.kind), string(b.key.kind)); c != 0 {
+			return c
+		}
+		return strings.Compare(a.key.name, b.key.name)
+	})
+	w.batchers = slices.CompactFunc(w.batchers, func(a, b batcherRef) bool { return a.key == b.key })
+}
+
+// release ends the batch brackets that began, then gives back the pids of the
+// first acquired pools in acquisition order, last first.
+func (w *BatchWork) release(acquired int) {
+	for i := w.begun - 1; i >= 0; i-- {
+		ref := &w.batchers[i]
+		ref.b.EndBatch(w.pools[ref.pool].pid)
+	}
+	w.begun = 0
+	for j := acquired - 1; j >= 0; j-- {
+		lp := &w.pools[w.order[j]]
+		lp.pool.Release(lp.pid)
+	}
 }
 
 // BatchOutcome is what BatchExecute returns: one result per op,
@@ -137,6 +258,12 @@ type BatchOutcome struct {
 // while queueing may already have lazily created the objects its valid ops
 // named during validation (the client was still connected then).
 func (r *Registry) BatchExecute(ctx context.Context, ops []BatchOp) (BatchOutcome, error) {
+	return r.BatchExecuteWith(ctx, ops, new(BatchWork))
+}
+
+// BatchExecuteWith is BatchExecute on working storage the caller supplies
+// and may reuse (see BatchWork for who owns the results until when).
+func (r *Registry) BatchExecuteWith(ctx context.Context, ops []BatchOp, w *BatchWork) (BatchOutcome, error) {
 	// A context that is already dead fails the batch before any work. This
 	// must precede compilation, not just leasing: compiling lazily creates
 	// the named objects, and the registry has no eviction — a disconnected
@@ -147,24 +274,22 @@ func (r *Registry) BatchExecute(ctx context.Context, ops []BatchOp) (BatchOutcom
 		return BatchOutcome{}, err
 	}
 
-	results := make([]BatchResult, len(ops))
-	steps := make([]step, len(ops))
+	w.Reset()
+	w.results = slices.Grow(w.results, len(ops))[:len(ops)]
+	w.steps = slices.Grow(w.steps, len(ops))[:len(ops)]
+	results, steps := w.results, w.steps
 
 	// Phase 1, before leasing: validate every op through its driver codec,
 	// resolve its target instance, and compile its operand, so the leased
-	// phase below is a tight dispatch loop. Resolution is memoized per
-	// batch — repeated ops against one hot object pay the registry lookup
-	// once.
-	resolved := make(map[objectKey]resolvedEntry)
+	// phase below is a tight dispatch loop.
+	var prev resolution
 	valid := 0
 	for i := range ops {
-		st, err := r.compile(&ops[i], resolved)
-		if err != nil {
-			results[i].Err = err
-			continue
+		st, err := r.compile(&ops[i], w, &prev)
+		steps[i], results[i] = st, BatchResult{Err: err}
+		if err == nil {
+			valid++
 		}
-		steps[i] = st
-		valid++
 	}
 	if valid == 0 {
 		return BatchOutcome{Results: results}, nil
@@ -174,40 +299,29 @@ func (r *Registry) BatchExecute(ctx context.Context, ops []BatchOp) (BatchOutcom
 	// deterministic order (shared pool first, then kind pools by name) so
 	// concurrent mixed-kind batches cannot deadlock. Introspection steps
 	// need no pool; a batch without driver ops skips leasing entirely.
-	pools := batchPools(steps)
-	pids := make(map[*slmem.PIDPool]int, len(pools))
-	for acquired, pool := range pools {
-		pid, err := pool.Acquire(ctx)
+	w.sortPools()
+	for acquired, pi := range w.order {
+		lp := &w.pools[pi]
+		pid, err := lp.pool.Acquire(ctx)
 		if err != nil {
 			// Cancelled while queueing: release what we hold; no op has run.
-			for j := acquired - 1; j >= 0; j-- {
-				pools[j].Release(pids[pools[j]])
-			}
+			w.release(acquired)
 			return BatchOutcome{}, err
 		}
-		pids[pool] = pid
+		lp.pid = pid
 	}
-	defer func() {
-		for j := len(pools) - 1; j >= 0; j-- {
-			pools[j].Release(pids[pools[j]])
-		}
-	}()
+	// Deferred, so a panicking op still ends its brackets and gives the pids
+	// back — every EndBatch while its pid is still held.
+	defer w.release(len(w.order))
 
 	// Instances that can defer per-op bookkeeping get one batch bracket per
 	// leased pid (the universal object re-anchors its replay cache once for
-	// the whole batch instead of per op). Registered after the release defer
-	// so every EndBatch runs while its pid is still held.
-	for _, re := range resolved {
-		b, ok := re.inst.(kind.Batcher)
-		if !ok {
-			continue
-		}
-		pid, leased := pids[re.pool]
-		if !leased {
-			continue // every op of this instance failed validation
-		}
-		b.BeginBatch(pid)
-		defer b.EndBatch(pid)
+	// the whole batch instead of per op).
+	w.uniqueBatchers()
+	for i := range w.batchers {
+		ref := &w.batchers[i]
+		ref.b.BeginBatch(w.pools[ref.pool].pid)
+		w.begun = i + 1
 	}
 
 	for i := range steps {
@@ -226,61 +340,26 @@ func (r *Registry) BatchExecute(ctx context.Context, ops []BatchOp) (BatchOutcom
 			doc, err := json.Marshal(r.Stats())
 			results[i] = BatchResult{Value: string(doc), Err: err}
 		case stepRun:
-			pid := pids[st.pool]
-			res, err := st.run.Run(pid)
+			lp := &w.pools[st.pool]
+			res, err := st.run.Run(lp.pid)
 			results[i] = BatchResult{Value: res.Value, View: res.View, Err: err}
 			// Lease-reuse assertion: the pid must survive every step. A step
 			// that released it would let another goroutine lease the same id
 			// and corrupt per-process state on the next iteration.
-			if !st.pool.Holds(pid) {
-				panic(fmt.Sprintf("registry: batch op %d released pid %d mid-batch", i, pid))
+			if !lp.pool.Holds(lp.pid) {
+				panic(fmt.Sprintf("registry: batch op %d released pid %d mid-batch", i, lp.pid))
 			}
 		}
 	}
-	return BatchOutcome{Results: results, Leases: len(pools), Leased: len(pools) > 0}, nil
-}
-
-// batchPools collects the distinct pools of the batch's valid driver steps
-// in global acquisition order: the shared registry pool first, then
-// dedicated kind pools sorted by the kind name that owns them. Step pools
-// are per-kind, so ordering by first-use kind name under a per-kind
-// uniqueness invariant is equivalent to sorting by name.
-func batchPools(steps []step) []*slmem.PIDPool {
-	var shared *slmem.PIDPool
-	type kindPool struct {
-		k    Kind
-		pool *slmem.PIDPool
-	}
-	var dedicated []kindPool
-	seen := make(map[*slmem.PIDPool]bool)
-	for i := range steps {
-		st := &steps[i]
-		if st.kind != stepRun || seen[st.pool] {
-			continue
-		}
-		seen[st.pool] = true
-		if d, ok := kind.Lookup(string(st.k)); ok && d.Options().DedicatedPool {
-			dedicated = append(dedicated, kindPool{st.k, st.pool})
-		} else {
-			shared = st.pool
-		}
-	}
-	sort.Slice(dedicated, func(i, j int) bool { return dedicated[i].k < dedicated[j].k })
-	pools := make([]*slmem.PIDPool, 0, 1+len(dedicated))
-	if shared != nil {
-		pools = append(pools, shared)
-	}
-	for _, kp := range dedicated {
-		pools = append(pools, kp.pool)
-	}
-	return pools
+	return BatchOutcome{Results: results, Leases: len(w.order), Leased: len(w.order) > 0}, nil
 }
 
 // compile validates op through its kind's driver and returns its executable
-// step, resolving (and lazily creating) the target instance through the
-// memo map. A non-nil error means the op can never succeed; no object is
-// created for it.
-func (r *Registry) compile(op *BatchOp, resolved map[objectKey]resolvedEntry) (step, error) {
+// step, resolving (and lazily creating) the target instance unless the
+// previous entry named the same object. It records the step's pool, and the
+// instance when it is a kind.Batcher, in w. A non-nil error means the op can
+// never succeed; no object is created for it.
+func (r *Registry) compile(op *BatchOp, w *BatchWork, prev *resolution) (step, error) {
 	// Reserved introspection ops resolve against the registry itself.
 	switch op.Op {
 	case OpNames:
@@ -305,22 +384,26 @@ func (r *Registry) compile(op *BatchOp, resolved map[objectKey]resolvedEntry) (s
 	if err := d.Validate(req); err != nil {
 		return step{}, err
 	}
-	key := objectKey{op.Kind, op.Name}
-	re, hit := resolved[key]
-	if !hit {
+	if key := (objectKey{op.Kind, op.Name}); key != prev.key {
 		inst, pool, err := r.Get(op.Kind, op.Name, req)
 		if err != nil {
 			return step{}, err
 		}
-		re = resolvedEntry{inst: inst, pool: pool}
-		resolved[key] = re
+		*prev = resolution{key: key, inst: inst, pool: pool}
 	}
 	// Compile carries the per-instance checks (e.g. the universal object's
 	// type-conflict detection), which must also fire between two ops of one
 	// batch that name the same object differently.
-	compiled, err := re.inst.Compile(req)
+	compiled, err := prev.inst.Compile(req)
 	if err != nil {
 		return step{}, err
 	}
-	return step{kind: stepRun, run: compiled, pool: re.pool, k: op.Kind}, nil
+	pi := w.poolIndex(prev.pool, d)
+	if !prev.bracketed {
+		prev.bracketed = true
+		if b, ok := prev.inst.(kind.Batcher); ok {
+			w.batchers = append(w.batchers, batcherRef{key: prev.key, b: b, pool: pi})
+		}
+	}
+	return step{kind: stepRun, run: compiled, pool: pi}, nil
 }

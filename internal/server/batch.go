@@ -8,6 +8,8 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"slices"
+	"sync"
 	"time"
 
 	"slmem/internal/kind"
@@ -51,91 +53,150 @@ type BatchResponse struct {
 	Error   string     `json:"error,omitempty"`
 }
 
-// handleBatch serves POST /v1/batch: decode the entry array, run it through
-// the registry under one pid lease, and report per-entry results plus
-// aggregate stats. Per-entry failures do not fail the batch (partial-failure
+// batchScratch is everything one /v1/batch request needs beyond what its
+// operations themselves allocate: the body bytes, the decoded entries, the
+// registry's working storage and the reply bytes. handleBatch takes one from
+// scratchPool, serves the request on it and gives it back, so a warm server
+// allocates for a batch's operations and not for its pipeline.
+//
+// Ownership: nothing that outlives the request may point into a scratch. The
+// decoder copies every entry string out of body (snapshot updates and bag
+// inserts keep their operands inside objects indefinitely); the results in
+// work are encoded into reply, and reply is written out, before release; the
+// views in those results are private copies made by the objects, which is
+// why they can be encoded after BatchExecuteWith has released its leases.
+type batchScratch struct {
+	body    []byte
+	entries []BatchEntry // everything past len(entries) is zero
+	work    registry.BatchWork
+	reply   []byte
+}
+
+// Bounds on what a scratch may keep when it goes back to the pool: room for
+// a batch of MaxBatchOps entries, a few times the default. A request that
+// grew it further (up to the 8 MiB body limit) takes its storage with it.
+const (
+	scratchMaxBytes   = 256 << 10
+	scratchMaxEntries = MaxBatchOps
+)
+
+var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// reset clears the scratch of every string and pointer it holds and keeps
+// its storage. It reports whether the storage is small enough to pool.
+func (sc *batchScratch) reset() (poolable bool) {
+	clear(sc.entries)
+	sc.entries = sc.entries[:0]
+	sc.work.Reset()
+	sc.body, sc.reply = sc.body[:0], sc.reply[:0]
+	return cap(sc.body) <= scratchMaxBytes && cap(sc.reply) <= scratchMaxBytes &&
+		cap(sc.entries) <= scratchMaxEntries
+}
+
+// handleBatch serves POST /v1/batch on a pooled scratch. A request that
+// panics keeps its scratch out of the pool.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	sc := scratchPool.Get().(*batchScratch)
+	s.serveBatch(w, r, sc)
+	if sc.reset() {
+		scratchPool.Put(sc)
+	}
+}
+
+// serveBatch decodes the entry array, runs it through the registry under one
+// pid lease per pool, and reports per-entry results plus aggregate stats,
+// all on sc. Per-entry failures do not fail the batch (partial-failure
 // semantics); the HTTP status is non-200 only when the batch as a whole
 // could not run.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, sc *batchScratch) {
 	start := time.Now()
 	s.countEndpoint("batch")
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBytes+1))
+	var err error
+	sc.body, err = readLimited(sc.body[:0], r.Body, maxBatchBytes)
 	if err != nil {
-		s.replyBatch(w, http.StatusBadRequest, BatchResponse{Error: "read request body: " + err.Error()})
+		s.failBatch(w, sc, http.StatusBadRequest, "read request body: "+err.Error())
 		return
 	}
-	if len(body) > maxBatchBytes {
-		s.replyBatch(w, http.StatusRequestEntityTooLarge,
-			BatchResponse{Error: fmt.Sprintf("batch body exceeds %d bytes", maxBatchBytes)})
+	if len(sc.body) > maxBatchBytes {
+		s.failBatch(w, sc, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch body exceeds %d bytes", maxBatchBytes))
 		return
 	}
-	entries, err := decodeBatchEntries(body, s.maxBatchOps)
+	sc.entries, err = decodeBatchEntries(sc.entries, sc.body, s.maxBatchOps)
+	entries := sc.entries
 	if errors.Is(err, errBatchTooMany) {
-		s.replyBatch(w, http.StatusRequestEntityTooLarge,
-			BatchResponse{Error: fmt.Sprintf("batch exceeds %d entries", s.maxBatchOps)})
+		s.failBatch(w, sc, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch exceeds %d entries", s.maxBatchOps))
 		return
 	}
 	if err != nil {
-		s.replyBatch(w, http.StatusBadRequest, BatchResponse{Error: err.Error()})
+		s.failBatch(w, sc, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(entries) == 0 {
-		s.replyBatch(w, http.StatusBadRequest, BatchResponse{Error: "empty batch"})
+		s.failBatch(w, sc, http.StatusBadRequest, "empty batch")
 		return
 	}
 
-	out, err := s.reg.BatchExecute(r.Context(), entries)
+	out, err := s.reg.BatchExecuteWith(r.Context(), entries, &sc.work)
 	if err != nil {
 		// The lease was never acquired: the client went away (or timed out)
 		// while the batch queued for a pid. Same mapping as single ops.
-		s.replyBatch(w, http.StatusServiceUnavailable, BatchResponse{Error: err.Error()})
+		s.failBatch(w, sc, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 
-	results := make([]Response, len(out.Results))
 	failed := 0
-	for i, res := range out.Results {
-		if res.Err != nil {
-			results[i] = Response{Error: res.Err.Error()}
+	for i := range out.Results {
+		if out.Results[i].Err != nil {
 			failed++
-			continue
 		}
-		results[i] = Response{OK: true, Value: res.Value, View: res.View}
 	}
 	// Count ops per kind by run length: batches are usually homogeneous, so
-	// this is one counter update instead of one sync.Map hit per entry.
-	var runKind string
-	var run int64
-	for i := range entries {
-		k := string(entries[i].Kind)
-		if _, known := kind.Lookup(k); !known {
-			continue
+	// this is one registry lookup and one counter update per run of a kind
+	// instead of one of each per entry.
+	for i := 0; i < len(entries); {
+		k := entries[i].Kind
+		j := i + 1
+		for j < len(entries) && entries[j].Kind == k {
+			j++
 		}
-		if k != runKind {
-			if run > 0 {
-				s.countOps(runKind, run)
-			}
-			runKind, run = k, 0
+		if _, known := kind.Lookup(string(k)); known {
+			s.countOps(string(k), int64(j-i))
 		}
-		run++
-	}
-	if run > 0 {
-		s.countOps(runKind, run)
+		i = j
 	}
 	s.batches.Add(1)
 	s.batchOps.Add(int64(len(entries)))
 
-	s.replyBatch(w, http.StatusOK, BatchResponse{
-		OK:      failed == 0,
-		Results: results,
-		Stats: BatchStats{
-			Ops:       len(entries),
-			Failed:    failed,
-			Leases:    out.Leases,
-			ElapsedUS: time.Since(start).Microseconds(),
-		},
-	})
+	s.replyBatch(w, sc, http.StatusOK, out.Results, BatchStats{
+		Ops:       len(entries),
+		Failed:    failed,
+		Leases:    out.Leases,
+		ElapsedUS: time.Since(start).Microseconds(),
+	}, "")
+}
+
+// readLimited appends r's bytes to dst until EOF or until dst holds more
+// than limit bytes, whichever comes first; a result longer than limit means
+// the input is too large (not that it was read in full).
+func readLimited(dst []byte, r io.Reader, limit int) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, 512)
+		}
+		room := dst[len(dst):cap(dst)]
+		if len(dst)+len(room) > limit+1 {
+			room = room[:limit+1-len(dst)]
+		}
+		n, err := r.Read(room)
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil || len(dst) > limit {
+			return dst, err
+		}
+	}
 }
 
 // errBatchTooMany marks a batch rejected for exceeding the entry cap; both
@@ -144,62 +205,82 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 var errBatchTooMany = errors.New("too many batch entries")
 
 // decodeBatchEntries decodes the request body — a JSON array of entries —
-// stopping as soon as more than max entries appear. The reflection-free
-// fast path handles the common flat shape; anything else (escaped strings,
-// unknown keys, malformed JSON) is re-decoded by an encoding/json streaming
-// decoder for identical accept/reject semantics.
-func decodeBatchEntries(body []byte, max int) ([]BatchEntry, error) {
-	entries, ok, tooMany := fastDecodeBatch(body, max)
-	if tooMany {
-		return nil, errBatchTooMany
-	}
+// into dst's storage, stopping as soon as more than max entries appear. The
+// reflection-free fast path handles the common flat shape; anything else
+// (escaped strings, unknown keys, malformed JSON) is re-decoded from the
+// start by an encoding/json streaming decoder for identical accept/reject
+// semantics. The slice it returns replaces dst whatever the error, so
+// storage grown on the way to a rejection is kept, and emptied.
+func decodeBatchEntries(dst []BatchEntry, body []byte, max int) ([]BatchEntry, error) {
+	entries, ok, tooMany := fastDecodeBatch(dst, body, max)
 	if ok {
 		return entries, nil
 	}
+	err := errBatchTooMany
+	if !tooMany {
+		// Whatever the fast path appended before it gave up is not the batch.
+		clear(entries)
+		entries, err = decodeBatchEntriesJSON(entries[:0], body, max)
+	}
+	if err != nil {
+		clear(entries)
+		entries = entries[:0]
+	}
+	return entries, err
+}
+
+// decodeBatchEntriesJSON is the encoding/json half of decodeBatchEntries.
+func decodeBatchEntriesJSON(entries []BatchEntry, body []byte, max int) ([]BatchEntry, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	tok, err := dec.Token()
 	if err != nil {
-		return nil, fmt.Errorf("bad batch body (want a JSON array of entries): %w", err)
+		return entries, fmt.Errorf("bad batch body (want a JSON array of entries): %w", err)
 	}
 	if tok == nil {
 		// JSON null decodes to no entries, as json.Unmarshal would.
-		return nil, nil
+		return entries, nil
 	}
 	if d, isDelim := tok.(json.Delim); !isDelim || d != '[' {
-		return nil, fmt.Errorf("bad batch body: want a JSON array of entries, got %v", tok)
+		return entries, fmt.Errorf("bad batch body: want a JSON array of entries, got %v", tok)
 	}
 	for dec.More() {
 		if len(entries) >= max {
-			return nil, errBatchTooMany
+			return entries, errBatchTooMany
 		}
 		var e BatchEntry
 		if err := dec.Decode(&e); err != nil {
-			return nil, fmt.Errorf("bad batch entry %d: %w", len(entries), err)
+			return entries, fmt.Errorf("bad batch entry %d: %w", len(entries), err)
 		}
 		entries = append(entries, e)
 	}
 	if _, err := dec.Token(); err != nil { // the closing ']'
-		return nil, fmt.Errorf("bad batch body: %w", err)
+		return entries, fmt.Errorf("bad batch body: %w", err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("bad batch body: trailing data after the entry array")
+		return entries, fmt.Errorf("bad batch body: trailing data after the entry array")
 	}
 	return entries, nil
 }
 
-// replyBatch writes a batch reply, counting whole-batch and per-entry
-// failures into the server failure metric. The body is built by the
-// reflection-free encoder (appendBatchResponse), whose output is
-// byte-identical to encoding/json's.
-func (s *Server) replyBatch(w http.ResponseWriter, status int, resp BatchResponse) {
-	if resp.Error != "" || resp.Stats.Failed > 0 {
+// failBatch answers a batch that could not run as a whole.
+func (s *Server) failBatch(w http.ResponseWriter, sc *batchScratch, status int, errMsg string) {
+	s.replyBatch(w, sc, status, nil, BatchStats{}, errMsg)
+}
+
+// replyBatch writes a batch reply from sc.reply, counting whole-batch and
+// per-entry failures into the server failure metric. The body is built by
+// the reflection-free encoder (appendBatchReply), whose output is
+// byte-identical to encoding/json's over a BatchResponse.
+func (s *Server) replyBatch(w http.ResponseWriter, sc *batchScratch, status int,
+	results []registry.BatchResult, stats BatchStats, errMsg string) {
+	if errMsg != "" || stats.Failed > 0 {
 		s.failures.Add(1)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	buf := appendBatchResponse(make([]byte, 0, 64+32*len(resp.Results)), resp)
-	buf = append(buf, '\n')
-	if _, err := w.Write(buf); err != nil {
+	sc.reply = appendBatchReply(sc.reply[:0], results, stats, errMsg)
+	sc.reply = append(sc.reply, '\n')
+	if _, err := w.Write(sc.reply); err != nil {
 		log.Printf("server: write batch response: %v", err)
 	}
 }

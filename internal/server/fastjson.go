@@ -36,11 +36,18 @@ func intern(b []byte) string {
 // Decoding stops once more than max entries appear (tooMany=true): the
 // entry cap must bound allocation during decoding, not just be checked
 // after an unbounded slice was built.
-func fastDecodeBatch(data []byte, max int) (entries []registry.BatchOp, ok, tooMany bool) {
+//
+// Entries are decoded into dst's storage from its start, and the slice comes
+// back grown even when ok=false, holding whatever was decoded before the
+// bail-out: the caller owns clearing it. Every string field is a copy of the
+// bytes in data (or the vocabulary's string for them), never a view of them,
+// so data may be overwritten as soon as this returns.
+func fastDecodeBatch(dst []registry.BatchOp, data []byte, max int) (entries []registry.BatchOp, ok, tooMany bool) {
+	entries = dst[:0]
 	p := fastParser{buf: data}
 	p.ws()
 	if !p.eat('[') {
-		return nil, false, false
+		return entries, false, false
 	}
 	p.ws()
 	if p.eat(']') {
@@ -49,11 +56,11 @@ func fastDecodeBatch(data []byte, max int) (entries []registry.BatchOp, ok, tooM
 	}
 	for {
 		if len(entries) >= max {
-			return nil, false, true
+			return entries, false, true
 		}
 		p.ws()
 		if !p.eat('{') {
-			return nil, false, false
+			return entries, false, false
 		}
 		var e registry.BatchOp
 		p.ws()
@@ -61,16 +68,16 @@ func fastDecodeBatch(data []byte, max int) (entries []registry.BatchOp, ok, tooM
 			for {
 				key, kok := p.str()
 				if !kok {
-					return nil, false, false
+					return entries, false, false
 				}
 				p.ws()
 				if !p.eat(':') {
-					return nil, false, false
+					return entries, false, false
 				}
 				p.ws()
 				val, vok := p.str()
 				if !vok {
-					return nil, false, false
+					return entries, false, false
 				}
 				// string(key) in a switch does not allocate.
 				switch string(key) {
@@ -89,7 +96,7 @@ func fastDecodeBatch(data []byte, max int) (entries []registry.BatchOp, ok, tooM
 				default:
 					// Unknown key: its value might not even be a string;
 					// let encoding/json decide what to do with it.
-					return nil, false, false
+					return entries, false, false
 				}
 				p.ws()
 				if p.eat(',') {
@@ -99,7 +106,7 @@ func fastDecodeBatch(data []byte, max int) (entries []registry.BatchOp, ok, tooM
 				if p.eat('}') {
 					break
 				}
-				return nil, false, false
+				return entries, false, false
 			}
 		}
 		entries = append(entries, e)
@@ -110,67 +117,10 @@ func fastDecodeBatch(data []byte, max int) (entries []registry.BatchOp, ok, tooM
 		if p.eat(']') {
 			break
 		}
-		return nil, false, false
+		return entries, false, false
 	}
 	p.ws()
 	return entries, p.done(), false
-}
-
-// fastDecodeRequest decodes a single-operation request body — a flat JSON
-// object whose keys and values are plain strings — without encoding/json's
-// reflection, the same trick fastDecodeBatch plays for batch bodies (the
-// ROADMAP follow-up from the batch PR). Like it, the fast path is
-// deliberately partial: escapes, non-string values, unknown keys, nested
-// structures, or malformed JSON return ok=false and the caller falls back
-// to encoding/json for identical accept/reject semantics.
-func fastDecodeRequest(data []byte) (req Request, ok bool) {
-	p := fastParser{buf: data}
-	p.ws()
-	if !p.eat('{') {
-		return Request{}, false
-	}
-	p.ws()
-	if !p.eat('}') {
-		for {
-			key, kok := p.str()
-			if !kok {
-				return Request{}, false
-			}
-			p.ws()
-			if !p.eat(':') {
-				return Request{}, false
-			}
-			p.ws()
-			val, vok := p.str()
-			if !vok {
-				return Request{}, false
-			}
-			// string(key) in a switch does not allocate.
-			switch string(key) {
-			case "value":
-				req.Value = string(val)
-			case "type":
-				req.Type = string(val)
-			case "invocation":
-				req.Invocation = string(val)
-			default:
-				// Unknown key: its value might not even be a string; let
-				// encoding/json decide what to do with it.
-				return Request{}, false
-			}
-			p.ws()
-			if p.eat(',') {
-				p.ws()
-				continue
-			}
-			if p.eat('}') {
-				break
-			}
-			return Request{}, false
-		}
-	}
-	p.ws()
-	return req, p.done()
 }
 
 // --- Fast-path response encoding ---------------------------------------------
@@ -228,38 +178,45 @@ func appendResponse(buf []byte, r Response) []byte {
 	return append(buf, '}')
 }
 
-// appendBatchResponse appends the JSON encoding of a BatchResponse,
-// byte-identical to encoding/json's. A 64-entry batch reply costs one
-// buffer instead of a reflective walk over 64 structs — the encode-side
-// half of the batch fast path (fastDecodeBatch is the decode-side half).
-func appendBatchResponse(buf []byte, r BatchResponse) []byte {
-	if r.OK {
+// appendBatchReply appends the JSON encoding of the BatchResponse that
+// carries results, stats and errMsg, byte-identical to encoding/json's,
+// straight from the registry's results: no []Response is built, and a
+// 64-entry batch reply costs one buffer instead of a reflective walk over 64
+// structs — the encode-side half of the batch fast path (fastDecodeBatch is
+// the decode-side half). OK is true only when no entry and not the batch as a
+// whole failed.
+func appendBatchReply(buf []byte, results []registry.BatchResult, stats BatchStats, errMsg string) []byte {
+	if errMsg == "" && stats.Failed == 0 {
 		buf = append(buf, `{"ok":true`...)
 	} else {
 		buf = append(buf, `{"ok":false`...)
 	}
-	if len(r.Results) > 0 {
+	if len(results) > 0 {
 		buf = append(buf, `,"results":[`...)
-		for i, res := range r.Results {
+		for i := range results {
 			if i > 0 {
 				buf = append(buf, ',')
 			}
-			buf = appendResponse(buf, res)
+			if res := &results[i]; res.Err != nil {
+				buf = appendResponse(buf, Response{Error: res.Err.Error()})
+			} else {
+				buf = appendResponse(buf, Response{OK: true, Value: res.Value, View: res.View})
+			}
 		}
 		buf = append(buf, ']')
 	}
 	buf = append(buf, `,"stats":{"ops":`...)
-	buf = appendInt(buf, int64(r.Stats.Ops))
+	buf = appendInt(buf, int64(stats.Ops))
 	buf = append(buf, `,"failed":`...)
-	buf = appendInt(buf, int64(r.Stats.Failed))
+	buf = appendInt(buf, int64(stats.Failed))
 	buf = append(buf, `,"leases":`...)
-	buf = appendInt(buf, int64(r.Stats.Leases))
+	buf = appendInt(buf, int64(stats.Leases))
 	buf = append(buf, `,"elapsed_us":`...)
-	buf = appendInt(buf, r.Stats.ElapsedUS)
+	buf = appendInt(buf, stats.ElapsedUS)
 	buf = append(buf, '}')
-	if r.Error != "" {
+	if errMsg != "" {
 		buf = append(buf, `,"error":`...)
-		buf = appendJSONString(buf, r.Error)
+		buf = appendJSONString(buf, errMsg)
 	}
 	return append(buf, '}')
 }
@@ -309,13 +266,14 @@ func (p *fastParser) str() ([]byte, bool) {
 	if !p.eat('"') {
 		return nil, false
 	}
-	start := p.pos
+	// The cursor lives in locals for the scan: one store when it ends.
+	buf, start := p.buf, p.pos
 	nonASCII := false
-	for p.pos < len(p.buf) {
-		c := p.buf[p.pos]
+	for i := start; i < len(buf); i++ {
+		c := buf[i]
 		if c == '"' {
-			s := p.buf[start:p.pos]
-			p.pos++
+			s := buf[start:i]
+			p.pos = i + 1
 			// The scan above already proved pure-ASCII strings valid; only
 			// strings with high bytes need the full UTF-8 check.
 			if nonASCII && !utf8.Valid(s) {
@@ -327,7 +285,6 @@ func (p *fastParser) str() ([]byte, bool) {
 			return nil, false
 		}
 		nonASCII = nonASCII || c >= 0x80
-		p.pos++
 	}
 	return nil, false
 }

@@ -30,7 +30,7 @@ func TestFastDecodeBatchMatchesEncodingJSON(t *testing.T) {
 		`[{"kind":"snapshot","name":"board","op":"update","value":"héllo €100 日本"}]`, // valid UTF-8 stays on the fast path
 	}
 	for _, in := range accept {
-		got, ok, tooMany := fastDecodeBatch([]byte(in), 1<<20)
+		got, ok, tooMany := fastDecodeBatch(nil, []byte(in), 1<<20)
 		if tooMany {
 			t.Errorf("fast path reported tooMany for small input %q", in)
 			continue
@@ -79,7 +79,7 @@ func TestFastDecodeBatchMatchesEncodingJSON(t *testing.T) {
 		`[{"kind":"counter"}] trailing`,
 	}
 	for _, in := range fallback {
-		got, ok, tooMany := fastDecodeBatch([]byte(in), 1<<20)
+		got, ok, tooMany := fastDecodeBatch(nil, []byte(in), 1<<20)
 		if tooMany {
 			t.Errorf("fast path reported tooMany for small input %q", in)
 			continue
@@ -103,97 +103,12 @@ func TestFastDecodeBatchMatchesEncodingJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok, _ := fastDecodeBatch(body, 1<<20)
+	got, ok, _ := fastDecodeBatch(nil, body, 1<<20)
 	if !ok {
 		t.Fatalf("fast path rejected marshaled entries %s", body)
 	}
 	if !reflect.DeepEqual(got, entries) {
 		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, entries)
-	}
-}
-
-// TestFastDecodeRequestMatchesEncodingJSON differentially checks the
-// single-operation fast decoder against encoding/json, the same contract
-// the batch decoder carries: every accepted input must produce exactly what
-// encoding/json produces, and every rejected input must be handled (or
-// rejected) identically by the fallback in decodeRequest.
-func TestFastDecodeRequestMatchesEncodingJSON(t *testing.T) {
-	accept := []string{
-		`{}`,
-		`{"value":"7"}`,
-		`{"value":"x y z","type":"set","invocation":"add(3)"}`,
-		`  { "type" : "set" , "invocation" : "contains(7)" }  `,
-		"\t{\n\"value\":\"multi line ws\"\r}\n",
-		`{"value":"dup","value":"wins"}`, // duplicate key: last wins, same as encoding/json
-		`{"value":"héllo €100 日本"}`,      // valid UTF-8 stays on the fast path
-	}
-	for _, in := range accept {
-		got, ok := fastDecodeRequest([]byte(in))
-		if !ok {
-			t.Errorf("fast path rejected canonical input %q", in)
-			continue
-		}
-		var want Request
-		if err := json.Unmarshal([]byte(in), &want); err != nil {
-			t.Fatalf("corpus input %q is not valid JSON: %v", in, err)
-		}
-		if got != want {
-			t.Errorf("input %q:\nfast = %+v\njson = %+v", in, got, want)
-		}
-	}
-
-	// Inputs the fast path must hand to the fallback: valid JSON with
-	// features it skips, or malformed JSON the fallback rejects.
-	fallback := []string{
-		`{"value":"with \"escape\""}`,
-		"{\"value\":\"bad-utf8-\xff\"}",
-		`{"value":42}`,
-		`{"weird":"key"}`,
-		`{"value":{"nested":1}}`,
-		`{"value":"v"`,
-		`["not","an","object"]`,
-		`null`,
-		`{"value" "v"}`,
-		`{"value":"v"} trailing`,
-		`nope`,
-	}
-	for _, in := range fallback {
-		got, ok := fastDecodeRequest([]byte(in))
-		if ok {
-			var want Request
-			err := json.Unmarshal([]byte(in), &want)
-			if err != nil || got != want {
-				t.Errorf("fast path accepted %q with result %+v; encoding/json says err=%v want=%+v", in, got, err, want)
-			}
-		}
-		// Whatever the fast path does, decodeRequest must agree with
-		// encoding/json end to end.
-		dec, decErr := decodeRequest([]byte(in))
-		var want Request
-		jsonErr := json.Unmarshal([]byte(in), &want)
-		if (decErr == nil) != (jsonErr == nil) {
-			t.Errorf("decodeRequest(%q) err=%v, encoding/json err=%v", in, decErr, jsonErr)
-			continue
-		}
-		if decErr == nil && dec != want {
-			t.Errorf("decodeRequest(%q) = %+v, want %+v", in, dec, want)
-		}
-	}
-
-	// An empty body is the zero request (operation bodies are optional).
-	if req, err := decodeRequest(nil); err != nil || req != (Request{}) {
-		t.Errorf("decodeRequest(empty) = %+v, %v", req, err)
-	}
-
-	// Round trip: whatever a client marshals, the fast path must decode.
-	in := Request{Value: "12", Type: "set", Invocation: "add(1)"}
-	body, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := fastDecodeRequest(body)
-	if !ok || got != in {
-		t.Fatalf("round trip: ok=%v got=%+v want=%+v", ok, got, in)
 	}
 }
 
@@ -242,18 +157,47 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 
-	batches := []BatchResponse{
-		{},
-		{Error: "lease: context canceled"},
-		{OK: true, Results: []Response{}, Stats: BatchStats{Ops: 1}}, // empty results: omitempty drops them
-		{OK: true, Results: responses, Stats: BatchStats{Ops: len(responses), Failed: 3, Leases: 2, ElapsedUS: 1234567}},
-		{OK: false, Results: responses[:5], Stats: BatchStats{Ops: 5, Failed: 5}, Error: ""},
-		{OK: false, Stats: BatchStats{ElapsedUS: -1}, Error: "batch exceeds 4 entries"},
+	// The batch encoder works straight from the registry's results. It must
+	// match the pipeline it replaced: results copied into a BatchResponse's
+	// []Response (OK set, Err flattened to its text), encoded by
+	// encoding/json.
+	var okOnly, valueOnly, viewOnly, errOnly, mixed []registry.BatchResult
+	for _, s := range strs {
+		okOnly = append(okOnly, registry.BatchResult{})
+		valueOnly = append(valueOnly, registry.BatchResult{Value: s})
+		viewOnly = append(viewOnly, registry.BatchResult{View: []string{s, "", s + s}}, registry.BatchResult{View: []string{}})
+		errOnly = append(errOnly, registry.BatchResult{Err: errors.New(s)})
+		mixed = append(mixed, okOnly[0], valueOnly[len(valueOnly)-1], viewOnly[len(viewOnly)-2], errOnly[len(errOnly)-1])
 	}
-	for _, b := range batches {
-		got := string(append(appendBatchResponse(nil, b), '\n'))
-		if want := jsonEncode(b); got != want {
-			t.Errorf("BatchResponse %+v:\nfast = %q\njson = %q", b, got, want)
+	viaResponse := func(results []registry.BatchResult, stats BatchStats, errMsg string) BatchResponse {
+		resp := BatchResponse{OK: errMsg == "" && stats.Failed == 0, Stats: stats, Error: errMsg}
+		for _, res := range results {
+			if res.Err != nil {
+				resp.Results = append(resp.Results, Response{Error: res.Err.Error()})
+				continue
+			}
+			resp.Results = append(resp.Results, Response{OK: true, Value: res.Value, View: res.View})
+		}
+		return resp
+	}
+	for _, b := range []struct {
+		results []registry.BatchResult
+		stats   BatchStats
+		errMsg  string
+	}{
+		{},
+		{errMsg: "lease: context canceled"},
+		{results: []registry.BatchResult{}, stats: BatchStats{Ops: 1}}, // empty results: omitempty drops them
+		{results: okOnly, stats: BatchStats{Ops: len(okOnly), Leases: 1}},
+		{results: valueOnly, stats: BatchStats{Ops: len(valueOnly), Leases: 1, ElapsedUS: 7}},
+		{results: viewOnly, stats: BatchStats{Ops: len(viewOnly), Leases: 2}},
+		{results: errOnly, stats: BatchStats{Ops: len(errOnly), Failed: len(errOnly)}},
+		{results: mixed, stats: BatchStats{Ops: len(mixed), Failed: len(strs), Leases: 2, ElapsedUS: 1234567}},
+		{stats: BatchStats{ElapsedUS: -1}, errMsg: "batch exceeds 4 entries"},
+	} {
+		got := string(append(appendBatchReply(nil, b.results, b.stats, b.errMsg), '\n'))
+		if want := jsonEncode(viaResponse(b.results, b.stats, b.errMsg)); got != want {
+			t.Errorf("batch reply %+v:\nfast = %q\njson = %q", b, got, want)
 		}
 	}
 }
@@ -270,10 +214,10 @@ func TestDecodeBatchEntriesCap(t *testing.T) {
 		name string
 		body []byte
 	}{{"fast", fastBody}, {"fallback", slowBody}} {
-		if _, err := decodeBatchEntries(tc.body, 3); err != nil {
+		if _, err := decodeBatchEntries(nil, tc.body, 3); err != nil {
 			t.Errorf("%s: 3 entries rejected at cap 3: %v", tc.name, err)
 		}
-		if _, err := decodeBatchEntries(tc.body, 2); !errors.Is(err, errBatchTooMany) {
+		if _, err := decodeBatchEntries(nil, tc.body, 2); !errors.Is(err, errBatchTooMany) {
 			t.Errorf("%s: 3 entries at cap 2: err = %v, want errBatchTooMany", tc.name, err)
 		}
 	}
@@ -285,7 +229,7 @@ func TestDecodeBatchEntriesCap(t *testing.T) {
 	huge = append([]byte{'['}, huge...)
 	huge = append(huge[:len(huge)-1], ']')
 	start := time.Now()
-	if _, err := decodeBatchEntries(huge, 2); !errors.Is(err, errBatchTooMany) {
+	if _, err := decodeBatchEntries(nil, huge, 2); !errors.Is(err, errBatchTooMany) {
 		t.Fatalf("huge batch at cap 2: err = %v, want errBatchTooMany", err)
 	}
 	if d := time.Since(start); d > time.Second {
