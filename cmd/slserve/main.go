@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	slserve [-addr :8080] [-procs 16] [-shards 16] [-maxbatch 1024]
+//	slserve [-addr :8080] [-procs 16] [-maxbatch 1024]
 //
 // See docs/API.md for the endpoint reference. -procs bounds concurrently
 // executing operations: requests beyond it queue FIFO on the pid pool (and
@@ -50,7 +50,6 @@ func run(args []string) error {
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
 		procs    = fs.Int("procs", 16, "process pool size (max concurrent operations)")
-		shards   = fs.Int("shards", 16, "registry shard count")
 		maxBatch = fs.Int("maxbatch", server.MaxBatchOps, "max entries per /v1/batch request")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -62,7 +61,7 @@ func run(args []string) error {
 
 	httpSrv := &http.Server{
 		Addr: *addr,
-		Handler: server.New(registry.Options{Procs: *procs, Shards: *shards},
+		Handler: server.New(registry.Options{Procs: *procs},
 			server.WithMaxBatchOps(*maxBatch)),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -72,8 +71,8 @@ func run(args []string) error {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("slserve: listening on %s (procs=%d shards=%d kinds=%s)",
-			*addr, *procs, *shards, strings.Join(kind.Names(), ","))
+		log.Printf("slserve: listening on %s (procs=%d kinds=%s)",
+			*addr, *procs, strings.Join(kind.Names(), ","))
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}

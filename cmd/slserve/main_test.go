@@ -18,7 +18,7 @@ import (
 
 func testServer(t *testing.T, procs int) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(server.New(registry.Options{Procs: procs, Shards: 4}))
+	ts := httptest.NewServer(server.New(registry.Options{Procs: procs}))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -395,7 +395,7 @@ func TestBatchPartialFailure(t *testing.T) {
 }
 
 func TestBatchErrorPaths(t *testing.T) {
-	ts := httptest.NewServer(server.New(registry.Options{Procs: 2, Shards: 2}, server.WithMaxBatchOps(4)))
+	ts := httptest.NewServer(server.New(registry.Options{Procs: 2}, server.WithMaxBatchOps(4)))
 	t.Cleanup(ts.Close)
 	client := ts.Client()
 
@@ -482,7 +482,7 @@ func TestBatchErrorPaths(t *testing.T) {
 func TestBatchCancelledContext(t *testing.T) {
 	// A request whose context is already cancelled must fail as a whole with
 	// 503 (the lease is never acquired) and leave no object behind.
-	srv := server.New(registry.Options{Procs: 1, Shards: 1})
+	srv := server.New(registry.Options{Procs: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	body, err := json.Marshal([]server.BatchEntry{{Kind: "counter", Name: "c", Op: "inc"}})

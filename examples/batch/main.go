@@ -32,7 +32,7 @@ const (
 )
 
 func main() {
-	srv := server.New(registry.Options{Procs: procs, Shards: 8})
+	srv := server.New(registry.Options{Procs: procs})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

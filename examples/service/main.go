@@ -6,8 +6,8 @@
 // that model to an open system. Here 48 clients — six times the pid pool —
 // hammer one shared counter and one shared snapshot over real HTTP. The
 // counter loses no increments even though every request transits the lease
-// pool, and the stats show how acquisitions were served (fast path, stolen
-// from another stripe, or queued).
+// pool, and the stats show how acquisitions were served (fast path, another
+// free pid, or queued).
 //
 // Run with: go run ./examples/service
 package main
@@ -33,7 +33,7 @@ const (
 )
 
 func main() {
-	srv := server.New(registry.Options{Procs: procs, Shards: 8})
+	srv := server.New(registry.Options{Procs: procs})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

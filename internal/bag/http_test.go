@@ -23,7 +23,7 @@ import (
 
 func testServer(t *testing.T, procs int) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(server.New(registry.Options{Procs: procs, Shards: 4}))
+	ts := httptest.NewServer(server.New(registry.Options{Procs: procs}))
 	t.Cleanup(ts.Close)
 	return ts
 }

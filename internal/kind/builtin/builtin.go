@@ -316,9 +316,10 @@ func (op snapshotUpdate) Run(pid int) (kind.Result, error) {
 // snapshotScan is the compiled scan op.
 type snapshotScan struct{ s *slmem.Snapshot[string] }
 
-// Run implements kind.Compiled.
+// Run implements kind.Compiled. The result is the view R holds, not a copy:
+// it is immutable, and every consumer of a Result only reads it.
 func (op snapshotScan) Run(pid int) (kind.Result, error) {
-	return kind.Result{View: op.s.Scan(pid)}, nil
+	return kind.Result{View: op.s.View(pid)}, nil
 }
 
 // --- universal object --------------------------------------------------------

@@ -56,7 +56,12 @@ type Request struct {
 type Result struct {
 	// Value is the scalar response, if any.
 	Value string
-	// View is the vector response, if any.
+	// View is the vector response, if any. It is read-only and may be
+	// shared — a snapshot scan returns the view as the object's register R
+	// holds it, the same backing array for every reader until the next
+	// update — and it is valid for as long as the caller keeps it: a stored
+	// view is never written again. Consumers encode or copy it; none may
+	// write through it.
 	View []string
 }
 
@@ -155,7 +160,7 @@ type Driver interface {
 	// rejected here so doomed requests never register objects.
 	Validate(req Request) error
 	// New creates the named instance. It is called at most once per name
-	// (under the registry's shard lock) with a request that already passed
+	// (under the registry's creation mutex) with a request that already passed
 	// Validate.
 	New(env Env) (Instance, error)
 }

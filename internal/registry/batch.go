@@ -125,8 +125,8 @@ type resolution struct {
 // Ownership: the Results of the BatchOutcome a call returns are the
 // BatchWork's storage. They stay valid until the next call with it or its
 // Reset, whichever comes first; the strings and views in them are the
-// caller's to keep (a View is a private copy made by the object, never
-// storage a later operation writes).
+// caller's to keep but not to write (a View may be the one the object's
+// register R holds, shared with other readers; nothing writes it again).
 type BatchWork struct {
 	results []BatchResult
 	steps   []step

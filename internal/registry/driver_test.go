@@ -199,7 +199,7 @@ func TestBatchIntrospectionEntries(t *testing.T) {
 // and the created counter must see exactly one creation.
 func TestGetConcurrentFirstUse(t *testing.T) {
 	k := gaugeKind(t)
-	r := New(Options{Procs: 2, Shards: 2})
+	r := New(Options{Procs: 2})
 	const goroutines = 32
 	insts := make(chan kind.Instance, goroutines)
 	var wg sync.WaitGroup

@@ -1,7 +1,7 @@
-// Package registry provides a named-object registry: a concurrent,
-// sharded map from (kind, name) to lazily created strongly linearizable
-// objects, leasing process ids from a shared pool (or a per-kind pool when
-// the kind's driver requests one). It is the state layer of cmd/slserve —
+// Package registry provides a named-object registry: a concurrent map from
+// (kind, name) to lazily created strongly linearizable objects, leasing
+// process ids from a shared pool (or a per-kind pool when the kind's driver
+// requests one). It is the state layer of cmd/slserve —
 // callers name an object ("counter/clicks", "snapshot/board") and get back
 // a pooled handle any goroutine can use.
 //
@@ -13,7 +13,6 @@ package registry
 
 import (
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,8 +63,6 @@ type Options struct {
 	// Procs is the size n of the process pool shared by every object. It
 	// bounds the number of concurrently executing operations. Defaults to 16.
 	Procs int
-	// Shards is the number of map shards. Defaults to 16.
-	Shards int
 }
 
 // Registry is a concurrent map from (kind, name) to driver-created
@@ -75,10 +72,16 @@ type Options struct {
 // limit — except for kinds whose driver requests a dedicated pool, which
 // lease from their own pool of Procs ids instead.
 type Registry struct {
-	procs  int
-	pool   *slmem.PIDPool
-	seed   maphash.Seed
-	shards []shard
+	procs int
+	pool  *slmem.PIDPool
+
+	// objects maps objectKey to *entry. An object is created once and never
+	// replaced or removed, which is the read-mostly, disjoint-key use
+	// sync.Map serves without a lock.
+	objects sync.Map
+	// createMu serializes creations, so concurrent first uses of one name
+	// agree on one instance.
+	createMu sync.Mutex
 
 	// created counts instances per kind name (*atomic.Int64 values).
 	created sync.Map
@@ -87,17 +90,8 @@ type Registry struct {
 	kindPools sync.Map
 }
 
-// shard is one slice of the name space, padded to a cache line: at 32 bytes
-// two shards share one, and readers of different shards bounce each other's
-// reader count.
-type shard struct {
-	mu sync.RWMutex
-	m  map[objectKey]entry
-	_  [32]byte
-}
-
-// objectKey names one object. The maps are keyed by the pair rather than by
-// a concatenated "kind/name", which would cost a heap string per lookup.
+// objectKey names one object. The map is keyed by the pair rather than by a
+// concatenated "kind/name", which would cost a heap string per lookup.
 type objectKey struct {
 	kind Kind
 	name string
@@ -114,19 +108,7 @@ func New(opts Options) *Registry {
 	if opts.Procs <= 0 {
 		opts.Procs = 16
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = 16
-	}
-	r := &Registry{
-		procs:  opts.Procs,
-		pool:   slmem.NewPIDPool(opts.Procs),
-		seed:   maphash.MakeSeed(),
-		shards: make([]shard, opts.Shards),
-	}
-	for i := range r.shards {
-		r.shards[i].m = make(map[objectKey]entry)
-	}
-	return r
+	return &Registry{procs: opts.Procs, pool: slmem.NewPIDPool(opts.Procs)}
 }
 
 // Procs returns the size of the shared process pool.
@@ -134,15 +116,6 @@ func (r *Registry) Procs() int { return r.procs }
 
 // Pool returns the shared pid pool (for metrics and direct leasing).
 func (r *Registry) Pool() *slmem.PIDPool { return r.pool }
-
-func (r *Registry) shard(key objectKey) *shard {
-	var h maphash.Hash
-	h.SetSeed(r.seed)
-	h.WriteString(string(key.kind))
-	h.WriteByte('/') // keeps ("ab", "c") and ("a", "bc") apart
-	h.WriteString(key.name)
-	return &r.shards[h.Sum64()%uint64(len(r.shards))]
-}
 
 // poolFor returns the pool instances of driver d lease from: the shared
 // pool, or the kind's dedicated pool (created lazily) when the driver's
@@ -162,26 +135,36 @@ func (r *Registry) poolFor(d kind.Driver) *slmem.PIDPool {
 // Get returns the named instance of kind k and the pid pool its operations
 // lease from, creating the instance through the registered driver on first
 // use (req parameterizes creation, e.g. the universal object's type). The
-// fast path is a shard read-lock; creation double-checks under the write
-// lock so concurrent first uses agree on one instance. Unknown kinds are
-// kind.NotFound errors; driver creation errors are returned without
-// registering anything.
+// fast path is one lock-free map load. Unknown kinds are kind.NotFound
+// errors; driver creation errors are returned without registering anything.
 func (r *Registry) Get(k Kind, name string, req kind.Request) (kind.Instance, *slmem.PIDPool, error) {
+	if e, hit := r.lookup(objectKey{k, name}); hit {
+		return e.inst, e.pool, nil
+	}
+	return r.create(k, name, req)
+}
+
+// lookup returns the entry registered under key, if any.
+func (r *Registry) lookup(key objectKey) (*entry, bool) {
+	e, hit := r.objects.Load(key)
+	if !hit {
+		return nil, false
+	}
+	return e.(*entry), true
+}
+
+// create is Get's miss path: it resolves the driver and creates the
+// instance under the creation mutex, looking again first so concurrent first
+// uses agree on one instance.
+func (r *Registry) create(k Kind, name string, req kind.Request) (kind.Instance, *slmem.PIDPool, error) {
 	d, ok := kind.Lookup(string(k))
 	if !ok {
 		return nil, nil, kind.UnknownKind(string(k))
 	}
+	r.createMu.Lock()
+	defer r.createMu.Unlock()
 	key := objectKey{k, name}
-	s := r.shard(key)
-	s.mu.RLock()
-	e, hit := s.m[key]
-	s.mu.RUnlock()
-	if hit {
-		return e.inst, e.pool, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, hit := s.m[key]; hit {
+	if e, hit := r.lookup(key); hit {
 		return e.inst, e.pool, nil
 	}
 	pool := r.poolFor(d)
@@ -189,7 +172,7 @@ func (r *Registry) Get(k Kind, name string, req kind.Request) (kind.Instance, *s
 	if err != nil {
 		return nil, nil, err
 	}
-	s.m[key] = entry{inst: inst, pool: pool}
+	r.objects.Store(key, &entry{inst: inst, pool: pool})
 	r.countCreated(string(k))
 	return inst, pool, nil
 }
@@ -251,16 +234,12 @@ func (r *Registry) Object(name, typeName string) (*slmem.PooledObject, error) {
 // Names returns the names registered under kind, sorted.
 func (r *Registry) Names(kind Kind) []string {
 	var names []string
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for key := range s.m {
-			if key.kind == kind {
-				names = append(names, key.name)
-			}
+	r.objects.Range(func(key, _ any) bool {
+		if key := key.(objectKey); key.kind == kind {
+			names = append(names, key.name)
 		}
-		s.mu.RUnlock()
-	}
+		return true
+	})
 	sort.Strings(names)
 	return names
 }

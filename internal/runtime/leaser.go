@@ -8,8 +8,8 @@
 //
 // The design goals, in order: correctness of the ownership invariant (a pid
 // is held by at most one goroutine between Acquire and Release), a cheap
-// uncontended fast path (striped free lists with per-P affinity via
-// sync.Pool hints), and well-behaved saturation (FIFO blocking with context
+// uncontended fast path (one CAS on the ownership word of the pid a per-P
+// hint names), and well-behaved saturation (FIFO blocking with context
 // cancellation instead of spinning).
 package runtime
 
@@ -23,31 +23,27 @@ import (
 
 // Leaser hands out leases of process ids 0..n-1.
 //
-// Free ids live in stripes, each guarded by its own mutex, so concurrent
-// acquirers on different Ps rarely touch the same cache line. A sync.Pool of
-// stripe hints gives each P a sticky home stripe: sync.Pool's per-P caching
-// means a goroutine usually gets back the hint last used on its P, keeping a
-// pid close to the core that last used it. Hints start on the lowest
-// GOMAXPROCS stripes and fall back to them whenever their stripe is found
-// empty, so which ids a pool hands out depends on how many leases are held
-// at once and not on when a holder happened to be preempted: the per-pid
-// state of the objects above is touched for a few low ids and stays cold for
-// the rest. When every stripe is empty, acquirers queue FIFO and releases
-// hand ids directly to the oldest waiter.
-//
-// An uncontended lease touches its stripe and its own holder word and
-// nothing every P shares: the counters Stats and InUse report are kept in
-// the stripe, under the mutex the lease holds anyway, and a release looks at
-// the wait queue only when the waiter count says someone is in it.
+// The ownership words are the free list: slot pid holds 1 exactly while pid
+// is leased, and a lease is a CAS 0→1 on that word, a release a CAS 1→0. The
+// word is the one object here that is not a register — one
+// consensus-number-2-style word per pid — and an uncontended lease pays one
+// read-modify-write on it and touches nothing every P shares. A sync.Pool of
+// hints gives each P a sticky pid: sync.Pool's per-P caching means a
+// goroutine usually gets back the hint last used on its P, keeping a pid
+// close to the core that last used it. Hints start on the lowest GOMAXPROCS
+// ids and fall back to them whenever their pid is found leased, so which ids
+// a pool hands out depends on how many leases are held at once and not on
+// when a holder happened to be preempted: the per-pid state of the objects
+// above is touched for a few low ids and stays cold for the rest. When every
+// id is leased, acquirers queue FIFO and releases hand ids directly to the
+// oldest waiter; a release looks at the wait queue only when the waiter
+// count says someone is in it.
 type Leaser struct {
-	n       int
-	stripes []stripe
-
-	// holders tracks the ownership invariant: holders[pid] is 1 exactly while
-	// pid is leased. Transitions are CASed so misuse (double release, release
-	// of a never-acquired pid) fails loudly instead of corrupting per-process
-	// state of the objects above.
-	holders []holder
+	n int
+	// slots tracks the ownership invariant. Transitions are CASed so misuse
+	// (double release, release of a never-acquired pid) fails loudly instead
+	// of corrupting per-process state of the objects above.
+	slots []slot
 
 	qmu     sync.Mutex
 	waiters waiterQueue
@@ -58,64 +54,43 @@ type Leaser struct {
 	hints    sync.Pool
 	hintSeed atomic.Uint32
 
-	// Slow-path counters: hand-offs are the acquisitions that never went
-	// through a stripe.
+	// Slow-path counters: hand-offs are the acquisitions that never CASed a
+	// free word.
 	handoffs, blocks, cancels atomic.Int64
 }
 
-// stripe is one shard of the free list with its share of the counters, all
-// guarded by mu; the trailing pad keeps neighbouring stripes off one cache
-// line.
-type stripe struct {
-	mu      sync.Mutex
-	free    []int
-	leases  int64 // ids popped from this stripe
-	home    int64 // of those, by an acquirer whose home stripe this is
-	returns int64 // ids pushed back
-	_       [72]byte
+// slot is one pid on a cache line of its own (sixteen words to a line, every
+// lease would invalidate its neighbours'): the ownership word and the pid's
+// share of the counters. The counts are written only by whoever just won the
+// word, so they are a Load and a Store and never a read-modify-write.
+type slot struct {
+	leased atomic.Int32
+	leases atomic.Int64 // times the word was won by an acquirer
+	hinted atomic.Int64 // of those, by an acquirer whose hint named this pid
+	_      [40]byte
 }
 
-// take leases the most recently freed id of the stripe, counting it; home
-// says the stripe is the one the acquirer's hint named.
-func (s *stripe) take(home bool) (int, bool) {
-	s.mu.Lock()
-	pid, ok := s.pop()
-	if ok {
-		s.leases++
-		if home {
-			s.home++
-		}
+// tryLease wins the slot's word if it is free, counting the acquisition;
+// hinted says the acquirer's hint named this pid.
+func (s *slot) tryLease(hinted bool) bool {
+	if !s.leased.CompareAndSwap(0, 1) {
+		return false
 	}
-	s.mu.Unlock()
-	return pid, ok
-}
-
-// pop takes the most recently freed id off the stripe; the caller holds mu.
-func (s *stripe) pop() (int, bool) {
-	k := len(s.free)
-	if k == 0 {
-		return 0, false
+	s.leases.Store(s.leases.Load() + 1)
+	if hinted {
+		s.hinted.Store(s.hinted.Load() + 1)
 	}
-	pid := s.free[k-1]
-	s.free = s.free[:k-1]
-	return pid, true
+	return true
 }
 
-// hint is where one P looks for an id. cur is the stripe that served it last
+// hint is where one P looks for an id. cur is the pid that served it last
 // and is tried first. base is fixed when the hint is made: a search that
-// finds cur empty — its id is with a holder that was preempted, or two hints
-// have met on one stripe — restarts there and not at cur, so a hint that was
-// pushed off its stripe moves to the nearest free one at or above base and
-// never wanders round the pool.
+// finds cur leased — its holder was preempted, or two hints have met on one
+// pid — restarts there and not at cur, so a hint that was pushed off its pid
+// moves to the nearest free one at or above base and never wanders round the
+// pool.
 type hint struct {
 	base, cur uint32
-}
-
-// holder is one pid's ownership word on a cache line of its own: sixteen to
-// a line, every lease would invalidate its neighbours' words.
-type holder struct {
-	leased atomic.Int32
-	_      [60]byte
 }
 
 type waiter struct {
@@ -176,84 +151,44 @@ func (q *waiterQueue) remove(target *waiter) bool {
 type StatsSnapshot struct {
 	// Acquires counts successful lease acquisitions.
 	Acquires int64
-	// FastPath counts acquisitions satisfied by the acquirer's home stripe.
+	// FastPath counts acquisitions served by the pid the acquirer's hint named.
 	FastPath int64
-	// Steals counts acquisitions satisfied by scanning another stripe.
+	// Steals counts acquisitions served by another free pid.
 	Steals int64
-	// Blocks counts acquisitions that had to queue behind an empty pool.
+	// Blocks counts acquisitions that had to queue behind an exhausted pool.
 	Blocks int64
 	// Cancels counts acquisitions abandoned via context.
 	Cancels int64
 }
 
-// NewLeaser constructs a leaser over ids 0..n-1 with a stripe count scaled
-// to the pool size (next power of two, capped at 64). n must be positive.
+// NewLeaser constructs a leaser over ids 0..n-1. n must be positive.
 func NewLeaser(n int) *Leaser {
-	return NewLeaserStripes(n, 0)
-}
-
-// NewLeaserStripes is NewLeaser with an explicit stripe count (0 means
-// automatic). More stripes reduce contention but slow the empty-pool scan.
-func NewLeaserStripes(n, stripes int) *Leaser {
 	if n <= 0 {
 		panic(fmt.Sprintf("runtime: leaser needs n > 0, got %d", n))
 	}
-	if stripes <= 0 {
-		stripes = defaultStripes(n)
-	}
-	if stripes > n {
-		stripes = n
-	}
-	l := &Leaser{
-		n:       n,
-		stripes: make([]stripe, stripes),
-		holders: make([]holder, n),
-	}
+	l := &Leaser{n: n, slots: make([]slot, n)}
 	l.hints.New = func() any {
 		// A P runs one goroutine at a time, so GOMAXPROCS bases give each P
-		// a stripe of its own; holders beyond that (leases kept across
-		// blocking calls) find theirs by searching upward from a base.
-		bases := uint32(min(len(l.stripes), goruntime.GOMAXPROCS(0)))
+		// a pid of its own; holders beyond that (leases kept across blocking
+		// calls) find theirs by searching upward from a base.
+		bases := uint32(min(n, goruntime.GOMAXPROCS(0)))
 		b := (l.hintSeed.Add(1) - 1) % bases
 		return &hint{base: b, cur: b}
 	}
-	// Deal ids round-robin so every stripe starts non-empty.
-	for pid := n - 1; pid >= 0; pid-- {
-		s := &l.stripes[pid%stripes]
-		s.free = append(s.free, pid)
-	}
 	return l
-}
-
-func defaultStripes(n int) int {
-	s := 1
-	for s < n && s < 64 {
-		s <<= 1
-	}
-	if s > n {
-		s >>= 1
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 // Size returns the number of process ids managed.
 func (l *Leaser) Size() int { return l.n }
 
-// InUse returns the number of ids currently leased: those popped from a
-// stripe and not yet pushed back (an id handed from a release straight to a
-// waiter stays leased throughout).
+// InUse returns the number of ids currently leased (an id handed from a
+// release straight to a waiter stays leased throughout).
 func (l *Leaser) InUse() int {
-	var out int64
-	for i := range l.stripes {
-		s := &l.stripes[i]
-		s.mu.Lock()
-		out += s.leases - s.returns
-		s.mu.Unlock()
+	var out int
+	for pid := range l.slots {
+		out += int(l.slots[pid].leased.Load())
 	}
-	return int(out)
+	return out
 }
 
 // Holds reports whether pid is currently leased. Callers that reuse one
@@ -265,7 +200,7 @@ func (l *Leaser) Holds(pid int) bool {
 	if pid < 0 || pid >= l.n {
 		return false
 	}
-	return l.holders[pid].leased.Load() == 1
+	return l.slots[pid].leased.Load() == 1
 }
 
 // Held returns the ids currently leased, in ascending order. Intended for
@@ -273,8 +208,8 @@ func (l *Leaser) Holds(pid int) bool {
 // may be stale by the time it returns.
 func (l *Leaser) Held() []int {
 	var held []int
-	for pid := range l.holders {
-		if l.holders[pid].leased.Load() == 1 {
+	for pid := range l.slots {
+		if l.slots[pid].leased.Load() == 1 {
 			held = append(held, pid)
 		}
 	}
@@ -288,13 +223,15 @@ func (l *Leaser) Stats() StatsSnapshot {
 		Blocks:   l.blocks.Load(),
 		Cancels:  l.cancels.Load(),
 	}
-	for i := range l.stripes {
-		s := &l.stripes[i]
-		s.mu.Lock()
-		st.Acquires += s.leases
-		st.FastPath += s.home
-		st.Steals += s.leases - s.home
-		s.mu.Unlock()
+	for pid := range l.slots {
+		s := &l.slots[pid]
+		// hinted first: read the other way round, a lease counted between
+		// the two loads would show as a negative steal.
+		hinted := s.hinted.Load()
+		leases := s.leases.Load()
+		st.Acquires += leases
+		st.FastPath += hinted
+		st.Steals += leases - hinted
 	}
 	return st
 }
@@ -305,26 +242,23 @@ func (l *Leaser) TryAcquire() (int, bool) {
 	h := l.hints.Get().(*hint)
 	pid, ok := l.scan(h)
 	l.hints.Put(h)
-	if !ok {
-		return 0, false
-	}
-	l.lease(pid)
-	return pid, true
+	return pid, ok
 }
 
-// scan pops a free id: from the hint's current stripe when that has one,
-// otherwise from the first stripe at or after the hint's base that has,
-// which becomes current.
+// scan wins a free word: that of the pid the hint names when it is free,
+// otherwise the first free one at or after the hint's base, which the hint
+// names from then on.
 func (l *Leaser) scan(h *hint) (int, bool) {
-	if pid, ok := l.stripes[h.cur].take(true); ok {
-		return pid, true
+	if l.slots[h.cur].tryLease(true) {
+		return int(h.cur), true
 	}
-	ns := uint32(len(l.stripes))
-	for i := uint32(0); i < ns; i++ {
-		idx := (h.base + i) % ns
-		if pid, ok := l.stripes[idx].take(false); ok {
-			h.cur = idx
-			return pid, true
+	n := uint32(l.n)
+	for i := uint32(0); i < n; i++ {
+		pid := (h.base + i) % n
+		// Look before the CAS: a failed CAS still takes the holder's line.
+		if s := &l.slots[pid]; s.leased.Load() == 0 && s.tryLease(false) {
+			h.cur = pid
+			return int(pid), true
 		}
 	}
 	return 0, false
@@ -338,10 +272,10 @@ func (l *Leaser) Acquire(ctx context.Context) (int, error) {
 		return pid, nil
 	}
 	// Slow path: queue, then re-scan once. The re-scan closes the race where
-	// every stripe emptied before we queued but a Release ran in between: a
-	// release that pushed its id before our re-scan reached that stripe is
-	// found by the re-scan, and one that pushes after it re-checks the
-	// waiter count after the push and finds us (see free).
+	// every id was leased before we queued but a Release ran in between: a
+	// release that freed its word before our re-scan read it is found by the
+	// re-scan, and one that frees it after re-checks the waiter count after
+	// freeing and finds us (see free).
 	w := &waiter{ch: make(chan int, 1)}
 	l.qmu.Lock()
 	l.waiters.push(w)
@@ -404,6 +338,11 @@ func (l *Leaser) popWaiter() *waiter {
 	return w
 }
 
+// panicNotLeased reports a release of a pid whose word does not read 1.
+func panicNotLeased(pid int) {
+	panic(fmt.Sprintf("runtime: pid %d released while not leased", pid))
+}
+
 // Release returns a leased id to the pool. Releasing an id that is not
 // currently leased panics: it means two goroutines believed they owned the
 // same pid, which would have corrupted per-process state above.
@@ -411,8 +350,12 @@ func (l *Leaser) Release(pid int) {
 	if pid < 0 || pid >= l.n {
 		panic(fmt.Sprintf("runtime: release of pid %d outside [0,%d)", pid, l.n))
 	}
+	if l.slots[pid].leased.Load() != 1 {
+		panicNotLeased(pid)
+	}
 	// Hand off to a waiter first: ownership transfers without the id ever
-	// becoming free, so a TryAcquire cannot jump the queue.
+	// becoming free (the word stays 1), so a TryAcquire cannot jump the
+	// queue.
 	if w := l.popWaiter(); w != nil {
 		w.ch <- pid
 		return
@@ -420,63 +363,29 @@ func (l *Leaser) Release(pid int) {
 	l.free(pid)
 }
 
-// free is the rest of a Release that found the queue empty: push the id,
+// free is the rest of a Release that found the queue empty: free the word,
 // then look at the queue again. A waiter may have queued and re-scanned the
-// stripes between the first look and the push: it found nothing, and nobody
+// words between the first look and the CAS: it found nothing, and nobody
 // would wake it before the next release — never, if this was the only id.
-// The push and the waiter's re-scan lock the same stripe, so either the
-// re-scan saw the id or the waiter count shows the waiter by now: take an id
-// back out (this one, unless it is already gone — then whoever took it will
-// release it and look here again) and hand it over.
+// The waiter counts itself before it re-scans and the release frees the word
+// before it reads the count, so either the re-scan saw the free word or the
+// count shows the waiter by now: take the id back (unless it is already
+// gone — then whoever took it will release it and look here again) and hand
+// it over. Taking it back is a release that did not happen rather than an
+// acquisition — the acquisition is the waiter's, who counts the hand-off.
 func (l *Leaser) free(pid int) {
-	l.release(pid)
-	for l.nwait.Load() > 0 {
-		pid, ok := l.takeBack()
-		if !ok {
+	s := &l.slots[pid]
+	for {
+		if !s.leased.CompareAndSwap(1, 0) {
+			panicNotLeased(pid)
+		}
+		if l.nwait.Load() == 0 || !s.leased.CompareAndSwap(0, 1) {
 			return
 		}
 		if w := l.popWaiter(); w != nil {
 			w.ch <- pid
 			return
 		}
-		l.release(pid)
-	}
-}
-
-// takeBack undoes a release: it pops a free id from any stripe and marks it
-// leased again, counted as a push that did not happen rather than as an
-// acquisition — the acquisition is the waiter's, who counts the hand-off.
-func (l *Leaser) takeBack() (int, bool) {
-	for i := range l.stripes {
-		s := &l.stripes[i]
-		s.mu.Lock()
-		if pid, ok := s.pop(); ok {
-			s.returns--
-			s.mu.Unlock()
-			l.lease(pid)
-			return pid, true
-		}
-		s.mu.Unlock()
-	}
-	return 0, false
-}
-
-// release marks pid free and pushes it on its home stripe.
-func (l *Leaser) release(pid int) {
-	if !l.holders[pid].leased.CompareAndSwap(1, 0) {
-		panic(fmt.Sprintf("runtime: pid %d released while not leased", pid))
-	}
-	s := &l.stripes[pid%len(l.stripes)]
-	s.mu.Lock()
-	s.free = append(s.free, pid)
-	s.returns++
-	s.mu.Unlock()
-}
-
-// lease marks pid held after it was popped from a stripe.
-func (l *Leaser) lease(pid int) {
-	if !l.holders[pid].leased.CompareAndSwap(0, 1) {
-		panic(fmt.Sprintf("runtime: pid %d acquired while already leased", pid))
 	}
 }
 

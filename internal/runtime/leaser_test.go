@@ -169,22 +169,89 @@ func TestLeaserWithReleasesOnPanic(t *testing.T) {
 	}
 }
 
-func TestLeaserStripeCounts(t *testing.T) {
-	for _, tc := range []struct{ n, stripes int }{
-		{1, 0}, {2, 0}, {3, 0}, {7, 5}, {64, 0}, {200, 0}, {5, 100},
-	} {
-		l := NewLeaserStripes(tc.n, tc.stripes)
-		if got := l.Size(); got != tc.n {
-			t.Fatalf("Size = %d, want %d", got, tc.n)
+// TestLeaserExhaustion drains pools of several sizes through TryAcquire: the
+// words are the free list, so n leases are exactly the ids 0..n-1, the next
+// one is refused, and the counters add up.
+func TestLeaserExhaustion(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 64, 200} {
+		l := NewLeaser(n)
+		if got := l.Size(); got != n {
+			t.Fatalf("Size = %d, want %d", got, n)
 		}
-		free := 0
-		for i := range l.stripes {
-			free += len(l.stripes[i].free)
+		seen := make(map[int]bool, n)
+		for i := 0; i < n; i++ {
+			pid, ok := l.TryAcquire()
+			if !ok {
+				t.Fatalf("n=%d: TryAcquire %d failed with %d free", n, i, n-i)
+			}
+			if pid < 0 || pid >= n || seen[pid] {
+				t.Fatalf("n=%d: pid %d out of range or handed out twice", n, pid)
+			}
+			seen[pid] = true
 		}
-		if free != tc.n {
-			t.Fatalf("n=%d stripes=%d: %d ids dealt, want %d", tc.n, tc.stripes, free, tc.n)
+		if pid, ok := l.TryAcquire(); ok {
+			t.Fatalf("n=%d: TryAcquire returned %d with the pool exhausted", n, pid)
+		}
+		if got := l.InUse(); got != n {
+			t.Fatalf("n=%d: InUse = %d", n, got)
+		}
+		held := l.Held()
+		if len(held) != n {
+			t.Fatalf("n=%d: Held has %d ids", n, len(held))
+		}
+		for i, pid := range held {
+			if pid != i {
+				t.Fatalf("n=%d: Held = %v, want 0..%d in order", n, held, n-1)
+			}
+		}
+		for pid := range seen {
+			l.Release(pid)
+		}
+		if got := l.InUse(); got != 0 {
+			t.Fatalf("n=%d: InUse after releases = %d", n, got)
+		}
+		st := l.Stats()
+		if st.Acquires != int64(n) || st.Acquires != st.FastPath+st.Steals+l.handoffs.Load() {
+			t.Fatalf("n=%d: Acquires %d, want %d = FastPath %d + Steals %d + hand-offs %d",
+				n, st.Acquires, n, st.FastPath, st.Steals, l.handoffs.Load())
 		}
 	}
+}
+
+// TestReleaseUnleasedPanicsEvenWithWaiter pins that ownership is asserted on
+// the hand-off path too: a release of a pid nobody leased must not reach the
+// queued waiter, who would run as a process it shares with the real holder.
+func TestReleaseUnleasedPanicsEvenWithWaiter(t *testing.T) {
+	l := NewLeaser(2)
+	a, _ := l.TryAcquire()
+	b, _ := l.TryAcquire()
+	l.Release(b) // b is free again; a keeps the waiter below from finding it
+	w := &waiter{ch: make(chan int, 1)}
+	l.qmu.Lock()
+	l.waiters.push(w)
+	l.nwait.Add(1)
+	l.qmu.Unlock()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("release of an unleased pid did not panic with a waiter queued")
+			}
+		}()
+		l.Release(b)
+	}()
+	select {
+	case pid := <-w.ch:
+		t.Fatalf("the waiter was handed pid %d by a release of an unleased pid", pid)
+	default:
+	}
+	if l.Holds(b) || l.nwait.Load() != 1 {
+		t.Fatalf("holds(%d) = %v, waiters %d after the refused release", b, l.Holds(b), l.nwait.Load())
+	}
+	l.Release(a) // a real release still reaches the waiter
+	if pid := <-w.ch; pid != a || !l.Holds(a) {
+		t.Fatalf("handed %d (holds %v), want %d still leased", pid, l.Holds(a), a)
+	}
+	l.Release(a)
 }
 
 // TestLeaserSoakChurn is the race-detector soak: far more goroutines than
@@ -429,4 +496,23 @@ func TestLeaserReleaseRechecksWaiters(t *testing.T) {
 	if l.InUse() != 0 || l.nwait.Load() != 0 {
 		t.Fatalf("in use %d, waiters %d after the hand-off was released", l.InUse(), l.nwait.Load())
 	}
+}
+
+// BenchmarkLeaserWith is one lease around an empty operation from every P at
+// once. Read it at -cpu 1,2,4: a lease that touches only its own pid's line
+// costs the same or less per op as cores are added, one that shares a mutex
+// or a counter line costs more — which a single-core reading cannot show.
+func BenchmarkLeaserWith(b *testing.B) {
+	l := NewLeaser(16)
+	ctx := context.Background()
+	nop := func(int) error { return nil }
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := l.With(ctx, nop); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

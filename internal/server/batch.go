@@ -63,8 +63,9 @@ type BatchResponse struct {
 // decoder copies every entry string out of body (snapshot updates and bag
 // inserts keep their operands inside objects indefinitely); the results in
 // work are encoded into reply, and reply is written out, before release; the
-// views in those results are private copies made by the objects, which is
-// why they can be encoded after BatchExecuteWith has released its leases.
+// views in those results are immutable — a scan's view is the one the
+// object's register R holds, never written again — which is why they can be
+// encoded after BatchExecuteWith has released its leases.
 type batchScratch struct {
 	body    []byte
 	entries []BatchEntry // everything past len(entries) is zero

@@ -6,60 +6,41 @@ import (
 	"testing"
 
 	"slmem"
-	"slmem/internal/kind"
 	"slmem/internal/registry"
 )
 
-// TestReturnedViewsBelongToTheCaller: the object copies a view once, where
-// it hands it out, so whatever a caller does to the slice it got — from the
-// fixed-pid Scan, the pooled Scan, or a kind driver's Result.View — no later
-// scan by anyone sees it.
+// TestReturnedViewsBelongToTheCaller: the public scans copy a view once,
+// where they hand it out, so whatever a caller does to the slice it got —
+// from the fixed-pid Scan, the pooled Scan, or a registry snapshot's Scan —
+// no later scan by anyone sees it. (A kind driver's Result.View is the other
+// contract, shared and read-only: TestScanResultViewIsImmutable in
+// internal/registry.)
 func TestReturnedViewsBelongToTheCaller(t *testing.T) {
 	ctx := context.Background()
 	want := []string{"a", "b", ""}
 
 	direct := slmem.NewSnapshot[string](3, "")
 	pooled := slmem.NewPool[string](3, "")
-	inst, pool, err := registry.New(registry.Options{Procs: 3}).Get(registry.KindSnapshot, "board", kind.Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	driven := func(req kind.Request, pid int) []string {
-		op, err := inst.Compile(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := op.Run(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.View
-	}
+	named := registry.New(registry.Options{Procs: 3}).Snapshot("board")
 
-	scans := map[string]func() []string{
-		"Snapshot.Scan": func() []string { return direct.Scan(2) },
-		"Pool.Scan": func() []string {
-			view, err := pooled.Scan(ctx)
+	poolScan := func(p *slmem.Pool[string]) func() []string {
+		return func() []string {
+			view, err := p.Scan(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return view
-		},
-		"kind.Result.View": func() []string {
-			var view []string
-			if err := pool.With(ctx, func(pid int) error {
-				view = driven(kind.Request{Op: "scan"}, pid)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			return view
-		},
+		}
+	}
+	scans := map[string]func() []string{
+		"Snapshot.Scan":          func() []string { return direct.Scan(2) },
+		"Pool.Scan":              poolScan(pooled),
+		"Registry.Snapshot.Scan": poolScan(named),
 	}
 	for pid, x := range want[:2] {
 		direct.Update(pid, x)
 		pooled.Unpooled().Update(pid, x)
-		driven(kind.Request{Op: "update", Value: x}, pid)
+		named.Unpooled().Update(pid, x)
 	}
 	for name, scan := range scans {
 		for i := 0; i < 3; i++ {

@@ -15,8 +15,8 @@ import (
 //
 // The pool guarantees the ownership invariant the objects rely on: a pid is
 // held by at most one goroutine between Acquire and Release (misuse panics).
-// Acquisition has a striped fast path and blocks FIFO — with context
-// cancellation — when all n ids are leased.
+// Acquisition is one CAS on a free pid's ownership word and blocks FIFO —
+// with context cancellation — when all n ids are leased.
 type PIDPool struct {
 	l *runtime.Leaser
 }
@@ -72,9 +72,9 @@ func (p *PIDPool) Stats() PoolStats {
 type PoolStats struct {
 	// Acquires counts successful lease acquisitions.
 	Acquires int64 `json:"acquires"`
-	// FastPath counts acquisitions served by the acquirer's home stripe.
+	// FastPath counts acquisitions served by the pid the acquirer's hint named.
 	FastPath int64 `json:"fast_path"`
-	// Steals counts acquisitions served by another stripe.
+	// Steals counts acquisitions served by another free pid.
 	Steals int64 `json:"steals"`
 	// Blocks counts acquisitions that queued behind an exhausted pool.
 	Blocks int64 `json:"blocks"`

@@ -84,6 +84,13 @@ func (s *Snapshot[V]) Update(pid int, x V) { s.inner.Update(pid, x) }
 // Scan returns a copy of the component vector, as process pid. Lock-free.
 func (s *Snapshot[V]) Scan(pid int) []V { return s.inner.Scan(pid) }
 
+// View is Scan without the copy: the component vector as the snapshot's
+// register R holds it (Algorithm 3, line 54), shared with every process that
+// reads it until the next update publishes a new one. The caller must not
+// write to it and may keep it for as long as it likes: a stored view is
+// never written again.
+func (s *Snapshot[V]) View(pid int) []V { return s.inner.View(pid) }
+
 // Handle binds a process id for convenience.
 func (s *Snapshot[V]) Handle(pid int) SnapshotHandle[V] {
 	return SnapshotHandle[V]{s: s, pid: pid}
@@ -101,6 +108,10 @@ func (h SnapshotHandle[V]) Update(x V) { h.s.Update(h.pid, x) }
 
 // Scan returns a copy of the component vector.
 func (h SnapshotHandle[V]) Scan() []V { return h.s.Scan(h.pid) }
+
+// View is Scan without the copy: read-only, shared with other readers, and
+// never written again (see Snapshot.View).
+func (h SnapshotHandle[V]) View() []V { return h.s.View(h.pid) }
 
 // PID returns the bound process id.
 func (h SnapshotHandle[V]) PID() int { return h.pid }
