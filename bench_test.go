@@ -1,6 +1,6 @@
-// Benchmarks regenerating experiment E7 (DESIGN.md): the native-mode cost of
-// strong linearizability. Each benchmark corresponds to one row family of
-// the E7 tables in EXPERIMENTS.md.
+// Benchmarks regenerating experiment E7 (see the experiment index in
+// docs/ARCHITECTURE.md, "Verification and performance stack"): the
+// native-mode cost of strong linearizability, one benchmark per row family.
 //
 // Run with: go test -bench=. -benchmem
 package slmem
@@ -379,7 +379,7 @@ func BenchmarkPooledCounter(b *testing.B) {
 func BenchmarkUniversalHistoryGrowth(b *testing.B) {
 	// The object is re-created every 32 measured operations so each subrun
 	// reflects a pinned history size (the construction's per-op cost grows
-	// with history, which is exactly the claim — see EXPERIMENTS.md E6).
+	// with history, which is exactly the claim — harness.E6Universal tables it).
 	const burst = 32
 	grow := func(b *testing.B, history int) *universal.Object {
 		var alloc memory.NativeAllocator
@@ -531,8 +531,8 @@ func BenchmarkAlgorithm3SpaceConstant(b *testing.B) {
 //
 // The per-op pooled path pays one pid lease per operation; Batch and
 // ExecuteMany pay one lease per batch. The pairs below quantify the
-// amortization at batch size 64 (cmd/slbench -json carries the end-to-end
-// per-request vs batched comparison recorded in BENCH_*.json).
+// amortization at batch size 64 (benchmarks/matrix carries the end-to-end
+// comparison: http-single against http-batch64).
 
 func BenchmarkPoolBatch(b *testing.B) {
 	n := benchN()

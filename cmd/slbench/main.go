@@ -1,13 +1,13 @@
 // Command slbench runs the experiment suite that regenerates the paper's
-// claims (see DESIGN.md's experiment index and EXPERIMENTS.md for recorded
-// outcomes).
+// claims as tables (the experiment index is in docs/ARCHITECTURE.md,
+// "Verification and performance stack"). It measures no performance: that is
+// benchmarks/matrix, cmd/slload and go test -bench.
 //
 // Usage:
 //
 //	slbench            # run every experiment
 //	slbench -e E2,E5   # run selected experiments
 //	slbench -md        # emit markdown tables
-//	slbench -json      # emit a one-line JSON perf summary (for BENCH_*.json)
 package main
 
 import (
@@ -30,19 +30,14 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("slbench", flag.ContinueOnError)
 	var (
-		only      = fs.String("e", "", "comma-separated experiment ids to run (e.g. E1,E5); default all")
-		markdown  = fs.Bool("md", false, "emit markdown instead of aligned text")
-		jsonOut   = fs.Bool("json", false, "emit a one-line machine-readable perf summary instead of experiment tables")
-		probeTime = fs.Duration("probetime", 50*time.Millisecond, "per-probe measuring time for -json")
-		seed      = fs.Int64("seed", 0, "offset every experiment schedule seed; 0 reproduces the historical schedules byte-for-byte")
+		only     = fs.String("e", "", "comma-separated experiment ids to run (e.g. E1,E5); default all")
+		markdown = fs.Bool("md", false, "emit markdown instead of aligned text")
+		seed     = fs.Int64("seed", 0, "offset every experiment schedule seed; 0 reproduces the historical schedules byte-for-byte")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	harness.SetSeedBase(*seed)
-	if *jsonOut {
-		return emitJSONSummary(os.Stdout, *probeTime)
-	}
 
 	experiments := []struct {
 		id  string

@@ -4,8 +4,7 @@
 // size — against the in-process registry or a live slserve endpoint over
 // TCP, and emits one machine-readable Summary line (schema slload/v5) with
 // p50/p95/p99 latency, throughput, and error counts. benchmarks/sweep.sh
-// sweeps it into consolidated TSV; CI's bench-smoke job gates p99 with it;
-// BENCH_0005.json records its runs.
+// sweeps it into consolidated TSV; CI's bench-smoke job gates p99 with it.
 //
 // Usage:
 //

@@ -8,11 +8,14 @@ package slmem_test
 //     comment.
 //   - TestMarkdownLinks checks that every relative link in the repo's
 //     markdown files points at a file or directory that exists.
+//   - TestMarkdownLinksFromGoComments checks that a markdown file named in
+//     a comment of a non-test Go file exists.
 
 import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -125,5 +128,55 @@ func TestMarkdownLinks(t *testing.T) {
 				t.Errorf("%s: broken relative link %q (%v)", md, m[1], err)
 			}
 		}
+	}
+}
+
+// mdName matches a markdown file name, with or without a directory.
+var mdName = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// TestMarkdownLinksFromGoComments walks every non-test Go file of the
+// checkout (the benchmark module included) and requires each markdown file a
+// comment names to exist, relative to the repository root or to the file's
+// own directory.
+func TestMarkdownLinksFromGoComments(t *testing.T) {
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // .git, .bench_build
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, group := range file.Comments {
+			for _, c := range group.List {
+				for _, name := range mdName.FindAllString(c.Text, -1) {
+					checked++
+					_, atRoot := os.Stat(name)
+					_, beside := os.Stat(filepath.Join(filepath.Dir(path), name))
+					if atRoot != nil && beside != nil {
+						t.Errorf("%s:%d: comment names %s, which does not exist",
+							path, fset.Position(c.Pos()).Line, name)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no markdown file named in any Go comment; the check is miswired")
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // The bag registers itself as the "bag" kind: importing this package is
-// all it takes for the registry, the batch compiler, the HTTP server, and
-// slbench to serve bags — none of those layers name the bag anywhere.
+// all it takes for the registry, the batch compiler and the HTTP server to
+// serve bags — none of those layers name the bag anywhere.
 // The driver requests a dedicated pid pool, so bag traffic leases from its
 // own pool of Procs ids and a hot bag cannot starve the shared-pool kinds
 // (nor they it).
@@ -62,14 +62,6 @@ func (driver) Validate(req kind.Request) error {
 	}
 	return kind.NotFound("bag has no operation %q (want insert, remove, or size)", req.Op)
 }
-
-// Probe implements kind.Prober.
-func (driver) Probe() kind.Request { return kind.Request{Op: "insert", Value: "probe"} }
-
-// ProbeGrowth implements kind.GrowthProber: an insert-only probe accretes
-// live cells for its whole duration (chunk recycling only reclaims claimed
-// cells, and nothing removes).
-func (driver) ProbeGrowth() bool { return true }
 
 // New implements kind.Driver.
 func (driver) New(env kind.Env) (kind.Instance, error) {

@@ -51,9 +51,9 @@ type ABARegister[V any] interface {
 }
 
 // Stats counts base-object operations, supporting the Theorem 32 experiments
-// (E3/E4/E8 in DESIGN.md). A Stats value is a reading: Snapshot.Stats sums
-// the per-process counters into a fresh one on each call, so a caller that
-// wants later counts asks again.
+// (E3/E4/E8 in internal/harness). A Stats value is a reading: Snapshot.Stats
+// sums the per-process counters into a fresh one on each call, so a caller
+// that wants later counts asks again.
 type Stats struct {
 	// SUpdates, SScans, RDWrites, RDReads count operations on S and R.
 	SUpdates atomic.Int64

@@ -1,7 +1,7 @@
-// Package harness implements the experiment suite of DESIGN.md (E1–E8):
-// each of the paper's theorems and complexity claims is regenerated as a
-// table or series. cmd/slbench prints them; EXPERIMENTS.md records the
-// outcomes.
+// Package harness implements the experiment suite E1–E9 (indexed in
+// docs/ARCHITECTURE.md, "Verification and performance stack"): each of the
+// paper's theorems and complexity claims is regenerated as a table or
+// series, and cmd/slbench prints them.
 package harness
 
 import (

@@ -96,9 +96,6 @@ func (counterDriver) Validate(req kind.Request) error {
 	return kind.NotFound("counter has no operation %q (want inc or read)", req.Op)
 }
 
-// Probe implements kind.Prober.
-func (counterDriver) Probe() kind.Request { return kind.Request{Op: "inc"} }
-
 // New implements kind.Driver.
 func (counterDriver) New(env kind.Env) (kind.Instance, error) {
 	inst := &counterInstance{pooled: slmem.NewCounter(env.Procs).Pooled(env.Pool)}
@@ -190,9 +187,6 @@ func (maxregDriver) Validate(req kind.Request) error {
 	return err
 }
 
-// Probe implements kind.Prober.
-func (maxregDriver) Probe() kind.Request { return kind.Request{Op: "write", Value: "1"} }
-
 // New implements kind.Driver.
 func (maxregDriver) New(env kind.Env) (kind.Instance, error) {
 	inst := &maxregInstance{pooled: slmem.NewMaxRegister(env.Procs).Pooled(env.Pool)}
@@ -271,9 +265,6 @@ func (snapshotDriver) Validate(req kind.Request) error {
 	}
 	return kind.NotFound("snapshot has no operation %q (want update or scan)", req.Op)
 }
-
-// Probe implements kind.Prober.
-func (snapshotDriver) Probe() kind.Request { return kind.Request{Op: "update", Value: "probe"} }
 
 // New implements kind.Driver.
 func (snapshotDriver) New(env kind.Env) (kind.Instance, error) {
@@ -356,19 +347,6 @@ func (objectDriver) Validate(req kind.Request) error {
 	}
 	return ValidateInvocation(req.Type, req.Invocation)
 }
-
-// Probe implements kind.Prober.
-func (objectDriver) Probe() kind.Request {
-	return kind.Request{Op: "execute", Type: "accumulator", Invocation: "addTo(1)"}
-}
-
-// ProbeGrowth implements kind.GrowthProber: the universal construction's
-// precedence graph used to keep every executed operation, making this the
-// canonical growth probe; with history truncation enabled by default
-// (Options.GCWindow) the live node count is bounded, so the probe measures
-// a steady per-op cost. The method stays so the flag's reasoning is
-// recorded next to the driver.
-func (objectDriver) ProbeGrowth() bool { return false }
 
 // New implements kind.Driver: the creating request's Type parameterizes the
 // instance, and history truncation is enabled with the driver's GCWindow.

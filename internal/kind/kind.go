@@ -5,7 +5,7 @@
 //
 // A driver, in the spirit of database/sql driver registration, declares
 //
-//   - a kind name and an op list (introspection: GET /v1/kinds, slbench),
+//   - a kind name and an op list (introspection: GET /v1/kinds),
 //   - a constructor New that builds one named instance over a pid pool,
 //   - a typed op codec: Validate rejects requests that can never succeed
 //     (before any object is created), and Instance.Compile turns a request
@@ -16,9 +16,10 @@
 //
 //	func init() { kind.Register(bagDriver{}) }
 //
-// and from then on the registry, the batch compiler, the HTTP server, and
-// the benchmarks serve the kind with zero edits — that is the contract this
-// package exists to enforce. The four paper kinds live in
+// and from then on the registry, the batch compiler and the HTTP server serve
+// the kind with zero edits — that is the contract this package exists to
+// enforce, and internal/registry's driver contract test holds every
+// registered driver to it. The four paper kinds live in
 // internal/kind/builtin; internal/bag adds the Ellen–Sela bag.
 package kind
 
@@ -178,28 +179,6 @@ type Batcher interface {
 	EndBatch(pid int)
 }
 
-// Prober is implemented by drivers that supply a representative mutating
-// request for perf probes; cmd/slbench measures one instance of every
-// registered Prober through the driver codec.
-type Prober interface {
-	// Probe returns a request suitable for tight-loop benchmarking.
-	Probe() Request
-}
-
-// GrowthProber is an optional Prober extension for drivers whose probe
-// request accumulates state the operation's cost depends on — unbounded
-// history, tombstone cells — so a tight-loop measurement reflects growth
-// over the probe duration rather than a steady per-op cost. slbench
-// annotates such probes mode:"growth" in its summary; drivers without the
-// extension are mode:"steady". Keeping the flag on the driver keeps kind
-// names out of the benchmark harness.
-type GrowthProber interface {
-	Prober
-	// ProbeGrowth reports whether the Probe request's per-op cost grows
-	// with state accumulated over a measuring run.
-	ProbeGrowth() bool
-}
-
 // --- Error classification ----------------------------------------------------
 
 // ErrNotFound marks errors for names that do not exist in the op space:
@@ -337,24 +316,6 @@ func Names() []string {
 	return names
 }
 
-// Drivers returns the registered drivers, sorted by kind name. It iterates
-// one snapshot of the driver map — using Names() here would load a second,
-// possibly newer snapshot and hand back a nil Driver for a kind registered
-// between the two loads.
-func Drivers() []Driver {
-	m := *drivers.Load()
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	ds := make([]Driver, 0, len(names))
-	for _, name := range names {
-		ds = append(ds, m[name])
-	}
-	return ds
-}
-
 // Info is the introspection record for one registered driver, the unit of
 // GET /v1/kinds replies.
 type Info struct {
@@ -372,11 +333,12 @@ type Info struct {
 }
 
 // Describe returns introspection records for every registered driver,
-// sorted by kind name.
+// sorted by kind name. It reads one snapshot of the driver map, so a kind
+// registered meanwhile is either described whole or absent.
 func Describe() []Info {
-	ds := Drivers()
-	infos := make([]Info, 0, len(ds))
-	for _, d := range ds {
+	m := *drivers.Load()
+	infos := make([]Info, 0, len(m))
+	for _, d := range m {
 		infos = append(infos, Info{
 			Kind:          d.Kind(),
 			Doc:           d.Doc(),
@@ -385,6 +347,7 @@ func Describe() []Info {
 			GCWindow:      d.Options().GCWindow,
 		})
 	}
+	sort.Slice(infos, func(i, j int) bool { return infos[i].Kind < infos[j].Kind })
 	return infos
 }
 

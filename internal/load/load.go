@@ -1,6 +1,6 @@
 // Package load is the load-generation subsystem behind cmd/slload: the
 // instrument that turns "faster" claims into tail-latency evidence. Where
-// cmd/slbench measures *means* of hot paths in a tight loop, this package
+// go test -bench measures *means* of hot paths in a tight loop, this package
 // measures *quantiles* (p50/p95/p99) of a configurable workload — skewed key
 // distributions, open-loop (arrival-paced) or closed-loop (worker-paced)
 // request generation, warmup/measure phasing, and graceful drain — against
@@ -22,7 +22,7 @@
 //   - Config / Run (runner.go): the run controller — warmup, measure, drain —
 //     producing a Result with quantiles, throughput, and error counts.
 //   - Summary (summary.go): the one-line machine-readable record (schema
-//     slload/v5) cmd/slload emits, the BENCH_NNNN artifact unit.
+//     slload/v5) cmd/slload emits.
 //
 // Open loop vs closed loop, in one paragraph: a closed-loop run has W
 // workers each issuing the next request as soon as the previous one

@@ -8,15 +8,14 @@ import (
 	"time"
 )
 
-// SummarySchema is the schema tag of the Summary line. It continues the
-// BENCH_NNNN artifact numbering (slbench stopped at v4): v5 is the first
-// tail-latency schema.
+// SummarySchema is the schema tag of the Summary line; CI's p99 gate checks
+// it before reading a field.
 const SummarySchema = "slload/v5"
 
 // Summary is the one-line machine-readable record of one load run — the
-// unit cmd/slload prints, benchmarks/sweep.sh consolidates into TSV, and
-// BENCH_NNNN.json files archive. Field names are the schema; CI's p99 gate
-// and the sweep parser read them by name.
+// unit cmd/slload prints and benchmarks/sweep.sh consolidates into TSV.
+// Field names are the schema; CI's p99 gate and the sweep parser read them
+// by name.
 type Summary struct {
 	// Schema identifies the document format (SummarySchema).
 	Schema string `json:"schema"`

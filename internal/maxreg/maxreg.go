@@ -15,8 +15,7 @@
 // NewUnbounded returns a trie over the full uint64 range with lazily
 // allocated nodes: the paper's unbounded max-register needs unboundedly many
 // registers, and the lazy trie makes that growth measurable (experiment E5).
-// The substitution — uint64 domain instead of unbounded integers — is
-// documented in DESIGN.md.
+// The uint64 domain stands in for the paper's unbounded integers.
 package maxreg
 
 import (

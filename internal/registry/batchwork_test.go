@@ -63,10 +63,13 @@ func (b *bracketInstance) EndBatch(pid int) {
 }
 
 func (b *bracketInstance) Compile(req kind.Request) (kind.Compiled, error) {
-	if req.Op == "fail" {
+	switch req.Op {
+	case "pid":
+		return bracketPid{b}, nil
+	case "fail":
 		return nil, errors.New("fail never compiles")
 	}
-	return bracketPid{b}, nil
+	return nil, kind.NotFound("bracket kind has no operation %q", req.Op)
 }
 
 // bracketPid reports the pid it runs as.

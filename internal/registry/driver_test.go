@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"slmem"
+	"slmem/internal/bag" // registers the bag kind; the churn test reads its stats
 	"slmem/internal/kind"
 )
 
@@ -225,5 +227,173 @@ func TestGetConcurrentFirstUse(t *testing.T) {
 	}
 	if n := r.Stats().Objects["testgauge"]; n != 1 {
 		t.Fatalf("created %d instances, want 1", n)
+	}
+}
+
+// TestDriverPathSpaceBounds holds the two bounded-space mechanisms to their
+// bounds where a served request meets them: objects created by their
+// drivers through Get, operations compiled by the instance and run under
+// leases of the pool Get returned. The packages' own churn tests drive bare
+// objects they configure themselves; what this adds is that the driver
+// switches the mechanism on.
+func TestDriverPathSpaceBounds(t *testing.T) {
+	const procs = 8
+	ctx := context.Background()
+	r := New(Options{Procs: procs})
+
+	// The collector cuts below the minimum over all pids' watermarks, so an
+	// idle pid pins the graph: every pid of the pool is leased and they take
+	// turns.
+	t.Run("object", func(t *testing.T) {
+		const ops = 20000
+		req := kind.Request{Op: "execute", Type: "counter", Invocation: "inc()"}
+		inst, pool, err := r.Get(KindObject, "gc-churn", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := inst.Compile(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pids := make([]int, procs)
+		for i := range pids {
+			if pids[i], err = pool.Acquire(ctx); err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Release(pids[i])
+		}
+		for i := 0; i < ops; i++ {
+			if _, err := inc.Run(pids[i%procs]); err != nil {
+				t.Fatalf("inc %d: %v", i, err)
+			}
+		}
+		pooled, err := r.Object("gc-churn", "counter")
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj := pooled.Unpooled()
+		st := obj.GCStats(pids[0])
+		if limit := 3 * procs * slmem.DefaultObjectGCWindow; st.LiveNodes > limit {
+			t.Errorf("LiveNodes = %d after %d ops, want <= %d (3 x procs x window)", st.LiveNodes, ops, limit)
+		}
+		if st.Truncations == 0 {
+			t.Errorf("no truncation in %d ops: %+v", ops, st)
+		}
+		if st.CoverageFailures+st.ReplayFailures != 0 {
+			t.Errorf("truncation protocol failed: %+v", st)
+		}
+		if v, err := obj.Execute(pids[0], "read()"); err != nil || v != "20000" {
+			t.Errorf("read() = %q, %v after %d incs", v, err, ops)
+		}
+	})
+
+	// Every insert is followed by a remove under the same lease, so claimed
+	// chunks recycle and the live cells stay a few chunks however many items
+	// pass through.
+	t.Run("bag", func(t *testing.T) {
+		const rounds = 50 * 64 // 50 chunks of items
+		insReq := kind.Request{Op: "insert", Value: "churn"}
+		inst, pool, err := r.Get("bag", "churn", insReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins, err := inst.Compile(insReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rem, err := inst.Compile(kind.Request{Op: "remove"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rounds; i++ {
+			if err := pool.With(ctx, func(pid int) error {
+				if _, err := ins.Run(pid); err != nil {
+					return err
+				}
+				_, err := rem.Run(pid)
+				return err
+			}); err != nil {
+				t.Fatalf("round %d: %v", i, err)
+			}
+		}
+		st, err := inst.(kind.Unwrapper).Unwrap().(*bag.PooledBag).Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Published != rounds {
+			t.Errorf("Published = %d, want %d", st.Published, rounds)
+		}
+		if st.LiveCells > 1024 {
+			t.Errorf("LiveCells = %d after %d insert+remove rounds, want <= 1024", st.LiveCells, rounds)
+		}
+	})
+}
+
+// TestDriverContract holds every registered driver to what the layers above
+// rely on, enumerating kind.Describe rather than naming kinds: a kind
+// registered tomorrow is covered as it stands, provided one of its ops is
+// accepted with one of the candidate operand sets below.
+func TestDriverContract(t *testing.T) {
+	const undeclared = "no-such-op"
+	ctx := context.Background()
+	r := New(Options{Procs: 2})
+	sawBag := false
+	for _, info := range kind.Describe() {
+		sawBag = sawBag || info.Kind == "bag"
+		d, ok := kind.Lookup(info.Kind)
+		if !ok {
+			t.Fatalf("Describe lists %q, Lookup does not find it", info.Kind)
+		}
+		if err := d.Validate(kind.Request{Op: undeclared}); !kind.IsNotFound(err) {
+			t.Errorf("%s: Validate of an undeclared op = %v, want NotFound", info.Kind, err)
+		}
+		// An operand error is fine, NotFound is not; the first request
+		// Validate accepts creates the instance.
+		var accepted kind.Request
+		for _, op := range info.Ops {
+			if err := d.Validate(kind.Request{Op: op.Name}); kind.IsNotFound(err) {
+				t.Errorf("%s: Validate of declared op %q = %v", info.Kind, op.Name, err)
+			}
+			for _, req := range []kind.Request{
+				{Op: op.Name},
+				{Op: op.Name, Value: "1"},
+				{Op: op.Name, Type: "counter", Invocation: "inc()"},
+			} {
+				if accepted.Op == "" && d.Validate(req) == nil {
+					accepted = req
+				}
+			}
+		}
+		if accepted.Op == "" {
+			t.Errorf("%s: no candidate request passes Validate; add operands its ops accept", info.Kind)
+			continue
+		}
+		inst, pool, err := r.Get(Kind(info.Kind), "contract", accepted)
+		if err != nil {
+			t.Errorf("%s: Get(%+v): %v", info.Kind, accepted, err)
+			continue
+		}
+		if _, err := inst.Compile(kind.Request{Op: undeclared}); !kind.IsNotFound(err) {
+			t.Errorf("%s: Compile of an undeclared op = %v, want NotFound", info.Kind, err)
+		}
+		for _, op := range info.Ops {
+			if _, err := inst.Compile(kind.Request{Op: op.Name}); kind.IsNotFound(err) {
+				t.Errorf("%s: Compile of declared op %q = %v", info.Kind, op.Name, err)
+			}
+		}
+		step, err := inst.Compile(accepted)
+		if err != nil {
+			t.Errorf("%s: Compile(%+v): %v", info.Kind, accepted, err)
+			continue
+		}
+		if err := pool.With(ctx, func(pid int) error {
+			_, err := step.Run(pid)
+			return err
+		}); err != nil {
+			t.Errorf("%s: Run(%+v): %v", info.Kind, accepted, err)
+		}
+	}
+	if !sawBag {
+		t.Error("bag is not among the described kinds")
 	}
 }

@@ -319,7 +319,7 @@ func TestLeaserSoakChurn(t *testing.T) {
 }
 
 // TestLeaserIdsFollowConcurrency pins which ids a pool hands out to how many
-// leases are held at once. Acquiring while the id of one's own stripe is out —
+// leases are held at once. Acquiring while the id one's hint names is out —
 // what an acquirer sees when that id's holder was preempted — is a miss, and a
 // hint that moved on from wherever it missed walked through all 64 ids here.
 func TestLeaserIdsFollowConcurrency(t *testing.T) {
@@ -327,7 +327,7 @@ func TestLeaserIdsFollowConcurrency(t *testing.T) {
 	used := make(map[int]bool)
 	for i := 0; i < 1000; i++ {
 		a, okA := l.TryAcquire()
-		b, okB := l.TryAcquire() // a's stripe is empty now
+		b, okB := l.TryAcquire() // the hinted id, a, is leased now
 		if !okA || !okB {
 			t.Fatalf("round %d: pool of 64 ran dry with two leases out", i)
 		}
@@ -403,11 +403,11 @@ func TestLeaserHoldsDuringHandoff(t *testing.T) {
 }
 
 // TestLeaserNoLostWakeup hammers a one-id pool from two goroutines. Before
-// Release re-checked the waiter count after its push, this hung: a release
-// looks at the (empty) queue, a waiter then queues and re-scans the (still
-// empty) stripe, the release pushes the id — and the waiter sleeps on a free
-// id that no later release will ever hand it. Run under -cpu 2,4; a watchdog
-// turns the hang into a failure with the leaser's state.
+// Release re-checked the waiter count after freeing the word, this hung: a
+// release looks at the (empty) queue, a waiter then queues and re-scans the
+// (still leased) word, the release frees the id — and the waiter sleeps on a
+// free id that no later release will ever hand it. Run under -cpu 2,4; a
+// watchdog turns the hang into a failure with the leaser's state.
 func TestLeaserNoLostWakeup(t *testing.T) {
 	const workers = 2
 	perWorker := 200_000
@@ -462,8 +462,8 @@ func TestLeaserNoLostWakeup(t *testing.T) {
 
 // TestLeaserReleaseRechecksWaiters replays the lost wake-up step by step: the
 // releaser has looked at the queue and found it empty; only then does the
-// waiter queue and re-scan the still-empty stripes; the releaser pushes the
-// id. The push must notice the waiter and hand the id over — otherwise the
+// waiter queue and re-scan the still-leased words; the releaser frees the
+// id. The release must notice the waiter and hand the id over — otherwise the
 // waiter sleeps on a free id until some later release, which on a one-id
 // pool never comes.
 func TestLeaserReleaseRechecksWaiters(t *testing.T) {

@@ -15,7 +15,7 @@
 //
 // The paper uses the bounded Attiya–Rachman snapshot for concrete space
 // bounds; both algorithms here are behaviourally interchangeable with it as
-// the substrate (see DESIGN.md, "Model mismatch and substitutions").
+// the substrate.
 //
 // Ownership of views: a Scan allocates nothing and copies nothing. Each
 // process keeps one scan buffer per object — its latest collect, as a
