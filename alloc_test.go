@@ -87,31 +87,61 @@ func TestSnapshotScanAllocs(t *testing.T) {
 	}
 }
 
-// TestObjectExecuteAllocs pins the warm universal-object Execute at n = 2
-// with truncation on, pids alternating (delta 1, a collector pass every
-// window): the root scan is R's stored view, kept uncopied as the node's
-// preceding vector; the root update publishes its three shared values, the
-// operation publishes its node and checkpoints its state, and extraction,
-// linearization and the watermark run in per-pid memory that is reused. The
-// run measures 7; the floor leaves room for a spec whose states cost more
-// than the counter's, and none for the 32 of the map-based linearization.
+// TestObjectExecuteAllocs pins the warm universal-object Execute at n = 2,
+// pids alternating (delta 1), with truncation on (a collector pass every
+// window) and off: the root scan is R's stored view, kept uncopied as the
+// node's preceding vector; the root update publishes its three shared values,
+// the operation publishes its node and its anchor — carved from slabs, two
+// allocations per sixteen operations, GC or no GC — and extraction and
+// linearization run in per-pid memory that is reused. The runs measure 7 and
+// 6; the floor leaves room for a spec whose states cost more than the
+// counter's, and none for the 32 of the map-based linearization.
 func TestObjectExecuteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
-	o := NewObject(CounterType{}, 2)
-	o.SetGC(ObjectGCOptions{Window: DefaultObjectGCWindow})
-	pid := 0
-	step := func() {
-		if _, err := o.Execute(pid, "inc()"); err != nil {
-			t.Fatal(err)
+	for _, gc := range []bool{true, false} {
+		o := NewObject(CounterType{}, 2)
+		if gc {
+			o.SetGC(ObjectGCOptions{Window: DefaultObjectGCWindow})
 		}
-		pid = 1 - pid
+		pid := 0
+		step := func() {
+			if _, err := o.Execute(pid, "inc()"); err != nil {
+				t.Fatal(err)
+			}
+			pid = 1 - pid
+		}
+		for i := 0; i < 4*DefaultObjectGCWindow; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(4*DefaultObjectGCWindow, step); allocs > 12 {
+			t.Errorf("warm Execute, GC %v = %.2f allocs/op, want <= 12", gc, allocs)
+		}
 	}
-	for i := 0; i < 4*DefaultObjectGCWindow; i++ {
-		step()
+}
+
+// TestObjectIdlePidPassAllocs pins what a collector pass costs when it cannot
+// proceed: with one pid that never executes, every pass ends at that pid's
+// unpublished record, and must end there before it allocates. A window of one
+// runs a pass per operation; the same operations with passes out of reach
+// allocate exactly as much.
+func TestObjectIdlePidPassAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
 	}
-	if allocs := testing.AllocsPerRun(4*DefaultObjectGCWindow, step); allocs > 12 {
-		t.Errorf("warm Execute = %.2f allocs/op, want <= 12", allocs)
+	perOp := func(window int) float64 {
+		o := NewObject(CounterType{}, 3) // pid 2 stays idle
+		o.SetGC(ObjectGCOptions{Window: window})
+		pid := 0
+		return testing.AllocsPerRun(64, func() {
+			if _, err := o.Execute(pid, "inc()"); err != nil {
+				t.Fatal(err)
+			}
+			pid = 1 - pid
+		})
+	}
+	if passes, none := perOp(1), perOp(1<<30); passes != none {
+		t.Errorf("an operation with a refused pass = %.2f allocs, without a pass %.2f", passes, none)
 	}
 }

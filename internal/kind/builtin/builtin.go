@@ -370,13 +370,6 @@ type objectInstance struct {
 	pooled   *slmem.PooledObject
 }
 
-// BeginBatch implements kind.Batcher: defer the replay cache's durable
-// re-anchor for pid until EndBatch, so a batch of executes re-anchors once.
-func (o *objectInstance) BeginBatch(pid int) { o.pooled.Unpooled().BeginBatch(pid) }
-
-// EndBatch implements kind.Batcher.
-func (o *objectInstance) EndBatch(pid int) { o.pooled.Unpooled().EndBatch(pid) }
-
 // Compile implements kind.Instance. Addressing an existing object with a
 // different type is a conflict (HTTP 409), checked here so it also fires
 // between two ops of one batch.

@@ -166,19 +166,6 @@ type Driver interface {
 	New(env Env) (Instance, error)
 }
 
-// Batcher is implemented by instances that can amortize per-operation
-// bookkeeping across a run of operations executed by one leased pid — the
-// universal object defers its per-op checkpoint to one re-anchor per batch.
-// The registry's BatchExecute brackets each leased pid's dispatch with
-// BeginBatch/EndBatch; both must be cheap no-ops when the instance has
-// nothing to defer. The pid passed to EndBatch must match its BeginBatch.
-type Batcher interface {
-	// BeginBatch enters deferred mode for operations run as pid.
-	BeginBatch(pid int)
-	// EndBatch leaves deferred mode and settles deferred work for pid.
-	EndBatch(pid int)
-}
-
 // --- Error classification ----------------------------------------------------
 
 // ErrNotFound marks errors for names that do not exist in the op space:

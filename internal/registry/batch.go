@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 
 	"slmem"
 	"slmem/internal/kind"
@@ -96,14 +95,6 @@ type leasedPool struct {
 	pid int
 }
 
-// batcherRef is one kind.Batcher instance of the batch, keyed by its
-// registry name so repeats can be told apart without comparing instances.
-type batcherRef struct {
-	key  objectKey
-	b    kind.Batcher
-	pool int // index into BatchWork.pools
-}
-
 // resolution is the registry lookup of the previous entry. A batch memoizes
 // only that: a run of ops on one object (insert then remove, a burst of
 // executes) pays one Get, and a batch over many names pays no memo at all.
@@ -111,16 +102,13 @@ type resolution struct {
 	key  objectKey
 	inst kind.Instance
 	pool *slmem.PIDPool
-	// bracketed records that inst was already considered for the batch
-	// bracket, which waits for the first op on it that compiles.
-	bracketed bool
 }
 
 // BatchWork is the working storage of one BatchExecuteWith call: results,
-// compiled steps, the batch's distinct pools with their leased pids, and its
-// Batcher instances. The zero value is ready to use, and a BatchWork may be
-// reused by one call after another (not concurrently) so that a warm batch
-// allocates nothing of its own.
+// compiled steps, and the batch's distinct pools with their leased pids. The
+// zero value is ready to use, and a BatchWork may be reused by one call after
+// another (not concurrently) so that a warm batch allocates nothing of its
+// own.
 //
 // Ownership: the Results of the BatchOutcome a call returns are the
 // BatchWork's storage. They stay valid until the next call with it or its
@@ -132,23 +120,19 @@ type BatchWork struct {
 	steps   []step
 	// pools is in discovery order, which is what steps index; order lists
 	// its indices in acquisition order.
-	pools    []leasedPool
-	order    []int
-	batchers []batcherRef
-	begun    int // how many of batchers are inside BeginBatch
+	pools []leasedPool
+	order []int
 }
 
-// Reset drops every string, view, error, instance and pool the BatchWork
+// Reset drops every string, view, error, compiled step and pool the BatchWork
 // refers to and keeps its capacity, so a pooled BatchWork pins nothing of the
 // batch it last served.
 func (w *BatchWork) Reset() {
 	clear(w.results)
 	clear(w.steps)
 	clear(w.pools)
-	clear(w.batchers)
 	w.results, w.steps = w.results[:0], w.steps[:0]
-	w.pools, w.order, w.batchers = w.pools[:0], w.order[:0], w.batchers[:0]
-	w.begun = 0
+	w.pools, w.order = w.pools[:0], w.order[:0]
 }
 
 // poolIndex returns the index of pool in w.pools, adding it when this is the
@@ -183,29 +167,9 @@ func (w *BatchWork) sortPools() {
 	}
 }
 
-// uniqueBatchers removes repeats from w.batchers: an object named again after
-// ops on another one is collected twice, and gets one bracket.
-func (w *BatchWork) uniqueBatchers() {
-	if len(w.batchers) < 2 {
-		return
-	}
-	slices.SortFunc(w.batchers, func(a, b batcherRef) int {
-		if c := strings.Compare(string(a.key.kind), string(b.key.kind)); c != 0 {
-			return c
-		}
-		return strings.Compare(a.key.name, b.key.name)
-	})
-	w.batchers = slices.CompactFunc(w.batchers, func(a, b batcherRef) bool { return a.key == b.key })
-}
-
-// release ends the batch brackets that began, then gives back the pids of the
-// first acquired pools in acquisition order, last first.
+// release gives back the pids of the first acquired pools in acquisition
+// order, last first.
 func (w *BatchWork) release(acquired int) {
-	for i := w.begun - 1; i >= 0; i-- {
-		ref := &w.batchers[i]
-		ref.b.EndBatch(w.pools[ref.pool].pid)
-	}
-	w.begun = 0
 	for j := acquired - 1; j >= 0; j-- {
 		lp := &w.pools[w.order[j]]
 		lp.pool.Release(lp.pid)
@@ -310,19 +274,8 @@ func (r *Registry) BatchExecuteWith(ctx context.Context, ops []BatchOp, w *Batch
 		}
 		lp.pid = pid
 	}
-	// Deferred, so a panicking op still ends its brackets and gives the pids
-	// back — every EndBatch while its pid is still held.
+	// Deferred, so a panicking op still gives the pids back.
 	defer w.release(len(w.order))
-
-	// Instances that can defer per-op bookkeeping get one batch bracket per
-	// leased pid (the universal object re-anchors its replay cache once for
-	// the whole batch instead of per op).
-	w.uniqueBatchers()
-	for i := range w.batchers {
-		ref := &w.batchers[i]
-		ref.b.BeginBatch(w.pools[ref.pool].pid)
-		w.begun = i + 1
-	}
 
 	for i := range steps {
 		st := &steps[i]
@@ -356,9 +309,8 @@ func (r *Registry) BatchExecuteWith(ctx context.Context, ops []BatchOp, w *Batch
 
 // compile validates op through its kind's driver and returns its executable
 // step, resolving (and lazily creating) the target instance unless the
-// previous entry named the same object. It records the step's pool, and the
-// instance when it is a kind.Batcher, in w. A non-nil error means the op can
-// never succeed; no object is created for it.
+// previous entry named the same object. It records the step's pool in w. A
+// non-nil error means the op can never succeed; no object is created for it.
 func (r *Registry) compile(op *BatchOp, w *BatchWork, prev *resolution) (step, error) {
 	// Reserved introspection ops resolve against the registry itself.
 	switch op.Op {
@@ -398,12 +350,5 @@ func (r *Registry) compile(op *BatchOp, w *BatchWork, prev *resolution) (step, e
 	if err != nil {
 		return step{}, err
 	}
-	pi := w.poolIndex(prev.pool, d)
-	if !prev.bracketed {
-		prev.bracketed = true
-		if b, ok := prev.inst.(kind.Batcher); ok {
-			w.batchers = append(w.batchers, batcherRef{key: prev.key, b: b, pool: pi})
-		}
-	}
-	return step{kind: stepRun, run: compiled, pool: pi}, nil
+	return step{kind: stepRun, run: compiled, pool: w.poolIndex(prev.pool, d)}, nil
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"slmem"
 )
 
 func TestBatchExecuteMixedKinds(t *testing.T) {
@@ -371,56 +373,111 @@ func TestBatchExecuteDeadContextCreatesNoObjects(t *testing.T) {
 	}
 }
 
+// TestBatchExecuteAnchorsOncePerPid runs 64 executes as one BatchExecute and as
+// one ExecuteMany against 64 single Executes on a twin registry, over types
+// whose states grow past a counter's, GC on: the responses are byte-identical,
+// the run holds one lease, every op replays from the anchor the one before it
+// published as the same pid (all hits, no miss), and so does the next single
+// read.
 func TestBatchExecuteAnchorsOncePerPid(t *testing.T) {
-	r := New(Options{Procs: 4})
 	ctx := context.Background()
-
-	// Warm the object so creation cost is out of the picture, then settle
-	// its anchor counter.
-	warm := []BatchOp{{Kind: KindObject, Name: "acc", Op: OpExecute, Type: "accumulator", Invocation: "addTo(1)"}}
-	if _, err := r.BatchExecute(ctx, warm); err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := r.Object("acc", "accumulator")
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj := pooled.Unpooled()
-	if !obj.GCEnabled() {
-		t.Fatal("registry-created universal object should have GC enabled by its driver options")
-	}
-	before := obj.CacheStats().Anchors
-
-	// One batch of 64 executes runs as one leased pid; the Batcher bracket
-	// must fold its 64 would-be re-anchors into one durable checkpoint.
-	ops := make([]BatchOp, 64)
-	for i := range ops {
-		ops[i] = BatchOp{Kind: KindObject, Name: "acc", Op: OpExecute, Type: "accumulator", Invocation: "addTo(1)"}
-	}
-	out, err := r.BatchExecute(ctx, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range out.Results {
-		if res.Err != nil {
-			t.Fatalf("op %d failed: %v", i, res.Err)
+	for _, tc := range []struct {
+		typ  string
+		warm string
+		inv  func(i int) string
+		read string
+	}{
+		{"set", "add(w)", func(i int) string { return []string{"add(e", "contains(e"}[i%2] + strconv.Itoa(i/2) + ")" }, "contains(e3)"},
+		{"register", "write(w)", func(i int) string {
+			if i%3 == 2 {
+				return "read()"
+			}
+			return "write(value-" + strconv.Itoa(i) + ")"
+		}, "read()"},
+		{"accumulator", "addTo(1)", func(i int) string { return "addTo(" + strconv.Itoa(1000*i) + ")" }, "read()"},
+	} {
+		invs := make([]string, 64)
+		for i := range invs {
+			invs[i] = tc.inv(i)
 		}
-	}
-	if out.Leases != 1 {
-		t.Fatalf("batch took %d leases, want 1", out.Leases)
-	}
-	if got := obj.CacheStats().Anchors - before; got > 1 {
-		t.Errorf("batch of 64 executes re-anchored %d times, want at most 1 per leased pid", got)
-	}
+		for _, mode := range []string{"BatchExecute", "ExecuteMany"} {
+			t.Run(tc.typ+"/"+mode, func(t *testing.T) {
+				r, twin := New(Options{Procs: 4}), New(Options{Procs: 4})
+				pooled, err := r.Object("o", tc.typ)
+				if err != nil {
+					t.Fatal(err)
+				}
+				single, err := twin.Object("o", tc.typ)
+				if err != nil {
+					t.Fatal(err)
+				}
+				obj := pooled.Unpooled()
+				if !obj.GCEnabled() {
+					t.Fatal("registry-created universal object should have GC enabled by its driver options")
+				}
+				// Warm every pid of both, so whichever pid the run leases has an
+				// anchor to start from.
+				for _, o := range []*slmem.PooledObject{pooled, single} {
+					for pid := 0; pid < 4; pid++ {
+						if _, err := o.Unpooled().Execute(pid, tc.warm); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				before, leases := obj.CacheStats(), r.Stats().Pool.Acquires
 
-	// The deferred anchor must still be durable: the next single op reads
-	// the batched state correctly.
-	read := []BatchOp{{Kind: KindObject, Name: "acc", Op: OpExecute, Type: "accumulator", Invocation: "read()"}}
-	out, err = r.BatchExecute(ctx, read)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := out.Results[0]; res.Err != nil || res.Value != "65" {
-		t.Fatalf("read after batch = (%q, %v), want 65", res.Value, res.Err)
+				var got []string
+				if mode == "ExecuteMany" {
+					if got, err = pooled.ExecuteMany(ctx, invs); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					ops := make([]BatchOp, len(invs))
+					for i, inv := range invs {
+						ops[i] = BatchOp{Kind: KindObject, Name: "o", Op: OpExecute, Type: tc.typ, Invocation: inv}
+					}
+					out, err := r.BatchExecute(ctx, ops)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if out.Leases != 1 {
+						t.Errorf("batch took %d leases, want 1", out.Leases)
+					}
+					for i, res := range out.Results {
+						if res.Err != nil {
+							t.Fatalf("op %d failed: %v", i, res.Err)
+						}
+						got = append(got, res.Value)
+					}
+				}
+				if n := r.Stats().Pool.Acquires - leases; n != 1 {
+					t.Errorf("run acquired %d leases, want 1", n)
+				}
+				for i, inv := range invs {
+					want, err := single.Execute(ctx, inv)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[i] != want {
+						t.Errorf("op %d %s: batched %q, single %q", i, inv, got[i], want)
+					}
+				}
+				if st := obj.CacheStats(); st.Hits-before.Hits != 64 || st.Misses != 0 {
+					t.Errorf("cache over the run: %+v after %+v, want 64 more hits and no miss", st, before)
+				}
+
+				// The next single op starts from the run's last anchor.
+				gotRead, err := pooled.Execute(ctx, tc.read)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, _ := single.Execute(ctx, tc.read); gotRead != want {
+					t.Errorf("%s after the run = %q, single %q", tc.read, gotRead, want)
+				}
+				if st := obj.CacheStats(); st.Hits-before.Hits != 65 || st.Misses != 0 {
+					t.Errorf("cache after the next single op: %+v, want one more hit", st)
+				}
+			})
+		}
 	}
 }

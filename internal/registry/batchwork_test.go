@@ -10,14 +10,13 @@ import (
 	"testing"
 	"time"
 
-	"slmem"
 	"slmem/internal/kind"
 )
 
-// bracketDriver is a test driver for the batch bracket and the pool order:
-// two kinds of it ("testbr-a", "testbr-z") each lease from a dedicated pool,
-// every instance is a kind.Batcher that records its brackets, and the op
-// "fail" passes Validate but not Compile.
+// bracketDriver is a test driver for the pool order: two kinds of it
+// ("testbr-a", "testbr-z") each lease from a dedicated pool, the op "pid"
+// reports the pid it ran as, and the op "fail" passes Validate but not
+// Compile.
 type bracketDriver struct{ name string }
 
 func (d bracketDriver) Kind() string          { return d.name }
@@ -31,41 +30,15 @@ func (d bracketDriver) Validate(req kind.Request) error {
 	return nil
 }
 func (d bracketDriver) New(env kind.Env) (kind.Instance, error) {
-	return &bracketInstance{pool: env.Pool}, nil
+	return bracketInstance{}, nil
 }
 
-// bracketInstance records, per bracket, the pid it was given and whether the
-// pool still held that pid at EndBatch.
-type bracketInstance struct {
-	pool          *slmem.PIDPool
-	mu            sync.Mutex
-	begun, ended  []int
-	endedUnleased int
-	open          bool
-	runsOutside   int
-}
+type bracketInstance struct{}
 
-func (b *bracketInstance) BeginBatch(pid int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.begun = append(b.begun, pid)
-	b.open = true
-}
-
-func (b *bracketInstance) EndBatch(pid int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.ended = append(b.ended, pid)
-	b.open = false
-	if !b.pool.Holds(pid) {
-		b.endedUnleased++
-	}
-}
-
-func (b *bracketInstance) Compile(req kind.Request) (kind.Compiled, error) {
+func (b bracketInstance) Compile(req kind.Request) (kind.Compiled, error) {
 	switch req.Op {
 	case "pid":
-		return bracketPid{b}, nil
+		return bracketPid{}, nil
 	case "fail":
 		return nil, errors.New("fail never compiles")
 	}
@@ -73,14 +46,9 @@ func (b *bracketInstance) Compile(req kind.Request) (kind.Compiled, error) {
 }
 
 // bracketPid reports the pid it runs as.
-type bracketPid struct{ b *bracketInstance }
+type bracketPid struct{}
 
-func (op bracketPid) Run(pid int) (kind.Result, error) {
-	op.b.mu.Lock()
-	defer op.b.mu.Unlock()
-	if !op.b.open {
-		op.b.runsOutside++
-	}
+func (bracketPid) Run(pid int) (kind.Result, error) {
 	return kind.Result{Value: strconv.Itoa(pid)}, nil
 }
 
@@ -92,71 +60,6 @@ func bracketKinds() (a, z Kind) {
 		kind.Register(bracketDriver{"testbr-z"})
 	})
 	return "testbr-a", "testbr-z"
-}
-
-// TestBatchBracketOncePerBatcher names Batcher instances in every pattern the
-// previous-entry memo sees — a run, a repeat after another object, a first op
-// that fails to compile, an object none of whose ops compile — and checks one
-// BeginBatch/EndBatch pair per instance with a compiled op, as the pid its ops
-// ran as, ended while that pid was still leased.
-func TestBatchBracketOncePerBatcher(t *testing.T) {
-	a, z := bracketKinds()
-	r := New(Options{Procs: 3})
-	var w BatchWork
-	for round := 0; round < 3; round++ {
-		out, err := r.BatchExecuteWith(context.Background(), []BatchOp{
-			{Kind: a, Name: "x", Op: "pid"},
-			{Kind: a, Name: "x", Op: "pid"},
-			{Kind: a, Name: "y", Op: "pid"},
-			{Kind: KindCounter, Name: "c", Op: OpInc},
-			{Kind: a, Name: "x", Op: "pid"},
-			{Kind: z, Name: "x", Op: "fail"},
-			{Kind: z, Name: "x", Op: "pid"},
-			{Kind: a, Name: "never", Op: "fail"},
-			{Kind: a, Name: "y", Op: "pid"},
-		}, &w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Leases != 3 {
-			t.Errorf("round %d: %d leases, want 3 (shared, testbr-a, testbr-z)", round, out.Leases)
-		}
-		for _, tc := range []struct {
-			k        Kind
-			name     string
-			brackets int
-			results  []int
-		}{
-			{a, "x", round + 1, []int{0, 1, 4}},
-			{a, "y", round + 1, []int{2, 8}},
-			{z, "x", round + 1, []int{6}},
-			{a, "never", 0, nil},
-		} {
-			inst, _, err := r.Get(tc.k, tc.name, kind.Request{Op: "pid"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := inst.(*bracketInstance)
-			if len(b.begun) != tc.brackets || !reflect.DeepEqual(b.begun, b.ended) {
-				t.Errorf("round %d: %s/%s began as pids %v and ended as %v, want %d brackets", round, tc.k, tc.name, b.begun, b.ended, tc.brackets)
-				continue
-			}
-			if b.endedUnleased != 0 || b.runsOutside != 0 || b.open {
-				t.Errorf("round %d: %s/%s: %d EndBatch after the pid was released, %d ops outside a bracket, open=%v",
-					round, tc.k, tc.name, b.endedUnleased, b.runsOutside, b.open)
-			}
-			for _, i := range tc.results {
-				if res := out.Results[i]; res.Err != nil || res.Value != strconv.Itoa(b.begun[round]) {
-					t.Errorf("round %d: op %d ran as (%q, %v), its bracket as pid %d", round, i, res.Value, res.Err, b.begun[round])
-				}
-			}
-		}
-		for _, i := range []int{5, 7} {
-			if out.Results[i].Err == nil {
-				t.Errorf("round %d: op %d compiled", round, i)
-			}
-		}
-	}
 }
 
 // TestBatchPoolOrderIsGlobal checks that pools are acquired shared first and
@@ -306,12 +209,12 @@ func TestBatchWorkResetDropsReferences(t *testing.T) {
 	if _, err := r.BatchExecuteWith(context.Background(), ops, &w); err != nil {
 		t.Fatal(err)
 	}
-	if len(w.results) != len(ops) || len(w.pools) != 2 || len(w.batchers) != 1 {
-		t.Fatalf("after the batch: %d results, %d pools, %d batchers", len(w.results), len(w.pools), len(w.batchers))
+	if len(w.results) != len(ops) || len(w.pools) != 2 {
+		t.Fatalf("after the batch: %d results, %d pools", len(w.results), len(w.pools))
 	}
 	w.Reset()
-	if cap(w.results) < len(ops) || cap(w.steps) < len(ops) || cap(w.pools) < 2 || cap(w.batchers) < 1 {
-		t.Errorf("Reset gave storage away: caps %d %d %d %d", cap(w.results), cap(w.steps), cap(w.pools), cap(w.batchers))
+	if cap(w.results) < len(ops) || cap(w.steps) < len(ops) || cap(w.pools) < 2 {
+		t.Errorf("Reset gave storage away: caps %d %d %d", cap(w.results), cap(w.steps), cap(w.pools))
 	}
 	for i, res := range w.results[:cap(w.results)] {
 		if res.Value != "" || res.View != nil || res.Err != nil {
@@ -326,11 +229,6 @@ func TestBatchWorkResetDropsReferences(t *testing.T) {
 	for i, lp := range w.pools[:cap(w.pools)] {
 		if lp != (leasedPool{}) {
 			t.Errorf("pool %d survives Reset: %+v", i, lp)
-		}
-	}
-	for i, ref := range w.batchers[:cap(w.batchers)] {
-		if ref != (batcherRef{}) {
-			t.Errorf("batcher %d survives Reset: %+v", i, ref)
 		}
 	}
 }

@@ -35,28 +35,6 @@ type Spec interface {
 	Apply(state string, pid int, desc string) (next, response string, err error)
 }
 
-// Checkpointer is an optional Spec extension for state checkpointing: a spec
-// whose canonical states are views into shared or reusable storage implements
-// it to produce a self-contained copy safe to retain across operations. The
-// universal construction's replay cache (internal/universal) checkpoints the
-// sequential state it computed for one operation and replays only the
-// history delta onto it for the next.
-type Checkpointer interface {
-	// Checkpoint returns a state equal to state that remains valid however
-	// long the caller retains it.
-	Checkpoint(state string) string
-}
-
-// Checkpoint clones state for long-term retention via the spec's
-// Checkpointer, if implemented. Canonical string states are immutable, so
-// the default is the state itself.
-func Checkpoint(sp Spec, state string) string {
-	if c, ok := sp.(Checkpointer); ok {
-		return c.Checkpoint(state)
-	}
-	return state
-}
-
 // Bot is the canonical encoding of the paper's ⊥ (initial/unset value).
 const Bot = "_"
 

@@ -281,48 +281,6 @@ func TestReplayCacheDisableEnable(t *testing.T) {
 	run(0, "read()")
 }
 
-// checkpointSpy wraps a Spec and counts Checkpoint calls, proving Execute
-// routes cached states through the spec.Checkpointer hook.
-type checkpointSpy struct {
-	spec.Spec
-	calls int
-}
-
-func (s *checkpointSpy) Checkpoint(state string) string {
-	s.calls++
-	return state
-}
-
-type spyType struct {
-	CounterType
-	sp *checkpointSpy
-}
-
-func (t spyType) Spec() spec.Spec { return t.sp }
-
-func TestReplayCacheUsesCheckpointHook(t *testing.T) {
-	spy := &checkpointSpy{Spec: spec.Counter{}}
-	var alloc memory.NativeAllocator
-	o := New(&alloc, spyType{sp: spy}, 2)
-	const ops = 8
-	for i := 0; i < ops; i++ {
-		if _, err := o.Execute(i%2, "inc()"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if spy.calls != ops {
-		t.Errorf("Checkpoint called %d times, want %d (once per cached operation)", spy.calls, ops)
-	}
-	o.SetCaching(false)
-	before := spy.calls
-	if _, err := o.Execute(0, "inc()"); err != nil {
-		t.Fatal(err)
-	}
-	if spy.calls != before {
-		t.Errorf("Checkpoint called on the uncached path")
-	}
-}
-
 // TestDeltaNodesCovering pins the covering rule at the unit level, for the
 // extraction Execute runs and for the reference the differential tests hold
 // it to: a node whose scanned view misses an anchored node forces ok=false.
@@ -390,8 +348,8 @@ func TestExtractRefusesBrokenChains(t *testing.T) {
 
 // TestCacheStatsString keeps fmt coverage honest for the exported struct.
 func TestCacheStatsString(t *testing.T) {
-	st := CacheStats{Hits: 2, Misses: 1, Anchors: 3}
-	if s := fmt.Sprintf("%+v", st); s != "{Hits:2 Misses:1 Anchors:3}" {
+	st := CacheStats{Hits: 2, Misses: 1}
+	if s := fmt.Sprintf("%+v", st); s != "{Hits:2 Misses:1}" {
 		t.Errorf("unexpected CacheStats rendering %q", s)
 	}
 }

@@ -1,69 +1,57 @@
 // gc.go bounds the construction's memory with a shared low-watermark
-// protocol. The precedence graph of Algorithm 5 keeps every node forever;
-// the replay cache (cache-aware Execute) bounded time per operation, and
-// this file is its memory analogue.
+// protocol over the anchor records of the package doc. The precedence graph
+// of Algorithm 5 keeps every node forever; the replay cache bounded time per
+// operation, and this file is its memory analogue.
 //
 // # Protocol
 //
-// After every operation, process p publishes a watermark: a copy of the
-// per-process index prefix it just linearized (its anchor — exactly what
-// remember caches) in a single-writer padded register, plus the version of
-// the truncation root the operation executed against. The hot path never
-// reads another process's watermark; only the amortized truncation pass
-// does, so no shared steps are added to Execute (the registers live outside
-// the simulated shared memory, invisible to the sched adversary — GC-on and
-// GC-off runs take byte-identical schedules).
+// Process p's watermark is the anchor it publishes after every operation
+// anyway: the prefix it just linearized and the version of the truncation
+// root the operation executed against. The hot path never reads another
+// process's record; only the amortized truncation pass does, so no shared
+// steps are added to Execute (the records live outside the simulated shared
+// memory, invisible to the sched adversary — GC-on and GC-off runs take
+// byte-identical schedules).
 //
 // Every Window operations a process attempts a truncation pass (one
-// TryLock'd collector at a time). The pass reads all n watermarks, takes
-// their pointwise minimum M, and lowers M to a fixpoint where every
-// reachable node outside the prefix {(q,i) : i <= M[q]} covers M — its
-// scanned view includes every node of the prefix. The fixpoint terminates
-// at or above the current root: every live node covers the current root by
+// TryLock'd collector at a time). The pass reads all n records, takes the
+// pointwise minimum M of their prefixes, and lowers M to a fixpoint where
+// every reachable node outside M covers it. The fixpoint terminates at or
+// above the current root: every live node covers the current root by
 // induction, and M only decreases toward views that themselves cover it.
 //
 // The fixpoint only examines nodes reachable from the collector's scan,
-// and the watermarks are read after that scan, so process q may have
-// published operations the scan cannot see. The freshness gate makes those
-// safe sight unseen: the pass proceeds only if each watermark's own index
-// W_q[q] is at most one past the scan's view of q, so every unseen node of
-// q has index at least W_q[q]. Operation W_q[q]'s view is W_q minus its
-// own component and M is pointwise at most W_q (M starts at the minimum
-// and is only lowered), so it covers M; per-process scans are pointwise
-// monotone and own indexes only grow, so by induction every later
-// operation of q — already published or still in the future — covers M
-// too. Without the gate, an operation that scanned a stale view and
-// published between the collector's scan and its watermark reads, its
-// process then raising the watermark past it with further operations,
-// would be examined by neither rule; committing a cut it does not cover
-// would wedge every subsequent extraction against the root.
+// and the records are read after that scan, so process q may have published
+// operations the scan cannot see. The freshness gate makes those safe sight
+// unseen: the pass proceeds only if each record's own index W_q[q] is at
+// most one past the scan's view of q, so every unseen node of q has index at
+// least W_q[q]. Operation W_q[q]'s view is W_q minus its own component and M
+// is pointwise at most W_q (M starts at the minimum and is only lowered), so
+// it covers M; per-process scans are pointwise monotone and own indexes only
+// grow, so by induction every later operation of q — already published or
+// still in the future — covers M too. Without the gate, an operation that
+// scanned a stale view and published between the collector's scan and its
+// record reads, its process then raising its record past it with further
+// operations, would be examined by neither rule; committing a cut it does
+// not cover would wedge every subsequent extraction against the root.
 //
-// Why truncation at such an M preserves strong linearizability:
+// So every node outside M covers it — those reachable from the scan by the
+// fixpoint, unseen and future ones by the freshness gate — in every graph
+// any later scan can reach, and by the covering lemma of the package doc M's
+// replayed state can stand in for M: the pass publishes {M, state, version}
+// as the new truncation root in one atomic pointer.
 //
-//   - Published nodes reachable from the scan and outside the prefix cover
-//     M by the fixpoint; unseen and future nodes cover M by the freshness
-//     gate argument above.
-//   - A covering node is forced after the whole prefix in every
-//     linearization: through the per-process chains its view reaches every
-//     prefix node, so precedence orders it after the prefix, and lingraph's
-//     dominance edges skip pairs already ordered by precedence, so no edge
-//     can invert it. The prefix is therefore an exact prefix of every
-//     future linearization — replacing it by its replayed, checkpointed
-//     sequential state changes no response and reorders nothing, which is
-//     precisely prefix preservation.
+// Physical reclamation is deferred: the boundary nodes (index exactly M[q])
+// keep their preceding views until every process's record carries a root
+// version at or past the truncation — from then on no replay floor can fall
+// below M, nobody follows pointers into the prefix again (extraction never
+// reads the view of a node at or below its floor), and the collector severs
+// the boundary views so the Go runtime can free the prefix. The ordering
+// argument is the record's store/load pair: the last potential reader
+// published its record (release) before the collector observed quiescence
+// (acquire) and cut.
 //
-// The pass publishes the new root {cut M, checkpointed base state, version}
-// in one atomic pointer. Physical reclamation is deferred: the boundary
-// nodes (index exactly M[q]) keep their preceding views until every
-// process's watermark records a root version at or past the truncation —
-// from then on no replay floor can fall below M, nobody follows pointers
-// into the prefix again (extraction never reads the view of a node at or
-// below its floor), and the collector severs the boundary views so the Go
-// runtime can free the prefix. The ordering argument is the watermark
-// store/load pair: the last potential reader published its watermark
-// (release) before the collector observed quiescence (acquire) and cut.
-//
-// Liveness caveat: truncation needs a watermark from all n processes, so a
+// Liveness caveat: truncation needs a record from all n processes, so a
 // process that never executes pins the graph (its watermark never
 // advances). The bound on live nodes is therefore the number of operations
 // executed between the slowest process's consecutive operations, plus the
@@ -74,8 +62,6 @@ package universal
 import (
 	"sync"
 	"sync/atomic"
-
-	"slmem/internal/spec"
 )
 
 // DefaultGCWindow is the operations-per-process between truncation attempts
@@ -99,8 +85,8 @@ type GCStats struct {
 	LiveNodes int
 	// Truncations counts completed truncation passes that advanced the root.
 	Truncations int64
-	// TruncatedNodes counts operations folded into the checkpointed root
-	// across all truncations.
+	// TruncatedNodes counts operations folded into the root's state across
+	// all truncations.
 	TruncatedNodes int64
 	// RootVersion is the current truncation root's version; 0 is the
 	// initial, empty root.
@@ -109,66 +95,16 @@ type GCStats struct {
 	// awaiting quiescence before being cut.
 	PendingTrims int64
 	// CoverageFailures counts extractions that found a reachable node not
-	// covering the truncation root. The truncation invariant rules this
-	// out; a nonzero count means the invariant broke — Execute returns
-	// errors and LiveNodes may undercount — so the breakage is observable
-	// here instead of masked.
+	// covering the truncation root, and collector passes whose fixpoint fell
+	// below it. The truncation invariant rules both out; a nonzero count
+	// means the invariant broke — Execute returns errors and LiveNodes may
+	// undercount — so the breakage is observable here instead of masked.
 	CoverageFailures int64
 	// ReplayFailures counts truncation passes abandoned because the
-	// truncated prefix failed to replay onto the checkpointed base. A
+	// truncated prefix failed to replay onto the root's state. A
 	// persistent failure stops the root from ever advancing; this counter
 	// distinguishes that from normal non-advancement.
 	ReplayFailures int64
-}
-
-// gcState is one truncation root, published as a whole via one atomic
-// pointer and immutable afterwards.
-type gcState struct {
-	// cut[q] is the highest truncated operation index of process q, -1 for
-	// none: nodes at or below the cut are (logically, then physically) gone.
-	cut []int
-	// base is the checkpointed sequential state reached by replaying the
-	// truncated prefix; replay floors at the cut start from it.
-	base string
-	// version numbers the roots monotonically.
-	version int64
-}
-
-// watermarkRec is one published watermark: an immutable anchor copy plus
-// the root version the publishing operation executed against.
-type watermarkRec struct {
-	anchor  []int
-	version int64
-}
-
-// watermarkSlab is the number of records a process allocates at a time: a
-// record and its anchor are carved out of two slabs, so publishing costs an
-// eighth of an allocation instead of two. A slab stays reachable as long as
-// any record in it is the published one — at most the slab itself.
-const watermarkSlab = 16
-
-// watermark is a single-writer padded register: rec is stored only by the
-// owning process and loaded by collector passes; the rest is owner-local —
-// ops is the bookkeeping for the collection cadence, recs and anchors are
-// what is left of the current slabs.
-type watermark struct {
-	rec     atomic.Pointer[watermarkRec]
-	ops     int
-	recs    []watermarkRec
-	anchors []int
-	_       [64]byte // keep the next process's register off these lines
-}
-
-// next carves the next record out of the slabs.
-func (w *watermark) next(n int) *watermarkRec {
-	if len(w.recs) == 0 {
-		w.recs = make([]watermarkRec, watermarkSlab)
-		w.anchors = make([]int, watermarkSlab*n)
-	}
-	rec := &w.recs[0]
-	rec.anchor = w.anchors[:n:n]
-	w.recs, w.anchors = w.recs[1:], w.anchors[n:]
-	return rec
 }
 
 // pendingTrim queues one truncation's boundary nodes for pointer cuts once
@@ -181,11 +117,10 @@ type pendingTrim struct {
 // gcInfo is the per-object collector state.
 type gcInfo struct {
 	window      int
-	state       atomic.Pointer[gcState]
-	marks       []watermark
-	mu          sync.Mutex // serializes collector passes; guards pending and scratch
+	mu          sync.Mutex // serializes collector passes; guards pending, recs and scratch
 	pending     []pendingTrim
-	scratch     scratch // the collector's own: a pass runs as no process
+	recs        []*anchor // a pass's reading of every process's record
+	scratch     scratch   // the collector's own: a pass runs as no process
 	truncations atomic.Int64
 	truncated   atomic.Int64
 	trims       atomic.Int64
@@ -205,13 +140,7 @@ func (o *Object) SetGC(opts GCOptions) {
 		o.gc.window = window
 		return
 	}
-	g := &gcInfo{window: window, marks: make([]watermark, o.n), scratch: scratch{n: o.n}}
-	cut := make([]int, o.n)
-	for q := range cut {
-		cut[q] = -1
-	}
-	g.state.Store(&gcState{cut: cut, base: o.sp.Initial(), version: 0})
-	o.gc = g
+	o.gc = &gcInfo{window: window, recs: make([]*anchor, o.n), scratch: scratch{n: o.n}}
 }
 
 // GCEnabled reports whether SetGC has enabled truncation.
@@ -221,7 +150,7 @@ func (o *Object) GCEnabled() bool { return o.gc != nil }
 // pid ownership rules as Execute). With GC disabled only LiveNodes is set,
 // to the full history size.
 func (o *Object) GCStats(p int) GCStats {
-	live, gs := o.liveNodes(p)
+	live, root := o.liveNodes(p)
 	if o.gc == nil {
 		return GCStats{LiveNodes: live, CoverageFailures: o.coverFails.Load()}
 	}
@@ -230,31 +159,10 @@ func (o *Object) GCStats(p int) GCStats {
 		LiveNodes:        live,
 		Truncations:      g.truncations.Load(),
 		TruncatedNodes:   g.truncated.Load(),
-		RootVersion:      gs.version,
+		RootVersion:      root.version,
 		PendingTrims:     g.truncations.Load() - g.trims.Load(),
 		CoverageFailures: o.coverFails.Load(),
 		ReplayFailures:   g.replayFails.Load(),
-	}
-}
-
-// afterOp publishes process p's watermark for the operation that just
-// completed (node e over view, executed against root gs) and runs the
-// amortized collector every window operations.
-func (g *gcInfo) afterOp(o *Object, p int, view []*node, e *node, gs *gcState) {
-	w := &g.marks[p]
-	rec := w.next(o.n)
-	rec.version = gs.version
-	setAnchor(rec.anchor, view, e)
-	w.rec.Store(rec)
-
-	w.ops++
-	if w.ops < g.window {
-		return
-	}
-	w.ops = 0
-	if g.mu.TryLock() {
-		o.collect(view)
-		g.mu.Unlock()
 	}
 }
 
@@ -262,72 +170,58 @@ func (g *gcInfo) afterOp(o *Object, p int, view []*node, e *node, gs *gcState) {
 // caller's root scan (view) so the pass adds no shared steps of its own.
 func (o *Object) collect(view []*node) {
 	g := o.gc
-	cur := g.state.Load()
+	cur := o.trunc.Load()
 
-	// Read every process's watermark. One unpublished mark pins everything:
-	// a process that has never executed could still linearize an operation
-	// anywhere, so nothing is safely below it.
-	minVer := int64(-1)
-	m := make([]int, o.n)
-	own := make([]int, o.n) // own[q]: q's last completed operation per its watermark
-	for q := range g.marks {
-		rec := g.marks[q].rec.Load()
-		if rec == nil {
+	// Read every process's record. One unpublished record pins everything: a
+	// process that has never executed could still linearize an operation
+	// anywhere, so nothing is safely below it — and the pass has cost nothing.
+	for q := range o.local {
+		if g.recs[q] = o.local[q].rec.Load(); g.recs[q] == nil {
 			return
 		}
-		own[q] = rec.anchor[q]
-		if minVer < 0 || rec.version < minVer {
-			minVer = rec.version
-		}
-		for r, idx := range rec.anchor {
-			if q == 0 || idx < m[r] {
-				m[r] = idx
-			}
+	}
+	// m becomes the new root's prefix, so it cannot be storage the next pass
+	// reuses.
+	m := make([]int, o.n)
+	copy(m, g.recs[0].prefix)
+	minVer := g.recs[0].version
+	for _, rec := range g.recs[1:] {
+		minVer = min(minVer, rec.version)
+		for r, idx := range rec.prefix {
+			m[r] = min(m[r], idx)
 		}
 	}
 
 	// Cut boundary pointers of truncations every process has executed past.
 	g.trimQuiesced(minVer)
 
-	// Freshness gate: the watermarks were read after the scan, so process q
-	// may have completed operations the scan cannot see. Operations at or
-	// past own[q] are safe unseen — operation own[q]'s view is q's watermark
-	// anchor minus its own component, the cut never exceeds that anchor, and
-	// later scans of q are pointwise at least it — but an operation strictly
-	// between the scan's top of q and own[q] carries a view this pass never
-	// examines: it published after the scan and q's watermark already moved
-	// past it. Truncating across such a gap is unsound (the node may not
-	// cover the cut, wedging later extractions), so wait for a fresher scan.
-	for q, k := range own {
-		vi := -1
-		if view[q] != nil {
-			vi = view[q].index
-		}
-		if k > vi+1 {
+	// Freshness gate: the records were read after the scan, so process q may
+	// have completed operations the scan cannot see. With own = q's last
+	// completed operation per its record, operations at or past own are safe
+	// unseen — operation own's view is q's prefix minus its own component, the
+	// cut never exceeds that prefix, and later scans of q are pointwise at
+	// least it — but an operation strictly between the scan's top of q and own
+	// carries a view this pass never examines: it published after the scan
+	// and q's record already moved past it. Truncating across such a gap is
+	// unsound (the node may not cover the cut, wedging later extractions), so
+	// wait for a fresher scan.
+	for q, rec := range g.recs {
+		if own := rec.prefix[q]; own > top(view[q])+1 {
 			return
 		}
 	}
 
-	// Clamp the candidate into [cur.cut, view]: monotone above the current
-	// root, and within what this scan reached — the watermarks were read
+	// Clamp the candidate into [cur.prefix, view]: monotone above the current
+	// root, and within what this scan reached — the records were read
 	// after the scan, so they may run ahead of it. A scan older than the
 	// current root (another process truncated since) waits for a fresher one.
 	advanced := false
 	for q := range m {
-		if m[q] < cur.cut[q] {
-			m[q] = cur.cut[q]
-		}
-		vi := -1
-		if view[q] != nil {
-			vi = view[q].index
-		}
-		if m[q] > vi {
-			m[q] = vi
-		}
-		if m[q] < cur.cut[q] {
+		m[q] = min(max(m[q], cur.prefix[q]), top(view[q]))
+		if m[q] < cur.prefix[q] {
 			return
 		}
-		if m[q] > cur.cut[q] {
+		if m[q] > cur.prefix[q] {
 			advanced = true
 		}
 	}
@@ -337,7 +231,7 @@ func (o *Object) collect(view []*node) {
 
 	sc := &g.scratch
 	defer sc.release()
-	if _, ok := sc.extract(cur.cut, view); !ok {
+	if _, ok := sc.extract(cur.prefix, view); !ok {
 		o.coverFails.Add(1)
 		return // unreachable: every live node covers the current root
 	}
@@ -353,11 +247,7 @@ func (o *Object) collect(view []*node) {
 				continue
 			}
 			for q, prev := range nd.preceding {
-				idx := -1
-				if prev != nil {
-					idx = prev.index
-				}
-				if idx < m[q] {
+				if idx := top(prev); idx < m[q] {
 					m[q] = idx
 					changed = true
 				}
@@ -366,10 +256,11 @@ func (o *Object) collect(view []*node) {
 	}
 	advanced = false
 	for q := range m {
-		if m[q] < cur.cut[q] {
+		if m[q] < cur.prefix[q] {
+			o.coverFails.Add(1)
 			return // unreachable: live nodes' views cover the current root
 		}
-		if m[q] > cur.cut[q] {
+		if m[q] > cur.prefix[q] {
 			advanced = true
 		}
 	}
@@ -377,7 +268,7 @@ func (o *Object) collect(view []*node) {
 		return
 	}
 
-	// Replay the newly truncated prefix onto the current base. By the
+	// Replay the newly truncated prefix onto the current root's state. By the
 	// covering fixpoint the prefix nodes form an exact prefix of the
 	// linearization (prefix-first), checked defensively before committing.
 	prefixLen := 0
@@ -386,7 +277,7 @@ func (o *Object) collect(view []*node) {
 			prefixLen++
 		}
 	}
-	state := cur.base
+	state := cur.state
 	count := 0
 	for _, nd := range sc.linearize(o.t) {
 		if !anchored(m, nd) {
@@ -408,7 +299,7 @@ func (o *Object) collect(view []*node) {
 		return // unreachable: prefix-first order violated
 	}
 
-	g.state.Store(&gcState{cut: m, base: spec.Checkpoint(o.sp, state), version: cur.version + 1})
+	o.trunc.Store(&anchor{prefix: m, state: state, version: cur.version + 1})
 	g.truncations.Add(1)
 	g.truncated.Add(int64(count))
 
@@ -424,9 +315,9 @@ func (o *Object) collect(view []*node) {
 }
 
 // trimQuiesced severs the boundary views of truncations whose root version
-// every watermark has reached: from then on no process's replay floor can
-// fall below that cut, extraction never follows a pointer into it again,
-// and the store/load ordering through the watermarks makes the cut safe.
+// every process's record has reached: from then on no process's replay floor
+// can fall below that cut, extraction never follows a pointer into it again,
+// and the store/load ordering through the records makes the cut safe.
 func (g *gcInfo) trimQuiesced(minVer int64) {
 	for len(g.pending) > 0 && g.pending[0].version <= minVer {
 		for _, nd := range g.pending[0].boundary {

@@ -146,7 +146,7 @@ func TestGCDifferentialSched(t *testing.T) {
 
 // TestGCFallbackUnderAdversary checks the miss path with truncation live:
 // under heavily interleaved schedules operations observe non-covering
-// stragglers and fall back — now to the truncation root's checkpoint, not
+// stragglers and fall back — now to the truncation root's state, not
 // the (possibly trimmed) full history — and every history must stay
 // linearizable.
 func TestGCFallbackUnderAdversary(t *testing.T) {
@@ -243,8 +243,8 @@ func TestGCTruncationRules(t *testing.T) {
 		// Fabricate watermarks claiming p0's prefix is anchored while p1's
 		// node — whose view covers neither — stays outside the cut. The
 		// fixpoint must walk the cut back to nothing.
-		g.marks[0].rec.Store(&watermarkRec{anchor: []int{5, -1}, version: 0})
-		g.marks[1].rec.Store(&watermarkRec{anchor: []int{5, -1}, version: 0})
+		o.local[0].rec.Store(&anchor{prefix: []int{5, -1}})
+		o.local[1].rec.Store(&anchor{prefix: []int{5, -1}})
 		g.mu.Lock()
 		o.collect(view)
 		g.mu.Unlock()
@@ -257,8 +257,8 @@ func TestGCTruncationRules(t *testing.T) {
 		o, view := build()
 		g := o.gc
 		// With p1's node inside the cut the remaining nodes all cover it.
-		g.marks[0].rec.Store(&watermarkRec{anchor: []int{5, 0}, version: 0})
-		g.marks[1].rec.Store(&watermarkRec{anchor: []int{5, 0}, version: 0})
+		o.local[0].rec.Store(&anchor{prefix: []int{5, 0}, state: "7"})
+		o.local[1].rec.Store(&anchor{prefix: []int{5, 0}, state: "7"})
 		g.mu.Lock()
 		o.collect(view)
 		g.mu.Unlock()
@@ -269,7 +269,7 @@ func TestGCTruncationRules(t *testing.T) {
 		if st.LiveNodes != 0 {
 			t.Fatalf("live nodes after full truncation = %d, want 0", st.LiveNodes)
 		}
-		// The checkpointed root must carry all seven increments.
+		// The root's state must carry all seven increments.
 		if got, err := o.Execute(0, "read()"); err != nil || got != "7" {
 			t.Fatalf("read() after truncation = %q, %v; want \"7\"", got, err)
 		}
@@ -311,7 +311,7 @@ func TestGCScanWatermarkGap(t *testing.T) {
 	// slow node outside the prefix while truncating p0's operations — which
 	// the slow node's empty view does not cover.
 	g := o.gc
-	g.marks[0].rec.Store(&watermarkRec{anchor: []int{3, -1}, version: 0})
+	o.local[0].rec.Store(&anchor{prefix: []int{3, -1}, state: "4"})
 
 	g.mu.Lock()
 	o.collect(view)
@@ -343,7 +343,7 @@ func TestGCScanWatermarkGap(t *testing.T) {
 }
 
 // TestGCReplayFailureSurfaced pins the observability of an abandoned
-// truncation: a prefix that fails to replay onto the checkpointed base
+// truncation: a prefix that fails to replay onto the root's state
 // leaves the graph untruncated, but the failure must show up in GCStats
 // rather than masquerade as normal non-advancement.
 func TestGCReplayFailureSurfaced(t *testing.T) {
@@ -362,8 +362,8 @@ func TestGCReplayFailureSurfaced(t *testing.T) {
 	o.local[1].index = 1
 	view := o.root.View(0)
 	g := o.gc
-	g.marks[0].rec.Store(&watermarkRec{anchor: []int{2, 0}, version: 0})
-	g.marks[1].rec.Store(&watermarkRec{anchor: []int{2, 0}, version: 0})
+	o.local[0].rec.Store(&anchor{prefix: []int{2, 0}})
+	o.local[1].rec.Store(&anchor{prefix: []int{2, 0}})
 	g.mu.Lock()
 	o.collect(view)
 	g.mu.Unlock()
@@ -390,7 +390,7 @@ func TestGCCoverageFailureSurfaced(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cut := o.gc.state.Load().cut; cut[0] < 0 && cut[1] < 0 {
+	if cut := o.trunc.Load().prefix; cut[0] < 0 && cut[1] < 0 {
 		t.Fatal("no truncation happened; the violation needs a non-trivial root")
 	}
 	// Fabricate the violation: a node above the cut whose view covers
@@ -411,10 +411,10 @@ func TestGCCoverageFailureSurfaced(t *testing.T) {
 	}
 }
 
-// TestGCStaleAnchorFallback is the GC/replay-cache interaction contract: a
-// cache anchor stranded below the truncation root (e.g. after a caching
-// toggle across truncations) must fall back to the checkpointed root —
-// never panic, never resurrect the poisoned cache state.
+// TestGCStaleAnchorFallback is the GC/replay-cache interaction contract: an
+// anchor stranded below the truncation root (the protocol never strands one:
+// the root stays at or below every published record) must fall back to the
+// truncation root — never panic, never resurrect the poisoned cache state.
 func TestGCStaleAnchorFallback(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
@@ -425,14 +425,13 @@ func TestGCStaleAnchorFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cut := o.gc.state.Load().cut
+	cut := o.trunc.Load().prefix
 	if cut[0] < 0 && cut[1] < 0 {
 		t.Fatal("no truncation happened; stale-anchor case needs a non-trivial root")
 	}
 	// Strand p0's anchor below the root and poison its cached state: the
-	// floor must reject the anchor and replay from the root checkpoint.
-	o.local[0].anchor = []int{-1, -1}
-	o.local[0].state = "POISON"
+	// floor must reject the anchor and replay from the root's state.
+	o.local[0].rec.Store(&anchor{prefix: []int{-1, -1}, state: "POISON"})
 	got, err := o.Execute(0, "read()")
 	if err != nil {
 		t.Fatalf("stale-anchor Execute failed: %v", err)
@@ -470,9 +469,8 @@ func TestGCStaleAnchorUnderAdversary(t *testing.T) {
 								// advanced the root; an all-(-1) anchor equals
 								// the trivial cut and would be legally used,
 								// poisoned state and all.
-								if cut := o.gc.state.Load().cut; cut[0] >= 0 || cut[1] >= 0 || cut[2] >= 0 {
-									o.local[pid].anchor = []int{-1, -1, -1}
-									o.local[pid].state = "POISON"
+								if cut := o.trunc.Load().prefix; cut[0] >= 0 || cut[1] >= 0 || cut[2] >= 0 {
+									o.local[pid].rec.Store(&anchor{prefix: []int{-1, -1, -1}, state: "POISON"})
 								}
 							}
 							desc := desc
@@ -626,57 +624,6 @@ func TestGCConcurrentChurn(t *testing.T) {
 	}
 	if st := o.GCStats(0); st.Truncations == 0 {
 		t.Error("concurrent churn never truncated")
-	}
-}
-
-// TestGCBatchAnchoring checks the deferred-anchor batch mode: a 64-entry
-// batch re-anchors its process once, not 64 times, while every entry still
-// replays incrementally and responses match an unbatched reference.
-func TestGCBatchAnchoring(t *testing.T) {
-	var alloc1, alloc2 memory.NativeAllocator
-	o := New(&alloc1, CounterType{}, 2)
-	ref := New(&alloc2, CounterType{}, 2)
-
-	// Warm both with an op from each process.
-	for p := 0; p < 2; p++ {
-		if _, err := o.Execute(p, "inc()"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ref.Execute(p, "inc()"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := o.CacheStats().Anchors
-
-	o.BeginBatch(0)
-	for i := 0; i < 64; i++ {
-		got, err := o.Execute(0, "inc()")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.Execute(0, "inc()")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("batch entry %d diverges: %q vs %q", i, got, want)
-		}
-	}
-	o.EndBatch(0)
-
-	if got := o.CacheStats().Anchors - before; got != 1 {
-		t.Errorf("batch of 64 re-anchored %d times, want 1", got)
-	}
-	if st := o.CacheStats(); st.Misses != 0 {
-		t.Errorf("batch mode caused %d cache misses, want 0 (rolling anchor must advance)", st.Misses)
-	}
-	// The deferred checkpoint must be durable: the next op hits the cache.
-	hitsBefore := o.CacheStats().Hits
-	if got, err := o.Execute(0, "read()"); err != nil || got != "66" {
-		t.Fatalf("read() after batch = %q, %v; want \"66\"", got, err)
-	}
-	if o.CacheStats().Hits != hitsBefore+1 {
-		t.Error("op after EndBatch missed the cache; deferred checkpoint not written")
 	}
 }
 

@@ -16,30 +16,48 @@
 //  5. appends its own node, pointing at the scanned nodes, to the root.
 //
 // As the paper notes (Section 5.3/6), the construction keeps every node
-// forever: it is wait-free but not bounded wait-free. Executed naively,
-// steps 2-4 re-extract and re-sort the whole history, so per-operation cost
-// grows with history length — measured by experiment E6.
+// forever: it is wait-free but not bounded wait-free, and steps 2-4
+// re-extract and re-sort the whole history, so per-operation cost grows with
+// history length — measured by experiment E6.
+//
+// # The anchor record and the covering lemma
+//
+// Everything this implementation adds to the paper's algorithm — the replay
+// cache below and the truncation of gc.go — rests on one record and one lemma.
+// After each operation, process p publishes an anchor: the per-process
+// operation-index prefix {(q, i) : i <= prefix[q]} it just linearized (its
+// scanned view plus its own node), the sequential state reached by replaying
+// that prefix, and the version of the truncation root it executed against.
+// The record is immutable, written once per operation by its owner into a
+// single-writer register outside the simulated shared memory, and read by the
+// owner's next operation (as its replay cache) and by collector passes (as
+// its low watermark). The truncation root is a record of the same type; the
+// initial one — nothing linearized, the initial state, version 0 — exists
+// from construction.
+//
+// A node covers a prefix when its scanned view includes every node of the
+// prefix. Covering lemma: in a precedence graph whose nodes outside a prefix
+// all cover it, the prefix is an exact prefix of the graph's linearization.
+// A covering node's view reaches every prefix node through the per-process
+// chains, so precedence orders it after the whole prefix, and lingraph's
+// dominance edges skip pairs precedence already orders, so no edge can invert
+// that. Replacing the prefix by the state it replays to therefore changes no
+// response and reorders nothing. The replay cache applies the lemma to the
+// graph one scan reaches; truncation applies it to every graph any later scan
+// can reach, which is precisely prefix preservation.
 //
 // # Replay cache
 //
-// This implementation amortizes that cost to O(Δ·n) in the number Δ of
-// operations since the calling process's previous operation, using a purely
-// process-local replay cache. After an operation, process p remembers an
-// anchor — the per-process operation-index prefix {(q, i) : i <= anchor[q]}
-// it just linearized — together with the sequential state reached by
-// replaying that prefix (checkpointed through spec.Checkpoint). The next
-// operation extracts only nodes beyond the anchor and replays them onto the
-// cached state, provided every extracted node covers the anchor: its own
-// scanned view includes every anchored node. Covering nodes are forced
-// after the whole anchored prefix in the linearization — by precedence
-// (their view reaches every anchored node through the per-process chains)
-// and therefore also by the dominance rules, whose edges toward already
-// preceding nodes are skipped — so the cached prefix is exactly a prefix of
-// the full linearization, node orders and responses byte-identical to an
-// uncached run (the differential tests check this). A non-covering node
-// (a genuinely concurrent straggler that might linearize inside the cached
-// prefix) forces a fallback to full re-extraction, after which the cache
-// re-anchors.
+// Executed naively, steps 2-4 cost O(history). Process p instead starts from
+// its own latest anchor: it extracts only the nodes beyond the prefix and
+// replays them onto the anchored state, provided every extracted node covers
+// the prefix — the lemma's condition on the graph p scanned, so node orders
+// and responses are byte-identical to an uncached run (the differential tests
+// check this) at O(Δ·n) for the Δ operations since p's previous one. A
+// non-covering node (a genuinely concurrent straggler that might linearize
+// inside the prefix) forces a fallback to the truncation root, which every
+// reachable node covers (gc.go; without GC the root stays the empty prefix
+// and the fallback is the full extraction).
 //
 // Strong linearizability is untouched: the cache reads nothing but what a
 // legal root scan returns, writes nothing shared, and computes the same
@@ -127,31 +145,45 @@ type Root interface {
 	View(pid int) []*node
 }
 
+// anchor is the one record of the package doc: a linearized index prefix, the
+// sequential state it replays to, and a truncation-root version. It is
+// immutable once published. As a process's record, version is the root the
+// operation executed against; as a truncation root, it numbers the roots.
+type anchor struct {
+	// prefix[q] is the highest operation index of process q in the prefix,
+	// -1 for none.
+	prefix  []int
+	state   string
+	version int64
+}
+
+// anchorSlab is the number of records a process allocates at a time: a record
+// and its prefix are carved out of two slabs, so publishing costs an eighth
+// of an allocation instead of two. A slab stays reachable as long as any
+// record in it is the published one, and with it the states of the records
+// carved before that one — at most the slab itself.
+const anchorSlab = 16
+
 // plocal is everything process p keeps between its operations: its operation
-// count, its replay-cache entry and the scratch its extractions and
+// count, its published anchor and the scratch its extractions and
 // linearizations run in. It is written only by the goroutine driving that pid
-// (the counters are atomic so CacheStats may read them concurrently), it is
-// indexed by pid, and it is never pooled and never shared: exclusive pid
-// ownership is the model's own invariant, so none of it needs synchronising.
-// The trailing pad keeps one process's entry off the cache lines of the next.
+// — rec is the single-writer register collector passes load, and the counters
+// are atomic so CacheStats may read them concurrently — it is indexed by pid,
+// and it is never pooled and never shared: exclusive pid ownership is the
+// model's own invariant, so the rest needs no synchronising. The trailing pad
+// keeps one process's entry off the cache lines of the next.
 type plocal struct {
-	// index counts the operations the process has executed.
-	index int
-	// anchor[q] is the highest operation index of process q in the cached
-	// linearized prefix, -1 for none; a nil slice means no anchor yet.
-	anchor []int
-	// state is the sequential state after replaying the anchored prefix.
-	state string
-	// deferred marks batch mode: remember keeps the rolling anchor and raw
-	// state but postpones the checkpoint (the durable re-anchor) to EndBatch.
-	deferred bool
-	// dirty reports a deferred remember that EndBatch still has to checkpoint.
-	dirty bool
-	// hits and misses count this process's cache outcomes; anchors counts
-	// durable re-anchors (checkpoints written).
-	hits    atomic.Int64
-	misses  atomic.Int64
-	anchors atomic.Int64
+	// index counts the operations the process has executed; ops counts them
+	// since its last collector pass.
+	index, ops int
+	// rec is the anchor of the process's latest operation, nil before its
+	// first; recs and prefixes are what is left of the current slabs.
+	rec      atomic.Pointer[anchor]
+	recs     []anchor
+	prefixes []int
+	// hits and misses count this process's cache outcomes.
+	hits   atomic.Int64
+	misses atomic.Int64
 
 	scratch
 	_ [128]byte
@@ -162,13 +194,9 @@ type CacheStats struct {
 	// Hits counts operations that replayed only the delta beyond their
 	// process's anchor.
 	Hits int64
-	// Misses counts operations that fell back to a full history replay
-	// because some extracted node did not cover the anchor.
+	// Misses counts operations that fell back to a replay from the truncation
+	// root because some extracted node did not cover the anchor.
 	Misses int64
-	// Anchors counts durable re-anchors: checkpoints written to the cache.
-	// Outside batch mode every cached operation re-anchors once; within a
-	// BeginBatch/EndBatch window the whole batch re-anchors once at the end.
-	Anchors int64
 }
 
 // Object is an implementation of a simple type from a snapshot object.
@@ -181,8 +209,10 @@ type Object struct {
 	root    Root
 	caching bool
 	local   []plocal
-	noFloor []int   // all -1: the floor of a full extraction
-	gc      *gcInfo // nil until SetGC enables truncation
+	// trunc is the truncation root: the floor under every replay. Only a
+	// collector pass advances it, so without GC it stays the initial record.
+	trunc atomic.Pointer[anchor]
+	gc    *gcInfo // nil until SetGC enables truncation
 	// coverFails counts extractions refused because a reachable node does
 	// not cover the floor they must start from, or breaks the chain rules.
 	coverFails atomic.Int64
@@ -207,21 +237,22 @@ func NewWithRoot(t Type, n int, root Root) *Object {
 		root:    root,
 		caching: true,
 		local:   make([]plocal, n),
-		noFloor: make([]int, n),
 	}
+	none := make([]int, n)
 	for p := range o.local {
 		o.local[p].n = n
-		o.noFloor[p] = -1
+		none[p] = -1
 	}
+	o.trunc.Store(&anchor{prefix: none, state: o.sp.Initial()})
 	return o
 }
 
 // SetCaching enables or disables the replay cache (enabled by default).
-// Disabling forces every Execute through the full O(history) extract-and-
-// replay path; it exists for differential tests and growth measurements.
-// It must not be called concurrently with Execute. Cached anchors survive a
-// disable/enable cycle — an anchor describes a closed history prefix, which
-// stays valid no matter how many operations elapse.
+// Disabling forces every Execute to replay from the truncation root — without
+// GC the full O(history) extract-and-replay path; it exists for differential
+// tests and growth measurements. It must not be called concurrently with
+// Execute. Anchors are published either way, so a re-enabled cache resumes
+// from each process's latest operation.
 func (o *Object) SetCaching(on bool) { o.caching = on }
 
 // CacheStats returns the replay-cache hit/miss counters, summed over all
@@ -231,7 +262,6 @@ func (o *Object) CacheStats() CacheStats {
 	for p := range o.local {
 		st.Hits += o.local[p].hits.Load()
 		st.Misses += o.local[p].misses.Load()
-		st.Anchors += o.local[p].anchors.Load()
 	}
 	return st
 }
@@ -239,45 +269,38 @@ func (o *Object) CacheStats() CacheStats {
 // Execute performs the invocation as process p (Algorithm 5, execute):
 // it computes the response the history demands, publishes the operation's
 // node, and returns the response. With the replay cache warm it extracts,
-// sorts, and replays only the nodes beyond process p's anchor; with GC
-// enabled the replay floor never drops below the truncation root, whose
-// checkpointed state stands in for the truncated prefix.
+// sorts, and replays only the nodes beyond process p's anchor; the replay
+// floor never drops below the truncation root, whose state stands in for the
+// truncated prefix.
 func (o *Object) Execute(p int, invoke string) (string, error) {
-	var gs *gcState
-	if o.gc != nil {
-		gs = o.gc.state.Load()
-	}
+	root := o.trunc.Load()
 	view := o.root.View(p) // line 81
 
 	l := &o.local[p]
-	floor, state, fromCache := o.floor(p, gs)
-	_, ok := l.extract(floor, view) // line 82, restricted past the floor
-	if !ok && fromCache {
+	from, cached := o.floor(l, root)
+	_, ok := l.extract(from.prefix, view) // line 82, restricted past the floor
+	if !ok && cached {
 		// Some extracted node does not cover the anchor and may linearize
-		// inside the cached prefix: fall back. With GC enabled the fallback
-		// floor is the truncation root — the history below it may already be
-		// trimmed — replayed from the checkpointed root state; without GC it
-		// is the full extraction.
+		// inside its prefix: fall back to the truncation root — the history
+		// below it may already be trimmed.
 		l.misses.Add(1)
-		floor, state = o.rootFloor(gs)
-		_, ok = l.extract(floor, view)
-	} else if fromCache {
+		from = root
+		_, ok = l.extract(from.prefix, view)
+	} else if cached {
 		l.hits.Add(1)
 	}
 	if !ok {
-		// The floor was the truncation root, which every reachable node
-		// covers (the truncation invariant), or nothing at all: only a graph
-		// that is not the construction's can get here.
+		// Every reachable node covers the truncation root (the truncation
+		// invariant; trivially so for the initial one): only a graph that is
+		// not the construction's can get here.
 		o.coverFails.Add(1)
-		if gs != nil {
-			return "", fmt.Errorf("universal: extracted node does not cover truncation root v%d", gs.version)
-		}
-		return "", fmt.Errorf("universal: precedence graph is not a set of per-process chains")
+		return "", fmt.Errorf("universal: precedence graph breaks the per-process chains or does not cover truncation root v%d", root.version)
 	}
 
 	// Line 83: topological sort of lingraph(G); lines 84-87: compute the
-	// response valid after H. With a warm cache, H is only the suffix past
-	// the anchored prefix, replayed onto its state.
+	// response valid after H. H is only the suffix past the floor's prefix,
+	// replayed onto its state.
+	state := from.state
 	var err error
 	for _, nd := range l.linearize(o.t) {
 		state, _, err = o.sp.Apply(state, nd.pid, nd.invocation)
@@ -304,39 +327,25 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 	}
 	l.index++
 	o.root.Update(p, e) // line 91
-	if o.caching {
-		o.remember(p, view, e, next)
-	}
-	if o.gc != nil {
-		o.gc.afterOp(o, p, view, e, gs)
-	}
+	o.publish(l, view, e, next, root.version)
 	return resp, nil
 }
 
-// floor picks process p's replay floor: its cache anchor when one exists and
-// still covers the truncation root, else the root floor. A cache anchor below
-// the root — stale since before a truncation, e.g. after a caching toggle —
-// is simply unusable, never an error: the root state subsumes it.
-func (o *Object) floor(p int, gs *gcState) (floor []int, state string, fromCache bool) {
+// floor picks process l's replay floor: its own anchor when the cache is on,
+// one exists and it is at or above the truncation root, else the root. The
+// root never passes a published record, so an anchor below it is not the
+// protocol's; it is simply unusable, never an error: the root state subsumes
+// it.
+func (o *Object) floor(l *plocal, root *anchor) (from *anchor, cached bool) {
 	if o.caching {
-		if a := o.local[p].anchor; a != nil && (gs == nil || atOrAbove(a, gs.cut)) {
-			return a, o.local[p].state, true
+		if a := l.rec.Load(); a != nil && atOrAbove(a.prefix, root.prefix) {
+			return a, true
 		}
 	}
-	floor, state = o.rootFloor(gs)
-	return floor, state, false
+	return root, false
 }
 
-// rootFloor is the floor under every cache anchor: the truncation root (a
-// checkpoint replay), or without GC nothing (the full extraction).
-func (o *Object) rootFloor(gs *gcState) (floor []int, state string) {
-	if gs != nil {
-		return gs.cut, gs.base
-	}
-	return o.noFloor, o.sp.Initial()
-}
-
-// atOrAbove reports whether anchor a includes the cut pointwise.
+// atOrAbove reports whether prefix a includes the cut pointwise.
 func atOrAbove(a, cut []int) bool {
 	for q, c := range cut {
 		if a[q] < c {
@@ -346,55 +355,32 @@ func atOrAbove(a, cut []int) bool {
 	return true
 }
 
-// remember re-anchors process p's cache at the view it just linearized plus
-// its own freshly published node, with the sequential state that includes
-// its own operation. In batch mode the checkpoint — the durable re-anchor —
-// is deferred to EndBatch; the rolling anchor and raw state still advance so
-// every batch entry replays only its own delta.
-func (o *Object) remember(p int, view []*node, e *node, state string) {
-	l := &o.local[p]
-	if l.anchor == nil {
-		l.anchor = make([]int, o.n)
+// publish writes process l's anchor for the operation that just completed —
+// node e over view, reaching state, executed against root version — carving
+// the record out of the slabs, and runs the amortized collector every window
+// operations.
+func (o *Object) publish(l *plocal, view []*node, e *node, state string, version int64) {
+	if len(l.recs) == 0 {
+		l.recs = make([]anchor, anchorSlab)
+		l.prefixes = make([]int, anchorSlab*o.n)
 	}
-	setAnchor(l.anchor, view, e)
-	if l.deferred {
-		l.state = state
-		l.dirty = true
-		return
-	}
-	l.state = spec.Checkpoint(o.sp, state)
-	l.anchors.Add(1)
-}
-
-// setAnchor writes into dst the per-process index prefix an operation has
-// linearized once it published e over view: the view's indexes (-1 for ⊥),
-// and e's own.
-func setAnchor(dst []int, view []*node, e *node) {
+	a := &l.recs[0]
+	a.prefix, a.state, a.version = l.prefixes[:o.n:o.n], state, version
+	l.recs, l.prefixes = l.recs[1:], l.prefixes[o.n:]
 	for q, nd := range view {
-		dst[q] = -1
-		if nd != nil {
-			dst[q] = nd.index
-		}
+		a.prefix[q] = top(nd)
 	}
-	dst[e.pid] = e.index
-}
+	a.prefix[e.pid] = e.index
+	l.rec.Store(a)
 
-// BeginBatch puts process p's replay cache into deferred-anchor mode: the
-// operations that follow keep a rolling anchor but write one durable
-// checkpoint for the whole batch, at EndBatch, instead of one per
-// operation. Must be paired with EndBatch under the same pid ownership
-// rules as Execute.
-func (o *Object) BeginBatch(p int) { o.local[p].deferred = true }
-
-// EndBatch leaves deferred-anchor mode, re-anchoring process p's cache once
-// for the whole batch.
-func (o *Object) EndBatch(p int) {
-	l := &o.local[p]
-	l.deferred = false
-	if l.dirty {
-		l.dirty = false
-		l.state = spec.Checkpoint(o.sp, l.state)
-		l.anchors.Add(1)
+	if g := o.gc; g != nil {
+		if l.ops++; l.ops >= g.window {
+			l.ops = 0
+			if g.mu.TryLock() {
+				o.collect(view)
+				g.mu.Unlock()
+			}
+		}
 	}
 }
 
@@ -402,7 +388,7 @@ func (o *Object) EndBatch(p int) {
 // shared precedence graph, as observed by process p (for growth
 // measurements; one root scan). With GC enabled it reports the live nodes
 // past the truncation root — the truncated prefix survives only as the
-// root's checkpointed state.
+// root's state.
 func (o *Object) HistorySize(p int) int {
 	live, _ := o.liveNodes(p)
 	return live
@@ -412,35 +398,39 @@ func (o *Object) HistorySize(p int) int {
 // without GC) as process p, from one root scan, with the root it counted
 // against. An extraction the graph refuses still yields the count, and is
 // surfaced through the coverage-failure counter rather than under-reported.
-func (o *Object) liveNodes(p int) (int, *gcState) {
-	var gs *gcState
-	if o.gc != nil {
-		gs = o.gc.state.Load()
-	}
+func (o *Object) liveNodes(p int) (int, *anchor) {
+	root := o.trunc.Load()
 	view := o.root.View(p)
-	floor, _ := o.rootFloor(gs)
 	l := &o.local[p]
-	live, ok := l.extract(floor, view)
+	live, ok := l.extract(root.prefix, view)
 	if !ok {
 		o.coverFails.Add(1)
 	}
 	l.release()
-	return live, gs
+	return live, root
 }
 
-// anchored reports whether nd is inside the anchored prefix. The anchored
-// prefix is per-process index-closed: process q's nodes 0..anchor[q] and
-// nothing else are reachable at or below the anchor (each process's nodes
-// form a preceding chain, and scans of q's component are monotone).
-func anchored(anchor []int, nd *node) bool {
-	return anchor != nil && nd.index <= anchor[nd.pid]
+// top is the operation index a view component stands for: -1 for ⊥.
+func top(nd *node) int {
+	if nd == nil {
+		return -1
+	}
+	return nd.index
 }
 
-// covers reports whether a scanned view includes every anchored node: for
-// each process q with an anchored operation, the view holds q's node with at
-// least the anchored index.
-func covers(view []*node, anchor []int) bool {
-	for q, idx := range anchor {
+// anchored reports whether nd is inside the prefix. A prefix is per-process
+// index-closed: process q's nodes 0..prefix[q] and nothing else are reachable
+// at or below it (each process's nodes form a preceding chain, and scans of
+// q's component are monotone).
+func anchored(prefix []int, nd *node) bool {
+	return prefix != nil && nd.index <= prefix[nd.pid]
+}
+
+// covers reports whether a scanned view includes every node of the prefix:
+// for each process q with an operation in it, the view holds q's node with at
+// least that index.
+func covers(view []*node, prefix []int) bool {
+	for q, idx := range prefix {
 		if idx < 0 {
 			continue
 		}

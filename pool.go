@@ -263,8 +263,7 @@ func (o *PooledObject) Execute(ctx context.Context, invocation string) (string, 
 }
 
 // ExecuteMany leases one pid and performs the invocations in order as that
-// process, amortizing the lease — and, via BeginBatch/EndBatch, the replay
-// cache's durable re-anchor — over the whole slice. Each invocation is
+// process, amortizing the lease over the whole slice. Each invocation is
 // individually strongly linearizable; the batch as a whole is not atomic —
 // other processes' operations may linearize between consecutive invocations.
 // It stops at the first failing invocation (or at context cancellation
@@ -273,8 +272,6 @@ func (o *PooledObject) Execute(ctx context.Context, invocation string) (string, 
 func (o *PooledObject) ExecuteMany(ctx context.Context, invocations []string) ([]string, error) {
 	resps := make([]string, 0, len(invocations))
 	err := o.pids.With(ctx, func(pid int) error {
-		o.o.BeginBatch(pid)
-		defer o.o.EndBatch(pid)
 		for i, inv := range invocations {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("batch cancelled before invocation %d: %w", i, err)

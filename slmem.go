@@ -235,9 +235,8 @@ func (o *Object) Execute(pid int, invocation string) (string, error) {
 // differential testing. Must not be called concurrently with Execute.
 func (o *Object) SetCaching(on bool) { o.inner.SetCaching(on) }
 
-// ObjectCacheStats counts replay-cache hits (delta replays), misses
-// (full-history fallbacks), and durable re-anchors across an Object's
-// processes.
+// ObjectCacheStats counts replay-cache hits (delta replays) and misses
+// (fallbacks to the truncation root) across an Object's processes.
 type ObjectCacheStats = universal.CacheStats
 
 // CacheStats returns the replay-cache hit/miss counters.
@@ -256,7 +255,7 @@ type ObjectGCStats = universal.GCStats
 const DefaultObjectGCWindow = universal.DefaultGCWindow
 
 // SetGC bounds the object's memory: completed operations below every
-// process's low watermark are folded into a checkpointed root state and
+// process's low watermark are folded into the truncation root's state and
 // their history nodes reclaimed, preserving strong linearizability (the
 // truncated prefix is an exact prefix of every future linearization). Like
 // SetCaching it must not be called concurrently with Execute; unlike
@@ -272,16 +271,6 @@ func (o *Object) GCEnabled() bool { return o.inner.GCEnabled() }
 // (same pid ownership rules as Execute). With GC disabled only LiveNodes
 // is populated, with the full history size.
 func (o *Object) GCStats(pid int) ObjectGCStats { return o.inner.GCStats(pid) }
-
-// BeginBatch enters deferred re-anchoring for process pid: until EndBatch,
-// Execute calls by pid update the replay cache without writing a durable
-// checkpoint, so a long single-process run re-anchors once instead of per
-// operation. Pair with EndBatch; same pid ownership rules as Execute.
-func (o *Object) BeginBatch(pid int) { o.inner.BeginBatch(pid) }
-
-// EndBatch leaves deferred re-anchoring for pid and writes the one durable
-// checkpoint covering the batch.
-func (o *Object) EndBatch(pid int) { o.inner.EndBatch(pid) }
 
 // ValidateSimple checks that the type's invocations pairwise commute or
 // overwrite (Definition 33) over the given invocation and pid samples.
