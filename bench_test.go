@@ -1,4 +1,4 @@
-// Benchmarks regenerating experiment E7 (see the experiment index in
+// Benchmarks regenerating experiment E7 (see the claim index in
 // docs/ARCHITECTURE.md, "Verification and performance stack"): the
 // native-mode cost of strong linearizability, one benchmark per row family.
 //
@@ -379,7 +379,7 @@ func BenchmarkPooledCounter(b *testing.B) {
 func BenchmarkUniversalHistoryGrowth(b *testing.B) {
 	// The object is re-created every 32 measured operations so each subrun
 	// reflects a pinned history size (the construction's per-op cost grows
-	// with history, which is exactly the claim — harness.E6Universal tables it).
+	// with history, which is exactly the claim E6 makes).
 	const burst = 32
 	grow := func(b *testing.B, history int) *universal.Object {
 		var alloc memory.NativeAllocator

@@ -40,7 +40,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("slcheck", flag.ContinueOnError)
 	var (
-		scenario = fs.String("scenario", "obs4", "obs4 | explore | random")
+		scenario = fs.String("scenario", "obs4", "obs4 | explore | random | hunt")
 		impl     = fs.String("impl", "alg1", "alg1 (linearizable) | alg2 (strongly linearizable)")
 		writes   = fs.Int("writes", 1, "DWrites per writer (explore)")
 		reads    = fs.Int("reads", 1, "DReads per reader (explore)")
@@ -94,7 +94,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		nodes, leaves, depth := harness.TreeStats(tree)
+		nodes, leaves, depth := sched.TreeStats(tree)
 		fmt.Printf("scenario: exhaustive exploration of %s, 1 writer × %d DWrites, 1 reader × %d DReads\n",
 			implSel, *writes, *reads)
 		fmt.Printf("  transcript tree: %d nodes, %d complete leaves, max depth %d\n", nodes, leaves, depth)
@@ -106,13 +106,13 @@ func run(args []string) error {
 		if !res.Ok {
 			fmt.Printf("  first failing node: %s\n", res.FailNode)
 		}
-		return nil
+		return verdictErr(implSel, !res.Ok)
 
 	case "random":
 		sys := harness.Observation4System(implSel)
 		fails := 0
 		for seed := int64(0); seed < int64(*trees); seed++ {
-			tree, err := harness.RandomBranchTree(sys, seed, *prefix, *fanout)
+			tree, err := sched.RandomBranchTree(sys, seed, *prefix, *fanout)
 			if err != nil {
 				return err
 			}
@@ -129,7 +129,7 @@ func run(args []string) error {
 			}
 		}
 		fmt.Printf("scenario: %d random branching trees on %s — %d violations\n", *trees, implSel, fails)
-		return nil
+		return verdictErr(implSel, fails > 0)
 
 	case "hunt":
 		var schedule []int
@@ -142,7 +142,7 @@ func run(args []string) error {
 				}
 			}
 		} else {
-			probe := sched.Run(harness.Observation4System(implSel), harness.PriorityAdversary(1, 0), sched.Options{})
+			probe := sched.Run(harness.Observation4System(implSel), sched.PriorityAdversary(1, 0), sched.Options{})
 			if !probe.Completed() {
 				return fmt.Errorf("hunt probe incomplete: %v", probe.Err)
 			}
@@ -161,12 +161,19 @@ func run(args []string) error {
 		if implSel == harness.ABALinearizable && len(res.Violations) == 0 {
 			return fmt.Errorf("hunt failed to rediscover Observation 4")
 		}
-		if implSel == harness.ABAStrong && len(res.Violations) != 0 {
-			return fmt.Errorf("Algorithm 2 violated prefix preservation")
-		}
-		return nil
+		return verdictErr(implSel, len(res.Violations) != 0)
 
 	default:
 		return fmt.Errorf("unknown scenario %q", *scenario)
 	}
+}
+
+// verdictErr turns a scenario's finding into the command's exit status: a
+// prefix-preservation violation by Algorithm 2 refutes Theorem 12 and is an
+// error; one by Algorithm 1 is the expected verdict (Observation 4).
+func verdictErr(impl harness.ABAImpl, violated bool) error {
+	if impl == harness.ABAStrong && violated {
+		return fmt.Errorf("%s violated prefix preservation", impl)
+	}
+	return nil
 }

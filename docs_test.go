@@ -10,6 +10,8 @@ package slmem_test
 //     markdown files points at a file or directory that exists.
 //   - TestMarkdownLinksFromGoComments checks that a markdown file named in
 //     a comment of a non-test Go file exists.
+//   - TestClaimIndexNamesExistingTests checks that every test the claim
+//     index of docs/ARCHITECTURE.md names exists in the package it names.
 
 import (
 	"go/ast"
@@ -178,5 +180,53 @@ func TestMarkdownLinksFromGoComments(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no markdown file named in any Go comment; the check is miswired")
+	}
+}
+
+// claimName matches a package-qualified test or benchmark in backticks, the
+// form the claim index of docs/ARCHITECTURE.md uses: `aba.TestObservation4`.
+var claimName = regexp.MustCompile("`([a-z]+)\\.((?:Test|Benchmark)[A-Za-z0-9_]+)`")
+
+// claimRow matches a row E1..E9 of the claim index.
+var claimRow = regexp.MustCompile(`^\s*\| E[1-9] \|`)
+
+func TestClaimIndexNamesExistingTests(t *testing.T) {
+	data, err := os.ReadFile("docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		names := claimName.FindAllStringSubmatch(line, -1)
+		if claimRow.MatchString(line) {
+			rows++
+			if len(names) == 0 {
+				t.Errorf("claim index row names no test: %s", line)
+			}
+		}
+		for _, m := range names {
+			dir := "internal/" + m[1]
+			if m[1] == "slmem" {
+				dir = "."
+			}
+			files, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+			found := false
+			for _, f := range files {
+				src, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if strings.Contains(string(src), "\nfunc "+m[2]+"(") {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("docs/ARCHITECTURE.md names %s.%s, but no _test.go file in %s declares it", m[1], m[2], dir)
+			}
+		}
+	}
+	if rows != 9 {
+		t.Errorf("found %d claim index rows E1-E9, want 9; the check is miswired", rows)
 	}
 }

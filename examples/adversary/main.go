@@ -76,7 +76,7 @@ func main() {
 	trials, violations := 40, 0
 	sys := harness.Observation4System(harness.ABAStrong)
 	for seed := int64(0); seed < int64(trials); seed++ {
-		bt, err := harness.RandomBranchTree(sys, seed, 8, 3)
+		bt, err := sched.RandomBranchTree(sys, seed, 8, 3)
 		if err != nil {
 			panic(err)
 		}

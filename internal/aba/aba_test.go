@@ -9,7 +9,6 @@ import (
 	"slmem/internal/memory"
 	"slmem/internal/sched"
 	"slmem/internal/spec"
-	"slmem/internal/trace"
 )
 
 // dregister abstracts over both implementations for shared tests.
@@ -252,173 +251,6 @@ func TestStrongChainMonitor(t *testing.T) {
 			t.Fatalf("seed %d: no monotone linearization along run (fail at %s)", seed, chk.FailNode)
 		}
 	}
-}
-
-// --- Observation 4: mechanical reproduction -------------------------------------
-
-// observation4System: process 0 performs two DReads, process 1 performs
-// five DWrites of the same value "x". With n=2 the writer's sequence
-// numbers cycle 0,1,2,3,0: dw1 and dw5 share s=0 (the paper's dwi and dwj).
-func observation4System(impl string) sched.System {
-	return sched.System{
-		N: 2,
-		Setup: func(env *sched.Env) []sched.Program {
-			reg := newImpls(env, 2)[impl]
-			return []sched.Program{
-				func(p *sched.Proc) {
-					for i := 0; i < 2; i++ {
-						p.Do("DRead()", func() string {
-							v, flag := reg.DRead(0)
-							return fmt.Sprintf("(%s,%t)", v, flag)
-						})
-					}
-				},
-				func(p *sched.Proc) {
-					for i := 0; i < 5; i++ {
-						p.Do("DWrite(x)", func() string {
-							reg.DWrite(1, "x")
-							return "ok"
-						})
-					}
-				},
-			}
-		},
-	}
-}
-
-func rep(pid, k int) []int {
-	out := make([]int, k)
-	for i := range out {
-		out[i] = pid
-	}
-	return out
-}
-
-func cat(parts ...[]int) []int {
-	var out []int
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// TestObservation4 reproduces the paper's Observation 4: the transcript tree
-// {S, T1, T2} of Algorithm 1 admits no prefix-preserving linearization
-// function, even though each individual transcript is linearizable.
-//
-// Step accounting (simulator): DWrite = inv + read A[c] + write X + ret = 4
-// steps; Algorithm 1 DRead = inv + read X + read A[q] + write A[q] + read X
-// + ret = 6 steps. "dr1 to the end of line 16" = first 3 of those.
-func TestObservation4(t *testing.T) {
-	sys := observation4System("linearizable")
-
-	prefixS := cat(
-		rep(1, 4), // dw1
-		rep(0, 3), // dr1 through line 16
-		rep(1, 4), // dw2 (the paper's dw_{i+1}, choosing s' != s)
-	)
-	contT1 := cat(
-		rep(1, 12), // dw3, dw4, dw5 (dw5 = the paper's dwj, reusing s)
-		rep(0, 3),  // dr1 from line 17 to completion
-		rep(0, 6),  // dr2
-	)
-	contT2 := cat(
-		rep(0, 3), // dr1 from line 17 to completion
-		rep(0, 6), // dr2
-	)
-
-	tree, err := sched.PrefixTree(sys, prefixS, [][]int{contT1, contT2}, sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sp := spec.ABARegister{N: 2}
-
-	// Sanity: the runs took the shapes the proof requires.
-	t1Ops := tree.Children[0].T.Interpreted()
-	t2Ops := tree.Children[1].T.Interpreted()
-	if got := finalDReadRes(t1Ops); got != "(x,false)" {
-		t.Fatalf("dr2 in T1 returned %s, want (x,false) (paper's A-2)", got)
-	}
-	if got := finalDReadRes(t2Ops); got != "(x,true)" {
-		t.Fatalf("dr2 in T2 returned %s, want (x,true) (paper's B-2)", got)
-	}
-
-	// Each branch in isolation is linearizable...
-	for i, child := range tree.Children {
-		chk, err := lincheck.CheckTranscript(child.T, sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !chk.Ok {
-			t.Fatalf("branch T%d not linearizable — Algorithm 1 is linearizable, bug in setup:\n%s",
-				i+1, child.T.Interpreted())
-		}
-	}
-
-	// ...but the tree admits no prefix-preserving linearization function.
-	res, err := lincheck.CheckStrong(lincheck.FromSchedTree(tree), sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ok {
-		t.Fatal("Observation 4 violated: Algorithm 1's {S,T1,T2} tree accepted as strongly linearizable")
-	}
-}
-
-func finalDReadRes(h *trace.History) string {
-	res := ""
-	for _, op := range h.Ops {
-		if op.Desc == "DRead()" && op.Complete() {
-			res = op.Res
-		}
-	}
-	return res
-}
-
-// TestStrongSurvivesBranchingTrees: Algorithm 2 must admit a prefix-
-// preserving linearization function on randomly sampled branching trees of
-// the same workload that refutes Algorithm 1.
-func TestStrongSurvivesBranchingTrees(t *testing.T) {
-	sys := observation4System("strong")
-	for seed := int64(0); seed < 15; seed++ {
-		tree, err := randomBranchTree(sys, seed, 8, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := lincheck.CheckStrong(lincheck.FromSchedTree(tree), spec.ABARegister{N: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Ok {
-			t.Fatalf("seed %d: Algorithm 2 failed strong-linearizability tree check at %s", seed, res.FailNode)
-		}
-	}
-}
-
-// randomBranchTree samples a random schedule prefix of the given length and
-// attaches `fanout` completed continuations that diverge immediately after
-// the prefix.
-func randomBranchTree(sys sched.System, seed int64, prefixLen, fanout int) (*sched.TreeNode, error) {
-	// Derive a prefix by running with a seeded adversary and recording which
-	// pids it picked.
-	probe := sched.Run(sys, sched.NewSeeded(seed), sched.Options{})
-	prefix := probe.Schedule
-	if len(prefix) > prefixLen {
-		prefix = prefix[:prefixLen]
-	}
-	conts := make([][]int, 0, fanout)
-	for f := 0; f < fanout; f++ {
-		// Each continuation diverges with its own seeded adversary, running
-		// to completion; its schedule is recovered from the run.
-		adv := sched.NewChain(sched.NewScript(prefix...), sched.NewSeeded(seed*31+int64(f)))
-		res := sched.Run(sys, adv, sched.Options{})
-		if res.Err != nil {
-			return nil, res.Err
-		}
-		conts = append(conts, res.Schedule[len(prefix):])
-	}
-	return sched.PrefixTree(sys, prefix, conts, sched.Options{})
 }
 
 // TestObservation6a: two GetSeq calls by the same process returning the same

@@ -91,24 +91,10 @@ func TestLinearizableDReadStepCount(t *testing.T) {
 		if !res.Completed() {
 			t.Fatalf("seed %d: incomplete: %v", seed, res.Err)
 		}
-		steps := make(map[int]int)
-		isDRead := make(map[int]bool)
-		for _, e := range res.T.Events {
-			switch e.Kind {
-			case trace.KindInvoke:
-				if strings.HasPrefix(e.Desc, "DRead") {
-					isDRead[e.OpID] = true
-				}
-			case trace.KindRead, trace.KindWrite:
-				if isDRead[e.OpID] {
-					steps[e.OpID]++
-				}
-			}
-		}
-		for opID, n := range steps {
-			if n != 4 {
-				t.Errorf("seed %d: Algorithm 1 DRead #%d took %d steps, want exactly 4", seed, opID, n)
-			}
+		steps := sched.StepsByOp(res.T, func(d string) bool { return strings.HasPrefix(d, "DRead") })
+		if steps.Max != 4 || steps.Total != 4*steps.Ops {
+			t.Errorf("seed %d: Algorithm 1's %d DReads took %d steps (max %d), want exactly 4 each",
+				seed, steps.Ops, steps.Total, steps.Max)
 		}
 	}
 }

@@ -50,8 +50,8 @@ type ABARegister[V any] interface {
 	DRead(q int) (V, bool)
 }
 
-// Stats counts base-object operations, supporting the Theorem 32 experiments
-// (E3/E4/E8 in internal/harness). A Stats value is a reading: Snapshot.Stats
+// Stats counts base-object operations, supporting the Theorem 32 claims
+// (E3/E4/E8 of the claim index in docs/ARCHITECTURE.md). A Stats value is a reading: Snapshot.Stats
 // sums the per-process counters into a fresh one on each call, so a caller
 // that wants later counts asks again.
 type Stats struct {

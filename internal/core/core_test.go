@@ -180,7 +180,7 @@ func TestStrongChainMonitor(t *testing.T) {
 func TestStrongBranchingTrees(t *testing.T) {
 	sys := simSystem("alg3", 2, 2, 2)
 	for seed := int64(0); seed < 10; seed++ {
-		tree, err := randomBranchTree(sys, seed, 10, 3)
+		tree, err := sched.RandomBranchTree(sys, seed, 10, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,24 +192,6 @@ func TestStrongBranchingTrees(t *testing.T) {
 			t.Fatalf("seed %d: strong-linearizability tree check failed at %s", seed, res.FailNode)
 		}
 	}
-}
-
-func randomBranchTree(sys sched.System, seed int64, prefixLen, fanout int) (*sched.TreeNode, error) {
-	probe := sched.Run(sys, sched.NewSeeded(seed), sched.Options{})
-	prefix := probe.Schedule
-	if len(prefix) > prefixLen {
-		prefix = prefix[:prefixLen]
-	}
-	conts := make([][]int, 0, fanout)
-	for f := 0; f < fanout; f++ {
-		adv := sched.NewChain(sched.NewScript(prefix...), sched.NewSeeded(seed*131+int64(f)))
-		res := sched.Run(sys, adv, sched.Options{})
-		if res.Err != nil {
-			return nil, res.Err
-		}
-		conts = append(conts, res.Schedule[len(prefix):])
-	}
-	return sched.PrefixTree(sys, prefix, conts, sched.Options{})
 }
 
 // --- Theorem 32(a) and the contention-free fast path ----------------------------

@@ -6,24 +6,7 @@ import (
 	"slmem/internal/lincheck"
 	"slmem/internal/sched"
 	"slmem/internal/spec"
-	"slmem/internal/trace"
 )
-
-// PriorityAdversary always schedules the earliest enabled pid in its
-// preference order.
-func PriorityAdversary(order ...int) sched.Adversary {
-	pref := append([]int(nil), order...)
-	return sched.AdversaryFunc(func(enabled []int, _ *trace.Transcript) int {
-		for _, want := range pref {
-			for _, pid := range enabled {
-				if pid == want {
-					return pid
-				}
-			}
-		}
-		return enabled[0]
-	})
-}
 
 // HuntResult reports a guided strong-linearizability hunt.
 type HuntResult struct {
@@ -45,7 +28,7 @@ func Hunt(sys func() sched.System, schedule []int, sp spec.Spec, priorities [][]
 		prefix := schedule[:cut]
 		conts := make([][]int, 0, len(priorities))
 		for _, order := range priorities {
-			adv := sched.NewChain(sched.NewScript(prefix...), PriorityAdversary(order...))
+			adv := sched.NewChain(sched.NewScript(prefix...), sched.PriorityAdversary(order...))
 			res := sched.Run(sys(), adv, sched.Options{})
 			if res.Err != nil {
 				return nil, fmt.Errorf("harness: hunt cut %d: %w", cut, res.Err)

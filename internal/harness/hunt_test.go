@@ -53,7 +53,7 @@ func TestHuntFindsObservation4(t *testing.T) {
 func TestHuntClearsAlgorithm2(t *testing.T) {
 	// Algorithm 2's DRead has a different step structure, so derive the base
 	// schedule from an actual run instead of the Algorithm 1 script.
-	probe := sched.Run(Observation4System(ABAStrong), PriorityAdversary(1, 0), sched.Options{})
+	probe := sched.Run(Observation4System(ABAStrong), sched.PriorityAdversary(1, 0), sched.Options{})
 	if !probe.Completed() {
 		t.Fatalf("probe incomplete: %v", probe.Err)
 	}

@@ -1,3 +1,10 @@
+// Package harness holds what the model-checking tests, cmd/slcheck and
+// examples/adversary share: the simulated ABA-register and snapshot
+// workloads, the paper's Observation 4 transcript tree, the guided Hunt
+// that rediscovers it, and the Recorder that turns a native (really
+// parallel) run into a history the checkers accept. The paper's claims
+// themselves are asserted by tests beside their objects; the claim index in
+// docs/ARCHITECTURE.md names them.
 package harness
 
 import (
@@ -7,7 +14,6 @@ import (
 	"slmem/internal/core"
 	"slmem/internal/sched"
 	"slmem/internal/spec"
-	"slmem/internal/trace"
 )
 
 // ABAImpl selects an ABA-detecting register implementation.
@@ -24,19 +30,20 @@ type dregister interface {
 	DRead(q int) (string, bool)
 }
 
+func newABA(impl ABAImpl, env *sched.Env, n int) dregister {
+	if impl == ABALinearizable {
+		return aba.NewLinearizable[string](env, n, spec.Bot)
+	}
+	return aba.NewStrong[string](env, n, spec.Bot)
+}
+
 // ABASystem builds a simulated ABA workload: readerPids perform reads DReads
 // each, the rest perform writes DWrites each.
 func ABASystem(impl ABAImpl, n, readers, reads, writes int) sched.System {
 	return sched.System{
 		N: n,
 		Setup: func(env *sched.Env) []sched.Program {
-			var reg dregister
-			switch impl {
-			case ABALinearizable:
-				reg = aba.NewLinearizable[string](env, n, spec.Bot)
-			default:
-				reg = aba.NewStrong[string](env, n, spec.Bot)
-			}
+			reg := newABA(impl, env, n)
 			progs := make([]sched.Program, n)
 			for pid := 0; pid < n; pid++ {
 				pid := pid
@@ -115,13 +122,7 @@ func Observation4System(impl ABAImpl) sched.System {
 	return sched.System{
 		N: 2,
 		Setup: func(env *sched.Env) []sched.Program {
-			var reg dregister
-			switch impl {
-			case ABALinearizable:
-				reg = aba.NewLinearizable[string](env, 2, spec.Bot)
-			default:
-				reg = aba.NewStrong[string](env, 2, spec.Bot)
-			}
+			reg := newABA(impl, env, 2)
 			return []sched.Program{
 				func(p *sched.Proc) {
 					for i := 0; i < 2; i++ {
@@ -167,145 +168,19 @@ func Observation4Tree() (*sched.TreeNode, error) {
 		}
 		return out
 	}
-	prefixS := cat(rep(1, 4), rep(0, 3), rep(1, 4))
-	contT1 := cat(rep(1, 12), rep(0, 3), rep(0, 6))
-	contT2 := cat(rep(0, 3), rep(0, 6))
+	prefixS := cat(
+		rep(1, 4), // dw1
+		rep(0, 3), // dr1 through line 16
+		rep(1, 4), // dw2 (the paper's dw_{i+1}, choosing s' != s)
+	)
+	contT1 := cat(
+		rep(1, 12), // dw3, dw4, dw5 (dw5 = the paper's dw_j, reusing s)
+		rep(0, 3),  // dr1 from line 17 to completion
+		rep(0, 6),  // dr2
+	)
+	contT2 := cat(
+		rep(0, 3), // dr1 from line 17 to completion
+		rep(0, 6), // dr2
+	)
 	return sched.PrefixTree(Observation4System(ABALinearizable), prefixS, [][]int{contT1, contT2}, sched.Options{})
-}
-
-// RandomBranchTree samples a random schedule prefix and attaches fanout
-// completed continuations diverging after it.
-func RandomBranchTree(sys sched.System, seed int64, prefixLen, fanout int) (*sched.TreeNode, error) {
-	probe := sched.Run(sys, sched.NewSeeded(seed), sched.Options{})
-	prefix := probe.Schedule
-	if len(prefix) > prefixLen {
-		prefix = prefix[:prefixLen]
-	}
-	conts := make([][]int, 0, fanout)
-	for f := 0; f < fanout; f++ {
-		adv := sched.NewChain(sched.NewScript(prefix...), sched.NewSeeded(seed*1009+int64(f)))
-		res := sched.Run(sys, adv, sched.Options{})
-		if res.Err != nil {
-			return nil, res.Err
-		}
-		conts = append(conts, res.Schedule[len(prefix):])
-	}
-	return sched.PrefixTree(sys, prefix, conts, sched.Options{})
-}
-
-// DeepBranchTree samples a multi-level branching tree: at each of depth
-// levels the schedule forks into fanout continuations, each extended by
-// extLen random choices; leaves run to completion. This probes prefix
-// preservation across nested futures, which single-level trees cannot.
-func DeepBranchTree(sys sched.System, seed int64, depth, fanout, extLen int) (*sched.TreeNode, error) {
-	var build func(prefix []int, level int, seed int64) (*sched.TreeNode, error)
-	build = func(prefix []int, level int, seed int64) (*sched.TreeNode, error) {
-		res := sched.RunScript(sys, prefix, sched.Options{})
-		if res.Err != nil {
-			return nil, res.Err
-		}
-		node := &sched.TreeNode{
-			Schedule: append([]int(nil), prefix...),
-			T:        res.T,
-			Enabled:  res.Enabled,
-		}
-		if len(res.Enabled) == 0 {
-			return node, nil // all programs finished
-		}
-		for f := 0; f < fanout; f++ {
-			childSeed := seed*131 + int64(f) + 1
-			var childSchedule []int
-			if level == 0 {
-				// Leaf level: run to completion.
-				adv := sched.NewChain(sched.NewScript(prefix...), sched.NewSeeded(childSeed))
-				full := sched.Run(sys, adv, sched.Options{})
-				if full.Err != nil {
-					return nil, full.Err
-				}
-				childSchedule = full.Schedule
-			} else {
-				adv := sched.NewChain(sched.NewScript(prefix...), sched.NewSeeded(childSeed))
-				full := sched.Run(sys, adv, sched.Options{})
-				if full.Err != nil {
-					return nil, full.Err
-				}
-				childSchedule = full.Schedule
-				if len(childSchedule) > len(prefix)+extLen {
-					childSchedule = childSchedule[:len(prefix)+extLen]
-				}
-			}
-			child, err := build(childSchedule, level-1, childSeed)
-			if err != nil {
-				return nil, err
-			}
-			if !node.T.IsPrefixOf(child.T) {
-				return nil, fmt.Errorf("harness: deep tree child does not extend parent")
-			}
-			node.Children = append(node.Children, child)
-		}
-		return node, nil
-	}
-	probe := sched.Run(sys, sched.NewSeeded(seed), sched.Options{})
-	prefix := probe.Schedule
-	if len(prefix) > extLen {
-		prefix = prefix[:extLen]
-	}
-	return build(prefix, depth, seed)
-}
-
-// OpSteps aggregates base-object steps per high-level operation whose
-// invocation description matches the filter.
-type OpSteps struct {
-	// Ops is the number of matching operations.
-	Ops int
-	// Total is the number of base steps attributed to them.
-	Total int
-	// Max is the largest step count of any single matching operation.
-	Max int
-}
-
-// StepsByOp counts register steps grouped by operation over a transcript.
-func StepsByOp(t *trace.Transcript, match func(desc string) bool) OpSteps {
-	descs := make(map[int]string)
-	counts := make(map[int]int)
-	for _, e := range t.Events {
-		switch e.Kind {
-		case trace.KindInvoke:
-			descs[e.OpID] = e.Desc
-		case trace.KindRead, trace.KindWrite:
-			counts[e.OpID]++
-		}
-	}
-	var out OpSteps
-	for opID, desc := range descs {
-		if !match(desc) {
-			continue
-		}
-		out.Ops++
-		out.Total += counts[opID]
-		if counts[opID] > out.Max {
-			out.Max = counts[opID]
-		}
-	}
-	return out
-}
-
-// TreeStats summarizes a transcript tree.
-func TreeStats(node *sched.TreeNode) (nodes, leaves, maxDepth int) {
-	var walk func(n *sched.TreeNode, depth int)
-	walk = func(n *sched.TreeNode, depth int) {
-		nodes++
-		if depth > maxDepth {
-			maxDepth = depth
-		}
-		if len(n.Children) == 0 {
-			leaves++
-			return
-		}
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(node, 0)
-	return nodes, leaves, maxDepth
 }

@@ -228,21 +228,7 @@ func TestStrongChainMonitor(t *testing.T) {
 func TestStrongBranchingTrees(t *testing.T) {
 	sys := simSystem(2, [][]uint64{{3, 9}}, 2)
 	for seed := int64(0); seed < 10; seed++ {
-		probe := sched.Run(sys, sched.NewSeeded(seed), sched.Options{})
-		prefix := probe.Schedule
-		if len(prefix) > 9 {
-			prefix = prefix[:9]
-		}
-		conts := make([][]int, 0, 3)
-		for f := 0; f < 3; f++ {
-			adv := sched.NewChain(sched.NewScript(prefix...), sched.NewSeeded(seed*77+int64(f)))
-			res := sched.Run(sys, adv, sched.Options{})
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			conts = append(conts, res.Schedule[len(prefix):])
-		}
-		tree, err := sched.PrefixTree(sys, prefix, conts, sched.Options{})
+		tree, err := sched.RandomBranchTree(sys, seed, 9, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -238,11 +238,15 @@ func TestScanResultViewIsImmutable(t *testing.T) {
 	scan := kind.Request{Op: "scan"}
 
 	var done atomic.Bool
-	var uwg, rwg sync.WaitGroup
+	var uwg, rwg, started sync.WaitGroup
+	// Updaters wait until every reader has served a scan: on one core they
+	// could otherwise finish before a reader is first scheduled.
+	started.Add(readers)
 	for u := 0; u < updaters; u++ {
 		uwg.Add(1)
 		go func() {
 			defer uwg.Done()
+			started.Wait()
 			for i := 0; i < updates; i++ {
 				req := kind.Request{Op: "update", Value: fmt.Sprintf("u%d-%d", u, i)}
 				if _, err := runOp(ctx, r, KindSnapshot, "board", req); err != nil {
@@ -260,6 +264,9 @@ func TestScanResultViewIsImmutable(t *testing.T) {
 			defer rwg.Done()
 			for i := 0; !done.Load(); i++ {
 				res, err := runOp(ctx, r, KindSnapshot, "board", scan)
+				if i == 0 {
+					started.Done()
+				}
 				if err != nil {
 					t.Error(err)
 					return

@@ -152,6 +152,22 @@ func (s *Storm) Next(enabled []int, _ *trace.Transcript) int {
 	return enabled[0]
 }
 
+// PriorityAdversary always schedules the earliest enabled pid in its
+// preference order.
+func PriorityAdversary(order ...int) Adversary {
+	pref := append([]int(nil), order...)
+	return AdversaryFunc(func(enabled []int, _ *trace.Transcript) int {
+		for _, want := range pref {
+			for _, pid := range enabled {
+				if pid == want {
+					return pid
+				}
+			}
+		}
+		return enabled[0]
+	})
+}
+
 // Chain runs each adversary in turn, moving to the next when the current one
 // returns -1. The run stops when the last one does.
 type Chain struct {

@@ -187,24 +187,7 @@ func TestReplayCacheFallbackUnderAdversary(t *testing.T) {
 func TestReplayCacheStrongPrefixTrees(t *testing.T) {
 	sys := cachedSimSystem(CounterType{}, counterScripts(2, 3), true, nil)
 	for seed := int64(0); seed < 6; seed++ {
-		probe := sched.Run(sys, sched.NewSeeded(seed), sched.Options{})
-		if !probe.Completed() {
-			t.Fatalf("seed %d: probe incomplete: %v", seed, probe.Err)
-		}
-		prefix := probe.Schedule
-		if len(prefix) > 16 {
-			prefix = prefix[:16]
-		}
-		conts := make([][]int, 0, 3)
-		for f := 0; f < 3; f++ {
-			adv := sched.NewChain(sched.NewScript(prefix...), sched.NewSeeded(seed*131+int64(f)))
-			res := sched.Run(sys, adv, sched.Options{})
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			conts = append(conts, res.Schedule[len(prefix):])
-		}
-		tree, err := sched.PrefixTree(sys, prefix, conts, sched.Options{})
+		tree, err := sched.RandomBranchTree(sys, seed, 16, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
