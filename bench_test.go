@@ -497,6 +497,70 @@ func BenchmarkUniversalMissPath(b *testing.B) {
 	b.ReportMetric(float64(o.GCStats(0).LiveNodes), "live-nodes")
 }
 
+// countingType is CounterType with every Apply of its specification counted:
+// what an object replays is what it applies beyond one Apply per operation.
+type countingType struct {
+	CounterType
+	applies *atomic.Int64
+}
+
+func (c countingType) Spec() Spec { return countingSpec{c.CounterType.Spec(), c.applies} }
+
+type countingSpec struct {
+	Spec
+	applies *atomic.Int64
+}
+
+func (c countingSpec) Apply(state string, pid int, desc string) (string, string, error) {
+	c.applies.Add(1)
+	return c.Spec.Apply(state, pid, desc)
+}
+
+// BenchmarkUniversalContended is the served configuration under real overlap
+// (run it with -cpu 2): two goroutines as pids 0 and 1 split b.N inc() over
+// objs truncating objects, each picking its next object at random. At 64
+// objects they meet on one about once in seventy operations, as in the
+// matrix's inproc-object; at one they never stop meeting. replayed-nodes/op is
+// every Apply beyond the operation's own — Execute's replays and the
+// collector's — so it is the count the replay floors and the collector's base
+// exist to keep near the delta.
+func BenchmarkUniversalContended(b *testing.B) {
+	for _, objs := range []int{1, 64} {
+		b.Run("objs="+strconv.Itoa(objs), func(b *testing.B) {
+			const pids = 2
+			applies := make([]atomic.Int64, objs)
+			objects := make([]*Object, objs)
+			for i := range objects {
+				objects[i] = NewObject(countingType{applies: &applies[i]}, pids)
+				objects[i].SetGC(ObjectGCOptions{Window: DefaultObjectGCWindow})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for pid := 0; pid < pids; pid++ {
+				wg.Add(1)
+				go func(pid int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(pid) + 1))
+					for i := pid; i < b.N; i += pids {
+						if _, err := objects[rng.Intn(objs)].Execute(pid, "inc()"); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(pid)
+			}
+			wg.Wait()
+			b.StopTimer()
+			var total int64
+			for i := range applies {
+				total += applies[i].Load()
+			}
+			b.ReportMetric(float64(total-int64(b.N))/float64(b.N), "replayed-nodes/op")
+		})
+	}
+}
+
 // --- E5 companion: space growth as a benchmark metric ---------------------------
 
 func BenchmarkVersionedSpaceGrowth(b *testing.B) {

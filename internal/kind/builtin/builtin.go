@@ -8,6 +8,7 @@ package builtin
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 
 	"slmem"
 	"slmem/internal/kind"
@@ -368,6 +369,10 @@ func (d objectDriver) New(env kind.Env) (kind.Instance, error) {
 type objectInstance struct {
 	typeName string
 	pooled   *slmem.PooledObject
+	// last is the compiled op of the invocation validated last: a client
+	// streams one invocation far more often than it alternates, and the op is
+	// immutable, so a repeat costs one load and one string comparison.
+	last atomic.Pointer[objectExecute]
 }
 
 // Compile implements kind.Instance. Addressing an existing object with a
@@ -380,10 +385,15 @@ func (o *objectInstance) Compile(req kind.Request) (kind.Compiled, error) {
 	if req.Type != o.typeName {
 		return nil, kind.Conflict("object already exists with type %q, not %q", o.typeName, req.Type)
 	}
+	if op := o.last.Load(); op != nil && op.inv == req.Invocation {
+		return op, nil
+	}
 	if err := ValidateInvocation(req.Type, req.Invocation); err != nil {
 		return nil, err
 	}
-	return objectExecute{o.pooled.Unpooled(), req.Invocation}, nil
+	op := &objectExecute{o.pooled.Unpooled(), req.Invocation}
+	o.last.Store(op)
+	return op, nil
 }
 
 // Unwrap implements kind.Unwrapper.
@@ -392,14 +402,15 @@ func (o *objectInstance) Unwrap() any { return o.pooled }
 // TypeName implements kind.TypeNamer.
 func (o *objectInstance) TypeName() string { return o.typeName }
 
-// objectExecute is the compiled execute op with its invocation.
+// objectExecute is the compiled execute op with its invocation. It is handed
+// out by pointer, which an interface holds without allocating.
 type objectExecute struct {
 	o   *slmem.Object
 	inv string
 }
 
 // Run implements kind.Compiled.
-func (op objectExecute) Run(pid int) (kind.Result, error) {
+func (op *objectExecute) Run(pid int) (kind.Result, error) {
 	v, err := op.o.Execute(pid, op.inv)
 	return kind.Result{Value: v}, err
 }

@@ -124,3 +124,72 @@ func TestBatchExecuteAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestObjectCompileAllocs pins the compiled-op memo of an object instance: a
+// repeated invocation compiles to the op its first validation built, without
+// a dry run of the spec and without an allocation, and the memo is never the
+// answer to a different request — two alternating invocations each run their
+// own, a type mismatch is still a conflict and a bad invocation still an
+// error of the caller's, whatever was compiled just before.
+func TestObjectCompileAllocs(t *testing.T) {
+	r := New(Options{Procs: 2})
+	req := func(typ, inv string) kind.Request {
+		return kind.Request{Op: string(OpExecute), Type: typ, Invocation: inv}
+	}
+	inst, pool, err := r.Get(KindObject, "memo", req("counter", "inc()"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := req("counter", "inc()")
+	if _, err := inst.Compile(inc); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := inst.Compile(inc); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm Compile of a repeated invocation = %.2f allocs, want 0", allocs)
+	}
+
+	run := func(c kind.Compiled) string {
+		t.Helper()
+		var res kind.Result
+		err := pool.With(context.Background(), func(pid int) (err error) {
+			res, err = c.Run(pid)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Value
+	}
+	for i := 1; i <= 3; i++ {
+		incOp, err := inst.Compile(inc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readOp, err := inst.Compile(req("counter", "read()"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Run in the order compiled last first: each op is its own invocation.
+		before := run(readOp)
+		run(incOp)
+		if after := run(readOp); before != strconv.Itoa(i-1) || after != strconv.Itoa(i) {
+			t.Fatalf("round %d: read() = %s, inc(), read() = %s: an op ran another's invocation", i, before, after)
+		}
+	}
+	if _, err := inst.Compile(inc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inst.Compile(req("set", "inc()")); !kind.IsConflict(err) {
+		t.Errorf("memoized invocation under another type: err = %v, want a conflict", err)
+	}
+	if _, err := inst.Compile(req("counter", "bogus()")); err == nil || kind.IsConflict(err) || kind.IsNotFound(err) {
+		t.Errorf("bad invocation after a memoized one: err = %v, want the spec's rejection", err)
+	}
+	if _, err := inst.Compile(inc); err != nil {
+		t.Errorf("Compile after a rejected invocation: %v", err)
+	}
+}

@@ -15,10 +15,11 @@
 //
 // Every Window operations a process attempts a truncation pass (one
 // TryLock'd collector at a time). The pass reads all n records, takes the
-// pointwise minimum M of their prefixes, and lowers M to a fixpoint where
-// every reachable node outside M covers it. The fixpoint terminates at or
-// above the current root: every live node covers the current root by
-// induction, and M only decreases toward views that themselves cover it.
+// pointwise minimum M of their prefixes (the candidate), and lowers M to a
+// fixpoint where every reachable node outside M covers it. The fixpoint
+// terminates at or above the current root: every live node covers the current
+// root by induction, and M only decreases toward views that themselves cover
+// it.
 //
 // The fixpoint only examines nodes reachable from the collector's scan,
 // and the records are read after that scan, so process q may have published
@@ -41,12 +42,33 @@
 // replayed state can stand in for M: the pass publishes {M, state, version}
 // as the new truncation root in one atomic pointer.
 //
-// Physical reclamation is deferred: the boundary nodes (index exactly M[q])
-// keep their preceding views until every process's record carries a root
-// version at or past the truncation — from then on no replay floor can fall
-// below M, nobody follows pointers into the prefix again (extraction never
-// reads the view of a node at or below its floor), and the collector severs
-// the boundary views so the Go runtime can free the prefix. The ordering
+// The state is computed from the nearest checkpoint the pass has in hand, not
+// from the farthest. Its base is the highest record between the current root
+// and the candidate — found by climbing from the root through the n records
+// just read, so the root is simply the list's last resort. The candidate is
+// the pointwise minimum of those records, so a record at or below it is the
+// candidate itself: one process's anchor that every other has passed, the
+// ordinary case when operations do not overlap. Extraction, the fixpoint and
+// the replay run over the nodes above the base only; extraction is the
+// covering check, so by the lemma the base's state is the state of its
+// prefix in this graph, whoever computed it, and when M is the base nothing is
+// sorted or applied — the record's state is adopted. A straggler outside the
+// base that does not cover it makes extraction refuse (or, in a graph that is
+// not the construction's, the fixpoint sink below the base), and the pass
+// starts over from the current root. GCStats.TruncatedNodes counts the
+// operations folded, Σ_q (M[q] − root[q]), whichever base did the folding.
+//
+// Physical reclamation is deferred: the boundary nodes (index exactly M[q],
+// reached by stepping down each chain from the scan) keep their preceding
+// views until every process's record carries a root version at or past the
+// truncation — from then on no replay floor can fall below M, nobody follows
+// pointers into the prefix again (extraction never reads the view of a node
+// at or below its floor), and the collector severs the boundary views so the
+// Go runtime can free the prefix. A process has several floors to choose from
+// (its kept anchors, package doc) and a pass has its base, and neither
+// weakens this: every one of them is at or above the root loaded by the
+// operation or pass that uses it, and a record of version v belongs to a
+// process whose later operations load roots at or past v. The ordering
 // argument is the record's store/load pair: the last potential reader
 // published its record (release) before the collector observed quiescence
 // (acquire) and cut.
@@ -86,7 +108,8 @@ type GCStats struct {
 	// Truncations counts completed truncation passes that advanced the root.
 	Truncations int64
 	// TruncatedNodes counts operations folded into the root's state across
-	// all truncations.
+	// all truncations: per truncation, the sum over processes of how far the
+	// root's prefix moved.
 	TruncatedNodes int64
 	// RootVersion is the current truncation root's version; 0 is the
 	// initial, empty root.
@@ -117,9 +140,10 @@ type pendingTrim struct {
 // gcInfo is the per-object collector state.
 type gcInfo struct {
 	window      int
-	mu          sync.Mutex // serializes collector passes; guards pending, recs and scratch
+	mu          sync.Mutex // serializes collector passes; guards pending, recs, cut and scratch
 	pending     []pendingTrim
 	recs        []*anchor // a pass's reading of every process's record
+	cut         []int     // a pass's candidate: the pointwise minimum of recs, clamped
 	scratch     scratch   // the collector's own: a pass runs as no process
 	truncations atomic.Int64
 	truncated   atomic.Int64
@@ -140,7 +164,7 @@ func (o *Object) SetGC(opts GCOptions) {
 		o.gc.window = window
 		return
 	}
-	o.gc = &gcInfo{window: window, recs: make([]*anchor, o.n), scratch: scratch{n: o.n}}
+	o.gc = &gcInfo{window: window, recs: make([]*anchor, o.n), cut: make([]int, o.n), scratch: scratch{n: o.n}}
 }
 
 // GCEnabled reports whether SetGC has enabled truncation.
@@ -180,15 +204,13 @@ func (o *Object) collect(view []*node) {
 			return
 		}
 	}
-	// m becomes the new root's prefix, so it cannot be storage the next pass
-	// reuses.
-	m := make([]int, o.n)
-	copy(m, g.recs[0].prefix)
+	cut := g.cut
+	copy(cut, g.recs[0].prefix)
 	minVer := g.recs[0].version
 	for _, rec := range g.recs[1:] {
 		minVer = min(minVer, rec.version)
 		for r, idx := range rec.prefix {
-			m[r] = min(m[r], idx)
+			cut[r] = min(cut[r], idx)
 		}
 	}
 
@@ -216,12 +238,12 @@ func (o *Object) collect(view []*node) {
 	// after the scan, so they may run ahead of it. A scan older than the
 	// current root (another process truncated since) waits for a fresher one.
 	advanced := false
-	for q := range m {
-		m[q] = min(max(m[q], cur.prefix[q]), top(view[q]))
-		if m[q] < cur.prefix[q] {
+	for q := range cut {
+		cut[q] = min(max(cut[q], cur.prefix[q]), top(view[q]))
+		if cut[q] < cur.prefix[q] {
 			return
 		}
-		if m[q] > cur.prefix[q] {
+		if cut[q] > cur.prefix[q] {
 			advanced = true
 		}
 	}
@@ -229,57 +251,61 @@ func (o *Object) collect(view []*node) {
 		return
 	}
 
+	// The base of the pass: the highest record between the current root and
+	// the candidate, found by climbing from the root through the records just
+	// read. Its state already folds everything at or below it.
+	base := cur
+	for _, rec := range g.recs {
+		if atOrAbove(rec.prefix, base.prefix) && atOrAbove(cut, rec.prefix) {
+			base = rec
+		}
+	}
+
+	// Extract past the base and lower m to the covering fixpoint. The graph
+	// may refuse a record as a base — a straggler outside it need not cover it
+	// — and then the pass starts over from the current root, which every live
+	// node covers. m becomes the new root's prefix, so it is fresh storage.
 	sc := &g.scratch
 	defer sc.release()
-	if _, ok := sc.extract(cur.prefix, view); !ok {
-		o.coverFails.Add(1)
-		return // unreachable: every live node covers the current root
-	}
-	delta := sc.nodes
-
-	// Lower m to the covering fixpoint: every node left outside the prefix
-	// must cover it. A violating node's own view caps the prefix — nodes it
-	// did not scan might linearize after it.
-	for changed := true; changed; {
-		changed = false
-		for _, nd := range delta {
-			if anchored(m, nd) || covers(nd.preceding, m) {
-				continue
-			}
-			for q, prev := range nd.preceding {
-				if idx := top(prev); idx < m[q] {
-					m[q] = idx
-					changed = true
-				}
+	m := make([]int, o.n)
+	for {
+		copy(m, cut)
+		if _, ok := sc.extract(base.prefix, view); ok {
+			lowerToCover(m, sc.nodes)
+			if atOrAbove(m, base.prefix) {
+				break
 			}
 		}
-	}
-	advanced = false
-	for q := range m {
-		if m[q] < cur.prefix[q] {
+		if base == cur {
 			o.coverFails.Add(1)
-			return // unreachable: live nodes' views cover the current root
+			return // unreachable: every live node covers the current root
 		}
-		if m[q] > cur.prefix[q] {
-			advanced = true
-		}
+		base = cur
 	}
-	if !advanced {
+	folded := 0
+	for q := range m {
+		folded += m[q] - cur.prefix[q]
+	}
+	if folded == 0 {
 		return
 	}
 
-	// Replay the newly truncated prefix onto the current root's state. By the
-	// covering fixpoint the prefix nodes form an exact prefix of the
-	// linearization (prefix-first), checked defensively before committing.
-	prefixLen := 0
-	for _, nd := range delta {
+	// Replay what lies between the base and m onto the base's state; when m
+	// is the base there is nothing to sort. By the covering fixpoint the
+	// prefix nodes form an exact prefix of the linearization (prefix-first),
+	// checked defensively before committing.
+	between := 0
+	for _, nd := range sc.nodes {
 		if anchored(m, nd) {
-			prefixLen++
+			between++
 		}
 	}
-	state := cur.state
-	count := 0
-	for _, nd := range sc.linearize(o.t) {
+	var order []*node
+	if between > 0 {
+		order = sc.linearize(o.t)
+	}
+	state, count := base.state, 0
+	for _, nd := range order {
 		if !anchored(m, nd) {
 			break
 		}
@@ -294,24 +320,49 @@ func (o *Object) collect(view []*node) {
 		state = next
 		count++
 	}
-	if count != prefixLen {
+	if count != between {
 		g.replayFails.Add(1)
 		return // unreachable: prefix-first order violated
 	}
 
 	o.trunc.Store(&anchor{prefix: m, state: state, version: cur.version + 1})
 	g.truncations.Add(1)
-	g.truncated.Add(int64(count))
+	g.truncated.Add(int64(folded))
 
-	// Queue the boundary nodes — index exactly m[q]; live nodes cover m, so
-	// nothing live points below them — for pointer cuts at quiescence.
+	// Queue the boundary nodes — index exactly m[q], one step down each chain
+	// that moved; live nodes cover m, so nothing live points below them — for
+	// pointer cuts at quiescence.
 	var boundary []*node
-	for _, nd := range delta {
-		if nd.index == m[nd.pid] {
-			boundary = append(boundary, nd)
+	for q, nd := range view {
+		if m[q] == cur.prefix[q] {
+			continue
 		}
+		for nd.index > m[q] {
+			nd = nd.preceding[q]
+		}
+		boundary = append(boundary, nd)
 	}
 	g.pending = append(g.pending, pendingTrim{version: cur.version + 1, boundary: boundary})
+}
+
+// lowerToCover lowers m to the covering fixpoint over nodes: every node left
+// outside the prefix must cover it. A violating node's own view caps the
+// prefix — nodes it did not scan might linearize after it.
+func lowerToCover(m []int, nodes []*node) {
+	for changed := true; changed; {
+		changed = false
+		for _, nd := range nodes {
+			if anchored(m, nd) || covers(nd.preceding, m) {
+				continue
+			}
+			for q, prev := range nd.preceding {
+				if idx := top(prev); idx < m[q] {
+					m[q] = idx
+					changed = true
+				}
+			}
+		}
+	}
 }
 
 // trimQuiesced severs the boundary views of truncations whose root version

@@ -328,25 +328,31 @@ func TestGCScanWatermarkGap(t *testing.T) {
 // TestGCReplayFailureSurfaced pins the observability of an abandoned
 // truncation: a prefix that fails to replay onto the root's state
 // leaves the graph untruncated, but the failure must show up in GCStats
-// rather than masquerade as normal non-advancement.
+// rather than masquerade as normal non-advancement. The forged records are
+// pointwise incomparable, so their minimum — the cut — is neither of them: a
+// cut that is a record is adopted with the record's state and replays nothing.
 func TestGCReplayFailureSurfaced(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
 	o.SetGC(GCOptions{Window: 1 << 30})
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		if _, err := o.Execute(0, "inc()"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A fabricated node whose invocation the spec rejects: any truncation
-	// prefix containing it fails to replay.
+	// prefix containing it fails to replay. p0's third node is fabricated
+	// too — an Execute that scanned the bogus node would fail to replay it —
+	// so that every node outside the cut covers it.
 	bogus := &node{invocation: "bogus()", pid: 1, index: 0, preceding: o.root.View(1)}
 	o.root.Update(1, bogus)
 	o.local[1].index = 1
+	o.root.Update(0, &node{invocation: "inc()", response: "ok", pid: 0, index: 2, preceding: o.root.View(0)})
+	o.local[0].index = 3
 	view := o.root.View(0)
 	g := o.gc
 	o.local[0].rec.Store(&anchor{prefix: []int{2, 0}})
-	o.local[1].rec.Store(&anchor{prefix: []int{2, 0}})
+	o.local[1].rec.Store(&anchor{prefix: []int{1, 1}})
 	g.mu.Lock()
 	o.collect(view)
 	g.mu.Unlock()
@@ -421,6 +427,175 @@ func TestGCStaleAnchorFallback(t *testing.T) {
 	}
 	if got != strconv.Itoa(ops) {
 		t.Fatalf("read() with stale anchor = %q, want %d", got, ops)
+	}
+}
+
+// TestGCEarlierAnchorBelowRootSkipped: every anchor a process keeps — its
+// record and the earlier ones — is stranded below the truncation root, each
+// with a prefix the untrimmed graph would still accept and a poisoned state.
+// All must be skipped without an extraction (no hit, no miss) and the
+// operation served from the root.
+func TestGCEarlierAnchorBelowRootSkipped(t *testing.T) {
+	var alloc memory.NativeAllocator
+	o := New(&alloc, CounterType{}, 2)
+	o.SetGC(GCOptions{Window: 1 << 30}) // collect only when driven by hand
+	const ops = 20
+	var old *anchor
+	for i := 0; i < ops; i++ {
+		if _, err := o.Execute(i%2, "inc()"); err != nil {
+			t.Fatal(err)
+		}
+		if i == 6 {
+			old = o.local[0].rec.Load()
+		}
+	}
+	// One pass: the root moves past old, and the boundary views stay intact
+	// (they are cut by a later pass), so extraction past old would succeed.
+	view := o.root.View(0)
+	o.gc.mu.Lock()
+	o.collect(view)
+	o.gc.mu.Unlock()
+	if root := o.trunc.Load(); root.version != 1 || atOrAbove(old.prefix, root.prefix) {
+		t.Fatalf("root v%d %v did not pass the anchor %v", root.version, root.prefix, old.prefix)
+	}
+	l := &o.local[0]
+	if _, ok := l.extract(old.prefix, view); !ok {
+		t.Fatal("the graph refuses the stranded prefix anyway; the case needs it extractable")
+	}
+	l.release()
+	poisoned := &anchor{prefix: old.prefix, state: "POISON"}
+	l.rec.Store(poisoned)
+	for i := range l.earlier {
+		l.earlier[i] = poisoned
+	}
+	before := o.CacheStats()
+	got, err := o.Execute(0, "read()")
+	if err != nil || got != strconv.Itoa(ops) {
+		t.Fatalf("read() over stranded anchors = %q, %v; want %d", got, err, ops)
+	}
+	if st := o.CacheStats(); st != before {
+		t.Fatalf("an anchor below the root was extracted from: %+v -> %+v", before, st)
+	}
+}
+
+// TestGCStragglerPastEveryAnchor: a straggler that covers none of the anchors
+// its observer keeps sends the operation to the root, one that covers an
+// earlier anchor stops there, and both responses are those of a twin object
+// that replays everything every time.
+func TestGCStragglerPastEveryAnchor(t *testing.T) {
+	var alloc1, alloc2 memory.NativeAllocator
+	cached, twin := New(&alloc1, CounterType{}, 2), New(&alloc2, CounterType{}, 2)
+	twin.SetCaching(false)
+	both := func(desc string) string {
+		t.Helper()
+		got, err := cached.Execute(0, desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.Execute(0, desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: cached %q, uncached twin %q", desc, got, want)
+		}
+		return got
+	}
+	// straggle publishes p1's next node with the view p1 would have scanned
+	// back p0-operations ago (everything, for back < 0: p1 scanned at time zero).
+	straggle := func(o *Object, back int) {
+		view := make([]*node, 2)
+		if back >= 0 {
+			now := o.root.View(1)
+			view[0], view[1] = now[0], now[1]
+			for ; back > 0; back-- {
+				view[0] = view[0].preceding[0]
+			}
+		}
+		l := &o.local[1]
+		o.root.Update(1, &node{invocation: "inc()", response: "ok", pid: 1, index: l.index, preceding: view})
+		l.index++
+	}
+	for i := 0; i < anchorRing+2; i++ {
+		both("inc()")
+	}
+
+	straggle(cached, -1)
+	straggle(twin, -1)
+	if got := both("read()"); got != strconv.Itoa(anchorRing+3) {
+		t.Fatalf("read() = %q, want %d", got, anchorRing+3)
+	}
+	if st := cached.CacheStats(); st.Misses != 1 || st.RootReplays != 1 {
+		t.Fatalf("a straggler covering no kept anchor must replay from the root once: %+v", st)
+	}
+
+	for i := 0; i < anchorRing; i++ {
+		both("inc()")
+	}
+	straggle(cached, 3)
+	straggle(twin, 3)
+	if got := both("read()"); got != strconv.Itoa(2*anchorRing+4) {
+		t.Fatalf("read() = %q, want %d", got, 2*anchorRing+4)
+	}
+	if st := cached.CacheStats(); st.Misses != 2 || st.RootReplays != 1 {
+		t.Fatalf("a straggler covering an earlier anchor must stop there: %+v", st)
+	}
+}
+
+// TestGCRefusedBaseFallsBackToRoot: a record that sits between the root and
+// the cut is the collector's base, but the graph refuses it — a straggler
+// outside it does not cover it — so the pass must start over from the root and
+// commit exactly what a twin object commits whose records give the same cut
+// and no base.
+func TestGCRefusedBaseFallsBackToRoot(t *testing.T) {
+	build := func(rec0, rec1 *anchor) *Object {
+		var alloc memory.NativeAllocator
+		o := New(&alloc, CounterType{}, 2)
+		o.SetGC(GCOptions{Window: 1 << 30}) // collect only when driven by hand
+		exec := func(times int) {
+			for i := 0; i < times; i++ {
+				if _, err := o.Execute(0, "inc()"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		exec(3)
+		// p1's first operation scanned after p0's first and publishes only now.
+		first := o.root.View(1)[0].preceding[0].preceding[0]
+		o.root.Update(1, &node{invocation: "inc()", response: "ok", pid: 1, index: 0, preceding: []*node{first, nil}})
+		o.local[1].index = 1
+		exec(3)
+		view := o.root.View(0)
+		o.local[0].rec.Store(rec0)
+		o.local[1].rec.Store(rec1)
+		o.gc.mu.Lock()
+		o.collect(view)
+		o.gc.mu.Unlock()
+		return o
+	}
+	// Both cuts are {2, -1}; p1's node lies outside and covers only {0, -1}.
+	forged := build(&anchor{prefix: []int{5, 0}, state: "7"}, &anchor{prefix: []int{2, -1}, state: "POISON"})
+	twin := build(&anchor{prefix: []int{2, 0}}, &anchor{prefix: []int{5, -1}})
+	got, want := forged.trunc.Load(), twin.trunc.Load()
+	if want.version != 1 || want.state != "1" || want.prefix[0] != 0 || want.prefix[1] != -1 {
+		t.Fatalf("twin truncated to %+v, want {[0 -1] 1 1}", *want)
+	}
+	if got.version != want.version || got.state != want.state || got.prefix[0] != want.prefix[0] || got.prefix[1] != want.prefix[1] {
+		t.Fatalf("refused base: truncated to %+v, twin to %+v", *got, *want)
+	}
+	for _, o := range []*Object{forged, twin} {
+		st := o.GCStats(0)
+		if st.TruncatedNodes != 1 || st.LiveNodes != 6 || st.CoverageFailures+st.ReplayFailures != 0 {
+			t.Fatalf("after the fallback: %+v", st)
+		}
+	}
+	// p0's forged record is still a legal floor in the forged object (it
+	// carries the true state); the twin's is not, so read through p1.
+	for _, o := range []*Object{forged, twin} {
+		o.local[1].rec.Store(nil)
+		if resp, err := o.Execute(1, "read()"); err != nil || resp != "7" {
+			t.Fatalf("read() after the fallback = %q, %v; want \"7\"", resp, err)
+		}
 	}
 }
 
@@ -558,7 +733,7 @@ func TestGCChurnSoak(t *testing.T) {
 // operation is lost or duplicated through any truncation: the final count
 // equals the operations executed.
 func TestGCConcurrentChurn(t *testing.T) {
-	const n = 4
+	const n, window = 4, 64
 	perProc := 5000
 	if testing.Short() {
 		perProc = 1000
@@ -566,7 +741,7 @@ func TestGCConcurrentChurn(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, n)
 	o.SetCaching(true) // production config: without it a pinned collector makes ops O(history)
-	o.SetGC(GCOptions{Window: 64})
+	o.SetGC(GCOptions{Window: window})
 
 	// No per-op yield: on one CPU the goroutines run in scheduler-sized
 	// bursts, and while one process has not published a watermark yet the
@@ -605,8 +780,21 @@ func TestGCConcurrentChurn(t *testing.T) {
 	if want := strconv.Itoa(n * perProc); got != want {
 		t.Fatalf("final count %q, want %q: truncation lost or duplicated operations", got, want)
 	}
-	if st := o.GCStats(0); st.Truncations == 0 {
-		t.Error("concurrent churn never truncated")
+	// Whether a pass got through while the goroutines overlapped is the
+	// scheduler's call: when the last process starts late, every pass before
+	// its first operation meets an unpublished record and the few after it
+	// can all be refused by the freshness gate. A quiescent tail — each
+	// process in turn, one window — leaves no such excuse: its passes see
+	// every record and a scan no record runs ahead of.
+	for p := 0; p < n; p++ {
+		for i := 0; i < window; i++ {
+			if _, err := o.Execute(p, "inc()"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := o.GCStats(0); st.Truncations == 0 || st.CoverageFailures+st.ReplayFailures != 0 {
+		t.Errorf("churn and a quiescent tail never truncated cleanly: %+v", st)
 	}
 }
 

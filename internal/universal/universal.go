@@ -30,10 +30,10 @@
 // that prefix, and the version of the truncation root it executed against.
 // The record is immutable, written once per operation by its owner into a
 // single-writer register outside the simulated shared memory, and read by the
-// owner's next operation (as its replay cache) and by collector passes (as
-// its low watermark). The truncation root is a record of the same type; the
-// initial one — nothing linearized, the initial state, version 0 — exists
-// from construction.
+// owner's later operations (as a replay floor) and by collector passes (as a
+// low watermark, and as a base whose state they may adopt). The truncation
+// root is a record of the same type; the initial one — nothing linearized, the
+// initial state, version 0 — exists from construction.
 //
 // A node covers a prefix when its scanned view includes every node of the
 // prefix. Covering lemma: in a precedence graph whose nodes outside a prefix
@@ -42,22 +42,38 @@
 // chains, so precedence orders it after the whole prefix, and lingraph's
 // dominance edges skip pairs precedence already orders, so no edge can invert
 // that. Replacing the prefix by the state it replays to therefore changes no
-// response and reorders nothing. The replay cache applies the lemma to the
-// graph one scan reaches; truncation applies it to every graph any later scan
-// can reach, which is precisely prefix preservation.
+// response and reorders nothing. The lemma speaks of a prefix, not of the
+// newest one: any record whose prefix the graph in hand covers is a sound
+// place to start, and the nearest is merely the cheapest. The replay cache
+// applies the lemma to the graph one scan reaches; truncation applies it to
+// every graph any later scan can reach, which is precisely prefix
+// preservation.
 //
 // # Replay cache
 //
 // Executed naively, steps 2-4 cost O(history). Process p instead starts from
-// its own latest anchor: it extracts only the nodes beyond the prefix and
-// replays them onto the anchored state, provided every extracted node covers
-// the prefix — the lemma's condition on the graph p scanned, so node orders
-// and responses are byte-identical to an uncached run (the differential tests
-// check this) at O(Δ·n) for the Δ operations since p's previous one. A
+// the nearest floor the scanned graph covers. The candidates are one list:
+// p's own anchors newest to oldest — its latest and the anchorRing before it
+// — and last the truncation root, which every reachable node covers (gc.go;
+// without GC the root stays the empty prefix and that last candidate is the
+// full extraction). From a candidate p extracts only the nodes beyond the
+// prefix and replays them onto the anchored state, provided every extracted
+// node covers the prefix — the lemma's condition on the graph p scanned, so
+// node orders and responses are byte-identical to an uncached run (the
+// differential tests check this). Normally the latest anchor is covered and
+// the cost is O(Δ·n) for the Δ operations since p's previous one. A
 // non-covering node (a genuinely concurrent straggler that might linearize
-// inside the prefix) forces a fallback to the truncation root, which every
-// reachable node covers (gc.go; without GC the root stays the empty prefix
-// and the fallback is the full extraction).
+// inside the prefix) refuses the candidate, and the next one down is tried: a
+// straggler that overlapped one of p's recent operations scanned after the
+// operation before it, so it covers that operation's anchor and the miss costs
+// the few operations since, not the live graph. Only a straggler older than
+// every kept anchor sends p to the root (CacheStats.RootReplays). An anchor is
+// a candidate only at or above the truncation root the operation loaded before
+// its scan — the history under the root may already be trimmed, and the
+// quiescence rule of gc.go counts on no floor lying lower. What the list
+// retains is bounded: at most anchorRing records beyond the published one per
+// process, their prefixes and state strings, and the (at most two) slabs they
+// and it were carved from.
 //
 // Strong linearizability is untouched: the cache reads nothing but what a
 // legal root scan returns, writes nothing shared, and computes the same
@@ -160,9 +176,17 @@ type anchor struct {
 // anchorSlab is the number of records a process allocates at a time: a record
 // and its prefix are carved out of two slabs, so publishing costs an eighth
 // of an allocation instead of two. A slab stays reachable as long as any
-// record in it is the published one, and with it the states of the records
-// carved before that one — at most the slab itself.
+// record in it is the published one or kept behind it (anchorRing), and with
+// it the states of the records carved before that one — at most the slab
+// itself.
 const anchorSlab = 16
+
+// anchorRing is the number of records a process keeps from before its latest
+// one, as lower replay floors for the operation a straggler makes miss. They
+// and the latest are consecutive carvings, so they lie in at most two slabs:
+// keeping them retains one slab of prefixes and state strings per process
+// beyond the published record's own, whatever the history length.
+const anchorRing = 8
 
 // plocal is everything process p keeps between its operations: its operation
 // count, its published anchor and the scratch its extractions and
@@ -177,13 +201,16 @@ type plocal struct {
 	// since its last collector pass.
 	index, ops int
 	// rec is the anchor of the process's latest operation, nil before its
-	// first; recs and prefixes are what is left of the current slabs.
+	// first; earlier holds the anchors it replaced, newest first, for the
+	// owner alone; recs and prefixes are what is left of the current slabs.
 	rec      atomic.Pointer[anchor]
+	earlier  [anchorRing]*anchor
 	recs     []anchor
 	prefixes []int
-	// hits and misses count this process's cache outcomes.
-	hits   atomic.Int64
-	misses atomic.Int64
+	// hits, misses and rootReplays count this process's cache outcomes.
+	hits        atomic.Int64
+	misses      atomic.Int64
+	rootReplays atomic.Int64
 
 	scratch
 	_ [128]byte
@@ -194,9 +221,15 @@ type CacheStats struct {
 	// Hits counts operations that replayed only the delta beyond their
 	// process's anchor.
 	Hits int64
-	// Misses counts operations that fell back to a replay from the truncation
-	// root because some extracted node did not cover the anchor.
+	// Misses counts operations that replayed from a lower floor — an earlier
+	// anchor of their process or the truncation root — because some extracted
+	// node did not cover the latest anchor.
 	Misses int64
+	// RootReplays counts the misses that ended at the truncation root: no
+	// anchor the process still keeps was covered. Each costs a replay of every
+	// live node, so a share of Misses that grows says stragglers lag further
+	// behind than the kept anchors reach.
+	RootReplays int64
 }
 
 // Object is an implementation of a simple type from a snapshot object.
@@ -248,7 +281,7 @@ func NewWithRoot(t Type, n int, root Root) *Object {
 }
 
 // SetCaching enables or disables the replay cache (enabled by default).
-// Disabling forces every Execute to replay from the truncation root — without
+// Disabling leaves the truncation root as the only replay floor — without
 // GC the full O(history) extract-and-replay path; it exists for differential
 // tests and growth measurements. It must not be called concurrently with
 // Execute. Anchors are published either way, so a re-enabled cache resumes
@@ -262,34 +295,24 @@ func (o *Object) CacheStats() CacheStats {
 	for p := range o.local {
 		st.Hits += o.local[p].hits.Load()
 		st.Misses += o.local[p].misses.Load()
+		st.RootReplays += o.local[p].rootReplays.Load()
 	}
 	return st
 }
 
 // Execute performs the invocation as process p (Algorithm 5, execute):
 // it computes the response the history demands, publishes the operation's
-// node, and returns the response. With the replay cache warm it extracts,
-// sorts, and replays only the nodes beyond process p's anchor; the replay
-// floor never drops below the truncation root, whose state stands in for the
-// truncated prefix.
+// node, and returns the response. It extracts, sorts, and replays only the
+// nodes beyond the nearest floor the scanned graph covers — with the replay
+// cache warm, process p's latest anchor — and no floor is ever below the
+// truncation root, whose state stands in for the truncated prefix.
 func (o *Object) Execute(p int, invoke string) (string, error) {
 	root := o.trunc.Load()
 	view := o.root.View(p) // line 81
 
 	l := &o.local[p]
-	from, cached := o.floor(l, root)
-	_, ok := l.extract(from.prefix, view) // line 82, restricted past the floor
-	if !ok && cached {
-		// Some extracted node does not cover the anchor and may linearize
-		// inside its prefix: fall back to the truncation root — the history
-		// below it may already be trimmed.
-		l.misses.Add(1)
-		from = root
-		_, ok = l.extract(from.prefix, view)
-	} else if cached {
-		l.hits.Add(1)
-	}
-	if !ok {
+	from := o.floor(l, root, view) // line 82, restricted past the floor
+	if from == nil {
 		// Every reachable node covers the truncation root (the truncation
 		// invariant; trivially so for the initial one): only a graph that is
 		// not the construction's can get here.
@@ -331,18 +354,45 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 	return resp, nil
 }
 
-// floor picks process l's replay floor: its own anchor when the cache is on,
-// one exists and it is at or above the truncation root, else the root. The
-// root never passes a published record, so an anchor below it is not the
-// protocol's; it is simply unusable, never an error: the root state subsumes
-// it.
-func (o *Object) floor(l *plocal, root *anchor) (from *anchor, cached bool) {
+// floor extracts view past process l's nearest usable floor and returns that
+// floor, nil when the graph covers none. The candidates are one list: with the
+// cache on, l's own anchors newest to oldest — each usable only at or above
+// root, the truncation root this Execute loaded: the root never passes a
+// published record, so an anchor below it is not the protocol's, and it is
+// skipped, never extracted from and never an error, because the root's state
+// subsumes it — and then root itself. Extraction is the covering check: a
+// candidate is refused when some extracted node does not cover it and may
+// linearize inside its prefix, and the next one down is tried.
+func (o *Object) floor(l *plocal, root *anchor, view []*node) *anchor {
+	refused := false
 	if o.caching {
-		if a := l.rec.Load(); a != nil && atOrAbove(a.prefix, root.prefix) {
-			return a, true
+		a := l.rec.Load()
+		for i := 0; a != nil; i++ {
+			if atOrAbove(a.prefix, root.prefix) {
+				if _, ok := l.extract(a.prefix, view); ok {
+					if refused {
+						l.misses.Add(1)
+					} else {
+						l.hits.Add(1)
+					}
+					return a
+				}
+				refused = true
+			}
+			if i == anchorRing {
+				break
+			}
+			a = l.earlier[i]
 		}
 	}
-	return root, false
+	if refused {
+		l.misses.Add(1)
+		l.rootReplays.Add(1)
+	}
+	if _, ok := l.extract(root.prefix, view); !ok {
+		return nil
+	}
+	return root
 }
 
 // atOrAbove reports whether prefix a includes the cut pointwise.
@@ -371,6 +421,8 @@ func (o *Object) publish(l *plocal, view []*node, e *node, state string, version
 		a.prefix[q] = top(nd)
 	}
 	a.prefix[e.pid] = e.index
+	copy(l.earlier[1:], l.earlier[:])
+	l.earlier[0] = l.rec.Load()
 	l.rec.Store(a)
 
 	if g := o.gc; g != nil {

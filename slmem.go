@@ -223,8 +223,9 @@ func NewObject(t SimpleType, n int) *Object {
 
 // Execute performs the invocation (e.g. "add(x)") as process pid and
 // returns its response. A process-local replay cache amortizes the cost to
-// the number of operations since this process's previous one, instead of
-// the whole history length.
+// the number of operations since this process's previous one — or, when a
+// concurrent straggler forces it lower, since one of its last few — instead
+// of the whole history length.
 func (o *Object) Execute(pid int, invocation string) (string, error) {
 	return o.inner.Execute(pid, invocation)
 }
@@ -235,11 +236,14 @@ func (o *Object) Execute(pid int, invocation string) (string, error) {
 // differential testing. Must not be called concurrently with Execute.
 func (o *Object) SetCaching(on bool) { o.inner.SetCaching(on) }
 
-// ObjectCacheStats counts replay-cache hits (delta replays) and misses
-// (fallbacks to the truncation root) across an Object's processes.
+// ObjectCacheStats counts replay-cache outcomes across an Object's
+// processes: Hits (delta replays from the process's latest anchor), Misses
+// (a straggler forced a lower floor) and, among those, RootReplays (no anchor
+// the process keeps was covered, so it replayed every live node from the
+// truncation root).
 type ObjectCacheStats = universal.CacheStats
 
-// CacheStats returns the replay-cache hit/miss counters.
+// CacheStats returns the replay-cache outcome counters.
 func (o *Object) CacheStats() ObjectCacheStats { return o.inner.CacheStats() }
 
 // ObjectGCOptions configures an Object's precedence-graph garbage
