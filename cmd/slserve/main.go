@@ -1,10 +1,9 @@
 // Command slserve serves strongly linearizable shared objects over
 // HTTP/JSON. It fronts a named-object registry (internal/registry) through
 // the handler in internal/server: objects are created lazily on first use,
-// operations lease a process id from a fixed pool of -procs ids (the shared
-// pool, or a per-kind pool where a driver requests one), and
-// every object is strongly linearizable — the guarantee composed clients
-// need under adversarial scheduling. The kind set is open: this binary
+// operations of every kind lease a process id from one fixed pool of -procs
+// ids, and every object is strongly linearizable — the guarantee composed
+// clients need under adversarial scheduling. The kind set is open: this binary
 // serves every driver it imports (internal/kind) — the four paper kinds
 // plus the Ellen–Sela bag — and GET /v1/kinds lists them.
 //

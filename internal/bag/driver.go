@@ -9,10 +9,10 @@ import (
 
 // The bag registers itself as the "bag" kind: importing this package is
 // all it takes for the registry, the batch compiler and the HTTP server to
-// serve bags — none of those layers name the bag anywhere.
-// The driver requests a dedicated pid pool, so bag traffic leases from its
-// own pool of Procs ids and a hot bag cannot starve the shared-pool kinds
-// (nor they it).
+// serve bags — none of those layers name the bag anywhere. Bags lease from
+// the registry's one pid pool like every other kind: the Ellen–Sela bag is an
+// n-process object of the same model, and the leaser's FIFO hand-off keeps a
+// hot kind from starving the rest.
 func init() {
 	kind.Register(driver{})
 }
@@ -41,10 +41,6 @@ func (driver) Ops() []kind.OpInfo {
 		{Name: "size", Doc: "count the items in the bag"},
 	}
 }
-
-// Options implements kind.Driver: bags lease from a dedicated per-kind
-// pool.
-func (driver) Options() kind.Options { return kind.Options{DedicatedPool: true} }
 
 // Validate implements kind.Driver.
 func (driver) Validate(req kind.Request) error {

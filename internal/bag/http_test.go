@@ -147,9 +147,9 @@ func TestBagBatchMixedWithSharedKinds(t *testing.T) {
 	if r.Results[5].Value != "1" {
 		t.Errorf("counter read = %q, want 1", r.Results[5].Value)
 	}
-	// One lease on the shared pool + one on the bag's dedicated pool.
-	if r.Stats.Leases != 2 {
-		t.Errorf("leases = %d, want 2 (shared + dedicated bag pool)", r.Stats.Leases)
+	// Every kind leases from the one shared pool: the batch is one process.
+	if r.Stats.Leases != 1 {
+		t.Errorf("leases = %d, want 1 (one pool for every kind)", r.Stats.Leases)
 	}
 
 	var st server.Stats
@@ -161,12 +161,8 @@ func TestBagBatchMixedWithSharedKinds(t *testing.T) {
 	if err := json.NewDecoder(res2.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	kp, ok := st.Registry.KindPools["bag"]
-	if !ok {
-		t.Fatalf("stats missing bag kind pool: %+v", st.Registry.KindPools)
-	}
-	if kp.Pool.Acquires != 1 || kp.PIDsInUse != 0 {
-		t.Errorf("bag pool stats = %+v, want 1 acquire, 0 in use", kp)
+	if reg := st.Registry; reg.Pool.Acquires != 1 || reg.PIDsInUse != 0 || len(reg.KindPools) != 0 {
+		t.Errorf("registry stats = %+v, want 1 shared-pool acquire, 0 in use, no kind pools", reg)
 	}
 	if st.Ops["bag"] != 4 {
 		t.Errorf("ops[bag] = %d, want 4", st.Ops["bag"])
@@ -188,9 +184,6 @@ func TestBagListedInKinds(t *testing.T) {
 		if info.Kind != "bag" {
 			continue
 		}
-		if !info.DedicatedPool {
-			t.Error("bag not marked dedicated_pool")
-		}
 		if len(info.Ops) != 3 {
 			t.Errorf("bag ops = %+v, want insert/remove/size", info.Ops)
 		}
@@ -201,15 +194,15 @@ func TestBagListedInKinds(t *testing.T) {
 
 // TestBagRegistryAccess exercises the generic registry path the typed
 // accessors do not cover: Get + Unwrap hands back the PooledBag, and a hot
-// bag's operations lease from the dedicated pool, not the shared one.
+// bag's operations lease from the registry's one shared pool.
 func TestBagRegistryAccess(t *testing.T) {
 	r := registry.New(registry.Options{Procs: 2})
 	inst, pool, err := r.Get("bag", "jobs", kind.Request{Op: "size"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool == r.Pool() {
-		t.Fatal("bag instance on the shared pool")
+	if pool != r.Pool() {
+		t.Fatal("bag instance not on the shared pool")
 	}
 	pb, ok := inst.(kind.Unwrapper).Unwrap().(*bag.PooledBag)
 	if !ok {
@@ -234,10 +227,8 @@ func TestBagRegistryAccess(t *testing.T) {
 	if n, err := pb.Size(ctx); err != nil || n != 160 {
 		t.Fatalf("size = %d, %v; want 160", n, err)
 	}
-	if r.Pool().Stats().Acquires != 0 {
-		t.Errorf("bag traffic leased %d times from the shared pool", r.Pool().Stats().Acquires)
-	}
-	if st := r.Stats(); st.KindPools["bag"].Pool.Acquires == 0 {
-		t.Error("bag traffic did not lease from the dedicated pool")
+	// 160 inserts and one size, each one lease of the shared pool.
+	if st := r.Stats(); st.Pool.Acquires != 161 || st.PIDsInUse != 0 || len(st.KindPools) != 0 {
+		t.Errorf("bag traffic: registry stats %+v, want 161 shared-pool acquires, 0 in use", st)
 	}
 }

@@ -85,9 +85,6 @@ func (counterDriver) Ops() []kind.OpInfo {
 	}
 }
 
-// Options implements kind.Driver.
-func (counterDriver) Options() kind.Options { return kind.Options{} }
-
 // Validate implements kind.Driver.
 func (counterDriver) Validate(req kind.Request) error {
 	switch req.Op {
@@ -163,9 +160,6 @@ func (maxregDriver) Ops() []kind.OpInfo {
 		{Name: "read", Doc: "read the largest value ever written"},
 	}
 }
-
-// Options implements kind.Driver.
-func (maxregDriver) Options() kind.Options { return kind.Options{} }
 
 // parseMaxreg validates op + operand, returning the parsed value for write.
 func parseMaxreg(req kind.Request) (uint64, error) {
@@ -255,9 +249,6 @@ func (snapshotDriver) Ops() []kind.OpInfo {
 	}
 }
 
-// Options implements kind.Driver.
-func (snapshotDriver) Options() kind.Options { return kind.Options{} }
-
 // Validate implements kind.Driver.
 func (snapshotDriver) Validate(req kind.Request) error {
 	switch req.Op {
@@ -333,13 +324,6 @@ func (objectDriver) Ops() []kind.OpInfo {
 	}
 }
 
-// Options implements kind.Driver: universal objects truncate their history
-// with the default collection window, so a long-lived instance's memory is
-// bounded by its process count and window rather than its operation count.
-func (objectDriver) Options() kind.Options {
-	return kind.Options{GCWindow: slmem.DefaultObjectGCWindow}
-}
-
 // Validate implements kind.Driver: reject unknown ops, unknown types, and
 // malformed invocations before any object exists.
 func (objectDriver) Validate(req kind.Request) error {
@@ -350,16 +334,16 @@ func (objectDriver) Validate(req kind.Request) error {
 }
 
 // New implements kind.Driver: the creating request's Type parameterizes the
-// instance, and history truncation is enabled with the driver's GCWindow.
-func (d objectDriver) New(env kind.Env) (kind.Instance, error) {
+// instance, and history truncation is on with the default collection window,
+// so a long-lived instance's memory is bounded by its process count and
+// window rather than its operation count.
+func (objectDriver) New(env kind.Env) (kind.Instance, error) {
 	t, err := ObjectType(env.Req.Type)
 	if err != nil {
 		return nil, err
 	}
 	obj := slmem.NewObject(t, env.Procs)
-	if w := d.Options().GCWindow; w > 0 {
-		obj.SetGC(slmem.ObjectGCOptions{Window: w})
-	}
+	obj.SetGC(slmem.ObjectGCOptions{Window: slmem.DefaultObjectGCWindow})
 	return &objectInstance{
 		typeName: env.Req.Type,
 		pooled:   obj.Pooled(env.Pool),

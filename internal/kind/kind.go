@@ -9,8 +9,11 @@
 //   - a constructor New that builds one named instance over a pid pool,
 //   - a typed op codec: Validate rejects requests that can never succeed
 //     (before any object is created), and Instance.Compile turns a request
-//     into an executable Compiled step bound to the instance,
-//   - Options, e.g. a request for a dedicated per-kind pid pool.
+//     into an executable Compiled step bound to the instance.
+//
+// Every instance of every kind leases from the registry's one pool of n
+// process ids: the paper's objects share one fixed set of n processes, so one
+// leased pid may run operations on any number of objects.
 //
 // Drivers register themselves in an init function:
 //
@@ -111,22 +114,6 @@ type OpInfo struct {
 	Doc string `json:"doc,omitempty"`
 }
 
-// Options declare kind-wide behavior the registry honors at instance
-// creation.
-type Options struct {
-	// DedicatedPool requests a per-kind pid pool: instances of this kind
-	// lease from their own pool of Procs ids instead of the registry's
-	// shared pool, so a hot kind cannot starve the rest of the service (and
-	// vice versa). Batches mixing kinds acquire one lease per pool.
-	DedicatedPool bool
-	// GCWindow, when positive, asks instances of this kind to bound their
-	// memory by history truncation with the given per-process collection
-	// window (operations between truncation attempts). Zero leaves memory
-	// management to the instance's default; only kinds with unbounded
-	// per-operation history (the universal object) honor it.
-	GCWindow int
-}
-
 // Env is what the registry hands a driver when creating an instance.
 type Env struct {
 	// Name is the object's registry name.
@@ -134,9 +121,8 @@ type Env struct {
 	// Procs is the process-pool size n; the instance must size its
 	// per-process state for pids 0..Procs-1.
 	Procs int
-	// Pool is the pid pool the instance's operations will lease from (the
-	// registry's shared pool, or a per-kind pool when the driver's Options
-	// request one).
+	// Pool is the registry's pid pool, which the instance's operations lease
+	// from.
 	Pool *slmem.PIDPool
 	// Req is the request that triggered creation; drivers whose instances
 	// are parameterized (the universal object's simple type) read their
@@ -153,8 +139,6 @@ type Driver interface {
 	Doc() string
 	// Ops lists the supported operations in stable order.
 	Ops() []OpInfo
-	// Options returns the kind-wide options.
-	Options() Options
 	// Validate reports whether req could ever succeed against some instance
 	// of this kind, without creating or touching any object: unknown ops
 	// (wrapped as NotFound), malformed operands, and unknown types must be
@@ -312,11 +296,6 @@ type Info struct {
 	Doc string `json:"doc,omitempty"`
 	// Ops lists the supported operations.
 	Ops []OpInfo `json:"ops"`
-	// DedicatedPool reports whether instances lease from a per-kind pool.
-	DedicatedPool bool `json:"dedicated_pool,omitempty"`
-	// GCWindow is the kind's history-truncation window, 0 when the kind
-	// does not truncate.
-	GCWindow int `json:"gc_window,omitempty"`
 }
 
 // Describe returns introspection records for every registered driver,
@@ -326,13 +305,7 @@ func Describe() []Info {
 	m := *drivers.Load()
 	infos := make([]Info, 0, len(m))
 	for _, d := range m {
-		infos = append(infos, Info{
-			Kind:          d.Kind(),
-			Doc:           d.Doc(),
-			Ops:           d.Ops(),
-			DedicatedPool: d.Options().DedicatedPool,
-			GCWindow:      d.Options().GCWindow,
-		})
+		infos = append(infos, Info{Kind: d.Kind(), Doc: d.Doc(), Ops: d.Ops()})
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Kind < infos[j].Kind })
 	return infos

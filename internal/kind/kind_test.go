@@ -21,13 +21,11 @@ func fresh(name string) string { return fmt.Sprintf("%s-%d", name, runs.Add(1)) 
 type stubDriver struct {
 	name string
 	ops  []OpInfo
-	opts Options
 }
 
 func (d stubDriver) Kind() string           { return d.name }
 func (d stubDriver) Doc() string            { return "stub" }
 func (d stubDriver) Ops() []OpInfo          { return d.ops }
-func (d stubDriver) Options() Options       { return d.opts }
 func (d stubDriver) Validate(Request) error { return nil }
 func (d stubDriver) New(env Env) (Instance, error) {
 	return stubInstance{}, nil

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"slices"
 
-	"slmem"
 	"slmem/internal/kind"
 )
 
@@ -70,7 +69,7 @@ type stepKind uint8
 
 const (
 	stepInvalid stepKind = iota
-	stepRun              // a driver op: run compiled as the pool's leased pid
+	stepRun              // a driver op: run compiled as the batch's leased pid
 	stepNames            // registry introspection: names of a kind
 	stepStats            // registry introspection: stats document
 )
@@ -81,18 +80,7 @@ const (
 type step struct {
 	kind stepKind
 	run  kind.Compiled
-	pool int  // index into BatchWork.pools (stepRun only)
 	k    Kind // kind operand (stepNames only)
-}
-
-// leasedPool is one distinct pid pool among a batch's valid driver ops and,
-// between acquisition and release, the pid the batch leased from it.
-type leasedPool struct {
-	pool *slmem.PIDPool
-	// k is the kind that owns a dedicated pool ("" for the shared pool, so it
-	// sorts first): acquisition order is by k.
-	k   Kind
-	pid int
 }
 
 // resolution is the registry lookup of the previous entry. A batch memoizes
@@ -101,14 +89,12 @@ type leasedPool struct {
 type resolution struct {
 	key  objectKey
 	inst kind.Instance
-	pool *slmem.PIDPool
 }
 
-// BatchWork is the working storage of one BatchExecuteWith call: results,
-// compiled steps, and the batch's distinct pools with their leased pids. The
-// zero value is ready to use, and a BatchWork may be reused by one call after
-// another (not concurrently) so that a warm batch allocates nothing of its
-// own.
+// BatchWork is the working storage of one BatchExecuteWith call: results
+// and compiled steps. The zero value is ready to use, and a BatchWork may be
+// reused by one call after another (not concurrently) so that a warm batch
+// allocates nothing of its own.
 //
 // Ownership: the Results of the BatchOutcome a call returns are the
 // BatchWork's storage. They stay valid until the next call with it or its
@@ -118,62 +104,15 @@ type resolution struct {
 type BatchWork struct {
 	results []BatchResult
 	steps   []step
-	// pools is in discovery order, which is what steps index; order lists
-	// its indices in acquisition order.
-	pools []leasedPool
-	order []int
 }
 
-// Reset drops every string, view, error, compiled step and pool the BatchWork
+// Reset drops every string, view, error and compiled step the BatchWork
 // refers to and keeps its capacity, so a pooled BatchWork pins nothing of the
 // batch it last served.
 func (w *BatchWork) Reset() {
 	clear(w.results)
 	clear(w.steps)
-	clear(w.pools)
 	w.results, w.steps = w.results[:0], w.steps[:0]
-	w.pools, w.order = w.pools[:0], w.order[:0]
-}
-
-// poolIndex returns the index of pool in w.pools, adding it when this is the
-// first valid step to lease from it. A batch touches at most the shared pool
-// and one pool per dedicated kind, so the scan is over a handful of entries.
-func (w *BatchWork) poolIndex(pool *slmem.PIDPool, d kind.Driver) int {
-	for i := range w.pools {
-		if w.pools[i].pool == pool {
-			return i
-		}
-	}
-	var k Kind
-	if d.Options().DedicatedPool {
-		k = Kind(d.Kind())
-	}
-	w.pools = append(w.pools, leasedPool{pool: pool, k: k})
-	return len(w.pools) - 1
-}
-
-// sortPools fills w.order with the indices of w.pools in the global
-// acquisition order: the shared pool first, then dedicated pools by the name
-// of the kind that owns them.
-func (w *BatchWork) sortPools() {
-	w.order = w.order[:0]
-	for i := range w.pools {
-		j := len(w.order)
-		w.order = append(w.order, i)
-		for ; j > 0 && w.pools[w.order[j-1]].k > w.pools[i].k; j-- {
-			w.order[j] = w.order[j-1]
-		}
-		w.order[j] = i
-	}
-}
-
-// release gives back the pids of the first acquired pools in acquisition
-// order, last first.
-func (w *BatchWork) release(acquired int) {
-	for j := acquired - 1; j >= 0; j-- {
-		lp := &w.pools[w.order[j]]
-		lp.pool.Release(lp.pid)
-	}
 }
 
 // BatchOutcome is what BatchExecute returns: one result per op,
@@ -181,30 +120,24 @@ func (w *BatchWork) release(acquired int) {
 type BatchOutcome struct {
 	// Results holds one BatchResult per submitted op, in submission order.
 	Results []BatchResult
-	// Leases is how many pid leases the batch acquired: one per distinct
-	// pool its valid driver ops touch — 1 for a batch confined to
-	// shared-pool kinds, +1 per dedicated-pool kind mixed in, 0 when every
-	// op failed validation or was introspection-only.
+	// Leases is how many pid leases the batch acquired: 1 when any op
+	// passed validation as a driver op, 0 when every op failed validation or
+	// was introspection-only.
 	Leases int
-	// Leased reports whether the batch acquired any pid lease (Leases > 0).
-	Leased bool
 }
 
 // BatchExecute runs the ops in order, amortizing pid-lease acquisition (and,
 // for HTTP callers, the request round trip) over the whole slice: it leases
-// one pid per distinct pool the batch's valid ops touch, for the duration of
-// the batch. It returns one BatchResult per op, positionally.
+// one pid from the registry's pool for the duration of the batch. It returns
+// one BatchResult per op, positionally.
 //
 // Semantics:
 //
-//   - One lease per pool, one process each: every op runs as the leased pid
-//     of its kind's pool, so a batch confined to shared-pool kinds is one
-//     process's operation sequence in the paper's model. Each op is
-//     individually strongly linearizable; the batch as a whole is NOT
-//     atomic — other processes' operations may linearize between ops.
-//   - Pools are acquired in a global deterministic order (the shared pool
-//     first, then dedicated kind pools by kind name), so concurrent batches
-//     over mixed kinds cannot deadlock.
+//   - One lease, one process: every op runs as the leased pid, whatever its
+//     kind, so the batch is one process's operation sequence in the paper's
+//     model. Each op is individually strongly linearizable; the batch as a
+//     whole is NOT atomic — other processes' operations may linearize
+//     between ops.
 //   - Partial failure: an op that fails validation (unknown kind or op, bad
 //     operand, object type conflict) gets an Err in its slot and the
 //     remaining ops still run. Doomed ops never register an object.
@@ -247,35 +180,27 @@ func (r *Registry) BatchExecuteWith(ctx context.Context, ops []BatchOp, w *Batch
 	// resolve its target instance, and compile its operand, so the leased
 	// phase below is a tight dispatch loop.
 	var prev resolution
-	valid := 0
+	runs := false
 	for i := range ops {
-		st, err := r.compile(&ops[i], w, &prev)
+		st, err := r.compile(&ops[i], &prev)
 		steps[i], results[i] = st, BatchResult{Err: err}
-		if err == nil {
-			valid++
-		}
-	}
-	if valid == 0 {
-		return BatchOutcome{Results: results}, nil
+		runs = runs || st.kind == stepRun
 	}
 
-	// Phase 2: one lease per distinct pool among the valid driver ops, in
-	// deterministic order (shared pool first, then kind pools by name) so
-	// concurrent mixed-kind batches cannot deadlock. Introspection steps
-	// need no pool; a batch without driver ops skips leasing entirely.
-	w.sortPools()
-	for acquired, pi := range w.order {
-		lp := &w.pools[pi]
-		pid, err := lp.pool.Acquire(ctx)
-		if err != nil {
-			// Cancelled while queueing: release what we hold; no op has run.
-			w.release(acquired)
+	// Phase 2: one lease for the whole batch. Introspection steps need no
+	// pid; a batch without driver ops skips leasing entirely.
+	out := BatchOutcome{Results: results}
+	var pid int
+	if runs {
+		var err error
+		if pid, err = r.pool.Acquire(ctx); err != nil {
+			// Cancelled while queueing: no op has run.
 			return BatchOutcome{}, err
 		}
-		lp.pid = pid
+		out.Leases = 1
+		// Deferred, so a panicking op still gives the pid back.
+		defer r.pool.Release(pid)
 	}
-	// Deferred, so a panicking op still gives the pids back.
-	defer w.release(len(w.order))
 
 	for i := range steps {
 		st := &steps[i]
@@ -293,25 +218,24 @@ func (r *Registry) BatchExecuteWith(ctx context.Context, ops []BatchOp, w *Batch
 			doc, err := json.Marshal(r.Stats())
 			results[i] = BatchResult{Value: string(doc), Err: err}
 		case stepRun:
-			lp := &w.pools[st.pool]
-			res, err := st.run.Run(lp.pid)
+			res, err := st.run.Run(pid)
 			results[i] = BatchResult{Value: res.Value, View: res.View, Err: err}
 			// Lease-reuse assertion: the pid must survive every step. A step
 			// that released it would let another goroutine lease the same id
 			// and corrupt per-process state on the next iteration.
-			if !lp.pool.Holds(lp.pid) {
-				panic(fmt.Sprintf("registry: batch op %d released pid %d mid-batch", i, lp.pid))
+			if !r.pool.Holds(pid) {
+				panic(fmt.Sprintf("registry: batch op %d released pid %d mid-batch", i, pid))
 			}
 		}
 	}
-	return BatchOutcome{Results: results, Leases: len(w.order), Leased: len(w.order) > 0}, nil
+	return out, nil
 }
 
 // compile validates op through its kind's driver and returns its executable
 // step, resolving (and lazily creating) the target instance unless the
-// previous entry named the same object. It records the step's pool in w. A
-// non-nil error means the op can never succeed; no object is created for it.
-func (r *Registry) compile(op *BatchOp, w *BatchWork, prev *resolution) (step, error) {
+// previous entry named the same object. A non-nil error means the op can
+// never succeed; no object is created for it.
+func (r *Registry) compile(op *BatchOp, prev *resolution) (step, error) {
 	// Reserved introspection ops resolve against the registry itself.
 	switch op.Op {
 	case OpNames:
@@ -337,11 +261,11 @@ func (r *Registry) compile(op *BatchOp, w *BatchWork, prev *resolution) (step, e
 		return step{}, err
 	}
 	if key := (objectKey{op.Kind, op.Name}); key != prev.key {
-		inst, pool, err := r.Get(op.Kind, op.Name, req)
+		inst, _, err := r.Get(op.Kind, op.Name, req)
 		if err != nil {
 			return step{}, err
 		}
-		*prev = resolution{key: key, inst: inst, pool: pool}
+		*prev = resolution{key: key, inst: inst}
 	}
 	// Compile carries the per-instance checks (e.g. the universal object's
 	// type-conflict detection), which must also fire between two ops of one
@@ -350,5 +274,5 @@ func (r *Registry) compile(op *BatchOp, w *BatchWork, prev *resolution) (step, e
 	if err != nil {
 		return step{}, err
 	}
-	return step{kind: stepRun, run: compiled, pool: w.poolIndex(prev.pool, d)}, nil
+	return step{kind: stepRun, run: compiled}, nil
 }

@@ -143,7 +143,7 @@ func TestBatchExecuteAllInvalidSkipsLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Leased {
+	if out.Leases != 0 {
 		t.Error("all-invalid batch reported a lease")
 	}
 	results := out.Results
@@ -166,7 +166,7 @@ func TestBatchExecuteEmpty(t *testing.T) {
 	if len(out.Results) != 0 {
 		t.Fatalf("empty batch returned %d results", len(out.Results))
 	}
-	if out.Leased {
+	if out.Leases != 0 {
 		t.Error("empty batch reported a lease")
 	}
 }
@@ -413,7 +413,7 @@ func TestBatchExecuteAnchorsOncePerPid(t *testing.T) {
 				}
 				obj := pooled.Unpooled()
 				if !obj.GCEnabled() {
-					t.Fatal("registry-created universal object should have GC enabled by its driver options")
+					t.Fatal("registry-created universal object should have GC enabled by its driver")
 				}
 				// Warm every pid of both, so whichever pid the run leases has an
 				// anchor to start from.

@@ -3,19 +3,22 @@ package registry
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"slmem"
 	"slmem/internal/bag" // registers the bag kind; the churn test reads its stats
 	"slmem/internal/kind"
 )
 
-// gaugeDriver is a test driver whose instances count op executions; it
-// requests a dedicated per-kind pool so the multi-pool batch path is
-// exercised without importing any real kind.
+// gaugeDriver is a test driver whose instances count op executions, so the
+// driver path is exercised with a kind the registry was not built with.
 type gaugeDriver struct{}
 
 func (gaugeDriver) Kind() string { return "testgauge" }
@@ -23,7 +26,6 @@ func (gaugeDriver) Doc() string  { return "test gauge" }
 func (gaugeDriver) Ops() []kind.OpInfo {
 	return []kind.OpInfo{{Name: "bump", Doc: "bump the gauge"}}
 }
-func (gaugeDriver) Options() kind.Options { return kind.Options{DedicatedPool: true} }
 func (gaugeDriver) Validate(req kind.Request) error {
 	if req.Op != "bump" {
 		return kind.NotFound("testgauge has no operation %q (want bump)", req.Op)
@@ -58,45 +60,6 @@ func gaugeKind(t *testing.T) Kind {
 	return "testgauge"
 }
 
-func TestGetDedicatedPool(t *testing.T) {
-	k := gaugeKind(t)
-	r := New(Options{Procs: 3})
-	_, pool, err := r.Get(k, "g1", kind.Request{Op: "bump"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool == r.Pool() {
-		t.Fatal("dedicated-pool driver got the shared pool")
-	}
-	if pool.Size() != 3 {
-		t.Fatalf("dedicated pool size = %d, want Procs=3", pool.Size())
-	}
-	// A second instance of the same kind shares the kind pool.
-	_, pool2, err := r.Get(k, "g2", kind.Request{Op: "bump"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool2 != pool {
-		t.Fatal("two instances of one dedicated-pool kind got different pools")
-	}
-	// A shared-pool kind still gets the shared pool.
-	_, cpool, err := r.Get(KindCounter, "c", kind.Request{Op: "inc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cpool != r.Pool() {
-		t.Fatal("builtin kind not on the shared pool")
-	}
-	st := r.Stats()
-	kp, ok := st.KindPools["testgauge"]
-	if !ok {
-		t.Fatalf("stats missing dedicated pool: %+v", st.KindPools)
-	}
-	if kp.Procs != 3 || kp.PIDsInUse != 0 {
-		t.Fatalf("kind pool stats = %+v", kp)
-	}
-}
-
 func TestBatchMixedPoolsOneLeaseEach(t *testing.T) {
 	k := gaugeKind(t)
 	r := New(Options{Procs: 2})
@@ -120,21 +83,110 @@ func TestBatchMixedPoolsOneLeaseEach(t *testing.T) {
 	if out.Results[1].Value != "bumped" || out.Results[2].Value != "1" {
 		t.Fatalf("results = %+v", out.Results)
 	}
-	if out.Leases != 2 || !out.Leased {
-		t.Fatalf("leases = %d (leased=%v), want 2 (one per pool)", out.Leases, out.Leased)
+	if out.Leases != 1 {
+		t.Fatalf("leases = %d, want 1 (one pool for every kind)", out.Leases)
 	}
 	if got := r.Pool().Stats().Acquires; got != 1 {
 		t.Errorf("shared pool acquires = %d, want 1", got)
 	}
-	st := r.Stats()
-	if kp := st.KindPools["testgauge"]; kp.Pool.Acquires != 1 {
-		t.Errorf("kind pool acquires = %d, want 1", kp.Pool.Acquires)
+	if st := r.Stats(); st.PIDsInUse != 0 || len(st.KindPools) != 0 {
+		t.Errorf("after the batch: %d pids in use, kind pools %v", st.PIDsInUse, st.KindPools)
 	}
-	if st.PIDsInUse != 0 {
-		t.Errorf("shared pids leaked: %d", st.PIDsInUse)
+}
+
+// TestRegistryHotKindDoesNotStarveAnother holds the one shared pool to
+// starvation-freedom across kinds: at one pid, bag batches still finish
+// while a counter hogs the pool, because the leaser hands a released pid to
+// the oldest waiter.
+func TestRegistryHotKindDoesNotStarveAnother(t *testing.T) {
+	const batches = 200
+	r := New(Options{Procs: 1})
+	ctx := context.Background()
+
+	stop, leased := make(chan struct{}), make(chan struct{})
+	hotIncs := make(chan int64, 1)
+	go func() {
+		var incs int64
+		defer func() { hotIncs <- incs }()
+		req := kind.Request{Op: "inc"}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			inst, pool, err := r.Get(KindCounter, "hot", req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			inc, err := inst.Compile(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := pool.With(ctx, func(pid int) error {
+				_, err := inc.Run(pid)
+				if incs == 0 {
+					close(leased)
+				}
+				// Yield while leased, so even at GOMAXPROCS=1 the bag side
+				// finds the pid taken.
+				runtime.Gosched()
+				return err
+			}); err != nil {
+				t.Error(err)
+				return
+			}
+			incs++
+		}
+	}()
+
+	// The bag side starts once the counter holds the pid.
+	<-leased
+	cold := make(chan error, 1)
+	go func() {
+		var w BatchWork
+		for i := 0; i < batches; i++ {
+			item := "item-" + strconv.Itoa(i)
+			out, err := r.BatchExecuteWith(ctx, []BatchOp{
+				{Kind: "bag", Name: "cold", Op: "insert", Value: item},
+				{Kind: "bag", Name: "cold", Op: "remove"},
+			}, &w)
+			if err != nil {
+				cold <- err
+				return
+			}
+			if res := out.Results; res[0].Err != nil || res[1].Err != nil || res[1].Value != item || out.Leases != 1 {
+				cold <- fmt.Errorf("batch %d: %+v, leases %d; want %q removed under one lease", i, res, out.Leases, item)
+				return
+			}
+		}
+		cold <- nil
+	}()
+	select {
+	case err := <-cold:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("bag batches starved behind a hot counter on the shared pool")
 	}
-	if kp := st.KindPools["testgauge"]; kp.PIDsInUse != 0 {
-		t.Errorf("kind pids leaked: %d", kp.PIDsInUse)
+	close(stop)
+	incs := <-hotIncs
+
+	if blocks := r.Pool().Stats().Blocks; blocks == 0 {
+		t.Error("no acquisition blocked: the bag batches never queued behind the counter")
+	}
+	out, err := r.BatchExecute(ctx, []BatchOp{{Kind: "bag", Name: "cold", Op: "size"}})
+	if err != nil || out.Results[0].Value != "0" {
+		t.Errorf("bag size after %d insert+remove batches = %+v, %v; want 0", batches, out.Results, err)
+	}
+	if got := r.Counter("hot").Unpooled().Read(0); got != uint64(incs) {
+		t.Errorf("hot counter = %d, want %d", got, incs)
+	}
+	if n := r.Pool().InUse(); n != 0 {
+		t.Errorf("%d pids in use after both sides stopped", n)
 	}
 }
 
@@ -151,7 +203,7 @@ func TestBatchIntrospectionEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Leased || out.Leases != 0 {
+	if out.Leases != 0 {
 		t.Errorf("introspection-only batch leased: %+v", out)
 	}
 	if len(out.Results[0].View) != 0 {
@@ -332,7 +384,9 @@ func TestDriverPathSpaceBounds(t *testing.T) {
 // TestDriverContract holds every registered driver to what the layers above
 // rely on, enumerating kind.Describe rather than naming kinds: a kind
 // registered tomorrow is covered as it stands, provided one of its ops is
-// accepted with one of the candidate operand sets below.
+// accepted with one of the candidate operand sets below. That includes
+// leasing from the registry's one pool: a batch mixing the kind with a
+// counter is one lease.
 func TestDriverContract(t *testing.T) {
 	const undeclared = "no-such-op"
 	ctx := context.Background()
@@ -391,6 +445,22 @@ func TestDriverContract(t *testing.T) {
 			return err
 		}); err != nil {
 			t.Errorf("%s: Run(%+v): %v", info.Kind, accepted, err)
+		}
+		out, err := r.BatchExecute(ctx, []BatchOp{
+			{Kind: KindCounter, Name: "contract", Op: OpInc},
+			{Kind: Kind(info.Kind), Name: "contract", Op: Op(accepted.Op), Value: accepted.Value, Type: accepted.Type, Invocation: accepted.Invocation},
+		})
+		if err != nil {
+			t.Errorf("%s: batch with a counter: %v", info.Kind, err)
+			continue
+		}
+		for i, res := range out.Results {
+			if res.Err != nil {
+				t.Errorf("%s: batch with a counter, op %d: %v", info.Kind, i, res.Err)
+			}
+		}
+		if out.Leases != 1 || r.Pool().InUse() != 0 {
+			t.Errorf("%s: batch with a counter took %d leases and left %d pids in use, want 1 and 0", info.Kind, out.Leases, r.Pool().InUse())
 		}
 	}
 	if !sawBag {

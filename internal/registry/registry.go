@@ -1,7 +1,7 @@
 // Package registry provides a named-object registry: a concurrent map from
-// (kind, name) to lazily created strongly linearizable objects, leasing
-// process ids from a shared pool (or a per-kind pool when the kind's driver
-// requests one). It is the state layer of cmd/slserve —
+// (kind, name) to lazily created strongly linearizable objects, every one of
+// them leasing process ids from the registry's one pool. It is the state
+// layer of cmd/slserve —
 // callers name an object ("counter/clicks", "snapshot/board") and get back
 // a pooled handle any goroutine can use.
 //
@@ -66,18 +66,17 @@ type Options struct {
 }
 
 // Registry is a concurrent map from (kind, name) to driver-created
-// instances, created lazily on first use. Objects share one PIDPool of
-// Procs ids — so the registry as a whole admits at most Procs concurrent
-// operations, the paper's fixed-n model surfacing as a natural admission
-// limit — except for kinds whose driver requests a dedicated pool, which
-// lease from their own pool of Procs ids instead.
+// instances, created lazily on first use. Objects of every kind share one
+// PIDPool of Procs ids, so the registry as a whole admits at most Procs
+// concurrent operations: the paper's fixed-n model surfacing as a natural
+// admission limit.
 type Registry struct {
 	procs int
 	pool  *slmem.PIDPool
 
-	// objects maps objectKey to *entry. An object is created once and never
-	// replaced or removed, which is the read-mostly, disjoint-key use
-	// sync.Map serves without a lock.
+	// objects maps objectKey to kind.Instance. An object is created once
+	// and never replaced or removed, which is the read-mostly, disjoint-key
+	// use sync.Map serves without a lock.
 	objects sync.Map
 	// createMu serializes creations, so concurrent first uses of one name
 	// agree on one instance.
@@ -85,9 +84,6 @@ type Registry struct {
 
 	// created counts instances per kind name (*atomic.Int64 values).
 	created sync.Map
-	// kindPools holds lazily created dedicated pools per kind name
-	// (*slmem.PIDPool values), for drivers whose Options request one.
-	kindPools sync.Map
 }
 
 // objectKey names one object. The map is keyed by the pair rather than by a
@@ -95,12 +91,6 @@ type Registry struct {
 type objectKey struct {
 	kind Kind
 	name string
-}
-
-// entry is one registered instance with the pool its operations lease from.
-type entry struct {
-	inst kind.Instance
-	pool *slmem.PIDPool
 }
 
 // New constructs a registry.
@@ -117,40 +107,17 @@ func (r *Registry) Procs() int { return r.procs }
 // Pool returns the shared pid pool (for metrics and direct leasing).
 func (r *Registry) Pool() *slmem.PIDPool { return r.pool }
 
-// poolFor returns the pool instances of driver d lease from: the shared
-// pool, or the kind's dedicated pool (created lazily) when the driver's
-// Options request one.
-func (r *Registry) poolFor(d kind.Driver) *slmem.PIDPool {
-	if !d.Options().DedicatedPool {
-		return r.pool
-	}
-	name := d.Kind()
-	if p, ok := r.kindPools.Load(name); ok {
-		return p.(*slmem.PIDPool)
-	}
-	p, _ := r.kindPools.LoadOrStore(name, slmem.NewPIDPool(r.procs))
-	return p.(*slmem.PIDPool)
-}
-
 // Get returns the named instance of kind k and the pid pool its operations
-// lease from, creating the instance through the registered driver on first
-// use (req parameterizes creation, e.g. the universal object's type). The
-// fast path is one lock-free map load. Unknown kinds are kind.NotFound
-// errors; driver creation errors are returned without registering anything.
+// lease from — always Pool() — creating the instance through the registered
+// driver on first use (req parameterizes creation, e.g. the universal
+// object's type). The fast path is one lock-free map load. Unknown kinds are
+// kind.NotFound errors; driver creation errors are returned without
+// registering anything.
 func (r *Registry) Get(k Kind, name string, req kind.Request) (kind.Instance, *slmem.PIDPool, error) {
-	if e, hit := r.lookup(objectKey{k, name}); hit {
-		return e.inst, e.pool, nil
+	if inst, hit := r.objects.Load(objectKey{k, name}); hit {
+		return inst.(kind.Instance), r.pool, nil
 	}
 	return r.create(k, name, req)
-}
-
-// lookup returns the entry registered under key, if any.
-func (r *Registry) lookup(key objectKey) (*entry, bool) {
-	e, hit := r.objects.Load(key)
-	if !hit {
-		return nil, false
-	}
-	return e.(*entry), true
 }
 
 // create is Get's miss path: it resolves the driver and creates the
@@ -164,17 +131,16 @@ func (r *Registry) create(k Kind, name string, req kind.Request) (kind.Instance,
 	r.createMu.Lock()
 	defer r.createMu.Unlock()
 	key := objectKey{k, name}
-	if e, hit := r.lookup(key); hit {
-		return e.inst, e.pool, nil
+	if inst, hit := r.objects.Load(key); hit {
+		return inst.(kind.Instance), r.pool, nil
 	}
-	pool := r.poolFor(d)
-	inst, err := d.New(kind.Env{Name: name, Procs: r.procs, Pool: pool, Req: req})
+	inst, err := d.New(kind.Env{Name: name, Procs: r.procs, Pool: r.pool, Req: req})
 	if err != nil {
 		return nil, nil, err
 	}
-	r.objects.Store(key, &entry{inst: inst, pool: pool})
+	r.objects.Store(key, inst)
 	r.countCreated(string(k))
-	return inst, pool, nil
+	return inst, r.pool, nil
 }
 
 // countCreated bumps the per-kind created counter.
@@ -244,7 +210,10 @@ func (r *Registry) Names(kind Kind) []string {
 	return names
 }
 
-// KindPoolStats describes one dedicated per-kind pid pool.
+// KindPoolStats is the element type of Stats.KindPools, which is always
+// empty: every kind leases from the one shared pool. It stays only because
+// benchmarks/matrix ranges over KindPools, until Matrix v2 (c) (ROADMAP)
+// deletes both.
 type KindPoolStats struct {
 	// Procs is the pool size.
 	Procs int `json:"procs"`
@@ -264,9 +233,8 @@ type Stats struct {
 	Objects map[string]int64 `json:"objects"`
 	// Pool reports how shared-pool lease acquisitions were served.
 	Pool slmem.PoolStats `json:"pool"`
-	// KindPools reports dedicated per-kind pools, keyed by kind, present
-	// only for kinds whose driver requested one and that have been used.
-	KindPools map[string]KindPoolStats `json:"kind_pools,omitempty"`
+	// KindPools is always empty and never encoded; see KindPoolStats.
+	KindPools map[string]KindPoolStats `json:"-"`
 }
 
 // Stats returns a snapshot of registry-wide metrics.
@@ -280,23 +248,10 @@ func (r *Registry) Stats() Stats {
 		}
 		objects[n] = count
 	}
-	st := Stats{
+	return Stats{
 		Procs:     r.procs,
 		PIDsInUse: r.pool.InUse(),
 		Objects:   objects,
 		Pool:      r.pool.Stats(),
 	}
-	r.kindPools.Range(func(key, value any) bool {
-		p := value.(*slmem.PIDPool)
-		if st.KindPools == nil {
-			st.KindPools = make(map[string]KindPoolStats)
-		}
-		st.KindPools[key.(string)] = KindPoolStats{
-			Procs:     p.Size(),
-			PIDsInUse: p.InUse(),
-			Pool:      p.Stats(),
-		}
-		return true
-	})
-	return st
 }

@@ -31,10 +31,9 @@ const (
 type BatchEntry = registry.BatchOp
 
 // BatchStats aggregates a batch reply: how many ops ran, how many failed,
-// and how many pid leases the whole batch cost (one per distinct pool its
-// valid entries touch — 1 for shared-pool kinds, +1 per dedicated-pool kind
-// mixed in, 0 when every entry failed validation or was introspection-only)
-// — the amortization the endpoint exists for.
+// and how many pid leases the whole batch cost (1, or 0 when every entry
+// failed validation or was introspection-only) — the amortization the
+// endpoint exists for.
 type BatchStats struct {
 	Ops       int   `json:"ops"`
 	Failed    int   `json:"failed"`
@@ -105,7 +104,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveBatch decodes the entry array, runs it through the registry under one
-// pid lease per pool, and reports per-entry results plus aggregate stats,
+// pid lease, and reports per-entry results plus aggregate stats,
 // all on sc. Per-entry failures do not fail the batch (partial-failure
 // semantics); the HTTP status is non-200 only when the batch as a whole
 // could not run.

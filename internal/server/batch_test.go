@@ -271,7 +271,7 @@ func TestBatchScratchCleanAfterErrors(t *testing.T) {
 	serveGood := func(after string) {
 		t.Helper()
 		code, resp := serveOn(t, srv, sc, context.Background(), goodBody)
-		if code != 200 || !resp.OK || len(resp.Results) != len(good) || resp.Stats.Ops != len(good) || resp.Stats.Leases != 2 {
+		if code != 200 || !resp.OK || len(resp.Results) != len(good) || resp.Stats.Ops != len(good) || resp.Stats.Leases != 1 {
 			t.Fatalf("good batch after %s: code=%d ok=%v results=%d stats=%+v error=%q",
 				after, code, resp.OK, len(resp.Results), resp.Stats, resp.Error)
 		}

@@ -1,7 +1,7 @@
 // Package server is the HTTP/JSON front end over the named-object registry
 // (internal/registry). cmd/slserve wires it to a listener and signals;
 // examples/service embeds it in-process. Every operation endpoint leases a
-// process id from the target kind's pool for the duration of the operation,
+// process id from the registry's one pool for the duration of the operation,
 // so any number of HTTP clients can share the paper's fixed-n objects.
 //
 // Kinds and their ops are open: routes resolve through the driver API of
@@ -24,7 +24,7 @@
 //	GET  /v1/stats                                            -> server and pool metrics
 //
 // Values travel as decimal strings so every endpoint shares one shape.
-// /v1/batch runs every entry under a single pid lease per pool (see
+// /v1/batch runs every entry under a single pid lease (see
 // docs/API.md for the full reference and docs/ARCHITECTURE.md for the
 // semantics).
 package server
@@ -261,7 +261,7 @@ func (s *Server) countOps(kindName string, n int64) {
 // the driver, validate the request (before the registry lookup — the
 // registry has no eviction, so a request that can never succeed must not
 // create an object), resolve the instance, compile, and run under a pid
-// lease from the instance's pool. The request context flows into pid
+// lease from the registry's pool. The request context flows into pid
 // leasing, so a disconnected client stops waiting for a pid.
 func (s *Server) dispatch(ctx context.Context, kindName, name, op string, req Request) (Response, error) {
 	if name == "" {
@@ -314,8 +314,7 @@ type KindsResponse struct {
 }
 
 // handleKinds serves GET /v1/kinds from the driver registry: the kinds this
-// server can serve, their ops, and whether they lease from a dedicated
-// pool.
+// server can serve and their ops.
 func (s *Server) handleKinds(w http.ResponseWriter, r *http.Request) {
 	s.countEndpoint("kinds")
 	w.Header().Set("Content-Type", "application/json")
