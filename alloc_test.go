@@ -5,6 +5,7 @@ package slmem
 
 import (
 	"context"
+	"runtime"
 	"testing"
 )
 
@@ -90,12 +91,15 @@ func TestSnapshotScanAllocs(t *testing.T) {
 // TestObjectExecuteAllocs pins the warm universal-object Execute at n = 2,
 // pids alternating (delta 1), with truncation on (a collector pass every
 // window) and off: the root scan is R's stored view, kept uncopied as the
-// node's preceding vector; the root update publishes its three shared values,
-// the operation publishes its node and its anchor — carved from slabs, two
-// allocations per sixteen operations, GC or no GC — and extraction and
-// linearization run in per-pid memory that is reused. The runs measure 7 and
-// 6; the floor leaves room for a spec whose states cost more than the
-// counter's, and none for the 32 of the map-based linearization.
+// node's preceding vector; the root update publishes its three shared values;
+// the operation publishes its node, records its anchor in place in its
+// process's private ring, and publishes a copy of it for the collector once
+// every sixteen operations; and extraction and linearization run in per-pid
+// memory that is reused. The runs measure 6 allocations and about 148 bytes
+// (245 when every operation carved a new anchor and the node and R's cell
+// carried 16 dead bytes each); the allocation floor leaves room for a spec
+// whose states cost more than the counter's, and none for the 32 of the
+// map-based linearization.
 func TestObjectExecuteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -117,6 +121,16 @@ func TestObjectExecuteAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(4*DefaultObjectGCWindow, step); allocs > 12 {
 			t.Errorf("warm Execute, GC %v = %.2f allocs/op, want <= 12", gc, allocs)
+		}
+		const runs = 16 * DefaultObjectGCWindow
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		if bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs; bytes > 160 {
+			t.Errorf("warm Execute, GC %v = %.1f B/op, want <= 160", gc, bytes)
 		}
 	}
 }

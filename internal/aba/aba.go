@@ -35,11 +35,13 @@ import (
 const noSeq = -1
 
 // cell is the content of the main register X: a value tagged with the
-// writing process and its sequence number.
+// writing process and its sequence number. Both tags are bounded by the
+// algorithm (pid < n, seq <= 2n+1), so two int32s hold them and a cell of a
+// slice value takes 32 bytes instead of 48.
 type cell[V any] struct {
 	val V
-	pid int
-	seq int
+	pid int32
+	seq int32
 }
 
 // tag is the (process id, sequence number) pair announced in A.
@@ -48,7 +50,7 @@ type tag struct {
 	seq int
 }
 
-func (c cell[V]) tag() tag { return tag{pid: c.pid, seq: c.seq} }
+func (c cell[V]) tag() tag { return tag{pid: int(c.pid), seq: int(c.seq)} }
 
 // pack puts a tag in one word, both halves shifted by one so that ⊥ is 0.
 // A tag's domain is bounded by the algorithm — pid < n, seq <= 2n+1 — which
@@ -220,7 +222,7 @@ func (b *base[V]) getSeq(p int) int {
 // dWrite implements DWrite (Algorithm 1, lines 1-2): two shared steps.
 func (b *base[V]) dWrite(p int, x V) {
 	s := b.getSeq(p)
-	b.x.Write(p, cell[V]{val: x, pid: p, seq: s})
+	b.x.Write(p, cell[V]{val: x, pid: int32(p), seq: int32(s)})
 }
 
 func (b *base[V]) cellEq(c1, c2 cell[V]) bool {

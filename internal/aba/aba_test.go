@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"slmem/internal/lincheck"
 	"slmem/internal/memory"
@@ -151,7 +152,7 @@ func TestSeqAvoidsAnnouncement(t *testing.T) {
 	seen := make(map[int]bool)
 	for i := 0; i < 2*n+2; i++ {
 		reg.DWrite(1, "b")
-		seen[reg.x.Read(1).seq] = true
+		seen[int(reg.x.Read(1).seq)] = true
 	}
 	announced := reg.a[0].Read(0)
 	if announced.pid != 1 {
@@ -159,6 +160,14 @@ func TestSeqAvoidsAnnouncement(t *testing.T) {
 	}
 	if seen[announced.seq] {
 		t.Errorf("writer reused announced sequence number %d", announced.seq)
+	}
+}
+
+// TestCellSize pins X's cell for a slice value — core's R holds one per
+// DWrite — at 32 bytes: the slice header and the two bounded tags as int32s.
+func TestCellSize(t *testing.T) {
+	if got := unsafe.Sizeof(cell[[]int]{}); got != 32 {
+		t.Errorf("cell[[]int] is %d bytes, want 32", got)
 	}
 }
 

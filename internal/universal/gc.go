@@ -5,13 +5,28 @@
 //
 // # Protocol
 //
-// Process p's watermark is the anchor it publishes after every operation
-// anyway: the prefix it just linearized and the version of the truncation
-// root the operation executed against. The hot path never reads another
+// Process p's watermark is its published record: a copy of the anchor of one
+// of its recent operations — the prefix that operation linearized and the
+// version of the truncation root it executed against — published on p's
+// first operation, on every operation that runs a pass, and at least every
+// min(Window, publishEvery) operations. The hot path never reads another
 // process's record; only the amortized truncation pass does, so no shared
 // steps are added to Execute (the records live outside the simulated shared
 // memory, invisible to the sched adversary — GC-on and GC-off runs take
 // byte-identical schedules).
+//
+// A record may be stale — up to publishEvery-1 operations behind its
+// process's latest — and every rule below stays sound, because none of them
+// needs q's latest record, only some record q once published, which is
+// immutable. The freshness gate bounds q's unseen operations from below by
+// the record's own index; an older record has a smaller one, so the gate
+// passes no operation it should not, and every operation of q from that index
+// on still covers a cut at or below the record. The pointwise-minimum cut
+// takes a lower prefix, so it folds less. Base adoption takes a record's
+// state, which is the state of its prefix however old. The trim's quiescence
+// test reads an older root version, so a cut is severed later, and every
+// operation q runs after publishing that record loads a root at or past its
+// version. A stale record is therefore only more conservative.
 //
 // Every Window operations a process attempts a truncation pass (one
 // TryLock'd collector at a time). The pass reads all n records, takes the
@@ -68,16 +83,18 @@
 // (its kept anchors, package doc) and a pass has its base, and neither
 // weakens this: every one of them is at or above the root loaded by the
 // operation or pass that uses it, and a record of version v belongs to a
-// process whose later operations load roots at or past v. The ordering
-// argument is the record's store/load pair: the last potential reader
-// published its record (release) before the collector observed quiescence
-// (acquire) and cut.
+// process whose later operations — published or not — load roots at or past
+// v. The ordering argument is the record's store/load pair: the process's
+// operations that could still read under the cut all ran before it published
+// its record (release), and the collector observed quiescence (acquire)
+// before it cut.
 //
 // Liveness caveat: truncation needs a record from all n processes, so a
 // process that never executes pins the graph (its watermark never
 // advances). The bound on live nodes is therefore the number of operations
 // executed between the slowest process's consecutive operations, plus the
-// Window between collector passes — flat under steady traffic from every
+// Window between collector passes and the fewer than publishEvery
+// operations a record may lag — flat under steady traffic from every
 // process, the churn soak's assertion.
 package universal
 

@@ -2,6 +2,7 @@ package universal
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -12,17 +13,16 @@ import (
 )
 
 // gcSimSystem builds a simulated system like cachedSimSystem, with
-// truncation enabled at the given window.
-func gcSimSystem(typ Type, scripts [][]string, window int, obj **Object) sched.System {
+// truncation enabled at the given window; every object a run sets up is
+// appended to objs.
+func gcSimSystem(typ Type, scripts [][]string, window int, objs *[]*Object) sched.System {
 	n := len(scripts)
 	return sched.System{
 		N: n,
 		Setup: func(env *sched.Env) []sched.Program {
 			o := New(env, typ, n)
 			o.SetGC(GCOptions{Window: window})
-			if obj != nil {
-				*obj = o
-			}
+			*objs = append(*objs, o)
 			progs := make([]sched.Program, n)
 			for pid := range scripts {
 				pid := pid
@@ -110,6 +110,21 @@ func TestGCDifferentialNative(t *testing.T) {
 	}
 }
 
+// staleWindows are the collector windows the simulated batteries run at: at
+// 1 a process publishes its record after every operation, at 3 on every third
+// (and on its first), so a collector may read a record two operations old.
+var staleWindows = []int{1, 3}
+
+// truncationsOf sums the truncations of the objects the runs set up (no
+// GCStats: its scan would block outside the simulation).
+func truncationsOf(objs []*Object) int64 {
+	var sum int64
+	for _, o := range objs {
+		sum += o.gc.truncations.Load()
+	}
+	return sum
+}
+
 // TestGCDifferentialSched runs the same adversarial schedule against a
 // truncating and an unbounded system. The collector performs no
 // shared-memory steps of its own — it reuses the triggering operation's
@@ -117,30 +132,32 @@ func TestGCDifferentialNative(t *testing.T) {
 // seed must yield byte-identical schedules and interpreted histories.
 func TestGCDifferentialSched(t *testing.T) {
 	scripts := counterScripts(3, 6)
-	var truncations int64
-	for seed := int64(0); seed < 25; seed++ {
-		var gcObj *Object
-		resGC := sched.Run(gcSimSystem(CounterType{}, scripts, 1, &gcObj), sched.NewSeeded(seed), sched.Options{})
-		resPlain := sched.Run(cachedSimSystem(CounterType{}, scripts, true, nil), sched.NewSeeded(seed), sched.Options{})
-		if !resGC.Completed() || !resPlain.Completed() {
-			t.Fatalf("seed %d: incomplete run: %v / %v", seed, resGC.Err, resPlain.Err)
-		}
-		if got, want := len(resGC.Schedule), len(resPlain.Schedule); got != want {
-			t.Fatalf("seed %d: schedules diverge: %d vs %d steps (GC must add no shared steps)", seed, got, want)
-		}
-		for i := range resGC.Schedule {
-			if resGC.Schedule[i] != resPlain.Schedule[i] {
-				t.Fatalf("seed %d: schedules diverge at step %d", seed, i)
+	for _, window := range staleWindows {
+		t.Run("window="+strconv.Itoa(window), func(t *testing.T) {
+			var objs []*Object
+			for seed := int64(0); seed < 25; seed++ {
+				resGC := sched.Run(gcSimSystem(CounterType{}, scripts, window, &objs), sched.NewSeeded(seed), sched.Options{})
+				resPlain := sched.Run(cachedSimSystem(CounterType{}, scripts, true, nil), sched.NewSeeded(seed), sched.Options{})
+				if !resGC.Completed() || !resPlain.Completed() {
+					t.Fatalf("seed %d: incomplete run: %v / %v", seed, resGC.Err, resPlain.Err)
+				}
+				if got, want := len(resGC.Schedule), len(resPlain.Schedule); got != want {
+					t.Fatalf("seed %d: schedules diverge: %d vs %d steps (GC must add no shared steps)", seed, got, want)
+				}
+				for i := range resGC.Schedule {
+					if resGC.Schedule[i] != resPlain.Schedule[i] {
+						t.Fatalf("seed %d: schedules diverge at step %d", seed, i)
+					}
+				}
+				if got, want := resGC.T.Interpreted().String(), resPlain.T.Interpreted().String(); got != want {
+					t.Fatalf("seed %d: truncated and unbounded histories diverge:\n--- gc ---\n%s\n--- unbounded ---\n%s",
+						seed, got, want)
+				}
 			}
-		}
-		if got, want := resGC.T.Interpreted().String(), resPlain.T.Interpreted().String(); got != want {
-			t.Fatalf("seed %d: truncated and unbounded histories diverge:\n--- gc ---\n%s\n--- unbounded ---\n%s",
-				seed, got, want)
-		}
-		truncations += gcObj.gc.truncations.Load() // no GCStats: its scan would block outside the simulation
-	}
-	if truncations == 0 {
-		t.Error("no adversarial schedule triggered a truncation")
+			if truncationsOf(objs) == 0 {
+				t.Error("no adversarial schedule triggered a truncation")
+			}
+		})
 	}
 }
 
@@ -151,28 +168,31 @@ func TestGCDifferentialSched(t *testing.T) {
 // linearizable.
 func TestGCFallbackUnderAdversary(t *testing.T) {
 	scripts := counterScripts(4, 5)
-	var totalMisses, truncations int64
-	for seed := int64(0); seed < 40; seed++ {
-		var obj *Object
-		res := sched.Run(gcSimSystem(CounterType{}, scripts, 1, &obj), sched.NewSeeded(seed), sched.Options{})
-		if !res.Completed() {
-			t.Fatalf("seed %d: incomplete: %v", seed, res.Err)
-		}
-		chk, err := lincheck.CheckTranscript(res.T, spec.Counter{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !chk.Ok {
-			t.Fatalf("seed %d: truncated history not linearizable:\n%s", seed, res.T.Interpreted())
-		}
-		totalMisses += obj.CacheStats().Misses
-		truncations += obj.gc.truncations.Load()
-	}
-	if totalMisses == 0 {
-		t.Error("no schedule exercised the fallback (miss) path; widen the adversary")
-	}
-	if truncations == 0 {
-		t.Error("no schedule triggered a truncation")
+	for _, window := range staleWindows {
+		t.Run("window="+strconv.Itoa(window), func(t *testing.T) {
+			var objs []*Object
+			var totalMisses int64
+			for seed := int64(0); seed < 40; seed++ {
+				res := sched.Run(gcSimSystem(CounterType{}, scripts, window, &objs), sched.NewSeeded(seed), sched.Options{})
+				if !res.Completed() {
+					t.Fatalf("seed %d: incomplete: %v", seed, res.Err)
+				}
+				chk, err := lincheck.CheckTranscript(res.T, spec.Counter{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !chk.Ok {
+					t.Fatalf("seed %d: truncated history not linearizable:\n%s", seed, res.T.Interpreted())
+				}
+				totalMisses += objs[len(objs)-1].CacheStats().Misses
+			}
+			if totalMisses == 0 {
+				t.Error("no schedule exercised the fallback (miss) path; widen the adversary")
+			}
+			if truncationsOf(objs) == 0 {
+				t.Error("no schedule triggered a truncation")
+			}
+		})
 	}
 }
 
@@ -183,19 +203,27 @@ func TestGCFallbackUnderAdversary(t *testing.T) {
 // reclamation must be validated against prefix-preserving checks, not plain
 // linearizability.
 func TestGCStrongPrefixTrees(t *testing.T) {
-	sys := gcSimSystem(CounterType{}, counterScripts(2, 4), 1, nil)
-	for seed := int64(0); seed < 6; seed++ {
-		tree, err := sched.RandomBranchTree(sys, seed, 16, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := lincheck.CheckStrong(lincheck.FromSchedTree(tree), spec.Counter{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Ok {
-			t.Fatalf("seed %d: strong prefix-tree check failed at %s", seed, res.FailNode)
-		}
+	for _, window := range staleWindows {
+		t.Run("window="+strconv.Itoa(window), func(t *testing.T) {
+			var objs []*Object
+			sys := gcSimSystem(CounterType{}, counterScripts(2, 4), window, &objs)
+			for seed := int64(0); seed < 6; seed++ {
+				tree, err := sched.RandomBranchTree(sys, seed, 16, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := lincheck.CheckStrong(lincheck.FromSchedTree(tree), spec.Counter{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Ok {
+					t.Fatalf("seed %d: strong prefix-tree check failed at %s", seed, res.FailNode)
+				}
+			}
+			if truncationsOf(objs) == 0 {
+				t.Error("no branch of any tree triggered a truncation")
+			}
+		})
 	}
 }
 
@@ -267,7 +295,9 @@ func TestGCTruncationRules(t *testing.T) {
 // collector's scan) and it is not a future node either (it published
 // before the reads) — without the freshness gate the collector commits a
 // cut the node does not cover, and every later extraction against the root
-// fails, wedging the object permanently.
+// fails, wedging the object permanently. The watermarks are the ones the
+// publication schedule leaves: p0's is its first operation's, p1's the
+// first operation it executes.
 func TestGCScanWatermarkGap(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
@@ -277,25 +307,30 @@ func TestGCScanWatermarkGap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// p0 published on its first operation and not since: its watermark
+	// predates p1 entirely.
+	first := o.local[0].rec.Load()
+	if first.prefix[0] != 0 || first.prefix[1] != -1 {
+		t.Fatalf("p0's record %v, want its first operation's [0 -1]", first.prefix)
+	}
 	// The collector's scan: p1 has published nothing yet.
 	view := o.root.View(0)
 
 	// p1's slow first operation: it scanned at time zero (empty view),
 	// stalled, and publishes only now — after the collector's scan.
-	slow := &node{invocation: "inc()", response: "1", pid: 1, index: 0, preceding: make([]*node, 2)}
+	slow := &node{invocation: "inc()", pid: 1, index: 0, preceding: make([]*node, 2)}
 	o.root.Update(1, slow)
 	o.local[1].index = 1
-	// p1 then completes a second operation with a fresh scan, raising its
-	// watermark past the slow node before the collector reads it.
+	// p1 then completes a second operation with a fresh scan — the first it
+	// executes, so it publishes — raising its watermark past the slow node
+	// before the collector reads it.
 	if _, err := o.Execute(1, "inc()"); err != nil {
 		t.Fatal(err)
 	}
-	// p0's watermark predates p1 entirely, so the candidate cut leaves the
-	// slow node outside the prefix while truncating p0's operations — which
-	// the slow node's empty view does not cover.
+	// The candidate cut, p0's record, leaves the slow node outside the prefix
+	// while truncating p0's first operation — which the slow node's empty view
+	// does not cover.
 	g := o.gc
-	o.local[0].rec.Store(&anchor{prefix: []int{3, -1}, state: "4"})
-
 	g.mu.Lock()
 	o.collect(view)
 	g.mu.Unlock()
@@ -308,7 +343,16 @@ func TestGCScanWatermarkGap(t *testing.T) {
 	if got, err := o.Execute(0, "read()"); err != nil || got != "6" {
 		t.Fatalf("read() after refused pass = %q, %v; want \"6\"", got, err)
 	}
-	// Liveness: a pass whose scan has caught up truncates normally.
+	// Liveness: a pass whose scan has caught up truncates normally, once p0
+	// has published a watermark past the slow node (reads change no count).
+	for i := 0; o.local[0].rec.Load() == first; i++ {
+		if i == publishEvery {
+			t.Fatalf("p0 did not publish within %d operations", publishEvery)
+		}
+		if _, err := o.Execute(0, "read()"); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := o.Execute(1, "inc()"); err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +391,7 @@ func TestGCReplayFailureSurfaced(t *testing.T) {
 	bogus := &node{invocation: "bogus()", pid: 1, index: 0, preceding: o.root.View(1)}
 	o.root.Update(1, bogus)
 	o.local[1].index = 1
-	o.root.Update(0, &node{invocation: "inc()", response: "ok", pid: 0, index: 2, preceding: o.root.View(0)})
+	o.root.Update(0, &node{invocation: "inc()", pid: 0, index: 2, preceding: o.root.View(0)})
 	o.local[0].index = 3
 	view := o.root.View(0)
 	g := o.gc
@@ -400,10 +444,11 @@ func TestGCCoverageFailureSurfaced(t *testing.T) {
 	}
 }
 
-// TestGCStaleAnchorFallback is the GC/replay-cache interaction contract: an
-// anchor stranded below the truncation root (the protocol never strands one:
-// the root stays at or below every published record) must fall back to the
-// truncation root — never panic, never resurrect the poisoned cache state.
+// TestGCStaleAnchorFallback is the GC/replay-cache interaction contract: a
+// latest anchor stranded below the truncation root (the protocol never
+// strands one: the root stays at or below every published record, and a
+// process's latest anchor is at or above its published one) must fall back —
+// never panic, never resurrect the poisoned cache state.
 func TestGCStaleAnchorFallback(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
@@ -418,9 +463,9 @@ func TestGCStaleAnchorFallback(t *testing.T) {
 	if cut[0] < 0 && cut[1] < 0 {
 		t.Fatal("no truncation happened; stale-anchor case needs a non-trivial root")
 	}
-	// Strand p0's anchor below the root and poison its cached state: the
-	// floor must reject the anchor and replay from the root's state.
-	o.local[0].rec.Store(&anchor{prefix: []int{-1, -1}, state: "POISON"})
+	// Strand p0's latest anchor below the root and poison its cached state:
+	// the floor must reject the anchor and replay from a lower floor.
+	*o.local[0].own(0) = anchor{prefix: []int{-1, -1}, state: "POISON"}
 	got, err := o.Execute(0, "read()")
 	if err != nil {
 		t.Fatalf("stale-anchor Execute failed: %v", err)
@@ -431,22 +476,24 @@ func TestGCStaleAnchorFallback(t *testing.T) {
 }
 
 // TestGCEarlierAnchorBelowRootSkipped: every anchor a process keeps — its
-// record and the earlier ones — is stranded below the truncation root, each
-// with a prefix the untrimmed graph would still accept and a poisoned state.
-// All must be skipped without an extraction (no hit, no miss) and the
-// operation served from the root.
+// latest and the earlier ones in its ring — is stranded below the truncation
+// root, each with a prefix the untrimmed graph would still accept and a
+// poisoned state. All must be skipped without an extraction (no hit, no miss)
+// and the operation served from the root.
 func TestGCEarlierAnchorBelowRootSkipped(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
 	o.SetGC(GCOptions{Window: 1 << 30}) // collect only when driven by hand
-	const ops = 20
-	var old *anchor
+	// Enough operations that both processes publish a second record, well
+	// past the anchor old is copied from.
+	const ops = 2*publishEvery + 8
+	var old []int
 	for i := 0; i < ops; i++ {
 		if _, err := o.Execute(i%2, "inc()"); err != nil {
 			t.Fatal(err)
 		}
 		if i == 6 {
-			old = o.local[0].rec.Load()
+			old = slices.Clone(o.local[0].own(0).prefix)
 		}
 	}
 	// One pass: the root moves past old, and the boundary views stay intact
@@ -455,18 +502,19 @@ func TestGCEarlierAnchorBelowRootSkipped(t *testing.T) {
 	o.gc.mu.Lock()
 	o.collect(view)
 	o.gc.mu.Unlock()
-	if root := o.trunc.Load(); root.version != 1 || atOrAbove(old.prefix, root.prefix) {
-		t.Fatalf("root v%d %v did not pass the anchor %v", root.version, root.prefix, old.prefix)
+	if root := o.trunc.Load(); root.version != 1 || atOrAbove(old, root.prefix) {
+		t.Fatalf("root v%d %v did not pass the anchor %v", root.version, root.prefix, old)
 	}
 	l := &o.local[0]
-	if _, ok := l.extract(old.prefix, view); !ok {
+	if _, ok := l.extract(old, view); !ok {
 		t.Fatal("the graph refuses the stranded prefix anyway; the case needs it extractable")
 	}
 	l.release()
-	poisoned := &anchor{prefix: old.prefix, state: "POISON"}
-	l.rec.Store(poisoned)
-	for i := range l.earlier {
-		l.earlier[i] = poisoned
+	if l.kept != len(l.ring) {
+		t.Fatalf("p0 keeps %d anchors, want a full ring of %d", l.kept, len(l.ring))
+	}
+	for i := range l.ring {
+		l.ring[i] = anchor{prefix: slices.Clone(old), state: "POISON"}
 	}
 	before := o.CacheStats()
 	got, err := o.Execute(0, "read()")
@@ -513,7 +561,7 @@ func TestGCStragglerPastEveryAnchor(t *testing.T) {
 			}
 		}
 		l := &o.local[1]
-		o.root.Update(1, &node{invocation: "inc()", response: "ok", pid: 1, index: l.index, preceding: view})
+		o.root.Update(1, &node{invocation: "inc()", pid: 1, index: l.index, preceding: view})
 		l.index++
 	}
 	for i := 0; i < anchorRing+2; i++ {
@@ -562,7 +610,7 @@ func TestGCRefusedBaseFallsBackToRoot(t *testing.T) {
 		exec(3)
 		// p1's first operation scanned after p0's first and publishes only now.
 		first := o.root.View(1)[0].preceding[0].preceding[0]
-		o.root.Update(1, &node{invocation: "inc()", response: "ok", pid: 1, index: 0, preceding: []*node{first, nil}})
+		o.root.Update(1, &node{invocation: "inc()", pid: 1, index: 0, preceding: []*node{first, nil}})
 		o.local[1].index = 1
 		exec(3)
 		view := o.root.View(0)
@@ -589,10 +637,10 @@ func TestGCRefusedBaseFallsBackToRoot(t *testing.T) {
 			t.Fatalf("after the fallback: %+v", st)
 		}
 	}
-	// p0's forged record is still a legal floor in the forged object (it
-	// carries the true state); the twin's is not, so read through p1.
+	// The forged records were the collector's only: a read takes its floors
+	// from its process's private anchors, and p1 has executed nothing, so its
+	// read replays from the new root.
 	for _, o := range []*Object{forged, twin} {
-		o.local[1].rec.Store(nil)
 		if resp, err := o.Execute(1, "read()"); err != nil || resp != "7" {
 			t.Fatalf("read() after the fallback = %q, %v; want \"7\"", resp, err)
 		}
@@ -628,7 +676,7 @@ func TestGCStaleAnchorUnderAdversary(t *testing.T) {
 								// the trivial cut and would be legally used,
 								// poisoned state and all.
 								if cut := o.trunc.Load().prefix; cut[0] >= 0 || cut[1] >= 0 || cut[2] >= 0 {
-									o.local[pid].rec.Store(&anchor{prefix: []int{-1, -1, -1}, state: "POISON"})
+									*o.local[pid].own(0) = anchor{prefix: []int{-1, -1, -1}, state: "POISON"}
 								}
 							}
 							desc := desc
@@ -795,6 +843,106 @@ func TestGCConcurrentChurn(t *testing.T) {
 	}
 	if st := o.GCStats(0); st.Truncations == 0 || st.CoverageFailures+st.ReplayFailures != 0 {
 		t.Errorf("churn and a quiescent tail never truncated cleanly: %+v", st)
+	}
+}
+
+// TestGCPublishedRecordImmutable pins the publication schedule and the one
+// property collector passes rely on: a process publishes on its first
+// operation, its record's own index then lags its latest operation by less
+// than the period, a published record's fields never change — checked after
+// three periods of operations while another goroutine runs collector passes
+// over the records (the race detector patrols the rest) — and at window 2
+// every other operation publishes.
+func TestGCPublishedRecordImmutable(t *testing.T) {
+	type snapshot struct {
+		rec     *anchor
+		prefix  []int
+		state   string
+		version int64
+	}
+	var alloc memory.NativeAllocator
+	o := New(&alloc, CounterType{}, 3) // pid 2 scans for the collector goroutine
+	o.SetGC(GCOptions{Window: 1 << 30})
+	var seen []snapshot
+	exec := func(p int) {
+		t.Helper()
+		l := &o.local[p]
+		prev := l.rec.Load()
+		if _, err := o.Execute(p, "inc()"); err != nil {
+			t.Fatal(err)
+		}
+		rec := l.rec.Load()
+		if rec == nil {
+			t.Fatalf("p%d published nothing by its operation %d", p, l.index-1)
+		}
+		if lag := l.index - 1 - rec.prefix[p]; lag >= publishEvery {
+			t.Fatalf("p%d's record lags its operation %d by %d, want < %d", p, l.index-1, lag, publishEvery)
+		}
+		if rec != prev {
+			seen = append(seen, snapshot{rec, slices.Clone(rec.prefix), rec.state, rec.version})
+		}
+	}
+	for p := 0; p < 3; p++ {
+		exec(p)
+	}
+
+	started, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for pass := 0; ; pass++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			view := o.root.View(2)
+			o.gc.mu.Lock()
+			o.collect(view)
+			o.gc.mu.Unlock()
+			if pass == 0 {
+				close(started)
+			}
+		}
+	}()
+	<-started
+	for i := 0; i < 3*publishEvery; i++ {
+		exec(0)
+		exec(1)
+	}
+	close(stop)
+	<-done
+
+	if len(seen) < 3+2*3 {
+		t.Fatalf("%d publications over three periods of two processes, want at least %d", len(seen), 3+2*3)
+	}
+	for _, s := range seen {
+		if !slices.Equal(s.rec.prefix, s.prefix) || s.rec.state != s.state || s.rec.version != s.version {
+			t.Fatalf("a published record changed: %v %q v%d became %v %q v%d",
+				s.prefix, s.state, s.version, s.rec.prefix, s.rec.state, s.rec.version)
+		}
+	}
+
+	w2 := New(&alloc, CounterType{}, 2)
+	w2.SetGC(GCOptions{Window: 2})
+	var published []int
+	for i := 0; i < 2*publishEvery; i++ {
+		prev := w2.local[0].rec.Load()
+		for p := 0; p < 2; p++ {
+			if _, err := w2.Execute(p, "inc()"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w2.local[0].rec.Load() != prev {
+			published = append(published, i)
+		}
+	}
+	for k := 2; k < len(published); k++ {
+		if published[k]-published[k-1] != 2 {
+			t.Fatalf("at window 2, p0 published at its operations %v, want every other one", published)
+		}
+	}
+	if len(published) < publishEvery {
+		t.Fatalf("at window 2, p0 published %d times in %d operations", len(published), 2*publishEvery)
 	}
 }
 

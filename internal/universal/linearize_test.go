@@ -316,7 +316,7 @@ func TestDominanceAskedPerClass(t *testing.T) {
 				t.Fatal(err)
 			}
 			l1 := &o.local[1]
-			o.root.Update(1, &node{invocation: "inc()", response: "ok", pid: 1, index: l1.index, preceding: stale})
+			o.root.Update(1, &node{invocation: "inc()", pid: 1, index: l1.index, preceding: stale})
 			l1.index++
 
 			calls = 0

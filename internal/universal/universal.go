@@ -24,16 +24,26 @@
 //
 // Everything this implementation adds to the paper's algorithm — the replay
 // cache below and the truncation of gc.go — rests on one record and one lemma.
-// After each operation, process p publishes an anchor: the per-process
+// After each operation, process p records an anchor: the per-process
 // operation-index prefix {(q, i) : i <= prefix[q]} it just linearized (its
 // scanned view plus its own node), the sequential state reached by replaying
 // that prefix, and the version of the truncation root it executed against.
-// The record is immutable, written once per operation by its owner into a
-// single-writer register outside the simulated shared memory, and read by the
-// owner's later operations (as a replay floor) and by collector passes (as a
-// low watermark, and as a base whose state they may adopt). The truncation
-// root is a record of the same type; the initial one — nothing linearized, the
-// initial state, version 0 — exists from construction.
+// The owner keeps its anchors to itself, rewritten in place, as the replay
+// floors of its later operations. It publishes an immutable copy of one into a
+// single-writer register outside the simulated shared memory — on its first
+// operation, on every operation that runs a collector pass, and never more
+// than min(Window, publishEvery) operations apart — and collector passes read
+// that copy, as a low watermark and as a base whose state they may adopt. The
+// truncation root is a record of the same type; the initial one — nothing
+// linearized, the initial state, version 0 — exists from construction.
+//
+// A published record may be up to publishEvery-1 operations older than its
+// process's latest, and that is sound: every rule that reads another process's
+// record — the freshness gate, the pointwise-minimum cut, base adoption and
+// the trim's quiescence test (gc.go) — needs only some record that process
+// once published, never its latest. An older record is a lower prefix and an
+// older root version, so the cut it yields is lower and the trim it allows
+// later: more conservative, never wrong.
 //
 // A node covers a prefix when its scanned view includes every node of the
 // prefix. Covering lemma: in a precedence graph whose nodes outside a prefix
@@ -53,11 +63,11 @@
 //
 // Executed naively, steps 2-4 cost O(history). Process p instead starts from
 // the nearest floor the scanned graph covers. The candidates are one list:
-// p's own anchors newest to oldest — its latest and the anchorRing before it
-// — and last the truncation root, which every reachable node covers (gc.go;
-// without GC the root stays the empty prefix and that last candidate is the
-// full extraction). From a candidate p extracts only the nodes beyond the
-// prefix and replays them onto the anchored state, provided every extracted
+// p's own private anchors newest to oldest — its latest and the anchorRing
+// before it — and last the truncation root, which every reachable node covers
+// (gc.go; without GC the root stays the empty prefix and that last candidate
+// is the full extraction). From a candidate p extracts only the nodes beyond
+// the prefix and replays them onto the anchored state, provided every extracted
 // node covers the prefix — the lemma's condition on the graph p scanned, so
 // node orders and responses are byte-identical to an uncached run (the
 // differential tests check this). Normally the latest anchor is covered and
@@ -71,9 +81,10 @@
 // a candidate only at or above the truncation root the operation loaded before
 // its scan — the history under the root may already be trimmed, and the
 // quiescence rule of gc.go counts on no floor lying lower. What the list
-// retains is bounded: at most anchorRing records beyond the published one per
-// process, their prefixes and state strings, and the (at most two) slabs they
-// and it were carved from.
+// retains is bounded: a fixed ring of anchorRing+1 records per process, their
+// prefix buffers allocated once and rewritten in place, and their state
+// strings — plus the (at most two) blocks its published copies are carved
+// from (publishEvery).
 //
 // Strong linearizability is untouched: the cache reads nothing but what a
 // legal root scan returns, writes nothing shared, and computes the same
@@ -143,7 +154,6 @@ func ValidateSimple(t Type, descs []string, pids []int) error {
 // to the root.
 type node struct {
 	invocation string
-	response   string
 	pid        int
 	index      int     // per-process operation index: (pid,index) is unique
 	preceding  []*node // view[i] at this operation's scan; nil = ⊥
@@ -162,8 +172,9 @@ type Root interface {
 }
 
 // anchor is the one record of the package doc: a linearized index prefix, the
-// sequential state it replays to, and a truncation-root version. It is
-// immutable once published. As a process's record, version is the root the
+// sequential state it replays to, and a truncation-root version. A published
+// record and a truncation root are immutable; a process's private anchors are
+// rewritten in place. As a process's record, version is the root the
 // operation executed against; as a truncation root, it numbers the roots.
 type anchor struct {
 	// prefix[q] is the highest operation index of process q in the prefix,
@@ -173,40 +184,44 @@ type anchor struct {
 	version int64
 }
 
-// anchorSlab is the number of records a process allocates at a time: a record
-// and its prefix are carved out of two slabs, so publishing costs an eighth
-// of an allocation instead of two. A slab stays reachable as long as any
-// record in it is the published one or kept behind it (anchorRing), and with
-// it the states of the records carved before that one — at most the slab
-// itself.
-const anchorSlab = 16
-
-// anchorRing is the number of records a process keeps from before its latest
-// one, as lower replay floors for the operation a straggler makes miss. They
-// and the latest are consecutive carvings, so they lie in at most two slabs:
-// keeping them retains one slab of prefixes and state strings per process
-// beyond the published record's own, whatever the history length.
+// anchorRing is the number of anchors a process keeps from before its latest
+// one, as lower replay floors for the operation a straggler makes miss.
 const anchorRing = 8
 
+// publishEvery bounds the operations between two publications of a process's
+// record when the collector's window is longer: a publication is the only
+// memory an anchor costs, and only a collector pass, once a window, reads the
+// record. Published copies are carved publishEvery at a time out of one block
+// of records and one of prefixes, so even at a window of one, where every
+// operation publishes, a copy costs an eighth of an allocation. A block stays
+// reachable while the published record or the collector's last reading of it
+// lies in it: at most two per process, with their records' state strings.
+const publishEvery = 16
+
 // plocal is everything process p keeps between its operations: its operation
-// count, its published anchor and the scratch its extractions and
-// linearizations run in. It is written only by the goroutine driving that pid
-// — rec is the single-writer register collector passes load, and the counters
-// are atomic so CacheStats may read them concurrently — it is indexed by pid,
-// and it is never pooled and never shared: exclusive pid ownership is the
-// model's own invariant, so the rest needs no synchronising. The trailing pad
-// keeps one process's entry off the cache lines of the next.
+// count, its anchors, its published record and the scratch its extractions
+// and linearizations run in. It is written only by the goroutine driving that
+// pid — rec is the single-writer register collector passes load, and the
+// counters are atomic so CacheStats may read them concurrently — it is
+// indexed by pid, and it is never pooled and never shared: exclusive pid
+// ownership is the model's own invariant, so the rest needs no synchronising.
+// The trailing pad keeps one process's entry off the cache lines of the next.
 type plocal struct {
 	// index counts the operations the process has executed; ops counts them
 	// since its last collector pass.
 	index, ops int
-	// rec is the anchor of the process's latest operation, nil before its
-	// first; earlier holds the anchors it replaced, newest first, for the
-	// owner alone; recs and prefixes are what is left of the current slabs.
-	rec      atomic.Pointer[anchor]
-	earlier  [anchorRing]*anchor
-	recs     []anchor
-	prefixes []int
+	// ring holds the owner's latest anchor, in slot head, and the anchorRing
+	// before it; kept counts the slots filled. The slots' prefixes share one
+	// buffer, allocated on the first operation and rewritten in place.
+	ring       [anchorRing + 1]anchor
+	head, kept int
+	// rec is the published copy of one of the ring's anchors, nil before the
+	// first operation; unpublished counts the operations since it. pubs and
+	// pubPrefixes are what is left of the blocks copies are carved from.
+	rec         atomic.Pointer[anchor]
+	unpublished int
+	pubs        []anchor
+	pubPrefixes []int
 	// hits, misses and rootReplays count this process's cache outcomes.
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -215,6 +230,14 @@ type plocal struct {
 	scratch
 	_ [128]byte
 }
+
+// own returns the process's i-th newest anchor, 0 the latest, for i < kept.
+func (l *plocal) own(i int) *anchor {
+	return &l.ring[(l.head-i+len(l.ring))%len(l.ring)]
+}
+
+// bump adds one to a counter only this process writes.
+func bump(c *atomic.Int64) { c.Store(c.Load() + 1) }
 
 // CacheStats counts replay-cache outcomes across all processes.
 type CacheStats struct {
@@ -284,7 +307,7 @@ func NewWithRoot(t Type, n int, root Root) *Object {
 // Disabling leaves the truncation root as the only replay floor — without
 // GC the full O(history) extract-and-replay path; it exists for differential
 // tests and growth measurements. It must not be called concurrently with
-// Execute. Anchors are published either way, so a re-enabled cache resumes
+// Execute. Anchors are recorded either way, so a re-enabled cache resumes
 // from each process's latest operation.
 func (o *Object) SetCaching(on bool) { o.caching = on }
 
@@ -343,7 +366,6 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 
 	e := &node{
 		invocation: invoke,
-		response:   resp,
 		pid:        p,
 		index:      l.index,
 		preceding:  view, // lines 88-90 (a stored view is immutable: see Root)
@@ -357,37 +379,35 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 // floor extracts view past process l's nearest usable floor and returns that
 // floor, nil when the graph covers none. The candidates are one list: with the
 // cache on, l's own anchors newest to oldest — each usable only at or above
-// root, the truncation root this Execute loaded: the root never passes a
-// published record, so an anchor below it is not the protocol's, and it is
-// skipped, never extracted from and never an error, because the root's state
-// subsumes it — and then root itself. Extraction is the covering check: a
-// candidate is refused when some extracted node does not cover it and may
-// linearize inside its prefix, and the next one down is tried.
+// root, the truncation root this Execute loaded: the root never passes l's
+// published record, but an anchor older than that record may lie below it,
+// over history that may be trimmed, so it is skipped, never extracted from
+// and never an error, because the root's state subsumes it — and then root
+// itself. Extraction is the covering check: a candidate is refused when some
+// extracted node does not cover it and may linearize inside its prefix, and
+// the next one down is tried.
 func (o *Object) floor(l *plocal, root *anchor, view []*node) *anchor {
 	refused := false
 	if o.caching {
-		a := l.rec.Load()
-		for i := 0; a != nil; i++ {
-			if atOrAbove(a.prefix, root.prefix) {
-				if _, ok := l.extract(a.prefix, view); ok {
-					if refused {
-						l.misses.Add(1)
-					} else {
-						l.hits.Add(1)
-					}
-					return a
+		for i := range l.kept {
+			a := l.own(i)
+			if !atOrAbove(a.prefix, root.prefix) {
+				continue
+			}
+			if _, ok := l.extract(a.prefix, view); ok {
+				if refused {
+					bump(&l.misses)
+				} else {
+					bump(&l.hits)
 				}
-				refused = true
+				return a
 			}
-			if i == anchorRing {
-				break
-			}
-			a = l.earlier[i]
+			refused = true
 		}
 	}
 	if refused {
-		l.misses.Add(1)
-		l.rootReplays.Add(1)
+		bump(&l.misses)
+		bump(&l.rootReplays)
 	}
 	if _, ok := l.extract(root.prefix, view); !ok {
 		return nil
@@ -405,34 +425,49 @@ func atOrAbove(a, cut []int) bool {
 	return true
 }
 
-// publish writes process l's anchor for the operation that just completed —
-// node e over view, reaching state, executed against root version — carving
-// the record out of the slabs, and runs the amortized collector every window
-// operations.
+// publish records process l's anchor for the operation that just completed —
+// node e over view, reaching state, executed against root version — in the
+// oldest slot of its ring, publishes a copy when one is due (package doc),
+// and runs the amortized collector every window operations.
 func (o *Object) publish(l *plocal, view []*node, e *node, state string, version int64) {
-	if len(l.recs) == 0 {
-		l.recs = make([]anchor, anchorSlab)
-		l.prefixes = make([]int, anchorSlab*o.n)
+	if l.kept == 0 {
+		buf := make([]int, len(l.ring)*o.n)
+		for i := range l.ring {
+			l.ring[i].prefix = buf[i*o.n : (i+1)*o.n : (i+1)*o.n]
+		}
 	}
-	a := &l.recs[0]
-	a.prefix, a.state, a.version = l.prefixes[:o.n:o.n], state, version
-	l.recs, l.prefixes = l.recs[1:], l.prefixes[o.n:]
+	l.head = (l.head + 1) % len(l.ring)
+	l.kept = min(l.kept+1, len(l.ring))
+	a := &l.ring[l.head]
 	for q, nd := range view {
 		a.prefix[q] = top(nd)
 	}
 	a.prefix[e.pid] = e.index
-	copy(l.earlier[1:], l.earlier[:])
-	l.earlier[0] = l.rec.Load()
-	l.rec.Store(a)
+	a.state, a.version = state, version
 
-	if g := o.gc; g != nil {
+	g, period, collect := o.gc, publishEvery, false
+	if g != nil {
+		period = min(period, g.window)
 		if l.ops++; l.ops >= g.window {
 			l.ops = 0
-			if g.mu.TryLock() {
-				o.collect(view)
-				g.mu.Unlock()
-			}
+			collect = true
 		}
+	}
+	if l.unpublished++; l.unpublished >= period || collect || l.rec.Load() == nil {
+		if len(l.pubs) == 0 {
+			l.pubs = make([]anchor, publishEvery)
+			l.pubPrefixes = make([]int, publishEvery*o.n)
+		}
+		c := &l.pubs[0]
+		*c = anchor{prefix: l.pubPrefixes[:o.n:o.n], state: a.state, version: a.version}
+		copy(c.prefix, a.prefix)
+		l.pubs, l.pubPrefixes = l.pubs[1:], l.pubPrefixes[o.n:]
+		l.unpublished = 0
+		l.rec.Store(c)
+	}
+	if collect && g.mu.TryLock() {
+		o.collect(view)
+		g.mu.Unlock()
 	}
 }
 
