@@ -228,10 +228,12 @@ func (c *config) execute(ctx context.Context, stdout, stderr io.Writer) error {
 	return undercount
 }
 
-// inprocOp drives the registry directly through the driver codec: instances
-// and compiled steps are resolved once per key, so the hot loop is
-// lease+run, and batches (>1 op per call) go through BatchExecute — the same
-// two paths the server itself uses, minus HTTP.
+// inprocOp drives the registry directly through the driver codec. Batches
+// (>1 op per call) go through BatchExecute, the path every server request
+// takes (a single operation is a one-entry batch there). One op per call
+// resolves the instance and compiled step once per key up front, so its hot
+// loop is lease+run: the floor under the server's per-request cost, not a
+// copy of it.
 func (c *config) inprocOp(kreq kind.Request, names []string) (load.Op, error) {
 	reg := registry.New(registry.Options{Procs: c.procs})
 	if c.load.OpsPerCall > 1 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -422,4 +423,38 @@ func TestInjectedSubstrates(t *testing.T) {
 	if got := spec.FormatView(s.Scan(1)); got != "[a "+spec.Bot+" c]" {
 		t.Errorf("scan = %s", got)
 	}
+}
+
+// TestAfekSubstrateConcurrentSoak runs Algorithm 3 over the wait-free
+// Afek-style substrate on native memory with every process updating and
+// scanning at once: no process loses its own progress, and no component
+// it sees ever goes back.
+func TestAfekSubstrateConcurrentSoak(t *testing.T) {
+	const n, rounds = 4, 150
+	var alloc memory.NativeAllocator
+	s := NewOver[int](&alloc, n, 0, snapshot.NewAfek[int](&alloc, n, 0))
+	var wg sync.WaitGroup
+	for pid := 0; pid < n; pid++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			last := make([]int, n)
+			for i := 1; i <= rounds; i++ {
+				s.Update(pid, i)
+				view := s.Scan(pid)
+				if view[pid] < i {
+					t.Errorf("p%d: own progress lost: %v", pid, view)
+					return
+				}
+				for q, v := range view {
+					if v < last[q] {
+						t.Errorf("p%d: component %d regressed %d -> %d", pid, q, last[q], v)
+						return
+					}
+					last[q] = v
+				}
+			}
+		}(pid)
+	}
+	wg.Wait()
 }

@@ -383,9 +383,6 @@ func (o *objectInstance) Compile(req kind.Request) (kind.Compiled, error) {
 // Unwrap implements kind.Unwrapper.
 func (o *objectInstance) Unwrap() any { return o.pooled }
 
-// TypeName implements kind.TypeNamer.
-func (o *objectInstance) TypeName() string { return o.typeName }
-
 // objectExecute is the compiled execute op with its invocation. It is handed
 // out by pointer, which an interface holds without allocating.
 type objectExecute struct {

@@ -98,14 +98,6 @@ type Unwrapper interface {
 	Unwrap() any
 }
 
-// TypeNamer is implemented by instances parameterized by a type name (the
-// universal-object kind), so callers can detect create-time type conflicts
-// without compiling an op.
-type TypeNamer interface {
-	// TypeName returns the simple-type name the instance was created with.
-	TypeName() string
-}
-
 // OpInfo describes one operation a driver supports, for introspection.
 type OpInfo struct {
 	// Name is the op name as it appears in requests, e.g. "inc".

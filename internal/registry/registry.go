@@ -191,8 +191,10 @@ func (r *Registry) Object(name, typeName string) (*slmem.PooledObject, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tn := inst.(kind.TypeNamer).TypeName(); tn != typeName {
-		return nil, fmt.Errorf("registry: object %q already exists with type %q, not %q", name, tn, typeName)
+	// Compile checks the type, as it does for every served execute; with no
+	// invocation it fails, and only a conflict matters here.
+	if _, err := inst.Compile(kind.Request{Op: "execute", Type: typeName}); kind.IsConflict(err) {
+		return nil, fmt.Errorf("registry: %q: %w", name, err)
 	}
 	return inst.(kind.Unwrapper).Unwrap().(*slmem.PooledObject), nil
 }

@@ -95,10 +95,12 @@ func TestRegistryObjectTypeMismatch(t *testing.T) {
 	if _, err := r.Object("x", "set"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Object("x", "accumulator"); err == nil {
-		t.Fatal("type mismatch on existing object not rejected")
-	} else if !strings.Contains(err.Error(), "already exists") {
-		t.Fatalf("unexpected error: %v", err)
+	_, err := r.Object("x", "accumulator")
+	if !kind.IsConflict(err) {
+		t.Fatalf("type mismatch on existing object: err = %v, want a conflict", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"set"`) || !strings.Contains(msg, `"accumulator"`) {
+		t.Errorf("conflict %q does not name both types", msg)
 	}
 	if _, err := r.Object("y", "no-such-type"); err == nil {
 		t.Fatal("unknown type not rejected")

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"net/http"
+	"strings"
 	"testing"
 
 	"slmem/internal/registry"
@@ -90,6 +91,48 @@ func TestBatchRequestAllocs(t *testing.T) {
 		if pipeline > 3 {
 			t.Errorf("%d entries: the batch pipeline allocates %.0f times per request beyond the registry's batch and the entry strings, want <= 3",
 				n, pipeline)
+		}
+	}
+}
+
+// TestOpRequestAllocs pins what a warm single-operation request allocates on
+// its way through ServeHTTP: the one-entry batch runs on the pooled scratch,
+// so what is left is the router's, the header's and the operation's own.
+func TestOpRequestAllocs(t *testing.T) {
+	srv := New(registry.Options{Procs: 4})
+	w := &memWriter{header: make(http.Header)}
+	for _, tc := range []struct {
+		path, body string
+		max        float64
+	}{
+		{"/v1/counter/alloc/inc", "", 8},
+		{"/v1/snapshot/alloc/update", `{"value":"x"}`, 14},
+		{"/v1/snapshot/alloc/scan", "", 5},
+	} {
+		body, rb := []byte(tc.body), new(memBody)
+		req, err := http.NewRequest("POST", tc.path, rb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve := func() {
+			rb.Reset(body)
+			w.body.Reset()
+			srv.ServeHTTP(w, req)
+			if w.status != 200 {
+				t.Fatalf("%s: status %d: %s", tc.path, w.status, w.body.Bytes())
+			}
+		}
+		for i := 0; i < 64; i++ {
+			serve()
+		}
+		allocs := testing.AllocsPerRun(200, serve)
+		op := tc.path[strings.LastIndexByte(tc.path, '/')+1:]
+		t.Logf("%s: %.0f allocs per request", op, allocs)
+		// Each ceiling is the measurement. A GC emptying the scratch pool
+		// mid-run costs a few allocations spread over 200 requests, which
+		// the per-request average rounds away.
+		if allocs > tc.max {
+			t.Errorf("%s: %.0f allocs per request, want <= %.0f", op, allocs, tc.max)
 		}
 	}
 }

@@ -52,14 +52,15 @@ type BatchResponse struct {
 	Error   string     `json:"error,omitempty"`
 }
 
-// batchScratch is everything one /v1/batch request needs beyond what its
-// operations themselves allocate: the body bytes, the decoded entries, the
-// registry's working storage and the reply bytes. handleBatch takes one from
-// scratchPool, serves the request on it and gives it back, so a warm server
-// allocates for a batch's operations and not for its pipeline.
+// batchScratch is everything one request needs beyond what its operations
+// themselves allocate: the body bytes, the decoded entries, the registry's
+// working storage and the reply bytes. A /v1/batch request and a single
+// operation (a one-entry batch) alike take one from scratchPool, are served
+// on it and give it back, so a warm server allocates for a request's
+// operations and not for its pipeline.
 //
 // Ownership: nothing that outlives the request may point into a scratch. The
-// decoder copies every entry string out of body (snapshot updates and bag
+// decoders copy every entry string out of body (snapshot updates and bag
 // inserts keep their operands inside objects indefinitely); the results in
 // work are encoded into reply, and reply is written out, before release; the
 // views in those results are immutable — a scan's view is the one the
@@ -93,13 +94,16 @@ func (sc *batchScratch) reset() (poolable bool) {
 		cap(sc.entries) <= scratchMaxEntries
 }
 
-// handleBatch serves POST /v1/batch on a pooled scratch. A request that
-// panics keeps its scratch out of the pool.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	sc := scratchPool.Get().(*batchScratch)
-	s.serveBatch(w, r, sc)
-	if sc.reset() {
-		scratchPool.Put(sc)
+// pooled adapts serve to a handler that runs each request on a scratch from
+// scratchPool and gives it back. A request that panics keeps its scratch out
+// of the pool.
+func pooled(serve func(http.ResponseWriter, *http.Request, *batchScratch)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		sc := scratchPool.Get().(*batchScratch)
+		serve(w, r, sc)
+		if sc.reset() {
+			scratchPool.Put(sc)
+		}
 	}
 }
 

@@ -58,7 +58,7 @@ func mustJSON(t testing.TB, v any) []byte {
 	return body
 }
 
-// serveOn runs one /v1/batch request on sc the way handleBatch does, scratch
+// serveOn runs one /v1/batch request on sc the way the pooled route does, scratch
 // reset included, and returns the status and decoded reply.
 func serveOn(t *testing.T, srv *Server, sc *batchScratch, ctx context.Context, body []byte) (int, BatchResponse) {
 	t.Helper()

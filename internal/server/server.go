@@ -24,9 +24,12 @@
 //	GET  /v1/stats                                            -> server and pool metrics
 //
 // Values travel as decimal strings so every endpoint shares one shape.
-// /v1/batch runs every entry under a single pid lease (see
-// docs/API.md for the full reference and docs/ARCHITECTURE.md for the
-// semantics).
+// /v1/batch runs every entry under a single pid lease, and a single
+// operation is a one-entry batch: both go through the registry's
+// BatchExecuteWith on the same pooled request scratch, so a request whose
+// client has already gone is refused with 503 before it creates an object or
+// takes a lease (see docs/API.md for the full reference and
+// docs/ARCHITECTURE.md for the semantics).
 package server
 
 import (
@@ -95,8 +98,8 @@ func New(opts registry.Options, extra ...Option) *Server {
 	for _, opt := range extra {
 		opt(s)
 	}
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /v1/{kind}/{name}/{op}", s.handleOp)
+	s.mux.HandleFunc("POST /v1/batch", pooled(s.serveBatch))
+	s.mux.HandleFunc("POST /v1/{kind}/{name}/{op}", pooled(s.serveOp))
 	s.mux.HandleFunc("GET /v1/kinds", s.handleKinds)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	return s
@@ -162,78 +165,89 @@ type Response struct {
 	Error string   `json:"error,omitempty"`
 }
 
-// httpError carries a status code through the operation dispatch.
-type httpError struct {
-	status int
-	msg    string
-}
-
-// Error implements the error interface.
-func (e *httpError) Error() string { return e.msg }
-
-func errBadRequest(format string, args ...any) error {
-	return &httpError{http.StatusBadRequest, fmt.Sprintf(format, args...)}
-}
-
-// classify maps a driver-codec error to its HTTP status: unknown kinds and
-// ops are 404, per-instance conflicts (object type mismatch) 409, and
-// everything else — malformed operands, unknown types, bad invocations —
-// 400.
-func classify(err error) error {
-	switch {
-	case kind.IsNotFound(err):
-		return &httpError{http.StatusNotFound, err.Error()}
-	case kind.IsConflict(err):
-		return &httpError{http.StatusConflict, err.Error()}
-	}
-	return &httpError{http.StatusBadRequest, err.Error()}
-}
-
 // maxOpBytes caps the body of a single-operation request.
 const maxOpBytes = 1 << 20
 
-func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
-	kindName, name, op := r.PathValue("kind"), r.PathValue("name"), r.PathValue("op")
+// serveOp runs one operation as a one-entry batch on sc: the path and body
+// become one BatchEntry, and the registry's BatchExecuteWith validates,
+// resolves, compiles, leases and runs it exactly as it would a /v1/batch
+// entry. So a request whose client has gone is refused before it creates an
+// object or takes a lease, and a request that can never succeed creates
+// nothing either.
+func (s *Server) serveOp(w http.ResponseWriter, r *http.Request, sc *batchScratch) {
+	kindName, op := r.PathValue("kind"), r.PathValue("op")
 	s.countEndpoint(endpointLabel(kindName, op))
 
-	body, err := readLimited(nil, r.Body, maxOpBytes)
+	var err error
+	sc.body, err = readLimited(sc.body[:0], r.Body, maxOpBytes)
 	if err != nil {
-		s.reply(w, http.StatusBadRequest, Response{Error: "bad request body: " + err.Error()})
+		s.replyOp(w, sc, http.StatusBadRequest, Response{Error: "bad request body: " + err.Error()})
 		return
 	}
-	if len(body) > maxOpBytes {
-		s.reply(w, http.StatusRequestEntityTooLarge,
+	if len(sc.body) > maxOpBytes {
+		s.replyOp(w, sc, http.StatusRequestEntityTooLarge,
 			Response{Error: fmt.Sprintf("request body exceeds %d bytes", maxOpBytes)})
 		return
 	}
-	req, err := decodeRequest(body)
+	req, err := decodeRequest(sc.body)
 	if err != nil {
-		s.reply(w, http.StatusBadRequest, Response{Error: "bad request body: " + err.Error()})
+		s.replyOp(w, sc, http.StatusBadRequest, Response{Error: "bad request body: " + err.Error()})
+		return
+	}
+	d, known := kind.Lookup(kindName)
+	if known {
+		s.countOps(kindName, 1)
+	}
+
+	// The registry's introspection ops are batch entries, not endpoints: no
+	// driver declares them, so the driver's own Validate refuses them.
+	if o := registry.Op(op); o == registry.OpNames || o == registry.OpStats {
+		err := kind.UnknownKind(kindName)
+		if known {
+			err = d.Validate(kind.Request{Op: op})
+		}
+		s.replyOp(w, sc, opStatus(err, false), Response{Error: err.Error()})
 		return
 	}
 
-	resp, err := s.dispatch(r.Context(), kindName, name, op, req)
+	sc.entries = append(sc.entries, BatchEntry{Kind: registry.Kind(kindName), Name: r.PathValue("name"),
+		Op: registry.Op(op), Value: req.Value, Type: req.Type, Invocation: req.Invocation})
+	out, err := s.reg.BatchExecuteWith(r.Context(), sc.entries, &sc.work)
+	if err == nil {
+		err = out.Results[0].Err
+	}
 	if err != nil {
-		status := http.StatusInternalServerError
-		var he *httpError
-		switch {
-		case errors.As(err, &he):
-			status = he.status
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			// The client went away while the operation queued for a pid.
-			status = http.StatusServiceUnavailable
-		}
-		s.reply(w, status, Response{Error: err.Error()})
+		s.replyOp(w, sc, opStatus(err, out.Leases > 0), Response{Error: err.Error()})
 		return
 	}
-	resp.OK = true
-	s.reply(w, http.StatusOK, resp)
+	res := &out.Results[0]
+	s.replyOp(w, sc, http.StatusOK, Response{OK: true, Value: res.Value, View: res.View})
+}
+
+// opStatus maps the error of a single operation to its HTTP status: a client
+// that went away before the operation ran is 503, unknown kinds and ops 404,
+// a request that contradicts an existing object (a universal object's type)
+// 409, a failure once the operation held a lease 500, and everything else —
+// malformed operands, unknown types, bad invocations — 400.
+func opStatus(err error, leased bool) int {
+	switch {
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return http.StatusServiceUnavailable
+	case kind.IsNotFound(err):
+		return http.StatusNotFound
+	case kind.IsConflict(err):
+		return http.StatusConflict
+	case leased:
+		return http.StatusInternalServerError
+	}
+	return http.StatusBadRequest
 }
 
 // decodeRequest parses a single-operation request body with encoding/json:
 // one request is one small object, and the HTTP round trip around it costs
 // a hundred times its decoding. An empty body is the zero Request (operation
-// endpoints allow omitting the body).
+// endpoints allow omitting the body). The strings it returns are copies, not
+// views of body.
 func decodeRequest(body []byte) (Request, error) {
 	if len(body) == 0 {
 		return Request{}, nil
@@ -245,9 +259,6 @@ func decodeRequest(body []byte) (Request, error) {
 	return req, nil
 }
 
-// countOp bumps the per-kind operation counter.
-func (s *Server) countOp(kindName string) { s.countOps(kindName, 1) }
-
 // countOps adds n to the per-kind operation counter.
 func (s *Server) countOps(kindName string, n int64) {
 	c, ok := s.opsByKind.Load(kindName)
@@ -257,51 +268,16 @@ func (s *Server) countOps(kindName string, n int64) {
 	c.(*atomic.Int64).Add(n)
 }
 
-// dispatch routes one operation through the kind's driver codec: look up
-// the driver, validate the request (before the registry lookup — the
-// registry has no eviction, so a request that can never succeed must not
-// create an object), resolve the instance, compile, and run under a pid
-// lease from the registry's pool. The request context flows into pid
-// leasing, so a disconnected client stops waiting for a pid.
-func (s *Server) dispatch(ctx context.Context, kindName, name, op string, req Request) (Response, error) {
-	if name == "" {
-		return Response{}, errBadRequest("empty object name")
-	}
-	d, ok := kind.Lookup(kindName)
-	if !ok {
-		return Response{}, classify(kind.UnknownKind(kindName))
-	}
-	s.countOp(kindName)
-	kreq := kind.Request{Op: op, Value: req.Value, Type: req.Type, Invocation: req.Invocation}
-	if err := d.Validate(kreq); err != nil {
-		return Response{}, classify(err)
-	}
-	inst, pool, err := s.reg.Get(registry.Kind(kindName), name, kreq)
-	if err != nil {
-		return Response{}, classify(err)
-	}
-	compiled, err := inst.Compile(kreq)
-	if err != nil {
-		return Response{}, classify(err)
-	}
-	var out kind.Result
-	err = pool.With(ctx, func(pid int) error {
-		var runErr error
-		out, runErr = compiled.Run(pid)
-		return runErr
-	})
-	return Response{Value: out.Value, View: out.View}, err
-}
-
-func (s *Server) reply(w http.ResponseWriter, status int, resp Response) {
+// replyOp writes a single-operation reply from sc.reply, counting a failed
+// operation into the server failure metric.
+func (s *Server) replyOp(w http.ResponseWriter, sc *batchScratch, status int, resp Response) {
 	if resp.Error != "" {
 		s.failures.Add(1)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	buf := appendResponse(make([]byte, 0, 96), resp)
-	buf = append(buf, '\n')
-	if _, err := w.Write(buf); err != nil {
+	sc.reply = append(appendResponse(sc.reply[:0], resp), '\n')
+	if _, err := w.Write(sc.reply); err != nil {
 		log.Printf("server: write response: %v", err)
 	}
 }

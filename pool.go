@@ -102,8 +102,8 @@ type Pool[V comparable] struct {
 
 // NewPool constructs a pooled snapshot for n processes, every component
 // initialized to initial.
-func NewPool[V comparable](n int, initial V, opts ...SnapshotOption) *Pool[V] {
-	return NewSnapshot[V](n, initial, opts...).Pooled(NewPIDPool(n))
+func NewPool[V comparable](n int, initial V) *Pool[V] {
+	return NewSnapshot[V](n, initial).Pooled(NewPIDPool(n))
 }
 
 // Pooled binds the snapshot to a pid pool (sized for the same n). Use a

@@ -34,26 +34,9 @@ import (
 	"slmem/internal/aba"
 	"slmem/internal/core"
 	"slmem/internal/memory"
-	"slmem/internal/snapshot"
 	"slmem/internal/spec"
 	"slmem/internal/universal"
 )
-
-// SnapshotOption configures NewSnapshot.
-type SnapshotOption func(*snapshotConfig)
-
-type snapshotConfig struct {
-	waitFreeSubstrate bool
-}
-
-// WithWaitFreeSubstrate selects the wait-free Afek-style linearizable
-// snapshot as the substrate S instead of the default lock-free
-// double-collect one. Updates become wait-free at the cost of an embedded
-// scan per update; the composed object remains lock-free overall (its scans
-// still retry under contention on R).
-func WithWaitFreeSubstrate() SnapshotOption {
-	return func(c *snapshotConfig) { c.waitFreeSubstrate = true }
-}
 
 // Snapshot is a lock-free strongly linearizable single-writer snapshot: an
 // n-component vector where component p is writable only by process p and
@@ -65,20 +48,13 @@ type Snapshot[V comparable] struct {
 
 // NewSnapshot constructs a snapshot for n processes with every component
 // initialized to initial.
-func NewSnapshot[V comparable](n int, initial V, opts ...SnapshotOption) *Snapshot[V] {
-	var cfg snapshotConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+func NewSnapshot[V comparable](n int, initial V) *Snapshot[V] {
 	var alloc memory.NativeAllocator
-	if !cfg.waitFreeSubstrate {
-		return &Snapshot[V]{inner: core.New[V](&alloc, n, initial)}
-	}
-	return &Snapshot[V]{inner: core.NewOver[V](&alloc, n, initial, snapshot.NewAfek[V](&alloc, n, initial))}
+	return &Snapshot[V]{inner: core.New[V](&alloc, n, initial)}
 }
 
-// Update sets component pid to x, as process pid. Wait-free given a
-// wait-free substrate; a constant number of substrate operations.
+// Update sets component pid to x, as process pid: a constant number of
+// substrate operations.
 func (s *Snapshot[V]) Update(pid int, x V) { s.inner.Update(pid, x) }
 
 // Scan returns a copy of the component vector, as process pid. Lock-free.
