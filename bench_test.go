@@ -194,48 +194,57 @@ func BenchmarkSnapshot(b *testing.B) {
 	// The read-heavy use of the strong snapshot as the matrix benchmark's
 	// inproc-readmostly workload drives it — n = 16 string components, two
 	// goroutines on fixed pids, 8 objects, 90 % scans — so that this layer
-	// can be profiled with go test alone.
-	b.Run("algorithm3-strong/readmostly-n16-string", func(b *testing.B) {
-		const n, objects, workers = 16, 8, 2
-		var alloc memory.NativeAllocator
-		snaps := make([]*core.Snapshot[string], objects)
-		for i := range snaps {
-			snaps[i] = core.New[string](&alloc, n, "")
+	// can be profiled with go test alone. In the -wide variant every pid has
+	// written once before the timer starts, so S collects all 16 components.
+	b.Run("algorithm3-strong/readmostly-n16-string", func(b *testing.B) { benchReadMostly(b, false) })
+	b.Run("algorithm3-strong/readmostly-n16-string-wide", func(b *testing.B) { benchReadMostly(b, true) })
+}
+
+func benchReadMostly(b *testing.B, wide bool) {
+	const n, objects, workers = 16, 8, 2
+	var alloc memory.NativeAllocator
+	snaps := make([]*core.Snapshot[string], objects)
+	for i := range snaps {
+		snaps[i] = core.New[string](&alloc, n, "")
+		if wide {
+			for pid := 0; pid < n; pid++ {
+				snaps[i].Update(pid, "")
+			}
 		}
-		vals := make([]string, 64)
-		for i := range vals {
-			vals[i] = fmt.Sprintf("value-%d", i)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		var scans atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(pid int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(pid) + 1))
-				scanned := 0
-				for i := pid; i < b.N; i += workers {
-					s := snaps[rng.Intn(objects)]
-					if rng.Intn(10) == 0 {
-						s.Update(pid, vals[rng.Intn(len(vals))])
-					} else {
-						s.Scan(pid)
-						scanned++
-					}
+	}
+	vals := make([]string, 64)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("value-%d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	var scans atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(pid) + 1))
+			scanned := 0
+			for i := pid; i < b.N; i += workers {
+				s := snaps[rng.Intn(objects)]
+				if rng.Intn(10) == 0 {
+					s.Update(pid, vals[rng.Intn(len(vals))])
+				} else {
+					s.Scan(pid)
+					scanned++
 				}
-				scans.Add(int64(scanned))
-			}(w)
-		}
-		wg.Wait()
-		// Theorem 32's count: 3 per scan when nothing interferes.
-		var baseOps int64
-		for _, s := range snaps {
-			baseOps += s.Stats().TotalScanOps()
-		}
-		b.ReportMetric(float64(baseOps)/float64(max(scans.Load(), 1)), "base-ops/scan")
-	})
+			}
+			scans.Add(int64(scanned))
+		}(w)
+	}
+	wg.Wait()
+	// Theorem 32's count: 3 per scan when nothing interferes.
+	var baseOps int64
+	for _, s := range snaps {
+		baseOps += s.Stats().TotalScanOps()
+	}
+	b.ReportMetric(float64(baseOps)/float64(max(scans.Load(), 1)), "base-ops/scan")
 }
 
 // --- E7c: derived types --------------------------------------------------------

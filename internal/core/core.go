@@ -184,12 +184,14 @@ type Snapshot[V comparable] struct {
 // for S and the strongly linearizable ABA-detecting register (Algorithm 2)
 // for R. All components start as initial (the paper's ⊥).
 func New[V comparable](alloc memory.Allocator, n int, initial V) *Snapshot[V] {
+	checkN(n)
 	return NewOver[V](alloc, n, initial, snapshot.NewDoubleCollect[V](alloc, n, initial))
 }
 
 // NewOver is New over an explicit substrate s, which must hold initial in
 // every component.
 func NewOver[V comparable](alloc memory.Allocator, n int, initial V, s snapshot.Snapshot[V]) *Snapshot[V] {
+	checkN(n)
 	initView := slices.Repeat([]V{initial}, n)
 	return NewWith[V](n, s, aba.NewStrongFunc(alloc, n, initView, viewsEqual[V]))
 }
@@ -198,10 +200,17 @@ func NewOver[V comparable](alloc memory.Allocator, n int, initial V, s snapshot.
 // is strongly linearizable iff r is (strong linearizability is composable;
 // paper Sections 1.1 and 4.3).
 func NewWith[V comparable](n int, s snapshot.Snapshot[V], r ABARegister[[]V]) *Snapshot[V] {
+	checkN(n)
+	return &Snapshot[V]{n: n, s: s, r: r, pids: make([]pidState, n)}
+}
+
+// checkN refuses an object for fewer than one process, before any substrate
+// is built: a constructor panics with this package's message, not a
+// substrate's.
+func checkN(n int) {
 	if n < 1 {
 		panic(fmt.Sprintf("core: n = %d, need at least 1 process", n))
 	}
-	return &Snapshot[V]{n: n, s: s, r: r, pids: make([]pidState, n)}
 }
 
 // Stats returns a reading of the base-object operation counters.
@@ -257,15 +266,13 @@ type SeqSnapshot[V comparable] struct {
 
 // NewSeq constructs Algorithm 4 with the default substrates.
 func NewSeq[V comparable](alloc memory.Allocator, n int, initial V) *SeqSnapshot[V] {
+	checkN(n)
 	s := snapshot.NewDoubleCollect[SeqCell[V]](alloc, n, SeqCell[V]{Val: initial})
 	initView := make([]SeqCell[V], n)
 	for i := range initView {
 		initView[i] = SeqCell[V]{Val: initial}
 	}
 	r := aba.NewStrongFunc(alloc, n, initView, viewsEqual[SeqCell[V]])
-	if n < 1 {
-		panic(fmt.Sprintf("core: n = %d, need at least 1 process", n))
-	}
 	return &SeqSnapshot[V]{n: n, s: s, r: r, pids: make([]pidState, n)}
 }
 

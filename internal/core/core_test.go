@@ -195,6 +195,67 @@ func TestStrongBranchingTrees(t *testing.T) {
 	}
 }
 
+// TestWidthStrongBranchingTrees: Algorithm 3 stays strongly linearizable
+// over a substrate that collects only as wide as the pids that have written,
+// when a high pid writes late. At n = 4 pid 2 never runs, so a scan of S is
+// 1 or 2 components wide until pid 3 raises its flags, and 4 after.
+func TestWidthStrongBranchingTrees(t *testing.T) {
+	const n = 4
+	sys := sched.System{
+		N: n,
+		Setup: func(env *sched.Env) []sched.Program {
+			s := New[string](env, n, spec.Bot)
+			scan := func(p *sched.Proc) {
+				p.Do("scan()", func() string { return spec.FormatView(s.Scan(p.PID())) })
+			}
+			update := func(p *sched.Proc, x string) {
+				p.Do(spec.FormatInvocation("update", x), func() string { s.Update(p.PID(), x); return "ok" })
+			}
+			return []sched.Program{
+				func(p *sched.Proc) { scan(p); scan(p) },
+				func(p *sched.Proc) { update(p, "a"); update(p, "b") },
+				func(*sched.Proc) {},
+				func(p *sched.Proc) { update(p, "c"); scan(p) },
+			}
+		},
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		tree, err := sched.RandomBranchTree(sys, seed, 40, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := lincheck.CheckStrong(lincheck.FromSchedTree(tree), spec.Snapshot{N: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Ok {
+			t.Fatalf("seed %d: strong-linearizability tree check failed at %s", seed, res.FailNode)
+		}
+	}
+}
+
+// TestConstructorsRefuseNoProcesses: a constructor refuses n < 1 with this
+// package's message, before a substrate it builds can refuse with its own.
+func TestConstructorsRefuseNoProcesses(t *testing.T) {
+	var alloc memory.NativeAllocator
+	for name, build := range map[string]func(){
+		"New":     func() { New[string](&alloc, 0, spec.Bot) },
+		"NewOver": func() { NewOver[string](&alloc, 0, spec.Bot, nil) },
+		"NewSeq":  func() { NewSeq[string](&alloc, 0, spec.Bot) },
+		"NewWith": func() { NewWith[string](0, nil, nil) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := "core: n = 0, need at least 1 process"; msg != want {
+					t.Errorf("%s(n = 0) panicked with %q, want %q", name, msg, want)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
 // --- Theorem 32(a) and the contention-free fast path ----------------------------
 
 func TestUpdateBaseOpCounts(t *testing.T) {

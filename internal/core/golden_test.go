@@ -102,9 +102,11 @@ func goldenRuns() map[string]func() sched.Adversary {
 // write with its process, register name and rendered value, and every
 // response — must hash to what testdata/steps.golden records. The file was
 // recorded before the scan path stopped copying views (go test -run
-// TestGoldenTranscripts -update), so a change to local bookkeeping that adds,
-// drops, reorders or alters one shared step, or publishes a buffer that is
-// later overwritten (values are rendered when the step happens), fails here.
+// TestGoldenTranscripts -update) and re-recorded once, on purpose, when S's
+// collects began to read its width flags. So a change to local bookkeeping
+// that adds, drops, reorders or alters one shared step, or publishes a
+// buffer that is later overwritten (values are rendered when the step
+// happens), fails here.
 func TestGoldenTranscripts(t *testing.T) {
 	got := map[string]string{}
 	var keys []string

@@ -7,7 +7,8 @@
 //
 //   - DoubleCollect: the lock-free clean-double-collect algorithm of Afek,
 //     Attiya, Dolev, Gafni, Merritt, and Shavit. A scan repeatedly collects
-//     all components until two consecutive collects agree.
+//     the components until two consecutive collects agree. It collects only
+//     as wide as the processes that have written: see DoubleCollect.
 //   - Afek: the wait-free variant with embedded scans (helping): an updater
 //     first performs a scan and publishes the view with its write, and a
 //     scanner that observes some process move twice borrows that process's
@@ -34,6 +35,7 @@ package snapshot
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"slmem/internal/memory"
@@ -58,23 +60,47 @@ type dcell[V any] struct {
 	seq uint64
 }
 
-// DoubleCollect is the lock-free clean-double-collect snapshot.
+// DoubleCollect is the lock-free clean-double-collect snapshot. A collect
+// reads only the components below a width W: 1 plus the highest pid that has
+// written, rounded up to a power of two (or n). A component no process has
+// written is still initial, and a scan need not read it to know that.
+//
+// W is kept in ⌈log₂ n⌉ width flags, registers only ever written true: flag j
+// says some pid ≥ 2^j has written. Before its first Update, pid p raises flags
+// 0 … bits.Len(p)−1. Each process keeps a width hint, starting at 1, and
+// collects the components below it. Between two collects a scan reads the
+// flags from the bottom up to the first unset one — width 2^j, or n if all
+// are set. If that is above the hint, the scan reads the new components,
+// raises the hint and counts the pass as not clean. Once the hint is n the
+// scan reads no flags: nothing lies beyond n.
+//
+// Why it is linearizable: a clean pass linearizes where its flag read
+// begins. Components below the width did not change across the clean pair.
+// A component q at or above it is still initial: had q finished raising its
+// flags before the read began, the read would have found a width above q,
+// and q raises them before its first write. Lock-free: a process's hint
+// grows at most ⌈log₂ n⌉ times, and any other unclean pass means an Update
+// completed.
 type DoubleCollect[V any] struct {
 	n     int
 	regs  []memory.Reg[dcell[V]]
+	flags []memory.Reg[bool] // flag j: some pid ≥ 2^j has written
 	local []dcLocal[V]
 }
 
 // dcLocal is what one process keeps between operations: its scan buffer —
-// the sequence numbers and values of its latest collect — and its writer
-// sequence number. It is indexed by pid and padded, never pooled and never
-// shared — a pid is driven by one goroutine at a time, so none of it needs
-// synchronising. vals is what Scan hands out.
+// the sequence numbers and values of its latest collect, initial past the
+// width hint — the hint itself, whether its width flags are up, and its
+// writer sequence number. It is indexed by pid and padded, never pooled and
+// never shared — a pid is driven by one goroutine at a time, so none of it
+// needs synchronising. vals is what Scan hands out.
 type dcLocal[V any] struct {
-	seqs []uint64
-	vals []V
-	seq  uint64
-	_    [72]byte // 56 bytes above: two cache lines a process
+	seqs   []uint64
+	vals   []V
+	seq    uint64
+	width  int      // components a collect reads: from 1 up to n, never down
+	raised bool     // this pid's width flags are written
+	_      [63]byte // 65 bytes above: two cache lines a process
 }
 
 var _ Snapshot[int] = (*DoubleCollect[int])(nil)
@@ -88,46 +114,82 @@ func NewDoubleCollect[V any](alloc memory.Allocator, n int, initial V) *DoubleCo
 	s := &DoubleCollect[V]{
 		n:     n,
 		regs:  make([]memory.Reg[dcell[V]], n),
+		flags: make([]memory.Reg[bool], bits.Len(uint(n-1))),
 		local: make([]dcLocal[V], n),
 	}
 	for i := range s.regs {
 		s.regs[i] = memory.NewReg(alloc, fmt.Sprintf("snap.R[%d]", i), dcell[V]{val: initial})
-		s.local[i].seqs, s.local[i].vals = make([]uint64, n), make([]V, n)
+		l := &s.local[i]
+		l.seqs, l.vals, l.width = make([]uint64, n), slices.Repeat([]V{initial}, n), 1
+	}
+	for j := range s.flags {
+		s.flags[j] = memory.NewReg(alloc, fmt.Sprintf("snap.W[%d]", j), false)
 	}
 	return s
 }
 
-// Update implements Snapshot: one shared write.
+// Update implements Snapshot: one shared write, after the pid's width flags
+// on its first Update.
 func (s *DoubleCollect[V]) Update(pid int, x V) {
 	l := &s.local[pid]
+	if !l.raised {
+		for j := range bits.Len(uint(pid)) {
+			s.flags[j].Write(pid, true)
+		}
+		l.raised = true
+	}
 	l.seq++
 	s.regs[pid].Write(pid, dcell[V]{val: x, seq: l.seq})
 }
 
-// collect reads every component until two consecutive collects agree (a
-// "clean double collect") and leaves the agreed collect in pid's buffer.
-// Every collect reads all n registers in order; after the first, only a
-// component whose sequence number moved is rewritten — sequence numbers
-// identify writes, so an unchanged number means an unchanged value — and a
-// collect that rewrote nothing was clean. Lock-free: a collect that was not
-// clean means a concurrent Update completed.
+// width reads the flags from the bottom up to the first unset one, j, and
+// returns the width they show: 2^j, or n if every flag is set.
+func (s *DoubleCollect[V]) width(pid int) int {
+	for j := range s.flags {
+		if !s.flags[j].Read(pid) {
+			return 1 << j
+		}
+	}
+	return s.n
+}
+
+// fill reads components [from, to) into pid's buffer.
+func (s *DoubleCollect[V]) fill(pid int, l *dcLocal[V], from, to int) {
+	for i := from; i < to; i++ {
+		c := s.regs[i].Read(pid)
+		l.seqs[i], l.vals[i] = c.seq, c.val
+	}
+}
+
+// collect reads the components below pid's width hint until two consecutive
+// collects agree (a "clean double collect"), reading the width flags between
+// them, and leaves the agreed collect in pid's buffer. After the first
+// collect, only a component whose sequence number moved is rewritten —
+// sequence numbers identify writes, so an unchanged number means an
+// unchanged value — and a collect that rewrote nothing was clean.
 func (s *DoubleCollect[V]) collect(pid int) *dcLocal[V] {
 	l := &s.local[pid]
-	seqs, vals := l.seqs, l.vals
-	for i := range s.regs {
-		c := s.regs[i].Read(pid)
-		seqs[i], vals[i] = c.seq, c.val
-	}
-	for clean := false; !clean; {
-		clean = true
-		for i := range s.regs {
+	s.fill(pid, l, 0, l.width)
+	for {
+		if l.width < s.n {
+			if w := s.width(pid); w > l.width {
+				s.fill(pid, l, l.width, w)
+				l.width = w
+				continue // not clean: the flags are read again before the next collect
+			}
+		}
+		seqs, vals := l.seqs[:l.width], l.vals
+		clean := true
+		for i := range seqs {
 			if c := s.regs[i].Read(pid); c.seq != seqs[i] {
 				seqs[i], vals[i] = c.seq, c.val
 				clean = false
 			}
 		}
+		if clean {
+			return l
+		}
 	}
-	return l
 }
 
 // Scan implements Snapshot.
@@ -139,7 +201,7 @@ func (s *DoubleCollect[V]) Scan(pid int) []V { return s.collect(pid).vals }
 func (s *DoubleCollect[V]) ScanVersioned(pid int) ([]V, uint64) {
 	l := s.collect(pid)
 	var version uint64
-	for _, seq := range l.seqs {
+	for _, seq := range l.seqs[:l.width] {
 		version += seq
 	}
 	return l.vals, version
