@@ -11,9 +11,10 @@
 //     is NOT strongly linearizable; the test suite reproduces that proof
 //     mechanically.
 //   - Strong: the paper's lock-free strongly linearizable modification
-//     (Algorithm 2): DRead retries its read sequence until it observes a
-//     quiescent period, so every operation linearizes at its final shared
-//     step (Theorems 1, 12, 14).
+//     (Algorithm 2) with the announcement kept by its only writer: DRead
+//     retries its read sequence until it observes a quiescent period, so
+//     every operation linearizes at its final shared step (Theorems 1, 12,
+//     14), and it neither reads A[q] nor writes back the tag A[q] holds.
 //
 // Both use the same writer machinery: writes are tagged with the writer's
 // id and a bounded sequence number chosen by GetSeq to avoid numbers that
@@ -125,7 +126,10 @@ type writerLocal struct {
 	// s, so GetSeq's "neither announced nor recently used" is held[s] == 0.
 	held []int
 	c    int // round-robin cursor over A
-	_    [64]byte
+	// announced is the tag this process last wrote to its own A[q] as a
+	// reader, ⊥ before its first write: Strong's DRead reads it here.
+	announced tag
+	_         [64]byte
 }
 
 // hold and drop account for s entering and leaving usedQ or na.
@@ -180,6 +184,7 @@ func newBase[V any](alloc memory.Allocator, n int, initial V, eq func(a, b V) bo
 		b.w[i].usedQ = seqQueue{buf: noSeqs(own[: n+1 : n+1])}
 		b.w[i].na = noSeqs(own[n+1 : 2*n+1 : 2*n+1])
 		b.w[i].held = own[2*n+1:]
+		b.w[i].announced = tag{pid: noSeq, seq: noSeq}
 	}
 	return b
 }
@@ -277,12 +282,27 @@ func (r *Linearizable[V]) DRead(q int) (V, bool) {
 }
 
 // Strong is the paper's lock-free strongly linearizable ABA-detecting
-// register (Algorithm 2 with the Algorithm 1 writer).
+// register: Algorithm 2 with the announcement kept by its only writer.
 //
 // DRead repeats its read sequence until X and A[q] are mutually consistent
 // and unchanged, so it can linearize at its final shared step; DWrite
 // linearizes at its write to X. Theorem 12 proves strong linearizability;
 // Theorem 14 bounds the total work.
+//
+// Only q writes A[q] — a writer's GetSeq only reads it — so q knows what A[q]
+// holds without reading it: line 35 reads q's local copy, and line 36 is
+// issued only when the tag q read from X differs from that copy, which is
+// the only time it could change A[q]. A quiet DRead is then two shared steps,
+// its two reads of X, where Algorithm 2 takes four; the first DRead after a
+// DWrite is 3 + 2 where it takes 8. Still strongly linearizable: the skipped
+// read would have returned the copy, and the skipped write would have stored
+// the value A[q] already holds, which no process can tell from no write.
+// Insert both right after q's line-34 read and every execution of Strong is
+// one of Algorithm 2 in which every process reads the same values and every
+// operation linearizes at the same step (line 37 for a DRead), so Theorem
+// 12's prefix-preserving linearization carries over unchanged. Linearizable
+// keeps all four steps: it is Observation 4's counterexample as the paper
+// states it.
 type Strong[V any] struct {
 	*base[V]
 }
@@ -305,12 +325,16 @@ func (r *Strong[V]) DWrite(p int, x V) { r.dWrite(p, x) }
 // (Algorithm 2, lines 32-42). Lock-free: retries while concurrent DWrites
 // land, then linearizes at its final read of X.
 func (r *Strong[V]) DRead(q int) (V, bool) {
+	l := &r.w[q]
 	changed := false // line 32
 	for {            // line 33
-		c1 := r.x.Read(q)         // line 34
-		ann := r.a[q].Read(q)     // line 35
-		r.a[q].Write(q, c1.tag()) // line 36
-		c2 := r.x.Read(q)         // line 37
+		c1 := r.x.Read(q)  // line 34
+		ann := l.announced // line 35: A[q], as q last wrote it
+		if t := c1.tag(); t != ann {
+			r.a[q].Write(q, t) // line 36, when it changes A[q]
+			l.announced = t
+		}
+		c2 := r.x.Read(q) // line 37
 		quiet := c1.tag() == ann && r.cellEq(c1, c2)
 		if !quiet { // lines 38-40
 			changed = true

@@ -190,10 +190,16 @@ func TestSeqQueue(t *testing.T) {
 
 // simSystem builds a simulated system: writers do DWrites, readers do DReads.
 func simSystem(name string, n, writes, reads int) sched.System {
+	return abaSystem(func(env *sched.Env) dregister { return newImpls(env, n)[name] }, n, writes, reads)
+}
+
+// abaSystem is simSystem over the register newReg builds: the even pids read,
+// the odd ones write.
+func abaSystem(newReg func(env *sched.Env) dregister, n, writes, reads int) sched.System {
 	return sched.System{
 		N: n,
 		Setup: func(env *sched.Env) []sched.Program {
-			reg := newImpls(env, n)[name]
+			reg := newReg(env)
 			progs := make([]sched.Program, n)
 			for pid := 0; pid < n; pid++ {
 				pid := pid

@@ -147,15 +147,16 @@ func TestDReadStarvesUnderWriterStorm(t *testing.T) {
 }
 
 // TestSoloDReadSteps: without contention a DRead costs O(1) shared steps
-// (Section 3.3) — two loop iterations, 8 steps, for the first DRead after a
-// DWrite (its announced tag does not match X yet), one iteration, 4 steps,
-// from then on.
+// (Section 3.3) — two loop iterations, 5 steps, for the first DRead after a
+// DWrite (X's tag is not the one q announced: read X, write A[q], read X,
+// then a quiet read X, read X), one iteration of its two reads of X, 2
+// steps, from then on.
 func TestSoloDReadSteps(t *testing.T) {
 	counter := memory.NewStepCounter(2)
 	alloc := &memory.CountingAllocator{Inner: &memory.NativeAllocator{}, Counter: counter}
 	reg := aba.NewStrong[string](alloc, 2, spec.Bot)
 	reg.DWrite(0, "x")
-	for i, want := range []int64{8, 4, 4} {
+	for i, want := range []int64{5, 2, 2} {
 		before := counter.Steps(1)
 		reg.DRead(1)
 		if got := counter.Steps(1) - before; got != want {

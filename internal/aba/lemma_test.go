@@ -34,14 +34,14 @@ func TestLemma13(t *testing.T) {
 func verifyLemma13(t *testing.T, seed int64, tr *trace.Transcript) {
 	t.Helper()
 
-	// Line-34 reads are the X-reads at positions 0, 4, 8, ... of each
-	// DRead's base-step sequence (each iteration is read X, read A, write A,
-	// read X).
+	// An iteration reads X twice, on line 34 and on line 37 (between them
+	// it writes A[q] only if the tag it read is new), so line-34 reads are a
+	// DRead's X-reads at positions 0, 2, 4, ....
 	type xread struct{ time int }
 	line34 := make(map[int][]xread) // opID -> line-34 X reads
 	var xwrites []int               // times of writes to X (DWrite linearization points)
 	isDRead := make(map[int]bool)
-	stepIdx := make(map[int]int) // opID -> base steps seen so far
+	xReads := make(map[int]int) // opID -> X reads seen so far
 
 	for i, e := range tr.Events {
 		switch e.Kind {
@@ -53,11 +53,11 @@ func verifyLemma13(t *testing.T, seed int64, tr *trace.Transcript) {
 			if e.Kind == trace.KindWrite && isXReg(e.Reg) {
 				xwrites = append(xwrites, i)
 			}
-			if isDRead[e.OpID] {
-				if e.Kind == trace.KindRead && isXReg(e.Reg) && stepIdx[e.OpID]%4 == 0 {
+			if isDRead[e.OpID] && e.Kind == trace.KindRead && isXReg(e.Reg) {
+				if xReads[e.OpID]%2 == 0 {
 					line34[e.OpID] = append(line34[e.OpID], xread{time: i})
 				}
-				stepIdx[e.OpID]++
+				xReads[e.OpID]++
 			}
 		}
 	}

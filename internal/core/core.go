@@ -27,7 +27,10 @@
 // where it is published to R (SLupdate's line 45, SLscan's helping line 51)
 // or returned to a caller (Scan), and two views read from R that share their
 // backing array are equal without being compared — which is how line 50's
-// test of s1 against s2 is almost always decided. View is Scan without the
+// test of s1 against s2 is almost always decided. Its test of l against s2
+// is decided by S's version when nothing moved: each process remembers the
+// stored view it last found equal to S's scan and that scan's version (see
+// slScan). View is Scan without the
 // copy: the readers that only fold a view (Counter.Read, MaxRegister.MaxRead,
 // the bag, the universal object's root scan) allocate nothing.
 package core
@@ -86,27 +89,33 @@ func (st *Stats) TotalScanOps() int64 { return st.OpsInScan.Load() }
 // increments a Counter's process has made, the largest value a MaxRegister's
 // process has written, a SeqSnapshot's process's sequence number — kept here
 // because it is written on every update and belongs on the writer's own line.
-type pidState struct {
-	updates   atomic.Int64 // SLupdates completed
-	scanIters atomic.Int64 // SLscan main-loop iterations
-	helps     atomic.Int64 // R.DWrites issued by SLscans (lines 50-52)
-	maxIters  atomic.Int64 // most iterations in one SLscan
-	local     uint64
-	_         [88]byte
+//
+// agreed and agreedVersion are line 50's memo (see agrees): the stored view
+// of R this process last found equal to its scan of S, and that scan's
+// version.
+type pidState[C any] struct {
+	updates       atomic.Int64 // SLupdates completed
+	scanIters     atomic.Int64 // SLscan main-loop iterations
+	helps         atomic.Int64 // R.DWrites issued by SLscans (lines 50-52)
+	maxIters      atomic.Int64 // most iterations in one SLscan
+	local         uint64
+	agreed        []C
+	agreedVersion uint64
+	_             [56]byte
 }
 
 // bump adds one to a counter only this process writes.
 func bump(c *atomic.Int64) { c.Store(c.Load() + 1) }
 
 // scanned records a completed SLscan of iters iterations.
-func (c *pidState) scanned(iters int64) {
+func (c *pidState[C]) scanned(iters int64) {
 	if iters > c.maxIters.Load() {
 		c.maxIters.Store(iters) // single writer: no other store can intervene
 	}
 }
 
 // sumStats folds the per-process counters into one reading.
-func sumStats(per []pidState) *Stats {
+func sumStats[C any](per []pidState[C]) *Stats {
 	var updates, iters, helps, maxIters int64
 	for p := range per {
 		updates += per[p].updates.Load()
@@ -134,27 +143,49 @@ func sameView[C any](a, b []C) bool {
 
 // slUpdate is SLupdate after its S.update (Algorithm 3, lines 44-45): scan S
 // and publish a copy of the scan — the scan itself is p's buffer inside S.
-func slUpdate[C any](p int, s snapshot.Snapshot[C], r ABARegister[[]C], st *pidState) {
+func slUpdate[C any](p int, s snapshot.Snapshot[C], r ABARegister[[]C], st *pidState[C]) {
 	r.DWrite(p, slices.Clone(s.Scan(p)))
 	bump(&st.updates)
+}
+
+// agrees decides line 50's l = s2, for a scan l of S of the given version,
+// named or not. A version names one linearized state of S — every Update
+// adds exactly 1 to it — so a scan of the version of the remembered one saw
+// the same state, and it equals the stored view that one was found equal
+// to: if s2 is that view, they agree without a comparison. Otherwise l is
+// compared with s2 by value, and a named scan that agrees becomes the memo.
+// R's view is never the memo's key alone: an Update can move S and leave R
+// where it was, and the scanner that finds it so must help.
+func (c *pidState[C]) agrees(l []C, version uint64, named bool, s2 []C, eq func(a, b []C) bool) bool {
+	if named && version == c.agreedVersion && sameView(s2, c.agreed) {
+		return true
+	}
+	if !eq(l, s2) {
+		return false
+	}
+	if named {
+		c.agreed, c.agreedVersion = s2, version
+	}
+	return true
 }
 
 // slScan is SLscan (Algorithm 3, lines 46-54; Algorithm 4, lines 59-67, which
 // differs only in the equality eq of line 63). It returns the view as R
 // stores it: shared with every other reader, never to be written. Lock-free:
 // the loop repeats only when a concurrent Update or helping write landed.
-func slScan[C any](p int, s snapshot.Snapshot[C], r ABARegister[[]C], st *pidState, eq func(a, b []C) bool) []C {
+func slScan[C any](p int, s snapshot.Snapshot[C], r ABARegister[[]C], st *pidState[C], eq func(a, b []C) bool) []C {
 	var iters int64
 	for { // line 46
 		iters++
 		bump(&st.scanIters)
-		s1, _ := r.DRead(p)  // line 47
-		l := s.Scan(p)       // line 48: p's buffer inside S
-		s2, c2 := r.DRead(p) // line 49
+		s1, _ := r.DRead(p)                     // line 47
+		l, version, named := s.ScanVersioned(p) // line 48: p's buffer inside S
+		s2, c2 := r.DRead(p)                    // line 49
 
 		// Line 50, s1 = l = s2: s1 and s2 are stored views and almost always
-		// the same one; l is compared once.
-		if !(sameView(s1, s2) || eq(s1, s2)) || !eq(l, s2) {
+		// the same one; l is decided by S's version when neither S nor R
+		// moved since this process last compared, and compared once if not.
+		if !(sameView(s1, s2) || eq(s1, s2)) || !st.agrees(l, version, named, s2, eq) {
 			r.DWrite(p, slices.Clone(l)) // lines 50-52: help pending updates by publishing l
 			bump(&st.helps)
 			continue
@@ -176,7 +207,7 @@ type Snapshot[V comparable] struct {
 	n    int
 	s    snapshot.Snapshot[V]
 	r    ABARegister[[]V]
-	pids []pidState
+	pids []pidState[V]
 }
 
 // New constructs the snapshot for n processes over comparable values using
@@ -201,7 +232,7 @@ func NewOver[V comparable](alloc memory.Allocator, n int, initial V, s snapshot.
 // paper Sections 1.1 and 4.3).
 func NewWith[V comparable](n int, s snapshot.Snapshot[V], r ABARegister[[]V]) *Snapshot[V] {
 	checkN(n)
-	return &Snapshot[V]{n: n, s: s, r: r, pids: make([]pidState, n)}
+	return &Snapshot[V]{n: n, s: s, r: r, pids: make([]pidState[V], n)}
 }
 
 // checkN refuses an object for fewer than one process, before any substrate
@@ -261,7 +292,7 @@ type SeqSnapshot[V comparable] struct {
 	n    int
 	s    snapshot.Snapshot[SeqCell[V]]
 	r    ABARegister[[]SeqCell[V]]
-	pids []pidState // local is the process's sequence number
+	pids []pidState[SeqCell[V]] // local is the process's sequence number
 }
 
 // NewSeq constructs Algorithm 4 with the default substrates.
@@ -273,7 +304,7 @@ func NewSeq[V comparable](alloc memory.Allocator, n int, initial V) *SeqSnapshot
 		initView[i] = SeqCell[V]{Val: initial}
 	}
 	r := aba.NewStrongFunc(alloc, n, initView, viewsEqual[SeqCell[V]])
-	return &SeqSnapshot[V]{n: n, s: s, r: r, pids: make([]pidState, n)}
+	return &SeqSnapshot[V]{n: n, s: s, r: r, pids: make([]pidState[SeqCell[V]], n)}
 }
 
 // Stats returns a reading of the base-object operation counters.

@@ -320,6 +320,48 @@ func TestHelpingPublishesToR(t *testing.T) {
 	}
 }
 
+// TestMemoKeysOnSVersion: line 50's memo is a stored view of R and the
+// version of the scan of S found equal to it. An updater paused between its
+// S.update (line 43) and its R.DWrite (line 45) has moved S and left R where
+// it was, so a scanner that memoized R's current view must find l ≠ s2 and
+// help — one helping write — which it would not if the memo were keyed on
+// R's view alone.
+func TestMemoKeysOnSVersion(t *testing.T) {
+	check := func(t *testing.T, view func() []string, pause func(), st func() *Stats, agreed func() bool) {
+		t.Helper()
+		view()
+		if !agreed() {
+			t.Fatal("a quiet scan left no memo of R's view")
+		}
+		before := st().RDWrites.Load()
+		pause()
+		if got := view(); got[2] != "b" {
+			t.Errorf("scan = %v, want the paused update's b in component 2", got)
+		}
+		if helps := st().RDWrites.Load() - before; helps != 1 {
+			t.Errorf("%d helping writes, want 1: the scan trusted a memo of R's view that S has left", helps)
+		}
+	}
+	t.Run("alg3", func(t *testing.T) {
+		var alloc memory.NativeAllocator
+		o := New[string](&alloc, 3, spec.Bot)
+		o.Update(0, "a")
+		check(t, func() []string { return o.View(1) },
+			func() { o.s.Update(2, "b") },
+			o.Stats,
+			func() bool { v, _ := o.r.DRead(0); return sameView(o.pids[1].agreed, v) })
+	})
+	t.Run("alg4", func(t *testing.T) {
+		var alloc memory.NativeAllocator
+		o := NewSeq[string](&alloc, 3, spec.Bot)
+		o.Update(0, "a")
+		check(t, func() []string { return o.Scan(1) },
+			func() { o.s.Update(2, SeqCell[string]{Val: "b", Seq: 1}) },
+			o.Stats,
+			func() bool { v, _ := o.r.DRead(0); return sameView(o.pids[1].agreed, v) })
+	})
+}
+
 // --- Derived counter and max-register -------------------------------------------
 
 func TestCounterSequential(t *testing.T) {

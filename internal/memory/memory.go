@@ -18,6 +18,7 @@ package memory
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Register is an atomic multi-reader multi-writer register.
@@ -176,18 +177,21 @@ func (a *CountingAllocator) Registers() int { return a.Inner.Registers() }
 // copy) instead of the two (interface box plus pointer cell) the untyped
 // nativeRegister pays. Padded to a cache line like nativeRegister, so
 // per-process register arrays do not false-share.
+//
+// v is a bare unsafe.Pointer rather than an atomic.Pointer[V] because of the
+// inliner: with its native path an atomic.LoadPointer and a conversion,
+// Reg.Read costs exactly the budget of 80; through atomic.Pointer's generic
+// Load it costs 94, and every register read in every algorithm is a call.
 type typedNative[V any] struct {
 	name string
-	v    atomic.Pointer[V]
+	v    unsafe.Pointer       // a *V, loaded and stored atomically, never written through
 	_    [cacheLine - 24]byte // name (16) + v (8) = 24
 }
-
-func (r *typedNative[V]) read() V { return *r.v.Load() }
 
 func (r *typedNative[V]) write(v V) {
 	p := new(V)
 	*p = v
-	r.v.Store(p)
+	atomic.StorePointer(&r.v, unsafe.Pointer(p))
 }
 
 // Word is a native register holding one 64-bit word in place: a read is one
@@ -248,22 +252,30 @@ func NewReg[V any](a Allocator, name string, init V) Reg[V] {
 	if na, ok := a.(*NativeAllocator); ok {
 		na.count.Add(1)
 		fast := &typedNative[V]{name: name}
-		fast.v.Store(&init)
+		fast.v = unsafe.Pointer(&init)
 		return Reg[V]{fast: fast}
 	}
 	return Reg[V]{r: a.NewRegister(name, init)}
 }
 
-// Read returns the current value as a step of process pid.
+// Read returns the current value as a step of process pid. The native path
+// inlines into the caller (CI checks it does); the rest is out of line.
 func (t Reg[V]) Read(pid int) V {
 	if t.fast != nil {
-		return t.fast.read()
+		return *(*V)(atomic.LoadPointer(&t.fast.v))
 	}
-	v, ok := t.r.Read(pid).(V)
+	return readSlow[V](t.r, pid)
+}
+
+// readSlow is Read through an allocator's Register. A register is allocated
+// typed and written only through Reg, so a value of another type means memory
+// corruption or API misuse; the message formats the value already read, as a
+// second read would be one more step of pid.
+func readSlow[V any](r Register, pid int) V {
+	x := r.Read(pid)
+	v, ok := x.(V)
 	if !ok {
-		// Registers are allocated typed and only written through this
-		// wrapper, so this indicates memory corruption or API misuse.
-		panic(fmt.Sprintf("memory: register %s holds %T, want %T", t.r.Name(), t.r.Read(pid), v))
+		panic(fmt.Sprintf("memory: register %s holds %T, want %T", r.Name(), x, v))
 	}
 	return v
 }

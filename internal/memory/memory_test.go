@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -119,12 +120,18 @@ func TestRegisterSequentialProperty(t *testing.T) {
 }
 
 func TestTypedRegPanicsOnTypeConfusion(t *testing.T) {
-	var a NativeAllocator
-	raw := a.NewRegister("X", 1)
+	var native NativeAllocator
+	c := NewStepCounter(1)
+	raw := (&CountingAllocator{Inner: &native, Counter: c}).NewRegister("X", 1)
 	typed := Reg[string]{r: raw} // deliberately mistyped view
 	defer func() {
-		if recover() == nil {
-			t.Error("mistyped register read did not panic")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "holds int, want string") {
+			t.Errorf("mistyped register read panicked with %q", msg)
+		}
+		// Reporting the corruption is not a second step of the reader.
+		if got := c.Reads(0); got != 1 {
+			t.Errorf("mistyped read took %d register reads, want 1", got)
 		}
 	}()
 	typed.Read(0)

@@ -15,7 +15,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"sort"
+	"strconv"
+	"strings"
 
 	"slmem/internal/memory"
 	"slmem/internal/trace"
@@ -231,6 +234,12 @@ type Env struct {
 	regNames map[string]int
 	nextOp   int
 
+	// addrs labels the heap addresses transcripts have shown, in first-seen
+	// order; kept holds the values they were shown in, so that no address is
+	// freed and reused for another object while the run lasts.
+	addrs map[string]string
+	kept  []any
+
 	reqCh  chan int
 	doneCh chan int
 }
@@ -242,6 +251,7 @@ func newEnv(n int) *Env {
 		n:        n,
 		t:        &trace.Transcript{},
 		regNames: make(map[string]int),
+		addrs:    make(map[string]string),
 		reqCh:    make(chan int),
 		doneCh:   make(chan int),
 	}
@@ -270,6 +280,32 @@ func (e *Env) NewRegister(name string, init any) memory.Register {
 
 // Registers implements memory.Allocator.
 func (e *Env) Registers() int { return e.regCount }
+
+// addrPattern matches an address as %v formats a pointer, map, channel or
+// function nested in a value; %v never formats an integer in hexadecimal.
+var addrPattern = regexp.MustCompile(`0x[0-9a-f]+`)
+
+// format is a register value as a transcript shows it: %v, with every heap
+// address replaced by a label — &1, &2, … in the order the run first showed
+// them. An address differs from run to run, the order a run shows its objects
+// in does not, so two runs of one schedule record one transcript and a
+// prefix's transcript is a prefix of its continuations'. Two reads of one
+// object still show one label.
+func (e *Env) format(v any) string {
+	s := fmt.Sprintf("%v", v)
+	if !strings.Contains(s, "0x") {
+		return s
+	}
+	e.kept = append(e.kept, v)
+	return addrPattern.ReplaceAllStringFunc(s, func(addr string) string {
+		label, ok := e.addrs[addr]
+		if !ok {
+			label = "&" + strconv.Itoa(len(e.addrs)+1)
+			e.addrs[addr] = label
+		}
+		return label
+	})
+}
 
 // Proc is the handle a simulated process uses to perform operations and
 // steps. Exactly one goroutine uses a Proc.
@@ -329,7 +365,7 @@ func (r *simRegister) Read(pid int) any {
 	v := r.val
 	p.record(trace.Event{
 		Kind: trace.KindRead, PID: pid, OpID: p.curOp,
-		Reg: r.name, Val: fmt.Sprintf("%v", v),
+		Reg: r.name, Val: r.env.format(v),
 	})
 	return v
 }
@@ -340,7 +376,7 @@ func (r *simRegister) Write(pid int, v any) {
 	r.val = v
 	p.record(trace.Event{
 		Kind: trace.KindWrite, PID: pid, OpID: p.curOp,
-		Reg: r.name, Val: fmt.Sprintf("%v", v),
+		Reg: r.name, Val: r.env.format(v),
 	})
 }
 

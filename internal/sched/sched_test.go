@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -316,5 +317,66 @@ func TestWellFormedPerProcess(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTranscriptLabelsAddresses: a register holding a pointer is recorded
+// with a label for the address, not the address, so that two runs of one
+// schedule record one transcript even though each allocates its objects
+// elsewhere — which is what lets DeepBranchTree hold a parent's transcript to
+// be a prefix of its child's. One object keeps one label, and two objects
+// never share one.
+func TestTranscriptLabelsAddresses(t *testing.T) {
+	type box struct{ v int }
+	type cell struct {
+		b *box
+		i int
+	}
+	sys := System{
+		N: 2,
+		Setup: func(env *Env) []Program {
+			x := memory.NewReg(env, "X", cell{})
+			progs := make([]Program, 2)
+			for pid := range progs {
+				progs[pid] = func(p *Proc) {
+					for i := 0; i < 3; i++ {
+						p.Do("write()", func() string {
+							x.Write(pid, cell{b: &box{v: pid}, i: i})
+							return "ok"
+						})
+						p.Do("read()", func() string { return fmt.Sprint(x.Read(pid).i) })
+					}
+				}
+			}
+			return progs
+		},
+	}
+	r1 := Run(sys, NewSeeded(7), Options{})
+	r2 := Run(sys, NewSeeded(7), Options{})
+	if !r1.Completed() || !r2.Completed() {
+		t.Fatalf("incomplete: %v / %v", r1.Err, r2.Err)
+	}
+	if !reflect.DeepEqual(r1.T.Events, r2.T.Events) {
+		t.Fatal("two runs of one schedule recorded different transcripts")
+	}
+	written := map[string]bool{}
+	for _, e := range r1.T.Events {
+		if strings.Contains(e.Val, "0x") {
+			t.Fatalf("transcript shows an address: %v", e)
+		}
+		switch e.Kind {
+		case trace.KindWrite:
+			if written[e.Val] {
+				t.Errorf("two writes of distinct objects recorded as one value %s", e.Val)
+			}
+			written[e.Val] = true
+		case trace.KindRead:
+			if e.Val != "{<nil> 0}" && !written[e.Val] {
+				t.Errorf("read %s, which no write recorded", e.Val)
+			}
+		}
+	}
+	if len(written) != 6 {
+		t.Errorf("%d distinct written values, want 6", len(written))
 	}
 }

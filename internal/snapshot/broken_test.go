@@ -41,6 +41,8 @@ func (s *brokenCollect) Scan(pid int) []string {
 	return out
 }
 
+func (s *brokenCollect) ScanVersioned(pid int) ([]string, uint64, bool) { return s.Scan(pid), 0, false }
+
 // TestCheckerCatchesTornCollect scripts the classic counterexample: two
 // concurrent single-collect scans observe two concurrent updates in
 // contradictory orders. scan0 sees {a, not b}, scan1 sees {b, not a}, yet

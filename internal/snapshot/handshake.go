@@ -175,3 +175,8 @@ func (s *Handshake[V]) Scan(pid int) []V {
 		}
 	}
 }
+
+// ScanVersioned implements Snapshot. A handshake snapshot holds no sequence
+// numbers — its registers are bounded — so it cannot name the state a scan
+// saw: it never reports a version.
+func (s *Handshake[V]) ScanVersioned(pid int) ([]V, uint64, bool) { return s.Scan(pid), 0, false }

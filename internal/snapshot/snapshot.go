@@ -28,9 +28,11 @@
 // register (Afek, Handshake), and in the callers that publish or return it
 // (internal/core, internal/versioned).
 //
-// A Versioned wrapper exposes the per-scan version number (the sum of the
-// per-component sequence numbers) needed by the Denysyuk–Woelfel unbounded
-// construction of Section 4.1 (internal/versioned).
+// ScanVersioned is Scan with the version of the state the view was taken
+// from, when the object can name one: for DoubleCollect always, the sum of
+// the per-component sequence numbers that the Denysyuk–Woelfel unbounded
+// construction of Section 4.1 needs (internal/versioned) and that lets
+// internal/core decide line 50 of Algorithm 3 without comparing views.
 package snapshot
 
 import (
@@ -52,6 +54,11 @@ type Snapshot[V any] interface {
 	// caller may read it until its next call on the object as pid and must
 	// not write to it; to publish, return or keep a view, copy it.
 	Scan(pid int) []V
+	// ScanVersioned is Scan returning also the view's version, when named
+	// is true: a number that names one linearized state of the object, so
+	// that two scans of one version returned equal views. An object that
+	// cannot name the state a scan returned reports named false.
+	ScanVersioned(pid int) (view []V, version uint64, named bool)
 }
 
 // dcell is a snapshot component: the value and the writer's sequence number.
@@ -195,16 +202,22 @@ func (s *DoubleCollect[V]) collect(pid int) *dcLocal[V] {
 // Scan implements Snapshot.
 func (s *DoubleCollect[V]) Scan(pid int) []V { return s.collect(pid).vals }
 
-// ScanVersioned is Scan returning also the view's version: the sum of all
-// component sequence numbers, which increases with every Update (the
-// versioned-object interface of paper Section 4.1).
-func (s *DoubleCollect[V]) ScanVersioned(pid int) ([]V, uint64) {
+// ScanVersioned implements Snapshot. The version is the sum of all component
+// sequence numbers: every Update adds exactly 1 to it, so it names the
+// linearized state the clean double collect saw (the versioned-object
+// interface of paper Section 4.1). It is always named.
+func (s *DoubleCollect[V]) ScanVersioned(pid int) ([]V, uint64, bool) {
 	l := s.collect(pid)
+	return l.vals, sumSeqs(l.seqs[:l.width]), true
+}
+
+// sumSeqs is a view's version: the sum of its components' sequence numbers.
+func sumSeqs(seqs []uint64) uint64 {
 	var version uint64
-	for _, seq := range l.seqs[:l.width] {
+	for _, seq := range seqs {
 		version += seq
 	}
-	return l.vals, version
+	return version
 }
 
 // acell is an Afek-snapshot component: value, sequence number, and the view
@@ -263,11 +276,20 @@ func (s *Afek[V]) Update(pid int, x V) {
 	s.regs[pid].Write(pid, acell[V]{val: x, seq: l.seq, view: view})
 }
 
-// Scan implements Snapshot. Wait-free: after at most n+1 collect pairs some
-// process has been seen to move twice, and its embedded view (which is a
-// valid snapshot taken within our interval) is borrowed. Collects proceed as
-// in DoubleCollect; a collect runs to its end before its moves are judged.
+// Scan implements Snapshot.
 func (s *Afek[V]) Scan(pid int) []V {
+	view, _, _ := s.ScanVersioned(pid)
+	return view
+}
+
+// ScanVersioned implements Snapshot. Wait-free: after at most n+1 collect
+// pairs some process has been seen to move twice, and its embedded view
+// (which is a valid snapshot taken within our interval) is borrowed.
+// Collects proceed as in DoubleCollect; a collect runs to its end before its
+// moves are judged. A clean double collect is versioned as in DoubleCollect —
+// every Update adds 1 to one sequence number — and a borrowed view is not: it
+// comes without sequence numbers, so this scan cannot name its state.
+func (s *Afek[V]) ScanVersioned(pid int) ([]V, uint64, bool) {
 	l := &s.local[pid]
 	seqs, vals, moved := l.seqs, l.vals, l.moved
 	clear(moved)
@@ -293,10 +315,10 @@ func (s *Afek[V]) Scan(pid int) []V {
 			moved[q] = true
 		}
 		if borrowed != nil {
-			return borrowed
+			return borrowed, 0, false
 		}
 		if clean {
-			return vals
+			return vals, sumSeqs(seqs), true
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package universal
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,7 @@ import (
 	"slmem/internal/memory"
 	"slmem/internal/sched"
 	"slmem/internal/spec"
+	"slmem/internal/trace"
 )
 
 func TestProvidedTypesAreSimple(t *testing.T) {
@@ -249,6 +251,69 @@ func TestStrongBranchingTrees(t *testing.T) {
 		tree, err := sched.RandomBranchTree(sys, seed, 12, 3)
 		if err != nil {
 			t.Fatal(err)
+		}
+		res, err := lincheck.CheckStrong(lincheck.FromSchedTree(tree), spec.Counter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Ok {
+			t.Fatalf("seed %d: strong tree check failed at %s", seed, res.FailNode)
+		}
+	}
+}
+
+// firstNodeWrite returns the index of the first event that writes a node
+// into a register — a value naming a heap address, which transcripts show as
+// a label — or -1.
+func firstNodeWrite(tr *trace.Transcript) int {
+	for i, e := range tr.Events {
+		if e.Kind == trace.KindWrite && strings.Contains(e.Val, "&") {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestTranscriptsAreReplayable: the registers of the universal object hold
+// nodes, and two runs of one schedule — each allocating its nodes somewhere
+// else — still record one transcript, addresses shown as labels.
+func TestTranscriptsAreReplayable(t *testing.T) {
+	sys := simSystem(CounterType{}, [][]string{{"inc()", "read()"}, {"inc()", "read()"}})
+	for seed := int64(0); seed < 4; seed++ {
+		r1 := sched.Run(sys, sched.NewSeeded(seed), sched.Options{})
+		r2 := sched.Run(sys, sched.NewSeeded(seed), sched.Options{})
+		if !r1.Completed() || !r2.Completed() {
+			t.Fatalf("seed %d: incomplete: %v / %v", seed, r1.Err, r2.Err)
+		}
+		if firstNodeWrite(r1.T) < 0 {
+			t.Fatalf("seed %d: no node was written; the test proves nothing", seed)
+		}
+		if !r1.T.IsPrefixOf(r2.T) || !r2.T.IsPrefixOf(r1.T) {
+			t.Fatalf("seed %d: two runs of one schedule recorded different transcripts", seed)
+		}
+		for _, e := range r1.T.Events {
+			if strings.Contains(e.Val, "0x") {
+				t.Fatalf("seed %d: transcript shows an address: %v", seed, e)
+			}
+		}
+	}
+}
+
+// TestStrongBranchingTreesPastFirstNode is TestStrongBranchingTrees with a
+// prefix long enough that it publishes a node before the continuations
+// branch off: the children replay the parent's schedule, and their
+// transcripts must extend the parent's although every run allocates its
+// nodes at other addresses.
+func TestStrongBranchingTreesPastFirstNode(t *testing.T) {
+	const prefixLen = 24
+	sys := simSystem(CounterType{}, [][]string{{"inc()", "read()"}, {"inc()", "read()"}})
+	for seed := int64(0); seed < 6; seed++ {
+		tree, err := sched.RandomBranchTree(sys, seed, prefixLen, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if firstNodeWrite(tree.T) < 0 {
+			t.Fatalf("seed %d: the %d-choice prefix publishes no node", seed, prefixLen)
 		}
 		res, err := lincheck.CheckStrong(lincheck.FromSchedTree(tree), spec.Counter{})
 		if err != nil {

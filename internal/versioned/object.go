@@ -77,7 +77,7 @@ func (c *counterInner) Apply(pid int, delta uint64) {
 }
 
 func (c *counterInner) ReadVersioned(pid int) (uint64, uint64) {
-	view, version := c.s.ScanVersioned(pid)
+	view, version, _ := c.s.ScanVersioned(pid)
 	var sum uint64
 	for _, v := range view {
 		sum += v
@@ -127,7 +127,7 @@ func (m *maxInner) Apply(pid int, v uint64) {
 }
 
 func (m *maxInner) ReadVersioned(pid int) (uint64, uint64) {
-	view, version := m.s.ScanVersioned(pid)
+	view, version, _ := m.s.ScanVersioned(pid)
 	var max uint64
 	for _, v := range view {
 		if v > max {

@@ -63,7 +63,7 @@ func (o *Snapshot[V]) N() int { return o.n }
 // S.scan, and an R.maxWrite of (version, state).
 func (o *Snapshot[V]) Update(p int, x V) {
 	o.s.Update(p, x)
-	state, version := o.s.ScanVersioned(p)
+	state, version, _ := o.s.ScanVersioned(p)
 	// The max-register ignores stale versions; equal versions denote equal
 	// states (two scans with the same version saw the same writes). The
 	// state is p's scan buffer, so what is published is a copy.
