@@ -32,7 +32,7 @@ func TestPooledCounterIncAllocs(t *testing.T) {
 	ctx := context.Background()
 	direct := NewCounter(n)
 	pooled := NewPooledCounter(n)
-	// Warm both paths (first ops populate the leaser's hints).
+	// Warm both paths (first ops populate the pid pool's hints).
 	for i := 0; i < 8; i++ {
 		direct.Inc(0)
 		if err := pooled.Inc(ctx); err != nil {

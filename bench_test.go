@@ -321,7 +321,7 @@ func BenchmarkMaxRegister(b *testing.B) {
 
 // --- E9 companion: lease overhead on the counter hot path ---------------------
 //
-// The pooled path wraps every operation in a pid lease (internal/runtime).
+// The pooled path wraps every operation in a pid lease (PIDPool).
 // The pooled/direct pairs measure that bridge's overhead; the service
 // runtime budgets it at well under 2x the direct Inc cost.
 

@@ -2,7 +2,7 @@
 // clients.
 //
 // The paper's objects assume n processes with fixed ids; the service
-// runtime (internal/runtime, internal/registry, internal/server) bridges
+// runtime (slmem.PIDPool, internal/registry, internal/server) bridges
 // that model to an open system. Here 48 clients — six times the pid pool —
 // hammer one shared counter and one shared snapshot over real HTTP. The
 // counter loses no increments even though every request transits the lease

@@ -11,7 +11,7 @@ import (
 // all it takes for the registry, the batch compiler and the HTTP server to
 // serve bags — none of those layers name the bag anywhere. Bags lease from
 // the registry's one pid pool like every other kind: the Ellen–Sela bag is an
-// n-process object of the same model, and the leaser's FIFO hand-off keeps a
+// n-process object of the same model, and the pid pool's FIFO hand-off keeps a
 // hot kind from starving the rest.
 func init() {
 	kind.Register(driver{})

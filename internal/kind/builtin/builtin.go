@@ -42,12 +42,6 @@ func ObjectType(typeName string) (slmem.SimpleType, error) {
 	}
 }
 
-// ObjectTypeNames lists the type names accepted by the universal-object
-// kind, sorted.
-func ObjectTypeNames() []string {
-	return []string{"accumulator", "counter", "maxreg", "register", "set"}
-}
-
 // ValidateInvocation checks that invocation is well-formed for the named
 // object type by dry-running it against the type's sequential specification
 // from its initial state, without creating or touching any object. The

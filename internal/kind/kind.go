@@ -136,9 +136,10 @@ type Driver interface {
 	// (wrapped as NotFound), malformed operands, and unknown types must be
 	// rejected here so doomed requests never register objects.
 	Validate(req Request) error
-	// New creates the named instance. It is called at most once per name
-	// (under the registry's creation mutex) with a request that already passed
-	// Validate.
+	// New creates the named instance from a request that already passed
+	// Validate. Concurrent first uses of one name may call it more than once;
+	// the registry keeps one result and drops the rest, so New must do
+	// nothing but build the instance.
 	New(env Env) (Instance, error)
 }
 

@@ -222,7 +222,9 @@ func (r *Registry) BatchExecuteWith(ctx context.Context, ops []BatchOp, w *Batch
 			results[i] = BatchResult{Value: res.Value, View: res.View, Err: err}
 			// Lease-reuse assertion: the pid must survive every step. A step
 			// that released it would let another goroutine lease the same id
-			// and corrupt per-process state on the next iteration.
+			// and corrupt per-process state on the next iteration. Holds
+			// catches a release while no acquirer was queued; one that handed
+			// the pid to a queued acquirer leaves it leased and passes.
 			if !r.pool.Holds(pid) {
 				panic(fmt.Sprintf("registry: batch op %d released pid %d mid-batch", i, pid))
 			}

@@ -96,7 +96,7 @@ func TestBatchMixedPoolsOneLeaseEach(t *testing.T) {
 
 // TestRegistryHotKindDoesNotStarveAnother holds the one shared pool to
 // starvation-freedom across kinds: at one pid, bag batches still finish
-// while a counter hogs the pool, because the leaser hands a released pid to
+// while a counter hogs the pool, because the pool hands a released pid to
 // the oldest waiter.
 func TestRegistryHotKindDoesNotStarveAnother(t *testing.T) {
 	const batches = 200
@@ -280,6 +280,119 @@ func TestGetConcurrentFirstUse(t *testing.T) {
 	if n := r.Stats().Objects["testgauge"]; n != 1 {
 		t.Fatalf("created %d instances, want 1", n)
 	}
+}
+
+// slowDriver is the gauge under another kind name whose New, for a name
+// with a hook in slowHooks, counts the call and waits for the hook's gate
+// to close, so a test can hold a creation open while it does other things.
+type slowDriver struct{ gaugeDriver }
+
+func (slowDriver) Kind() string { return "testslow" }
+
+func (slowDriver) New(env kind.Env) (kind.Instance, error) {
+	if h, ok := slowHooks.Load(env.Name); ok {
+		h := h.(*slowHook)
+		h.calls.Add(1)
+		h.entered <- struct{}{}
+		<-h.gate
+	}
+	return &gaugeInstance{}, nil
+}
+
+type slowHook struct {
+	calls   atomic.Int64
+	entered chan struct{} // one send per New call
+	gate    chan struct{}
+}
+
+var (
+	registerSlow sync.Once
+	slowHooks    sync.Map // object name → *slowHook
+	slowNames    atomic.Int64
+)
+
+// slowKind registers the slow driver once per process and hooks a fresh
+// name, whose New calls (at most calls of them) wait for close(h.gate).
+func slowKind(t *testing.T, calls int) (Kind, string, *slowHook) {
+	t.Helper()
+	registerSlow.Do(func() { kind.Register(slowDriver{}) })
+	name := fmt.Sprintf("slow-%d", slowNames.Add(1))
+	h := &slowHook{entered: make(chan struct{}, calls), gate: make(chan struct{})}
+	slowHooks.Store(name, h)
+	t.Cleanup(func() { slowHooks.Delete(name) })
+	return "testslow", name, h
+}
+
+// TestRegistrySlowNewDoesNotBlockAnotherName holds one name's New open and
+// meanwhile makes a first use of another name: creation takes no
+// registry-wide lock, so the second must not wait for the first.
+func TestRegistrySlowNewDoesNotBlockAnotherName(t *testing.T) {
+	k, name, h := slowKind(t, 1)
+	r := New(Options{Procs: 2})
+	release := sync.OnceFunc(func() { close(h.gate) })
+	defer release()
+
+	slow := make(chan error, 1)
+	go func() {
+		_, _, err := r.Get(k, name, kind.Request{Op: "bump"})
+		slow <- err
+	}()
+	<-h.entered
+	other := make(chan struct{})
+	go func() {
+		r.Counter("other")
+		close(other)
+	}()
+	select {
+	case <-other:
+	case <-time.After(5 * time.Second):
+		release()
+		t.Fatal("a first use of another name waited for a slow New")
+	}
+	release()
+	if err := <-slow; err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	if st.Objects[string(k)] != 1 || st.Objects["counter"] != 1 {
+		t.Fatalf("created %v, want one %s and one counter", st.Objects, k)
+	}
+}
+
+// TestRegistryConcurrentFirstUseOneInstance races first uses of one name
+// through a New that waits until every racer has called it, or until a
+// grace period has passed. However many instances get built, every caller
+// gets the same one and it is counted once.
+func TestRegistryConcurrentFirstUseOneInstance(t *testing.T) {
+	const goroutines = 8
+	k, name, h := slowKind(t, goroutines)
+	r := New(Options{Procs: 2})
+
+	insts := make(chan kind.Instance, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			inst, _, err := r.Get(k, name, kind.Request{Op: "bump"})
+			if err != nil {
+				t.Error(err)
+			}
+			insts <- inst
+		}()
+	}
+	<-h.entered
+	for grace := time.Now().Add(200 * time.Millisecond); h.calls.Load() < goroutines && time.Now().Before(grace); {
+		time.Sleep(time.Millisecond)
+	}
+	close(h.gate)
+	first := <-insts
+	for g := 1; g < goroutines; g++ {
+		if inst := <-insts; inst != first || inst == nil {
+			t.Fatal("concurrent first use returned distinct instances")
+		}
+	}
+	if n := r.Stats().Objects[string(k)]; n != 1 {
+		t.Fatalf("created %d instances, want 1", n)
+	}
+	t.Logf("%d racers, %d calls to New", goroutines, h.calls.Load())
 }
 
 // TestDriverPathSpaceBounds holds the two bounded-space mechanisms to their

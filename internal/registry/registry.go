@@ -27,7 +27,7 @@ import (
 type Kind string
 
 // Kind names of the built-in drivers (internal/kind/builtin), kept as
-// constants for compile-time checked callers; Kinds() reports the full
+// constants for compile-time checked callers; kind.Names reports the full
 // registered set.
 const (
 	KindCounter     Kind = "counter"
@@ -35,28 +35,6 @@ const (
 	KindSnapshot    Kind = "snapshot"
 	KindObject      Kind = "object"
 )
-
-// Kinds lists the registered kinds, sorted.
-func Kinds() []Kind {
-	names := kind.Names()
-	kinds := make([]Kind, len(names))
-	for i, n := range names {
-		kinds[i] = Kind(n)
-	}
-	return kinds
-}
-
-// ObjectTypeNames lists the type names accepted by the universal-object
-// kind.
-func ObjectTypeNames() []string { return builtin.ObjectTypeNames() }
-
-// ValidateInvocation checks that invocation is well-formed for the named
-// universal-object type, without creating or touching any object. It lets
-// callers reject doomed requests before lazily registering an object for
-// them.
-func ValidateInvocation(typeName, invocation string) error {
-	return builtin.ValidateInvocation(typeName, invocation)
-}
 
 // Options configure a Registry.
 type Options struct {
@@ -78,9 +56,6 @@ type Registry struct {
 	// and never replaced or removed, which is the read-mostly, disjoint-key
 	// use sync.Map serves without a lock.
 	objects sync.Map
-	// createMu serializes creations, so concurrent first uses of one name
-	// agree on one instance.
-	createMu sync.Mutex
 
 	// created counts instances per kind name (*atomic.Int64 values).
 	created sync.Map
@@ -120,25 +95,22 @@ func (r *Registry) Get(k Kind, name string, req kind.Request) (kind.Instance, *s
 	return r.create(k, name, req)
 }
 
-// create is Get's miss path: it resolves the driver and creates the
-// instance under the creation mutex, looking again first so concurrent first
-// uses agree on one instance.
+// create is Get's miss path: it resolves the driver and builds an instance
+// without a lock, so a slow New for one name never stalls another name's
+// first use. Concurrent first uses of one name may each build one; the
+// first to publish wins, and the others drop theirs and return the winner's.
 func (r *Registry) create(k Kind, name string, req kind.Request) (kind.Instance, *slmem.PIDPool, error) {
 	d, ok := kind.Lookup(string(k))
 	if !ok {
 		return nil, nil, kind.UnknownKind(string(k))
 	}
-	r.createMu.Lock()
-	defer r.createMu.Unlock()
-	key := objectKey{k, name}
-	if inst, hit := r.objects.Load(key); hit {
-		return inst.(kind.Instance), r.pool, nil
-	}
 	inst, err := d.New(kind.Env{Name: name, Procs: r.procs, Pool: r.pool, Req: req})
 	if err != nil {
 		return nil, nil, err
 	}
-	r.objects.Store(key, inst)
+	if won, loaded := r.objects.LoadOrStore(objectKey{k, name}, inst); loaded {
+		return won.(kind.Instance), r.pool, nil
+	}
 	r.countCreated(string(k))
 	return inst, r.pool, nil
 }

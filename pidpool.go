@@ -1,27 +1,27 @@
-// Package runtime bridges the paper's fixed-process model to ordinary Go
-// programs. Every object in this module follows the paper's concurrency
-// model: n processes with pre-assigned ids 0..n-1, each id used by at most
-// one thread at a time. Go services have no such processes — goroutines come
-// and go — so the Leaser manages short-lived leases of ids from the fixed
-// pool: a goroutine acquires a pid, performs operations as that process, and
-// releases it.
-//
-// The design goals, in order: correctness of the ownership invariant (a pid
-// is held by at most one goroutine between Acquire and Release), a cheap
-// uncontended fast path (one CAS on the ownership word of the pid a per-P
-// hint names), and well-behaved saturation (FIFO blocking with context
-// cancellation instead of spinning).
-package runtime
+package slmem
 
 import (
 	"context"
 	"fmt"
-	goruntime "runtime"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// Leaser hands out leases of process ids 0..n-1.
+// PIDPool leases process ids from the fixed pool 0..n-1, bridging the
+// paper's model to ordinary Go programs. Every object in this module
+// follows the paper's concurrency model: n processes with pre-assigned ids
+// 0..n-1, each id used by at most one thread at a time. Go services have no
+// such processes — goroutines come and go — so a PIDPool manages
+// short-lived leases of ids: a goroutine acquires a pid, performs
+// operations as that process, and releases it; or it uses the Pooled*
+// wrappers, which lease around every operation automatically.
+//
+// The design goals, in order: correctness of the ownership invariant (a pid
+// is held by at most one goroutine between Acquire and Release; misuse
+// panics), a cheap uncontended fast path (one CAS on the ownership word of
+// the pid a per-P hint names), and well-behaved saturation (FIFO blocking
+// with context cancellation instead of spinning).
 //
 // The ownership words are the free list: slot pid holds 1 exactly while pid
 // is leased, and a lease is a CAS 0→1 on that word, a release a CAS 1→0. The
@@ -38,7 +38,7 @@ import (
 // id is leased, acquirers queue FIFO and releases hand ids directly to the
 // oldest waiter; a release looks at the wait queue only when the waiter
 // count says someone is in it.
-type Leaser struct {
+type PIDPool struct {
 	n int
 	// slots tracks the ownership invariant. Transitions are CASed so misuse
 	// (double release, release of a never-acquired pid) fails loudly instead
@@ -145,86 +145,88 @@ func (q *waiterQueue) remove(target *waiter) bool {
 	return false
 }
 
-// StatsSnapshot is a reading of the leaser's monotone counters. The counters
-// are kept apart and read one after another, so a reading is not a
-// consistent cut (fine for metrics).
-type StatsSnapshot struct {
+// PoolStats are monotone counters describing how acquisitions were served.
+// The counters are kept apart and read one after another, so a reading is
+// not a consistent cut (fine for metrics).
+type PoolStats struct {
 	// Acquires counts successful lease acquisitions.
-	Acquires int64
+	Acquires int64 `json:"acquires"`
 	// FastPath counts acquisitions served by the pid the acquirer's hint named.
-	FastPath int64
+	FastPath int64 `json:"fast_path"`
 	// Steals counts acquisitions served by another free pid.
-	Steals int64
-	// Blocks counts acquisitions that had to queue behind an exhausted pool.
-	Blocks int64
+	Steals int64 `json:"steals"`
+	// Blocks counts acquisitions that queued behind an exhausted pool.
+	Blocks int64 `json:"blocks"`
 	// Cancels counts acquisitions abandoned via context.
-	Cancels int64
+	Cancels int64 `json:"cancels"`
 }
 
-// NewLeaser constructs a leaser over ids 0..n-1. n must be positive.
-func NewLeaser(n int) *Leaser {
+// NewPIDPool constructs a pool over process ids 0..n-1. n must be positive.
+func NewPIDPool(n int) *PIDPool {
 	if n <= 0 {
-		panic(fmt.Sprintf("runtime: leaser needs n > 0, got %d", n))
+		panic(fmt.Sprintf("slmem: pid pool needs n > 0, got %d", n))
 	}
-	l := &Leaser{n: n, slots: make([]slot, n)}
-	l.hints.New = func() any {
+	p := &PIDPool{n: n, slots: make([]slot, n)}
+	p.hints.New = func() any {
 		// A P runs one goroutine at a time, so GOMAXPROCS bases give each P
 		// a pid of its own; holders beyond that (leases kept across blocking
 		// calls) find theirs by searching upward from a base.
-		bases := uint32(min(n, goruntime.GOMAXPROCS(0)))
-		b := (l.hintSeed.Add(1) - 1) % bases
+		bases := uint32(min(n, runtime.GOMAXPROCS(0)))
+		b := (p.hintSeed.Add(1) - 1) % bases
 		return &hint{base: b, cur: b}
 	}
-	return l
+	return p
 }
 
-// Size returns the number of process ids managed.
-func (l *Leaser) Size() int { return l.n }
+// Size returns n, the number of process ids managed.
+func (p *PIDPool) Size() int { return p.n }
 
-// InUse returns the number of ids currently leased (an id handed from a
+// InUse returns how many pids are currently leased (an id handed from a
 // release straight to a waiter stays leased throughout).
-func (l *Leaser) InUse() int {
+func (p *PIDPool) InUse() int {
 	var out int
-	for pid := range l.slots {
-		out += int(l.slots[pid].leased.Load())
+	for pid := range p.slots {
+		out += int(p.slots[pid].leased.Load())
 	}
 	return out
 }
 
 // Holds reports whether pid is currently leased. Callers that reuse one
 // lease across many operations (batch execution) assert this between
-// operations to catch a step that released — or handed off — the pid it was
-// given: continuing after that would break the ownership invariant and
-// corrupt per-process state. Ids outside [0, n) are never held.
-func (l *Leaser) Holds(pid int) bool {
-	if pid < 0 || pid >= l.n {
+// operations to catch a step that released the pid it was given while no
+// acquirer was queued: continuing after that would break the ownership
+// invariant and corrupt per-process state. A release that hands the pid
+// straight to a queued acquirer leaves it leased, so Holds cannot see that
+// one. Ids outside [0, n) are never held.
+func (p *PIDPool) Holds(pid int) bool {
+	if pid < 0 || pid >= p.n {
 		return false
 	}
-	return l.slots[pid].leased.Load() == 1
+	return p.slots[pid].leased.Load() == 1
 }
 
 // Held returns the ids currently leased, in ascending order. Intended for
 // leak detection in tests and for diagnostics; the result is a snapshot and
 // may be stale by the time it returns.
-func (l *Leaser) Held() []int {
+func (p *PIDPool) Held() []int {
 	var held []int
-	for pid := range l.slots {
-		if l.slots[pid].leased.Load() == 1 {
+	for pid := range p.slots {
+		if p.slots[pid].leased.Load() == 1 {
 			held = append(held, pid)
 		}
 	}
 	return held
 }
 
-// Stats returns a reading of the monotone counters.
-func (l *Leaser) Stats() StatsSnapshot {
-	st := StatsSnapshot{
-		Acquires: l.handoffs.Load(),
-		Blocks:   l.blocks.Load(),
-		Cancels:  l.cancels.Load(),
+// Stats returns a reading of the monotone acquisition counters.
+func (p *PIDPool) Stats() PoolStats {
+	st := PoolStats{
+		Acquires: p.handoffs.Load(),
+		Blocks:   p.blocks.Load(),
+		Cancels:  p.cancels.Load(),
 	}
-	for pid := range l.slots {
-		s := &l.slots[pid]
+	for pid := range p.slots {
+		s := &p.slots[pid]
 		// hinted first: read the other way round, a lease counted between
 		// the two loads would show as a negative steal.
 		hinted := s.hinted.Load()
@@ -238,25 +240,25 @@ func (l *Leaser) Stats() StatsSnapshot {
 
 // TryAcquire leases an id without blocking. It reports false when every id
 // is leased.
-func (l *Leaser) TryAcquire() (int, bool) {
-	h := l.hints.Get().(*hint)
-	pid, ok := l.scan(h)
-	l.hints.Put(h)
+func (p *PIDPool) TryAcquire() (int, bool) {
+	h := p.hints.Get().(*hint)
+	pid, ok := p.scan(h)
+	p.hints.Put(h)
 	return pid, ok
 }
 
 // scan wins a free word: that of the pid the hint names when it is free,
 // otherwise the first free one at or after the hint's base, which the hint
 // names from then on.
-func (l *Leaser) scan(h *hint) (int, bool) {
-	if l.slots[h.cur].tryLease(true) {
+func (p *PIDPool) scan(h *hint) (int, bool) {
+	if p.slots[h.cur].tryLease(true) {
 		return int(h.cur), true
 	}
-	n := uint32(l.n)
+	n := uint32(p.n)
 	for i := uint32(0); i < n; i++ {
 		pid := (h.base + i) % n
 		// Look before the CAS: a failed CAS still takes the holder's line.
-		if s := &l.slots[pid]; s.leased.Load() == 0 && s.tryLease(false) {
+		if s := &p.slots[pid]; s.leased.Load() == 0 && s.tryLease(false) {
 			h.cur = pid
 			return int(pid), true
 		}
@@ -267,8 +269,8 @@ func (l *Leaser) scan(h *hint) (int, bool) {
 // Acquire leases an id, blocking while all ids are leased. It returns
 // ctx.Err() if the context is cancelled first. Waiters are served FIFO, so
 // acquisition is starvation-free as long as leases are released.
-func (l *Leaser) Acquire(ctx context.Context) (int, error) {
-	if pid, ok := l.TryAcquire(); ok {
+func (p *PIDPool) Acquire(ctx context.Context) (int, error) {
+	if pid, ok := p.TryAcquire(); ok {
 		return pid, nil
 	}
 	// Slow path: queue, then re-scan once. The re-scan closes the race where
@@ -277,90 +279,90 @@ func (l *Leaser) Acquire(ctx context.Context) (int, error) {
 	// re-scan, and one that frees it after re-checks the waiter count after
 	// freeing and finds us (see free).
 	w := &waiter{ch: make(chan int, 1)}
-	l.qmu.Lock()
-	l.waiters.push(w)
-	l.nwait.Add(1)
-	l.qmu.Unlock()
-	if pid, ok := l.TryAcquire(); ok {
-		if l.dequeue(w) {
+	p.qmu.Lock()
+	p.waiters.push(w)
+	p.nwait.Add(1)
+	p.qmu.Unlock()
+	if pid, ok := p.TryAcquire(); ok {
+		if p.dequeue(w) {
 			return pid, nil
 		}
 		// A release already handed us an id through the channel; keep that
 		// one and give the scanned one back (through Release, so it reaches
 		// the next waiter if one is queued).
-		l.Release(pid)
+		p.Release(pid)
 		return <-w.ch, nil
 	}
-	l.blocks.Add(1)
+	p.blocks.Add(1)
 
 	select {
 	case pid := <-w.ch:
 		// The releasing goroutine transferred ownership directly: holders
 		// bookkeeping stayed leased throughout, only the holder changed.
-		l.handoffs.Add(1)
+		p.handoffs.Add(1)
 		return pid, nil
 	case <-ctx.Done():
-		if l.dequeue(w) {
-			l.cancels.Add(1)
+		if p.dequeue(w) {
+			p.cancels.Add(1)
 			return 0, ctx.Err()
 		}
 		// Lost the race: a release delivered an id while we were cancelling.
 		// Take it and put it back so it is not leaked.
-		l.Release(<-w.ch)
-		l.cancels.Add(1)
+		p.Release(<-w.ch)
+		p.cancels.Add(1)
 		return 0, ctx.Err()
 	}
 }
 
 // dequeue removes w from the wait queue, reporting whether it was still
 // queued (false means a release already picked it and will send on w.ch).
-func (l *Leaser) dequeue(w *waiter) bool {
-	l.qmu.Lock()
-	defer l.qmu.Unlock()
-	if !l.waiters.remove(w) {
+func (p *PIDPool) dequeue(w *waiter) bool {
+	p.qmu.Lock()
+	defer p.qmu.Unlock()
+	if !p.waiters.remove(w) {
 		return false
 	}
-	l.nwait.Add(-1)
+	p.nwait.Add(-1)
 	return true
 }
 
 // popWaiter takes the oldest waiter off the queue, nil if there is none.
-func (l *Leaser) popWaiter() *waiter {
-	if l.nwait.Load() == 0 {
+func (p *PIDPool) popWaiter() *waiter {
+	if p.nwait.Load() == 0 {
 		return nil
 	}
-	l.qmu.Lock()
-	defer l.qmu.Unlock()
-	w := l.waiters.pop()
+	p.qmu.Lock()
+	defer p.qmu.Unlock()
+	w := p.waiters.pop()
 	if w != nil {
-		l.nwait.Add(-1)
+		p.nwait.Add(-1)
 	}
 	return w
 }
 
 // panicNotLeased reports a release of a pid whose word does not read 1.
 func panicNotLeased(pid int) {
-	panic(fmt.Sprintf("runtime: pid %d released while not leased", pid))
+	panic(fmt.Sprintf("slmem: pid %d released while not leased", pid))
 }
 
 // Release returns a leased id to the pool. Releasing an id that is not
 // currently leased panics: it means two goroutines believed they owned the
 // same pid, which would have corrupted per-process state above.
-func (l *Leaser) Release(pid int) {
-	if pid < 0 || pid >= l.n {
-		panic(fmt.Sprintf("runtime: release of pid %d outside [0,%d)", pid, l.n))
+func (p *PIDPool) Release(pid int) {
+	if pid < 0 || pid >= p.n {
+		panic(fmt.Sprintf("slmem: release of pid %d outside [0,%d)", pid, p.n))
 	}
-	if l.slots[pid].leased.Load() != 1 {
+	if p.slots[pid].leased.Load() != 1 {
 		panicNotLeased(pid)
 	}
 	// Hand off to a waiter first: ownership transfers without the id ever
 	// becoming free (the word stays 1), so a TryAcquire cannot jump the
 	// queue.
-	if w := l.popWaiter(); w != nil {
+	if w := p.popWaiter(); w != nil {
 		w.ch <- pid
 		return
 	}
-	l.free(pid)
+	p.free(pid)
 }
 
 // free is the rest of a Release that found the queue empty: free the word,
@@ -373,29 +375,29 @@ func (l *Leaser) Release(pid int) {
 // gone — then whoever took it will release it and look here again) and hand
 // it over. Taking it back is a release that did not happen rather than an
 // acquisition — the acquisition is the waiter's, who counts the hand-off.
-func (l *Leaser) free(pid int) {
-	s := &l.slots[pid]
+func (p *PIDPool) free(pid int) {
+	s := &p.slots[pid]
 	for {
 		if !s.leased.CompareAndSwap(1, 0) {
 			panicNotLeased(pid)
 		}
-		if l.nwait.Load() == 0 || !s.leased.CompareAndSwap(0, 1) {
+		if p.nwait.Load() == 0 || !s.leased.CompareAndSwap(0, 1) {
 			return
 		}
-		if w := l.popWaiter(); w != nil {
+		if w := p.popWaiter(); w != nil {
 			w.ch <- pid
 			return
 		}
 	}
 }
 
-// With acquires an id, runs fn as that process, and releases the id even if
-// fn panics.
-func (l *Leaser) With(ctx context.Context, fn func(pid int) error) error {
-	pid, err := l.Acquire(ctx)
+// With leases a pid around fn, running fn as that process and releasing the
+// pid even if fn panics.
+func (p *PIDPool) With(ctx context.Context, fn func(pid int) error) error {
+	pid, err := p.Acquire(ctx)
 	if err != nil {
 		return err
 	}
-	defer l.Release(pid)
+	defer p.Release(pid)
 	return fn(pid)
 }

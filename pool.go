@@ -3,84 +3,7 @@ package slmem
 import (
 	"context"
 	"fmt"
-
-	"slmem/internal/runtime"
 )
-
-// PIDPool leases process ids from the fixed pool 0..n-1, bridging the
-// paper's model (n processes with pre-assigned ids) to ordinary Go programs
-// where goroutines come and go. Acquire a pid, perform operations as that
-// process, and release it; or use the Pooled* wrappers, which lease around
-// every operation automatically.
-//
-// The pool guarantees the ownership invariant the objects rely on: a pid is
-// held by at most one goroutine between Acquire and Release (misuse panics).
-// Acquisition is one CAS on a free pid's ownership word and blocks FIFO —
-// with context cancellation — when all n ids are leased.
-type PIDPool struct {
-	l *runtime.Leaser
-}
-
-// NewPIDPool constructs a pool over process ids 0..n-1.
-func NewPIDPool(n int) *PIDPool {
-	return &PIDPool{l: runtime.NewLeaser(n)}
-}
-
-// Acquire leases a pid, blocking while all are leased; it returns ctx.Err()
-// if the context is cancelled first.
-func (p *PIDPool) Acquire(ctx context.Context) (int, error) { return p.l.Acquire(ctx) }
-
-// TryAcquire leases a pid without blocking, reporting false if none is free.
-func (p *PIDPool) TryAcquire() (int, bool) { return p.l.TryAcquire() }
-
-// Release returns a leased pid. Releasing a pid that is not leased panics.
-func (p *PIDPool) Release(pid int) { p.l.Release(pid) }
-
-// Holds reports whether pid is currently leased. Batch executors that reuse
-// one lease across many operations assert this between operations to catch
-// a step that gave up the pid it was handed.
-func (p *PIDPool) Holds(pid int) bool { return p.l.Holds(pid) }
-
-// With leases a pid around fn, releasing it even if fn panics.
-func (p *PIDPool) With(ctx context.Context, fn func(pid int) error) error {
-	return p.l.With(ctx, fn)
-}
-
-// Size returns n, the number of process ids managed.
-func (p *PIDPool) Size() int { return p.l.Size() }
-
-// InUse returns how many pids are currently leased.
-func (p *PIDPool) InUse() int { return p.l.InUse() }
-
-// Held returns the currently leased pids (a point-in-time snapshot), for
-// leak detection in tests and diagnostics.
-func (p *PIDPool) Held() []int { return p.l.Held() }
-
-// Stats reports monotone acquisition counters.
-func (p *PIDPool) Stats() PoolStats {
-	s := p.l.Stats()
-	return PoolStats{
-		Acquires: s.Acquires,
-		FastPath: s.FastPath,
-		Steals:   s.Steals,
-		Blocks:   s.Blocks,
-		Cancels:  s.Cancels,
-	}
-}
-
-// PoolStats are monotone counters describing how acquisitions were served.
-type PoolStats struct {
-	// Acquires counts successful lease acquisitions.
-	Acquires int64 `json:"acquires"`
-	// FastPath counts acquisitions served by the pid the acquirer's hint named.
-	FastPath int64 `json:"fast_path"`
-	// Steals counts acquisitions served by another free pid.
-	Steals int64 `json:"steals"`
-	// Blocks counts acquisitions that queued behind an exhausted pool.
-	Blocks int64 `json:"blocks"`
-	// Cancels counts acquisitions abandoned via context.
-	Cancels int64 `json:"cancels"`
-}
 
 // Pool is a Snapshot whose operations lease a pid per call, so any goroutine
 // may use it without pid management. Update writes the component owned by
