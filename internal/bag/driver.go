@@ -14,7 +14,7 @@ import (
 // n-process object of the same model, and the pid pool's FIFO hand-off keeps a
 // hot kind from starving the rest.
 func init() {
-	kind.Register(driver{})
+	kind.Register(driver)
 }
 
 // EmptyValue is the Value a remove op reports when the bag was observed
@@ -23,74 +23,56 @@ func init() {
 // therefore rejects it.
 const EmptyValue = "_"
 
-type driver struct{}
-
-// Kind implements kind.Driver.
-func (driver) Kind() string { return "bag" }
-
-// Doc implements kind.Driver.
-func (driver) Doc() string {
-	return "strongly linearizable bag from registers + test&set, no CAS (Ellen & Sela 2024)"
-}
-
-// Ops implements kind.Driver.
-func (driver) Ops() []kind.OpInfo {
-	return []kind.OpInfo{
-		{Name: "insert", Doc: "add value to the bag"},
-		{Name: "remove", Doc: "take some item out (value " + EmptyValue + " when empty)"},
-		{Name: "size", Doc: "count the items in the bag"},
-	}
-}
-
-// Validate implements kind.Driver.
-func (driver) Validate(req kind.Request) error {
-	switch req.Op {
-	case "insert":
-		if req.Value == "" {
-			return errors.New("bag insert needs a non-empty value")
+var driver = kind.Driver{
+	Info: kind.Info{
+		Kind: "bag",
+		Doc:  "strongly linearizable bag from registers + test&set, no CAS (Ellen & Sela 2024)",
+		Ops: []kind.OpInfo{
+			{Name: "insert", Doc: "add value to the bag"},
+			{Name: "remove", Doc: "take some item out (value " + EmptyValue + " when empty)"},
+			{Name: "size", Doc: "count the items in the bag"},
+		},
+	},
+	Operands: func(req kind.Request) error {
+		if req.Op != "insert" {
+			return nil
 		}
-		if req.Value == EmptyValue {
-			return errors.New("bag insert value " + EmptyValue + " is reserved for the empty-remove response")
-		}
-		return nil
-	case "remove", "size":
-		return nil
+		return checkItem(req.Value)
+	},
+	New: func(env kind.Env) (kind.Instance, error) {
+		return &instance{New(env.Procs).Pooled(env.Pool)}, nil
+	},
+}
+
+// checkItem rejects the items insert cannot carry.
+func checkItem(x string) error {
+	if x == "" {
+		return errors.New("bag insert needs a non-empty value")
 	}
-	return kind.NotFound("bag has no operation %q (want insert, remove, or size)", req.Op)
+	if x == EmptyValue {
+		return errors.New("bag insert value " + EmptyValue + " is reserved for the empty-remove response")
+	}
+	return nil
 }
 
-// New implements kind.Driver.
-func (driver) New(env kind.Env) (kind.Instance, error) {
-	inst := &instance{pooled: New(env.Procs).Pooled(env.Pool)}
-	inst.remove = removeOp{inst.pooled.Unpooled()}
-	inst.size = sizeOp{inst.pooled.Unpooled()}
-	return inst, nil
-}
-
-// instance adapts one PooledBag to the driver codec, caching the
-// operandless compiled ops.
-type instance struct {
-	pooled *PooledBag
-	remove removeOp
-	size   sizeOp
-}
+// instance adapts one PooledBag to the driver codec.
+type instance struct{ pooled *PooledBag }
 
 // Compile implements kind.Instance. Only insert carries an operand to
-// check; remove and size return the cached compiled ops without re-running
-// the validation the dispatch paths already performed.
+// check.
 func (b *instance) Compile(req kind.Request) (kind.Compiled, error) {
 	switch req.Op {
 	case "insert":
-		if err := (driver{}).Validate(req); err != nil {
+		if err := checkItem(req.Value); err != nil {
 			return nil, err
 		}
 		return insertOp{b.pooled.Unpooled(), req.Value}, nil
 	case "remove":
-		return b.remove, nil
+		return removeOp{b.pooled.Unpooled()}, nil
 	case "size":
-		return b.size, nil
+		return sizeOp{b.pooled.Unpooled()}, nil
 	}
-	return nil, kind.NotFound("bag has no operation %q (want insert, remove, or size)", req.Op)
+	return nil, driver.UnknownOp(req.Op)
 }
 
 // Unwrap implements kind.Unwrapper, exposing the *PooledBag.

@@ -15,31 +15,33 @@ import (
 )
 
 func init() {
-	kind.Register(counterDriver{})
-	kind.Register(maxregDriver{})
-	kind.Register(snapshotDriver{})
-	kind.Register(objectDriver{})
+	kind.Register(counter)
+	kind.Register(maxreg)
+	kind.Register(snapshot)
+	kind.Register(object)
+}
+
+// objectTypes are the simple types the universal-object kind serves, by
+// their Name. Counter-like and max-register-like workloads also have
+// dedicated kinds with cheaper snapshot-derived implementations; the
+// universal construction carries the rest.
+var objectTypes = []slmem.SimpleType{
+	slmem.SetType{}, slmem.AccumulatorType{}, slmem.RegisterType{}, slmem.CounterType{}, slmem.MaxRegType{},
 }
 
 // ObjectType maps the type names accepted by the universal-object kind to
-// their simple types. Counter-like and max-register-like workloads also
-// have dedicated kinds with cheaper snapshot-derived implementations; the
-// universal construction carries the rest.
+// their simple types.
 func ObjectType(typeName string) (slmem.SimpleType, error) {
-	switch typeName {
-	case "set":
-		return slmem.SetType{}, nil
-	case "accumulator":
-		return slmem.AccumulatorType{}, nil
-	case "register":
-		return slmem.RegisterType{}, nil
-	case "counter":
-		return slmem.CounterType{}, nil
-	case "maxreg":
-		return slmem.MaxRegType{}, nil
-	default:
-		return nil, fmt.Errorf("unknown object type %q (want set, accumulator, register, counter, or maxreg)", typeName)
+	for _, t := range objectTypes {
+		if t.Name() == typeName {
+			return t, nil
+		}
 	}
+	names := make([]string, len(objectTypes))
+	for i, t := range objectTypes {
+		names[i] = t.Name()
+	}
+	return nil, fmt.Errorf("unknown object type %q (want %s)", typeName, kind.Alternatives(names))
 }
 
 // ValidateInvocation checks that invocation is well-formed for the named
@@ -61,58 +63,31 @@ func ValidateInvocation(typeName, invocation string) error {
 
 // --- counter -----------------------------------------------------------------
 
-type counterDriver struct{}
-
-// Kind implements kind.Driver.
-func (counterDriver) Kind() string { return "counter" }
-
-// Doc implements kind.Driver.
-func (counterDriver) Doc() string {
-	return "strongly linearizable counter derived from the snapshot (paper Section 4.5)"
+var counter = kind.Driver{
+	Info: kind.Info{
+		Kind: "counter",
+		Doc:  "strongly linearizable counter derived from the snapshot (paper Section 4.5)",
+		Ops: []kind.OpInfo{
+			{Name: "inc", Doc: "increment the counter"},
+			{Name: "read", Doc: "read the current count"},
+		},
+	},
+	New: func(env kind.Env) (kind.Instance, error) {
+		return &counterInstance{slmem.NewCounter(env.Procs).Pooled(env.Pool)}, nil
+	},
 }
 
-// Ops implements kind.Driver.
-func (counterDriver) Ops() []kind.OpInfo {
-	return []kind.OpInfo{
-		{Name: "inc", Doc: "increment the counter"},
-		{Name: "read", Doc: "read the current count"},
-	}
-}
-
-// Validate implements kind.Driver.
-func (counterDriver) Validate(req kind.Request) error {
-	switch req.Op {
-	case "inc", "read":
-		return nil
-	}
-	return kind.NotFound("counter has no operation %q (want inc or read)", req.Op)
-}
-
-// New implements kind.Driver.
-func (counterDriver) New(env kind.Env) (kind.Instance, error) {
-	inst := &counterInstance{pooled: slmem.NewCounter(env.Procs).Pooled(env.Pool)}
-	inst.inc = counterInc{inst.pooled.Unpooled()}
-	inst.read = counterRead{inst.pooled.Unpooled()}
-	return inst, nil
-}
-
-// counterInstance caches one Compiled per operandless op so compiling the
-// hot inc/read path allocates nothing.
-type counterInstance struct {
-	pooled *slmem.PooledCounter
-	inc    counterInc
-	read   counterRead
-}
+type counterInstance struct{ pooled *slmem.PooledCounter }
 
 // Compile implements kind.Instance.
 func (c *counterInstance) Compile(req kind.Request) (kind.Compiled, error) {
 	switch req.Op {
 	case "inc":
-		return c.inc, nil
+		return counterInc{c.pooled.Unpooled()}, nil
 	case "read":
-		return c.read, nil
+		return counterRead{c.pooled.Unpooled()}, nil
 	}
-	return nil, kind.NotFound("counter has no operation %q (want inc or read)", req.Op)
+	return nil, counter.UnknownOp(req.Op)
 }
 
 // Unwrap implements kind.Unwrapper.
@@ -137,67 +112,51 @@ func (op counterRead) Run(pid int) (kind.Result, error) {
 
 // --- maxreg ------------------------------------------------------------------
 
-type maxregDriver struct{}
-
-// Kind implements kind.Driver.
-func (maxregDriver) Kind() string { return "maxreg" }
-
-// Doc implements kind.Driver.
-func (maxregDriver) Doc() string {
-	return "strongly linearizable max-register derived from the snapshot (paper Section 4.5)"
-}
-
-// Ops implements kind.Driver.
-func (maxregDriver) Ops() []kind.OpInfo {
-	return []kind.OpInfo{
-		{Name: "write", Doc: "raise the register to value if it exceeds the current maximum"},
-		{Name: "read", Doc: "read the largest value ever written"},
-	}
-}
-
-// parseMaxreg validates op + operand, returning the parsed value for write.
-func parseMaxreg(req kind.Request) (uint64, error) {
-	switch req.Op {
-	case "write":
-		v, err := strconv.ParseUint(req.Value, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("maxreg write needs a decimal value: %v", err)
+var maxreg = kind.Driver{
+	Info: kind.Info{
+		Kind: "maxreg",
+		Doc:  "strongly linearizable max-register derived from the snapshot (paper Section 4.5)",
+		Ops: []kind.OpInfo{
+			{Name: "write", Doc: "raise the register to value if it exceeds the current maximum"},
+			{Name: "read", Doc: "read the largest value ever written"},
+		},
+	},
+	Operands: func(req kind.Request) error {
+		if req.Op != "write" {
+			return nil
 		}
-		return v, nil
-	case "read":
-		return 0, nil
+		_, err := parseMaxregValue(req.Value)
+		return err
+	},
+	New: func(env kind.Env) (kind.Instance, error) {
+		return &maxregInstance{slmem.NewMaxRegister(env.Procs).Pooled(env.Pool)}, nil
+	},
+}
+
+// parseMaxregValue parses the operand of a write.
+func parseMaxregValue(s string) (uint64, error) {
+	v, err := strconv.ParseUint(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("maxreg write needs a decimal value: %v", err)
 	}
-	return 0, kind.NotFound("maxreg has no operation %q (want write or read)", req.Op)
+	return v, nil
 }
 
-// Validate implements kind.Driver.
-func (maxregDriver) Validate(req kind.Request) error {
-	_, err := parseMaxreg(req)
-	return err
-}
-
-// New implements kind.Driver.
-func (maxregDriver) New(env kind.Env) (kind.Instance, error) {
-	inst := &maxregInstance{pooled: slmem.NewMaxRegister(env.Procs).Pooled(env.Pool)}
-	inst.read = maxregRead{inst.pooled.Unpooled()}
-	return inst, nil
-}
-
-type maxregInstance struct {
-	pooled *slmem.PooledMaxRegister
-	read   maxregRead
-}
+type maxregInstance struct{ pooled *slmem.PooledMaxRegister }
 
 // Compile implements kind.Instance.
 func (m *maxregInstance) Compile(req kind.Request) (kind.Compiled, error) {
-	v, err := parseMaxreg(req)
-	if err != nil {
-		return nil, err
+	switch req.Op {
+	case "write":
+		v, err := parseMaxregValue(req.Value)
+		if err != nil {
+			return nil, err
+		}
+		return maxregWrite{m.pooled.Unpooled(), v}, nil
+	case "read":
+		return maxregRead{m.pooled.Unpooled()}, nil
 	}
-	if req.Op == "read" {
-		return m.read, nil
-	}
-	return maxregWrite{m.pooled.Unpooled(), v}, nil
+	return nil, maxreg.UnknownOp(req.Op)
 }
 
 // Unwrap implements kind.Unwrapper.
@@ -225,44 +184,21 @@ func (op maxregRead) Run(pid int) (kind.Result, error) {
 
 // --- snapshot ----------------------------------------------------------------
 
-type snapshotDriver struct{}
-
-// Kind implements kind.Driver.
-func (snapshotDriver) Kind() string { return "snapshot" }
-
-// Doc implements kind.Driver.
-func (snapshotDriver) Doc() string {
-	return "the paper's bounded-space strongly linearizable single-writer snapshot (Algorithm 3)"
+var snapshot = kind.Driver{
+	Info: kind.Info{
+		Kind: "snapshot",
+		Doc:  "the paper's bounded-space strongly linearizable single-writer snapshot (Algorithm 3)",
+		Ops: []kind.OpInfo{
+			{Name: "update", Doc: "set the leased pid's component to value"},
+			{Name: "scan", Doc: "read a consistent view of all components"},
+		},
+	},
+	New: func(env kind.Env) (kind.Instance, error) {
+		return &snapshotInstance{slmem.NewSnapshot[string](env.Procs, "").Pooled(env.Pool)}, nil
+	},
 }
 
-// Ops implements kind.Driver.
-func (snapshotDriver) Ops() []kind.OpInfo {
-	return []kind.OpInfo{
-		{Name: "update", Doc: "set the leased pid's component to value"},
-		{Name: "scan", Doc: "read a consistent view of all components"},
-	}
-}
-
-// Validate implements kind.Driver.
-func (snapshotDriver) Validate(req kind.Request) error {
-	switch req.Op {
-	case "update", "scan":
-		return nil
-	}
-	return kind.NotFound("snapshot has no operation %q (want update or scan)", req.Op)
-}
-
-// New implements kind.Driver.
-func (snapshotDriver) New(env kind.Env) (kind.Instance, error) {
-	inst := &snapshotInstance{pooled: slmem.NewSnapshot[string](env.Procs, "").Pooled(env.Pool)}
-	inst.scan = snapshotScan{inst.pooled.Unpooled()}
-	return inst, nil
-}
-
-type snapshotInstance struct {
-	pooled *slmem.Pool[string]
-	scan   snapshotScan
-}
+type snapshotInstance struct{ pooled *slmem.Pool[string] }
 
 // Compile implements kind.Instance.
 func (s *snapshotInstance) Compile(req kind.Request) (kind.Compiled, error) {
@@ -270,9 +206,9 @@ func (s *snapshotInstance) Compile(req kind.Request) (kind.Compiled, error) {
 	case "update":
 		return snapshotUpdate{s.pooled.Unpooled(), req.Value}, nil
 	case "scan":
-		return s.scan, nil
+		return snapshotScan{s.pooled.Unpooled()}, nil
 	}
-	return nil, kind.NotFound("snapshot has no operation %q (want update or scan)", req.Op)
+	return nil, snapshot.UnknownOp(req.Op)
 }
 
 // Unwrap implements kind.Unwrapper.
@@ -301,47 +237,28 @@ func (op snapshotScan) Run(pid int) (kind.Result, error) {
 
 // --- universal object --------------------------------------------------------
 
-type objectDriver struct{}
-
-// Kind implements kind.Driver.
-func (objectDriver) Kind() string { return "object" }
-
-// Doc implements kind.Driver.
-func (objectDriver) Doc() string {
-	return "Aspnes–Herlihy universal construction over a simple type (paper Theorem 3)"
-}
-
-// Ops implements kind.Driver.
-func (objectDriver) Ops() []kind.OpInfo {
-	return []kind.OpInfo{
-		{Name: "execute", Doc: "run one invocation (type + invocation fields) against the object"},
-	}
-}
-
-// Validate implements kind.Driver: reject unknown ops, unknown types, and
-// malformed invocations before any object exists.
-func (objectDriver) Validate(req kind.Request) error {
-	if req.Op != "execute" {
-		return kind.NotFound("object has no operation %q (want execute)", req.Op)
-	}
-	return ValidateInvocation(req.Type, req.Invocation)
-}
-
-// New implements kind.Driver: the creating request's Type parameterizes the
-// instance, and history truncation is on with the default collection window,
-// so a long-lived instance's memory is bounded by its process count and
-// window rather than its operation count.
-func (objectDriver) New(env kind.Env) (kind.Instance, error) {
-	t, err := ObjectType(env.Req.Type)
-	if err != nil {
-		return nil, err
-	}
-	obj := slmem.NewObject(t, env.Procs)
-	obj.SetGC(slmem.ObjectGCOptions{Window: slmem.DefaultObjectGCWindow})
-	return &objectInstance{
-		typeName: env.Req.Type,
-		pooled:   obj.Pooled(env.Pool),
-	}, nil
+// object's New reads the type from the creating request, and turns history
+// truncation on with the default collection window, so a long-lived
+// instance's memory is bounded by its process count and window rather than
+// its operation count.
+var object = kind.Driver{
+	Info: kind.Info{
+		Kind: "object",
+		Doc:  "Aspnes–Herlihy universal construction over a simple type (paper Theorem 3)",
+		Ops: []kind.OpInfo{
+			{Name: "execute", Doc: "run one invocation (type + invocation fields) against the object"},
+		},
+	},
+	Operands: func(req kind.Request) error { return ValidateInvocation(req.Type, req.Invocation) },
+	New: func(env kind.Env) (kind.Instance, error) {
+		t, err := ObjectType(env.Req.Type)
+		if err != nil {
+			return nil, err
+		}
+		obj := slmem.NewObject(t, env.Procs)
+		obj.SetGC(slmem.ObjectGCOptions{Window: slmem.DefaultObjectGCWindow})
+		return &objectInstance{typeName: env.Req.Type, pooled: obj.Pooled(env.Pool)}, nil
+	},
 }
 
 type objectInstance struct {
@@ -358,7 +275,7 @@ type objectInstance struct {
 // between two ops of one batch.
 func (o *objectInstance) Compile(req kind.Request) (kind.Compiled, error) {
 	if req.Op != "execute" {
-		return nil, kind.NotFound("object has no operation %q (want execute)", req.Op)
+		return nil, object.UnknownOp(req.Op)
 	}
 	if req.Type != o.typeName {
 		return nil, kind.Conflict("object already exists with type %q, not %q", o.typeName, req.Type)

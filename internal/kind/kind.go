@@ -3,13 +3,16 @@
 // ...) plug into internal/registry, internal/server, and the cmds without
 // any of those layers naming a kind explicitly.
 //
-// A driver, in the spirit of database/sql driver registration, declares
+// A driver, in the spirit of database/sql driver registration, is one
+// Driver value declaring
 //
-//   - a kind name and an op list (introspection: GET /v1/kinds),
+//   - a kind name and an op table (introspection: GET /v1/kinds), from
+//     which this package answers every op-name question — Validate refuses
+//     an undeclared op and UnknownOp spells the refusal,
+//   - an operand check, Operands, for the ops that take one,
 //   - a constructor New that builds one named instance over a pid pool,
-//   - a typed op codec: Validate rejects requests that can never succeed
-//     (before any object is created), and Instance.Compile turns a request
-//     into an executable Compiled step bound to the instance.
+//     whose Instance.Compile turns a request into an executable Compiled
+//     step bound to the instance.
 //
 // Every instance of every kind leases from the registry's one pool of n
 // process ids: the paper's objects share one fixed set of n processes, so one
@@ -17,7 +20,9 @@
 //
 // Drivers register themselves in an init function:
 //
-//	func init() { kind.Register(bagDriver{}) }
+//	var bagDriver = kind.Driver{Info: kind.Info{Kind: "bag", Ops: ...}, New: newBag}
+//
+//	func init() { kind.Register(bagDriver) }
 //
 // and from then on the registry, the batch compiler and the HTTP server serve
 // the kind with zero edits — that is the contract this package exists to
@@ -29,6 +34,7 @@ package kind
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -84,9 +90,9 @@ type Compiled interface {
 type Instance interface {
 	// Compile validates req against this instance and returns the executable
 	// step. It must not execute the operation and must return an error (not
-	// panic) for ops the instance cannot run — including per-instance
-	// conflicts such as a universal object addressed with the wrong type,
-	// reported via Conflict so HTTP maps it to 409.
+	// panic) for ops the instance cannot run: its driver's UnknownOp for an
+	// op outside the op table, and Conflict (HTTP 409) for per-instance
+	// conflicts such as a universal object addressed with the wrong type.
 	Compile(req Request) (Compiled, error)
 }
 
@@ -122,25 +128,80 @@ type Env struct {
 	Req Request
 }
 
-// Driver creates and describes instances of one object kind.
-type Driver interface {
-	// Kind returns the kind name, e.g. "counter". It must be non-empty,
-	// must not contain '/', and is the path segment HTTP clients use.
-	Kind() string
-	// Doc returns a one-line description of the kind.
-	Doc() string
-	// Ops lists the supported operations in stable order.
-	Ops() []OpInfo
-	// Validate reports whether req could ever succeed against some instance
-	// of this kind, without creating or touching any object: unknown ops
-	// (wrapped as NotFound), malformed operands, and unknown types must be
-	// rejected here so doomed requests never register objects.
-	Validate(req Request) error
+// Info is the introspection record of one kind, the unit of GET /v1/kinds
+// replies.
+type Info struct {
+	// Kind is the kind name, e.g. "counter". It must be non-empty, must not
+	// contain '/', and is the path segment HTTP clients use.
+	Kind string `json:"kind"`
+	// Doc is a one-line description of the kind.
+	Doc string `json:"doc,omitempty"`
+	// Ops is the op table: every operation the kind supports, in stable
+	// order.
+	Ops []OpInfo `json:"ops"`
+}
+
+// Driver declares one object kind.
+type Driver struct {
+	Info
+	// Operands checks the operands of a request whose op is declared, without
+	// creating or touching any object: malformed operands and unknown types
+	// must be rejected here so doomed requests never register objects. It is
+	// nil when no op takes an operand.
+	Operands func(Request) error
 	// New creates the named instance from a request that already passed
 	// Validate. Concurrent first uses of one name may call it more than once;
 	// the registry keeps one result and drops the rest, so New must do
 	// nothing but build the instance.
-	New(env Env) (Instance, error)
+	New func(Env) (Instance, error)
+}
+
+// Declares reports whether op is in the driver's op table.
+func (d *Driver) Declares(op string) bool {
+	for i := range d.Ops {
+		if d.Ops[i].Name == op {
+			return true
+		}
+	}
+	return false
+}
+
+// Validate reports whether req could ever succeed against some instance of
+// the kind: an undeclared op is UnknownOp, and a declared one is left to
+// Operands.
+func (d *Driver) Validate(req Request) error {
+	if !d.Declares(req.Op) {
+		return d.UnknownOp(req.Op)
+	}
+	if d.Operands == nil {
+		return nil
+	}
+	return d.Operands(req)
+}
+
+// UnknownOp builds the canonical error for an op outside the driver's op
+// table, classified as not-found; every Instance.Compile returns it for an op
+// it does not know.
+func (d *Driver) UnknownOp(op string) error {
+	names := make([]string, len(d.Ops))
+	for i := range d.Ops {
+		names[i] = d.Ops[i].Name
+	}
+	return NotFound("%s has no operation %q (want %s)", d.Kind, op, Alternatives(names))
+}
+
+// Alternatives lists names as English alternatives: "a", "a or b",
+// "a, b, or c".
+func Alternatives(names []string) string {
+	switch len(names) {
+	case 0:
+		return ""
+	case 1:
+		return names[0]
+	case 2:
+		return names[0] + " or " + names[1]
+	}
+	return strings.Join(names[:len(names)-1], ", ") + ", or " + names[len(names)-1]
 }
 
 // --- Error classification ----------------------------------------------------
@@ -196,12 +257,12 @@ var ReservedOps = []string{"names", "stats"}
 // resolve vocabulary bytes to strings without allocating.
 var (
 	regMu    sync.Mutex
-	drivers  atomic.Pointer[map[string]Driver]
+	drivers  atomic.Pointer[map[string]*Driver]
 	interned atomic.Pointer[map[string]string]
 )
 
 func init() {
-	m := map[string]Driver{}
+	m := map[string]*Driver{}
 	drivers.Store(&m)
 	in := make(map[string]string, len(ReservedOps))
 	for _, op := range ReservedOps {
@@ -210,42 +271,45 @@ func init() {
 	interned.Store(&in)
 }
 
-// Register makes a driver available under its kind name. It panics if the
-// name is empty, contains '/', collides with a registered driver, or
-// declares a reserved op — all programmer errors, following database/sql.
-// Safe for concurrent use.
+// Register makes a driver available under its kind name, keeping its own
+// copy of the op table. It panics if the name is empty, contains '/',
+// collides with a registered driver, or declares a reserved op, or if New is
+// nil — all programmer errors, following database/sql. Safe for concurrent
+// use.
 func Register(d Driver) {
-	name := d.Kind()
+	name := d.Kind
 	if name == "" || strings.ContainsRune(name, '/') {
 		panic(fmt.Sprintf("kind: invalid kind name %q", name))
 	}
-	for _, op := range d.Ops() {
-		for _, reserved := range ReservedOps {
-			if op.Name == reserved {
-				panic(fmt.Sprintf("kind: driver %q declares reserved op %q", name, reserved))
-			}
+	if d.New == nil {
+		panic(fmt.Sprintf("kind: driver %q has no New", name))
+	}
+	for _, op := range d.Ops {
+		if slices.Contains(ReservedOps, op.Name) {
+			panic(fmt.Sprintf("kind: driver %q declares reserved op %q", name, op.Name))
 		}
 	}
+	d.Ops = slices.Clone(d.Ops)
 	regMu.Lock()
 	defer regMu.Unlock()
 	old := *drivers.Load()
 	if _, dup := old[name]; dup {
 		panic(fmt.Sprintf("kind: Register called twice for kind %q", name))
 	}
-	next := make(map[string]Driver, len(old)+1)
+	next := make(map[string]*Driver, len(old)+1)
 	for k, v := range old {
 		next[k] = v
 	}
-	next[name] = d
+	next[name] = &d
 	drivers.Store(&next)
 
 	oldIn := *interned.Load()
-	nextIn := make(map[string]string, len(oldIn)+1+len(d.Ops()))
+	nextIn := make(map[string]string, len(oldIn)+1+len(d.Ops))
 	for k, v := range oldIn {
 		nextIn[k] = v
 	}
 	nextIn[name] = name
-	for _, op := range d.Ops() {
+	for _, op := range d.Ops {
 		nextIn[op.Name] = op.Name
 	}
 	interned.Store(&nextIn)
@@ -262,9 +326,10 @@ func Intern(b []byte) (s string, ok bool) {
 	return s, ok
 }
 
-// Lookup returns the driver registered under name. The fast path is one
-// atomic load; safe for concurrent use with Register.
-func Lookup(name string) (Driver, bool) {
+// Lookup returns the driver registered under name, which callers must not
+// modify. The fast path is one atomic load; safe for concurrent use with
+// Register.
+func Lookup(name string) (*Driver, bool) {
 	d, ok := (*drivers.Load())[name]
 	return d, ok
 }
@@ -280,25 +345,16 @@ func Names() []string {
 	return names
 }
 
-// Info is the introspection record for one registered driver, the unit of
-// GET /v1/kinds replies.
-type Info struct {
-	// Kind is the kind name.
-	Kind string `json:"kind"`
-	// Doc is the driver's one-line description.
-	Doc string `json:"doc,omitempty"`
-	// Ops lists the supported operations.
-	Ops []OpInfo `json:"ops"`
-}
-
-// Describe returns introspection records for every registered driver,
-// sorted by kind name. It reads one snapshot of the driver map, so a kind
-// registered meanwhile is either described whole or absent.
+// Describe returns copies of the registered Infos, sorted by kind name. It
+// reads one snapshot of the driver map, so a kind registered meanwhile is
+// either described whole or absent.
 func Describe() []Info {
 	m := *drivers.Load()
 	infos := make([]Info, 0, len(m))
 	for _, d := range m {
-		infos = append(infos, Info{Kind: d.Kind(), Doc: d.Doc(), Ops: d.Ops()})
+		info := d.Info
+		info.Ops = slices.Clone(info.Ops)
+		infos = append(infos, info)
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Kind < infos[j].Kind })
 	return infos

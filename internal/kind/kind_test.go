@@ -17,18 +17,12 @@ var runs atomic.Int64
 
 func fresh(name string) string { return fmt.Sprintf("%s-%d", name, runs.Add(1)) }
 
-// stubDriver is a minimal driver for registration tests.
-type stubDriver struct {
-	name string
-	ops  []OpInfo
-}
-
-func (d stubDriver) Kind() string           { return d.name }
-func (d stubDriver) Doc() string            { return "stub" }
-func (d stubDriver) Ops() []OpInfo          { return d.ops }
-func (d stubDriver) Validate(Request) error { return nil }
-func (d stubDriver) New(env Env) (Instance, error) {
-	return stubInstance{}, nil
+// stub is a minimal driver for registration tests.
+func stub(name string, ops ...OpInfo) Driver {
+	return Driver{
+		Info: Info{Kind: name, Doc: "stub", Ops: ops},
+		New:  func(Env) (Instance, error) { return stubInstance{}, nil },
+	}
 }
 
 type stubInstance struct{}
@@ -43,14 +37,13 @@ func (stubCompiled) Run(pid int) (Result, error) { return Result{Value: "stub"},
 
 func TestRegisterLookupDescribe(t *testing.T) {
 	alpha := fresh("test-alpha")
-	d := stubDriver{name: alpha, ops: []OpInfo{{Name: "poke", Doc: "pokes"}}}
-	Register(d)
+	Register(stub(alpha, OpInfo{Name: "poke", Doc: "pokes"}))
 	got, ok := Lookup(alpha)
 	if !ok {
 		t.Fatal("registered driver not found")
 	}
-	if got.Kind() != alpha {
-		t.Fatalf("Lookup returned driver %q", got.Kind())
+	if got.Kind != alpha {
+		t.Fatalf("Lookup returned driver %q", got.Kind)
 	}
 	if _, ok := Lookup("test-never-registered"); ok {
 		t.Fatal("unregistered kind found")
@@ -79,18 +72,49 @@ func TestRegisterRejectsBadDrivers(t *testing.T) {
 		}()
 		Register(d)
 	}
-	mustPanic("empty name", stubDriver{name: ""})
-	mustPanic("slash in name", stubDriver{name: "a/b"})
-	mustPanic("reserved op", stubDriver{name: "test-reserved", ops: []OpInfo{{Name: "names"}}})
+	mustPanic("empty name", stub(""))
+	mustPanic("slash in name", stub("a/b"))
+	mustPanic("reserved op", stub("test-reserved", OpInfo{Name: "names"}))
+	mustPanic("nil New", Driver{Info: Info{Kind: fresh("test-no-new")}})
 
 	dup := fresh("test-dup")
-	Register(stubDriver{name: dup})
-	mustPanic("duplicate", stubDriver{name: dup})
+	Register(stub(dup))
+	mustPanic("duplicate", stub(dup))
+}
+
+// TestRegisterOwnsOpTable: a caller that writes its Driver's op table after
+// Register changes neither what Describe reports nor what Validate accepts.
+func TestRegisterOwnsOpTable(t *testing.T) {
+	name := fresh("test-owned")
+	d := stub(name, OpInfo{Name: "poke"})
+	Register(d)
+	d.Ops[0].Name = "prod"
+
+	got, _ := Lookup(name)
+	if err := got.Validate(Request{Op: "poke"}); err != nil {
+		t.Errorf("Validate(poke) = %v after the caller renamed it", err)
+	}
+	if err := got.Validate(Request{Op: "prod"}); !IsNotFound(err) {
+		t.Errorf("Validate(prod) = %v, want NotFound", err)
+	}
+	for _, info := range Describe() {
+		if info.Kind == name {
+			if info.Ops[0].Name != "poke" {
+				t.Errorf("Describe ops = %+v after the caller renamed one", info.Ops)
+			}
+			info.Ops[0].Name = "prod" // a copy: the next Describe must not see it
+		}
+	}
+	for _, info := range Describe() {
+		if info.Kind == name && info.Ops[0].Name != "poke" {
+			t.Errorf("Describe ops = %+v after a reader wrote an earlier reply", info.Ops)
+		}
+	}
 }
 
 func TestNamesSorted(t *testing.T) {
-	Register(stubDriver{name: fresh("test-zz")})
-	Register(stubDriver{name: fresh("test-aa")})
+	Register(stub(fresh("test-zz")))
+	Register(stub(fresh("test-aa")))
 	names := Names()
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
@@ -134,7 +158,7 @@ func TestConcurrentRegistration(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			Register(stubDriver{name: fmt.Sprintf("%s-%d", conc, w)})
+			Register(stub(fmt.Sprintf("%s-%d", conc, w)))
 		}()
 	}
 	for w := 0; w < writers; w++ {
@@ -181,7 +205,7 @@ func TestErrorClassification(t *testing.T) {
 // through to instances.
 func TestEnvCarriesPool(t *testing.T) {
 	pool := slmem.NewPIDPool(2)
-	d := stubDriver{name: fresh("test-env")}
+	d := stub(fresh("test-env"))
 	Register(d)
 	inst, err := d.New(Env{Name: "n", Procs: 2, Pool: pool})
 	if err != nil {

@@ -125,6 +125,35 @@ func TestBatchExecuteAllocs(t *testing.T) {
 	}
 }
 
+// TestOperandlessCompileAllocs: compiling an op that takes no operand
+// allocates nothing, since its compiled step is one pointer, which an
+// interface holds as it is.
+func TestOperandlessCompileAllocs(t *testing.T) {
+	r := New(Options{Procs: 2})
+	for _, tc := range []struct {
+		k  Kind
+		op string
+	}{
+		{KindCounter, "inc"}, {KindCounter, "read"},
+		{KindMaxRegister, "read"},
+		{KindSnapshot, "scan"},
+		{"bag", "remove"}, {"bag", "size"},
+	} {
+		req := kind.Request{Op: tc.op}
+		inst, _, err := r.Get(tc.k, "operandless", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			if _, err := inst.Compile(req); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s %s: Compile = %.2f allocs, want 0", tc.k, tc.op, allocs)
+		}
+	}
+}
+
 // TestObjectCompileAllocs pins the compiled-op memo of an object instance: a
 // repeated invocation compiles to the op its first validation built, without
 // a dry run of the spec and without an allocation, and the memo is never the

@@ -19,28 +19,16 @@ import (
 
 // gaugeDriver is a test driver whose instances count op executions, so the
 // driver path is exercised with a kind the registry was not built with.
-type gaugeDriver struct{}
-
-func (gaugeDriver) Kind() string { return "testgauge" }
-func (gaugeDriver) Doc() string  { return "test gauge" }
-func (gaugeDriver) Ops() []kind.OpInfo {
-	return []kind.OpInfo{{Name: "bump", Doc: "bump the gauge"}}
-}
-func (gaugeDriver) Validate(req kind.Request) error {
-	if req.Op != "bump" {
-		return kind.NotFound("testgauge has no operation %q (want bump)", req.Op)
-	}
-	return nil
-}
-func (gaugeDriver) New(env kind.Env) (kind.Instance, error) {
-	return &gaugeInstance{}, nil
+var gaugeDriver = kind.Driver{
+	Info: kind.Info{Kind: "testgauge", Doc: "test gauge", Ops: []kind.OpInfo{{Name: "bump", Doc: "bump the gauge"}}},
+	New:  func(kind.Env) (kind.Instance, error) { return &gaugeInstance{}, nil },
 }
 
 type gaugeInstance struct{ bumps atomic.Int64 }
 
 func (g *gaugeInstance) Compile(req kind.Request) (kind.Compiled, error) {
 	if req.Op != "bump" {
-		return nil, kind.NotFound("testgauge has no operation %q (want bump)", req.Op)
+		return nil, gaugeDriver.UnknownOp(req.Op)
 	}
 	return gaugeBump{g}, nil
 }
@@ -56,7 +44,7 @@ var registerGauge sync.Once
 
 func gaugeKind(t *testing.T) Kind {
 	t.Helper()
-	registerGauge.Do(func() { kind.Register(gaugeDriver{}) })
+	registerGauge.Do(func() { kind.Register(gaugeDriver) })
 	return "testgauge"
 }
 
@@ -282,14 +270,10 @@ func TestGetConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// slowDriver is the gauge under another kind name whose New, for a name
-// with a hook in slowHooks, counts the call and waits for the hook's gate
-// to close, so a test can hold a creation open while it does other things.
-type slowDriver struct{ gaugeDriver }
-
-func (slowDriver) Kind() string { return "testslow" }
-
-func (slowDriver) New(env kind.Env) (kind.Instance, error) {
+// slowNew is the gauge's New for another kind name: for a name with a hook
+// in slowHooks, it counts the call and waits for the hook's gate to close, so
+// a test can hold a creation open while it does other things.
+func slowNew(env kind.Env) (kind.Instance, error) {
 	if h, ok := slowHooks.Load(env.Name); ok {
 		h := h.(*slowHook)
 		h.calls.Add(1)
@@ -315,7 +299,11 @@ var (
 // name, whose New calls (at most calls of them) wait for close(h.gate).
 func slowKind(t *testing.T, calls int) (Kind, string, *slowHook) {
 	t.Helper()
-	registerSlow.Do(func() { kind.Register(slowDriver{}) })
+	registerSlow.Do(func() {
+		d := gaugeDriver
+		d.Kind, d.New = "testslow", slowNew
+		kind.Register(d)
+	})
 	name := fmt.Sprintf("slow-%d", slowNames.Add(1))
 	h := &slowHook{entered: make(chan struct{}, calls), gate: make(chan struct{})}
 	slowHooks.Store(name, h)
@@ -492,6 +480,41 @@ func TestDriverPathSpaceBounds(t *testing.T) {
 			t.Errorf("LiveCells = %d after %d insert+remove rounds, want <= 1024", st.LiveCells, rounds)
 		}
 	})
+}
+
+// TestUnknownOpErrors pins every built-in kind's unknown-op reply: Validate
+// and a direct Compile (how the matrix's and slload's in-process targets
+// call it) return the same NotFound, with the text clients have always seen.
+func TestUnknownOpErrors(t *testing.T) {
+	r := New(Options{Procs: 2})
+	for _, tc := range []struct {
+		k      Kind
+		create kind.Request
+		want   string
+	}{
+		{KindCounter, kind.Request{}, `counter has no operation "bogus" (want inc or read)`},
+		{KindMaxRegister, kind.Request{}, `maxreg has no operation "bogus" (want write or read)`},
+		{KindSnapshot, kind.Request{}, `snapshot has no operation "bogus" (want update or scan)`},
+		{KindObject, kind.Request{Type: "counter"}, `object has no operation "bogus" (want execute)`},
+		{"bag", kind.Request{}, `bag has no operation "bogus" (want insert, remove, or size)`},
+	} {
+		d, ok := kind.Lookup(string(tc.k))
+		if !ok {
+			t.Fatalf("%s is not registered", tc.k)
+		}
+		inst, _, err := r.Get(tc.k, "unknown-op", tc.create)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bogus := tc.create
+		bogus.Op = "bogus"
+		_, compileErr := inst.Compile(bogus)
+		for via, err := range map[string]error{"Validate": d.Validate(bogus), "Compile": compileErr} {
+			if !kind.IsNotFound(err) || err.Error() != tc.want {
+				t.Errorf("%s: %s = %v, want NotFound %q", tc.k, via, err, tc.want)
+			}
+		}
+	}
 }
 
 // TestDriverContract holds every registered driver to what the layers above

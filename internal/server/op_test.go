@@ -14,28 +14,23 @@ import (
 	"slmem/internal/registry"
 )
 
-// failDriver is a test-only kind whose one op passes validation and fails
-// when it runs: the error a driver returns once it holds a lease. It is its
-// own instance and compiled step.
-type failDriver struct{}
+// failStep is a test-only kind's instance and compiled step: its one op
+// passes validation and fails when it runs, the error a driver returns once
+// it holds a lease.
+type failStep struct{}
 
 var errRunFailed = errors.New("testfail: run failed")
 
-func (failDriver) Kind() string                                { return "testfail" }
-func (failDriver) Doc() string                                 { return "test-only: every run fails" }
-func (failDriver) Ops() []kind.OpInfo                          { return []kind.OpInfo{{Name: "fail"}} }
-func (failDriver) New(kind.Env) (kind.Instance, error)         { return failDriver{}, nil }
-func (failDriver) Compile(kind.Request) (kind.Compiled, error) { return failDriver{}, nil }
-func (failDriver) Run(int) (kind.Result, error)                { return kind.Result{}, errRunFailed }
-func (failDriver) Validate(req kind.Request) error {
-	if req.Op != "fail" {
-		return kind.NotFound("testfail has no operation %q (want fail)", req.Op)
-	}
-	return nil
-}
+func (failStep) Compile(kind.Request) (kind.Compiled, error) { return failStep{}, nil }
+func (failStep) Run(int) (kind.Result, error)                { return kind.Result{}, errRunFailed }
 
 // Registered once per process: -cpu 1,4 runs every test twice in one binary.
-func init() { kind.Register(failDriver{}) }
+func init() {
+	kind.Register(kind.Driver{
+		Info: kind.Info{Kind: "testfail", Doc: "test-only: every run fails", Ops: []kind.OpInfo{{Name: "fail"}}},
+		New:  func(kind.Env) (kind.Instance, error) { return failStep{}, nil },
+	})
+}
 
 // TestOpRequestDeadClient sends a single operation whose client has already
 // gone: it is refused with 503 before anything happens, so no object is

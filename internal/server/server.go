@@ -132,16 +132,13 @@ func (s *Server) countEndpoint(label string) {
 }
 
 // endpointLabel maps a single-operation route to its bounded endpoint label:
-// "kind/op" when both path segments are registered vocabulary, "other"
+// "kind/op" when the kind is registered and declares the op, "other"
 // otherwise (so arbitrary request paths cannot grow the stats map).
 func endpointLabel(kindName, op string) string {
-	if _, ok := kind.Lookup(kindName); !ok {
-		return "other"
+	if d, ok := kind.Lookup(kindName); ok && d.Declares(op) {
+		return kindName + "/" + op
 	}
-	if _, ok := kind.Intern([]byte(op)); !ok {
-		return "other"
-	}
-	return kindName + "/" + op
+	return "other"
 }
 
 // Request is the JSON body accepted by every operation endpoint; fields are
@@ -315,8 +312,8 @@ type Stats struct {
 	InFlight    int64 `json:"in_flight"`
 	MaxInFlight int64 `json:"max_in_flight"`
 	// Endpoints counts requests per endpoint: "kind/op" for registered
-	// single-operation routes, "batch"/"kinds"/"stats" for the fixed routes,
-	// "other" for unregistered vocabulary.
+	// single-operation routes (a registered kind and an op it declares),
+	// "batch"/"kinds"/"stats" for the fixed routes, "other" for the rest.
 	Endpoints map[string]int64 `json:"endpoints"`
 	Ops       map[string]int64 `json:"ops"`
 	Registry  registry.Stats   `json:"registry"`

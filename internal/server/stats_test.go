@@ -66,6 +66,21 @@ func TestStatsEndpointCounts(t *testing.T) {
 	}
 }
 
+// TestStatsEndpointsUndeclaredOp: an op the kind does not declare is a 404
+// and counts under "other", whether another kind declares it (scan), the
+// registry reserves it for batches (names) or nothing knows it (bogus).
+func TestStatsEndpointsUndeclaredOp(t *testing.T) {
+	srv := New(registry.Options{Procs: 2})
+	for _, op := range []string{"scan", "names", "bogus"} {
+		if rec := do(t, srv, "POST", "/v1/counter/c/"+op, nil); rec.Code != 404 {
+			t.Errorf("POST /v1/counter/c/%s: %d %s, want 404", op, rec.Code, rec.Body)
+		}
+	}
+	if got := srv.Stats().Endpoints; len(got) != 1 || got["other"] != 3 {
+		t.Errorf("endpoints = %v, want only other: 3", got)
+	}
+}
+
 func TestStatsMaxInFlightTracksConcurrency(t *testing.T) {
 	srv := New(registry.Options{Procs: 1})
 

@@ -159,18 +159,6 @@ type node struct {
 	preceding  []*node // view[i] at this operation's scan; nil = ⊥
 }
 
-// Root is the snapshot interface the construction needs. Theorem 3 requires
-// a strongly linearizable implementation (internal/core); a merely
-// linearizable one still yields a linearizable object (Aspnes–Herlihy).
-//
-// View is the snapshot's scan as the snapshot stores it — shared, never
-// written: the construction only reads a view, and keeps it as its node's
-// preceding vector, which it never writes through either.
-type Root interface {
-	Update(pid int, x *node)
-	View(pid int) []*node
-}
-
 // anchor is the one record of the package doc: a linearized index prefix, the
 // sequential state it replays to, and a truncation-root version. A published
 // record and a truncation root are immutable; a process's private anchors are
@@ -259,10 +247,15 @@ type CacheStats struct {
 // Methods take the calling process id; at most one goroutine may drive a
 // given pid at a time.
 type Object struct {
-	t       Type
-	sp      spec.Spec
-	n       int
-	root    Root
+	t  Type
+	sp spec.Spec
+	n  int
+	// root is the strongly linearizable snapshot of internal/core that
+	// Theorem 3 requires. Its View is the scan as the snapshot stores it —
+	// shared, never written: the construction only reads a view, and keeps
+	// it as its node's preceding vector, which it never writes through
+	// either.
+	root    *core.Snapshot[*node]
 	caching bool
 	local   []plocal
 	// trunc is the truncation root: the floor under every replay. Only a
@@ -278,11 +271,6 @@ type Object struct {
 // internal/core, yielding a lock-free strongly linearizable implementation
 // (Theorem 3).
 func New(alloc memory.Allocator, t Type, n int) *Object {
-	return NewWithRoot(t, n, core.New[*node](alloc, n, nil))
-}
-
-// NewWithRoot constructs the object over an explicit root snapshot.
-func NewWithRoot(t Type, n int, root Root) *Object {
 	if n < 1 {
 		panic(fmt.Sprintf("universal: n = %d, need at least 1 process", n))
 	}
@@ -290,7 +278,7 @@ func NewWithRoot(t Type, n int, root Root) *Object {
 		t:       t,
 		sp:      t.Spec(),
 		n:       n,
-		root:    root,
+		root:    core.New[*node](alloc, n, nil),
 		caching: true,
 		local:   make([]plocal, n),
 	}
@@ -368,7 +356,7 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 		invocation: invoke,
 		pid:        p,
 		index:      l.index,
-		preceding:  view, // lines 88-90 (a stored view is immutable: see Root)
+		preceding:  view, // lines 88-90 (a stored view is immutable: see Object.root)
 	}
 	l.index++
 	o.root.Update(p, e) // line 91

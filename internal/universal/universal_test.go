@@ -121,6 +121,19 @@ func TestExecuteRejectsBadInvocation(t *testing.T) {
 	}
 }
 
+// TestNewRefusesNoProcesses: New refuses n < 1 with this package's message,
+// before the snapshot it builds can refuse with core's.
+func TestNewRefusesNoProcesses(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "universal: n = 0, need at least 1 process"; msg != want {
+			t.Errorf("New(n = 0) panicked with %q, want %q", msg, want)
+		}
+	}()
+	var alloc memory.NativeAllocator
+	New(&alloc, CounterType{}, 0)
+}
+
 func TestSequentialRandomAgainstSpec(t *testing.T) {
 	const n = 3
 	builders := map[string]struct {
