@@ -245,14 +245,8 @@ type Linearizable[V any] struct {
 // NewLinearizable constructs Algorithm 1 for n processes over comparable
 // values, initialized to initial (the paper's ⊥).
 func NewLinearizable[V comparable](alloc memory.Allocator, n int, initial V) *Linearizable[V] {
-	return NewLinearizableFunc(alloc, n, initial, func(a, b V) bool { return a == b })
-}
-
-// NewLinearizableFunc is NewLinearizable with an explicit value-equality
-// function, for value types that are not comparable (e.g. vectors).
-func NewLinearizableFunc[V any](alloc memory.Allocator, n int, initial V, eq func(a, b V) bool) *Linearizable[V] {
 	return &Linearizable[V]{
-		base: newBase(alloc, n, initial, eq),
+		base: newBase(alloc, n, initial, func(a, b V) bool { return a == b }),
 		b:    make([]bool, n),
 	}
 }

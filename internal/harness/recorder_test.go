@@ -153,13 +153,24 @@ func TestCheckNativeBurstsCatchesViolations(t *testing.T) {
 	}
 }
 
+// TestCheckNativeBurstsSizeLimit: bursts of 62 operations are checked, and
+// the checker's error for a 63-operation burst names the burst and the limit.
 func TestCheckNativeBurstsSizeLimit(t *testing.T) {
-	err := CheckNativeBursts(spec.Register{}, 1, func(_ int, rec *Recorder) {
-		for i := 0; i < 63; i++ {
+	err := CheckNativeBursts(spec.Register{}, 3, func(burst int, rec *Recorder) {
+		n := 62
+		if burst == 2 {
+			n = 63
+		}
+		for i := 0; i < n; i++ {
 			rec.Do(0, "read()", func() string { return spec.Bot })
 		}
 	})
 	if err == nil {
 		t.Fatal("oversized burst accepted")
+	}
+	for _, want := range []string{"burst 2:", "63 operations", "max 62"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not contain %q", err, want)
+		}
 	}
 }

@@ -2,11 +2,7 @@
 // linearizability of prefix-closed transcript trees, against deterministic
 // sequential specifications (internal/spec).
 //
-// Linearizability of a single history is decided by a Wing–Gong style
-// depth-first search with memoization on (set of linearized operations,
-// specification state).
-//
-// Strong linearizability (Golab, Higham, Woelfel) additionally requires a
+// Strong linearizability (Golab, Higham, Woelfel) requires a
 // prefix-preserving linearization function over the prefix-closed set of
 // transcripts. That is a property of transcript *trees*, not of single
 // executions: the paper's Observation 4 refutes strong linearizability of
@@ -14,6 +10,15 @@
 // performs AND/OR backtracking over such a tree: at each node it chooses an
 // extension of the parent's linearization, and the same choice must work for
 // every child.
+//
+// That backtracking is the package's one search, a Wing–Gong style
+// depth-first search over the operations a node leaves to linearize. At a
+// node with no children it remembers each failed (set of linearized
+// operations, specification state). Linearizability of a single history is
+// the one-node case: CheckHistory is CheckStrong on a tree of one node, and
+// CheckChain is CheckStrong on the chain of a transcript's history. The
+// linearized set is a bit mask, so a node may leave at most 62 operations
+// to linearize; the history's length is not limited.
 package lincheck
 
 import (
@@ -59,109 +64,19 @@ type Result struct {
 	Ok bool
 	// Witness is a linearization when Ok.
 	Witness Linearization
-	// Reason explains failures.
-	Reason string
 }
 
 // CheckHistory decides whether the history is linearizable with respect to
 // the specification. Pending operations may be linearized (with their
-// specification-derived response) or dropped.
+// specification-derived response) or dropped. It is CheckStrong on a tree of
+// one node.
 func CheckHistory(h *trace.History, sp spec.Spec) (Result, error) {
-	return CheckHistoryFrom(h, sp, sp.Initial())
-}
-
-// CheckHistoryFrom is CheckHistory starting from an explicit specification
-// state instead of sp.Initial().
-func CheckHistoryFrom(h *trace.History, sp spec.Spec, initial string) (Result, error) {
-	ops := h.Ops
-	n := len(ops)
-	if n > 62 {
-		return Result{}, fmt.Errorf("lincheck: history has %d operations, max 62", n)
-	}
-
-	// Precompute happens-before and the required (complete) set.
-	hb := make([][]bool, n)
-	var required uint64
-	for i := range ops {
-		hb[i] = make([]bool, n)
-		for j := range ops {
-			if i != j {
-				hb[i][j] = h.HappensBefore(ops[i], ops[j])
-			}
-		}
-		if ops[i].Complete() {
-			required |= 1 << uint(i)
-		}
-	}
-
-	type memoKey struct {
-		mask  uint64
-		state string
-	}
-	failed := make(map[memoKey]bool)
-
-	var seq []LinOp
-	var dfs func(mask uint64, state string) (bool, error)
-	dfs = func(mask uint64, state string) (bool, error) {
-		if mask&required == required {
-			return true, nil
-		}
-		key := memoKey{mask, state}
-		if failed[key] {
-			return false, nil
-		}
-		for i := 0; i < n; i++ {
-			bit := uint64(1) << uint(i)
-			if mask&bit != 0 {
-				continue
-			}
-			// An operation may be linearized next only if no other
-			// unlinearized operation happens before it.
-			legal := true
-			for j := 0; j < n; j++ {
-				if j != i && mask&(1<<uint(j)) == 0 && hb[j][i] {
-					legal = false
-					break
-				}
-			}
-			if !legal {
-				continue
-			}
-			next, resp, err := sp.Apply(state, ops[i].PID, ops[i].Desc)
-			if err != nil {
-				return false, fmt.Errorf("lincheck: %s: %w", ops[i].Desc, err)
-			}
-			if ops[i].Complete() && resp != ops[i].Res {
-				continue
-			}
-			seq = append(seq, LinOp{OpID: ops[i].OpID, Desc: ops[i].Desc, PID: ops[i].PID, Resp: resp})
-			ok, err := dfs(mask|bit, next)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return true, nil
-			}
-			seq = seq[:len(seq)-1]
-		}
-		failed[key] = true
-		return false, nil
-	}
-
-	ok, err := dfs(0, initial)
+	const label = "history"
+	res, err := CheckStrong(&Node{Label: label, H: h}, sp)
 	if err != nil {
 		return Result{}, err
 	}
-	if !ok {
-		return Result{Reason: "no valid linearization of the history exists"}, nil
-	}
-	witness := Linearization{Seq: append([]LinOp(nil), seq...)}
-	state := initial
-	for _, e := range witness.Seq {
-		state, _, _ = sp.Apply(state, e.PID, e.Desc)
-	}
-	witness.State = state
-	return Result{Ok: true, Witness: witness}, nil
+	return Result{Ok: res.Ok, Witness: res.Witness[label]}, nil
 }
 
 // CheckTranscript is CheckHistory on Γ(t).
@@ -195,42 +110,14 @@ func FromSchedTree(t *sched.TreeNode) *Node {
 	return node
 }
 
-// ChainFromTranscript builds the path tree of a single execution: one node
-// per prefix of t that ends at a high-level event (invocation or response).
-// A prefix-preserving linearization function must exist along every single
-// execution; this is a necessary condition for strong linearizability that
-// can be monitored per run.
-func ChainFromTranscript(t *trace.Transcript) *Node {
-	var cuts []int
-	for i, e := range t.Events {
-		if e.Kind == trace.KindInvoke || e.Kind == trace.KindReturn {
-			cuts = append(cuts, i+1)
-		}
-	}
-	if len(cuts) == 0 || cuts[len(cuts)-1] != t.Len() {
-		cuts = append(cuts, t.Len())
-	}
-	root := &Node{Label: "ε", H: (&trace.Transcript{}).Interpreted()}
-	cur := root
-	for _, cut := range cuts {
-		child := &Node{
-			Label: fmt.Sprintf("prefix[:%d]", cut),
-			H:     t.Prefix(cut).Interpreted(),
-		}
-		cur.Children = []*Node{child}
-		cur = child
-	}
-	return root
-}
-
-// ChainFromHistory builds the path tree of a recorded history: one node
+// ChainFromHistory builds the path tree of a single execution: one node
 // per prefix of the history cut at each invocation/response tick, where an
 // operation invoked by a cut but not yet returned appears pending. A
 // prefix-preserving linearization function must exist along every single
 // execution, so CheckStrong on this chain is a necessary condition for
-// strong linearizability that can be monitored on histories captured from
-// native runs (harness.Recorder), complementing ChainFromTranscript for
-// simulated ones.
+// strong linearizability that can be monitored per run, on simulated
+// transcripts (CheckChain) and on histories captured from native runs
+// (harness.Recorder) alike.
 func ChainFromHistory(h *trace.History) *Node {
 	var cuts []int
 	for _, op := range h.Ops {
@@ -290,10 +177,13 @@ func CheckStrong(root *Node, sp spec.Spec) (StrongResult, error) {
 	return res, nil
 }
 
+// maxRemaining is the most operations one node may leave to linearize: the
+// search keeps the set it has linearized as a bit mask.
+const maxRemaining = 62
+
 // solveNode tries to find a linearization for node extending prefix (with
 // final state prefixState) that works for all children.
 func solveNode(node *Node, sp spec.Spec, prefix []LinOp, prefixState string, out *StrongResult) (bool, error) {
-	ops := node.H.Ops
 	inPrefix := make(map[int]bool, len(prefix))
 	// Consistency: operations linearized at an ancestor while pending must,
 	// if now complete, have responded with the assigned response.
@@ -307,29 +197,49 @@ func solveNode(node *Node, sp spec.Spec, prefix []LinOp, prefixState string, out
 		}
 	}
 
-	// Remaining operations and their happens-before structure.
+	// Remaining operations and their happens-before structure: before[i]
+	// holds the remaining operations that happen before rest[i], and
+	// required the complete ones, which every linearization includes.
 	var rest []trace.Operation
-	for _, op := range ops {
+	for _, op := range node.H.Ops {
 		if !inPrefix[op.OpID] {
 			rest = append(rest, op)
 		}
 	}
-	hb := make([][]bool, len(rest))
-	for i := range rest {
-		hb[i] = make([]bool, len(rest))
-		for j := range rest {
-			if i != j {
-				hb[i][j] = node.H.HappensBefore(rest[i], rest[j])
+	if len(rest) > maxRemaining {
+		return false, fmt.Errorf("lincheck: node %q leaves %d operations to linearize, max %d",
+			node.Label, len(rest), maxRemaining)
+	}
+	before := make([]uint64, len(rest))
+	var required uint64
+	for i, a := range rest {
+		if a.Complete() {
+			required |= 1 << i
+		}
+		for j, b := range rest {
+			if j != i && node.H.HappensBefore(b, a) {
+				before[i] |= 1 << j
 			}
 		}
 	}
 
-	used := make([]bool, len(rest))
-	seq := append([]LinOp(nil), prefix...)
+	// At a leaf, whether the search can finish from a linearized set
+	// depends only on that set and the state reached, so failed pairs are
+	// remembered. Above a leaf the responses given to pending operations
+	// become the children's prefix, so nothing is.
+	type memoKey struct {
+		mask  uint64
+		state string
+	}
+	var failed map[memoKey]bool // nil above a leaf
+	if len(node.Children) == 0 {
+		failed = make(map[memoKey]bool)
+	}
 
-	var extend func(state string, requiredLeft int) (bool, error)
-	extend = func(state string, requiredLeft int) (bool, error) {
-		if requiredLeft == 0 {
+	seq := append([]LinOp(nil), prefix...)
+	var extend func(mask uint64, state string) (bool, error)
+	extend = func(mask uint64, state string) (bool, error) {
+		if mask&required == required {
 			// Current seq is a linearization of this node's history; require
 			// all children to succeed with it as their prefix.
 			allOk := true
@@ -348,34 +258,26 @@ func solveNode(node *Node, sp spec.Spec, prefix []LinOp, prefixState string, out
 				return true, nil
 			}
 		}
-		for i := range rest {
-			if used[i] {
+		key := memoKey{mask, state}
+		if failed[key] {
+			return false, nil
+		}
+		for i, op := range rest {
+			bit := uint64(1) << i
+			// An operation may be linearized next only if no other
+			// unlinearized operation happens before it.
+			if mask&bit != 0 || before[i]&^mask != 0 {
 				continue
 			}
-			legal := true
-			for j := range rest {
-				if j != i && !used[j] && hb[j][i] {
-					legal = false
-					break
-				}
-			}
-			if !legal {
-				continue
-			}
-			next, resp, err := sp.Apply(state, rest[i].PID, rest[i].Desc)
+			next, resp, err := sp.Apply(state, op.PID, op.Desc)
 			if err != nil {
-				return false, fmt.Errorf("lincheck: %s: %w", rest[i].Desc, err)
+				return false, fmt.Errorf("lincheck: %s: %w", op.Desc, err)
 			}
-			if rest[i].Complete() && resp != rest[i].Res {
+			if op.Complete() && resp != op.Res {
 				continue
 			}
-			used[i] = true
-			seq = append(seq, LinOp{OpID: rest[i].OpID, Desc: rest[i].Desc, PID: rest[i].PID, Resp: resp})
-			dec := 0
-			if rest[i].Complete() {
-				dec = 1
-			}
-			ok, err := extend(next, requiredLeft-dec)
+			seq = append(seq, LinOp{OpID: op.OpID, Desc: op.Desc, PID: op.PID, Resp: resp})
+			ok, err := extend(mask|bit, next)
 			if err != nil {
 				return false, err
 			}
@@ -383,18 +285,14 @@ func solveNode(node *Node, sp spec.Spec, prefix []LinOp, prefixState string, out
 				return true, nil
 			}
 			seq = seq[:len(seq)-1]
-			used[i] = false
+		}
+		if failed != nil {
+			failed[key] = true
 		}
 		return false, nil
 	}
 
-	requiredLeft := 0
-	for _, op := range rest {
-		if op.Complete() {
-			requiredLeft++
-		}
-	}
-	ok, err := extend(prefixState, requiredLeft)
+	ok, err := extend(0, prefixState)
 	if err != nil {
 		return false, err
 	}
@@ -405,7 +303,9 @@ func solveNode(node *Node, sp spec.Spec, prefix []LinOp, prefixState string, out
 }
 
 // CheckChain verifies the necessary prefix-preservation condition along a
-// single execution: CheckStrong on the prefix chain of t.
+// single execution: CheckStrong on the chain of t's history. The history's
+// cut at an invocation or response is the transcript's prefix through that
+// event.
 func CheckChain(t *trace.Transcript, sp spec.Spec) (StrongResult, error) {
-	return CheckStrong(ChainFromTranscript(t), sp)
+	return CheckStrong(ChainFromHistory(t.Interpreted()), sp)
 }

@@ -1,6 +1,7 @@
 package lincheck
 
 import (
+	"strings"
 	"testing"
 
 	"slmem/internal/spec"
@@ -29,7 +30,7 @@ func TestCheckHistorySequentialValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Ok {
-		t.Fatalf("valid sequential history rejected: %s", res.Reason)
+		t.Fatal("valid sequential history rejected")
 	}
 	if len(res.Witness.Seq) != 2 || res.Witness.Seq[0].OpID != 1 {
 		t.Errorf("witness = %s", res.Witness)
@@ -186,13 +187,68 @@ func TestCheckHistoryABAFlag(t *testing.T) {
 	}
 }
 
+// TestCheckHistoryTooManyOps pins where the 62-operation limit applies: to
+// the operations one node leaves to linearize.
 func TestCheckHistoryTooManyOps(t *testing.T) {
-	h := &trace.History{}
-	for i := 0; i < 63; i++ {
-		h.Ops = append(h.Ops, op(i, 0, "read()", spec.Bot, 2*i, 2*i+1))
+	reads := func(n int) []trace.Operation {
+		var ops []trace.Operation
+		for i := 0; i < n; i++ {
+			ops = append(ops, op(i, 0, "read()", spec.Bot, 2*i, 2*i+1))
+		}
+		return ops
 	}
-	if _, err := CheckHistory(h, spec.Register{}); err == nil {
-		t.Fatal("expected size error")
+	for _, tc := range []struct {
+		name  string
+		check func() error
+		want  string
+	}{
+		{"CheckHistory", func() error {
+			_, err := CheckHistory(hist(reads(63)...), spec.Register{})
+			return err
+		}, `node "history" leaves 63 operations to linearize, max 62`},
+		{"CheckStrongOneNode", func() error {
+			_, err := CheckStrong(leaf("only", reads(63)...), spec.Register{})
+			return err
+		}, `node "only" leaves 63 operations to linearize, max 62`},
+		{"CheckStrongChild", func() error {
+			// The root linearizes nothing, so its child leaves all 63.
+			root := leaf("root")
+			root.Children = []*Node{leaf("child", reads(63)...)}
+			_, err := CheckStrong(root, spec.Register{})
+			return err
+		}, `node "child" leaves 63 operations to linearize, max 62`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.check()
+			if err == nil {
+				t.Fatal("expected size error")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not contain %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestCheckChainLongHistory: the limit counts what one node leaves to
+// linearize, not the history's length, so a 200-operation sequential
+// transcript's chain is checked whole.
+func TestCheckChainLongHistory(t *testing.T) {
+	tr := &trace.Transcript{}
+	for id := 1; id <= 200; id++ {
+		desc, res := "read()", "1"
+		if id == 1 {
+			desc, res = "write(1)", "ok"
+		}
+		tr.Append(trace.Event{Kind: trace.KindInvoke, PID: 0, OpID: id, Desc: desc})
+		tr.Append(trace.Event{Kind: trace.KindReturn, PID: 0, OpID: id, Res: res})
+	}
+	res, err := CheckChain(tr, spec.Register{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Ok {
+		t.Fatalf("valid sequential transcript chain rejected at %s", res.FailNode)
 	}
 }
 
