@@ -94,10 +94,13 @@ func TestSnapshotScanAllocs(t *testing.T) {
 // node's preceding vector; the root update publishes its three shared values;
 // the operation publishes its node, records its anchor in place in its
 // process's private ring, and publishes a copy of it for the collector once
-// every sixteen operations; and extraction and linearization run in per-pid
-// memory that is reused. The runs measure 6 allocations and about 148 bytes
-// (245 when every operation carved a new anchor and the node and R's cell
-// carried 16 dead bytes each); the allocation floor leaves room for a spec
+// every sixteen operations; and the scanned view's newest node covers the
+// rest of it, so its state is the graph's and nothing is extracted or
+// replayed. The runs measure 5 allocations and about 153 bytes: the node
+// carries its state (80 bytes, 64 without it) and the replay's intermediate
+// state is gone (6 and 148 when every operation replayed the other's node;
+// 245 when every operation carved a new anchor and the node and R's cell
+// carried 16 dead bytes each). The allocation floor leaves room for a spec
 // whose states cost more than the counter's, and none for the 32 of the
 // map-based linearization.
 func TestObjectExecuteAllocs(t *testing.T) {

@@ -299,6 +299,36 @@ func TestSoloScanFastPath(t *testing.T) {
 	}
 }
 
+// TestCollectReuseCoreReads pins the register reads of the two paths every
+// operation takes, at n = 16 with pids 0 and 1 written: S's width is 2 and
+// its flags W[0] set, W[1] unset. S's scan compares the registers against
+// the pid's last collect, so a quiet View is two reads of X per DRead around
+// one collect and the flags of S, 2 + 4 + 2 = 8 (10 when S's scan opened
+// with a collect of its own), and an Update after the pid's own Update is
+// one collect and the flags of S and R's one announcement read: 5 (7).
+func TestCollectReuseCoreReads(t *testing.T) {
+	const n = 16
+	steps := memory.NewStepCounter(n)
+	s := New[string](&memory.CountingAllocator{Inner: &memory.NativeAllocator{}, Counter: steps}, n, spec.Bot)
+	s.Update(0, "a")
+	s.Update(1, "b")
+	s.View(0)
+	s.View(0)
+	steps.Reset()
+	if view := s.View(0); view[0] != "a" || view[1] != "b" {
+		t.Fatalf("View = %q, want a and b in front", view)
+	}
+	if got := steps.Reads(0); got != 8 {
+		t.Errorf("a quiet View read %d registers, want 8", got)
+	}
+	s.Update(0, "c")
+	steps.Reset()
+	s.Update(0, "d")
+	if got := steps.Reads(0); got != 5 {
+		t.Errorf("an Update after an Update read %d registers, want 5", got)
+	}
+}
+
 func TestHelpingPublishesToR(t *testing.T) {
 	// If R and S disagree when a scan starts, the scanner must help by
 	// writing its S-scan to R. Build the disagreement with an injected

@@ -26,7 +26,10 @@
 // storage: valid until the process's next call, never to be written. A view
 // is copied exactly where it outlives that — where an updater embeds it in a
 // register (Afek, Handshake), and in the callers that publish or return it
-// (internal/core, internal/versioned).
+// (internal/core, internal/versioned). In DoubleCollect the buffer is also
+// the next scan's first collect: a scan compares the registers against it
+// instead of reading a fresh collect first, and the process's own Update
+// writes its new value into it.
 //
 // ScanVersioned is Scan with the version of the state the view was taken
 // from, when the object can name one: for DoubleCollect always, the sum of
@@ -81,13 +84,31 @@ type dcell[V any] struct {
 // raises the hint and counts the pass as not clean. Once the hint is n the
 // scan reads no flags: nothing lies beyond n.
 //
-// Why it is linearizable: a clean pass linearizes where its flag read
-// begins. Components below the width did not change across the clean pair.
-// A component q at or above it is still initial: had q finished raising its
-// flags before the read began, the read would have found a width above q,
-// and q raises them before its first write. Lock-free: a process's hint
-// grows at most ⌈log₂ n⌉ times, and any other unclean pass means an Update
-// completed.
+// A scan does not open with a collect of its own. The process's buffer — the
+// collect its last scan agreed on, the construction's initial vector before
+// any, with the process's own later Updates written into it — is the first
+// collect, and the scan compares the registers against it straight away. A
+// first compare that finds nothing moved is followed by the flags and, if
+// they show no wider width, ends the scan: one collect where a scan that
+// opened with its own would read two. Otherwise the scan goes on as if the
+// first compare had been that opening collect — flags, then compare, until a
+// pass is clean — so it reads the registers a scan that opens with its own
+// collect reads, in the same order, and stops one compare earlier or at the
+// same one.
+//
+// Why it is linearizable: sequence numbers only grow, so a compare that finds
+// a component's number unchanged shows the component held its buffered value
+// from the moment that entry was read (or, for the process's own component,
+// written) until the compare read it. A clean first compare linearizes where
+// it begins: every buffered entry was read before that point and is read
+// again after it. A later clean pass linearizes where its flag read begins,
+// which lies between the two collects it compares, or, with the hint at n,
+// where its compare begins. A component q at or above the width is still
+// initial at that point: the flags are read at or after it, and had q
+// finished raising its flags before the read, the read would have found a
+// width above q, and q raises them before its first write. Lock-free: a
+// process's hint grows at most ⌈log₂ n⌉ times, a stale buffer costs one
+// unclean compare, and any other unclean pass means an Update completed.
 type DoubleCollect[V any] struct {
 	n     int
 	regs  []memory.Reg[dcell[V]]
@@ -96,11 +117,12 @@ type DoubleCollect[V any] struct {
 }
 
 // dcLocal is what one process keeps between operations: its scan buffer —
-// the sequence numbers and values of its latest collect, initial past the
-// width hint — the hint itself, whether its width flags are up, and its
-// writer sequence number. It is indexed by pid and padded, never pooled and
-// never shared — a pid is driven by one goroutine at a time, so none of it
-// needs synchronising. vals is what Scan hands out.
+// the sequence numbers and values of its latest clean collect, its own
+// component kept current by its Updates, initial past the width hint — the
+// hint itself, whether its width flags are up, and its writer sequence
+// number. It is indexed by pid and padded, never pooled and never shared — a
+// pid is driven by one goroutine at a time, so none of it needs
+// synchronising. vals is what Scan hands out.
 type dcLocal[V any] struct {
 	seqs   []uint64
 	vals   []V
@@ -136,7 +158,10 @@ func NewDoubleCollect[V any](alloc memory.Allocator, n int, initial V) *DoubleCo
 }
 
 // Update implements Snapshot: one shared write, after the pid's width flags
-// on its first Update.
+// on its first Update. Only pid writes its component, so what it wrote is
+// what a collect would read there until its next Update: the write goes into
+// pid's buffer too, when the component lies below the hint (past it the
+// buffer stays initial, and the flags widen the next scan).
 func (s *DoubleCollect[V]) Update(pid int, x V) {
 	l := &s.local[pid]
 	if !l.raised {
@@ -147,6 +172,9 @@ func (s *DoubleCollect[V]) Update(pid int, x V) {
 	}
 	l.seq++
 	s.regs[pid].Write(pid, dcell[V]{val: x, seq: l.seq})
+	if pid < l.width {
+		l.seqs[pid], l.vals[pid] = l.seq, x
+	}
 }
 
 // width reads the flags from the bottom up to the first unset one, j, and
@@ -160,40 +188,56 @@ func (s *DoubleCollect[V]) width(pid int) int {
 	return s.n
 }
 
-// fill reads components [from, to) into pid's buffer.
-func (s *DoubleCollect[V]) fill(pid int, l *dcLocal[V], from, to int) {
-	for i := from; i < to; i++ {
+// widen reads the flags, unless pid's hint is already n, and when they show a
+// width above the hint reads the new components into pid's buffer, raises the
+// hint and reports true: the pass is not clean.
+func (s *DoubleCollect[V]) widen(pid int, l *dcLocal[V]) bool {
+	if l.width == s.n {
+		return false
+	}
+	w := s.width(pid)
+	if w <= l.width {
+		return false
+	}
+	for i := l.width; i < w; i++ {
 		c := s.regs[i].Read(pid)
 		l.seqs[i], l.vals[i] = c.seq, c.val
 	}
+	l.width = w
+	return true
 }
 
-// collect reads the components below pid's width hint until two consecutive
-// collects agree (a "clean double collect"), reading the width flags between
-// them, and leaves the agreed collect in pid's buffer. After the first
-// collect, only a component whose sequence number moved is rewritten —
-// sequence numbers identify writes, so an unchanged number means an
-// unchanged value — and a collect that rewrote nothing was clean.
+// compare reads the components below pid's width hint against its buffer,
+// rewrites each whose sequence number moved — sequence numbers identify
+// writes, so an unchanged number means an unchanged value — and reports
+// whether none did.
+func (s *DoubleCollect[V]) compare(pid int, l *dcLocal[V]) bool {
+	seqs, vals := l.seqs[:l.width], l.vals
+	clean := true
+	for i := range seqs {
+		if c := s.regs[i].Read(pid); c.seq != seqs[i] {
+			seqs[i], vals[i] = c.seq, c.val
+			clean = false
+		}
+	}
+	return clean
+}
+
+// collect compares pid's buffer — the first collect — with the registers, and
+// then collects until two consecutive collects agree (a "clean double
+// collect"), reading the width flags between them, and leaves the agreed
+// collect in pid's buffer (see DoubleCollect for the order and why it is
+// linearizable).
 func (s *DoubleCollect[V]) collect(pid int) *dcLocal[V] {
 	l := &s.local[pid]
-	s.fill(pid, l, 0, l.width)
+	if s.compare(pid, l) && !s.widen(pid, l) {
+		return l
+	}
 	for {
-		if l.width < s.n {
-			if w := s.width(pid); w > l.width {
-				s.fill(pid, l, l.width, w)
-				l.width = w
-				continue // not clean: the flags are read again before the next collect
-			}
+		if s.widen(pid, l) {
+			continue // not clean: the flags are read again before the next collect
 		}
-		seqs, vals := l.seqs[:l.width], l.vals
-		clean := true
-		for i := range seqs {
-			if c := s.regs[i].Read(pid); c.seq != seqs[i] {
-				seqs[i], vals[i] = c.seq, c.val
-				clean = false
-			}
-		}
-		if clean {
+		if s.compare(pid, l) {
 			return l
 		}
 	}

@@ -50,8 +50,8 @@ func TestSequentialSemantics(t *testing.T) {
 
 // TestScanBufferIsPrivateToItsPid: a Scan hands out the scanning process's
 // own buffer. Nothing another process reads can come from it — not even when
-// a caller breaks the rule and writes to it — the next scan by the same
-// process refills it, and two processes never share one.
+// a caller breaks the rule and writes to it — a component that moves is read
+// into it again, and two processes never share one.
 func TestScanBufferIsPrivateToItsPid(t *testing.T) {
 	const n = 2
 	for name := range implementations(&memory.NativeAllocator{}, n) {

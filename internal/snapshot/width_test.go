@@ -14,9 +14,10 @@ import (
 )
 
 // TestCollectReadsFollowWidth: a quiet DoubleCollect scan reads the
-// components below its width twice and the flags between the collects, up
-// to the first unset one — and at full width no flag at all. The scanner's
-// hint has caught up with each writer set before the counted scan.
+// components below its width once — its buffer is the other collect — and
+// then the flags, up to the first unset one; at full width no flag at all.
+// The scanner's hint has caught up with each writer set before the counted
+// scan.
 func TestCollectReadsFollowWidth(t *testing.T) {
 	const n = 16
 	steps := memory.NewStepCounter(n)
@@ -26,10 +27,10 @@ func TestCollectReadsFollowWidth(t *testing.T) {
 		writers int // pids 0 … writers−1 have written
 		reads   int64
 	}{
-		{1, 1 + 1 + 1},   // R[0]; W[0] unset; R[0]
-		{2, 2 + 2 + 2},   // R[0..1]; W[0], W[1] unset; R[0..1]
-		{3, 4 + 3 + 4},   // R[0..3]; W[0], W[1], W[2] unset; R[0..3]
-		{n, 16 + 0 + 16}, // full width: no flag read
+		{1, 1 + 1},  // R[0]; W[0] unset
+		{2, 2 + 2},  // R[0..1]; W[0], W[1] unset
+		{3, 4 + 3},  // R[0..3]; W[0], W[1], W[2] unset
+		{n, 16 + 0}, // full width: no flag read
 	} {
 		for ; written < tc.writers; written++ {
 			steps.Reset()
@@ -194,6 +195,98 @@ func TestWidthLinearizableSearch(t *testing.T) {
 			t.Fatalf("seed %d: incomplete: %v", seed, res.Err)
 		}
 		chk, err := lincheck.CheckTranscript(res.T, spec.Snapshot{N: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !chk.Ok {
+			t.Fatalf("seed %d: not linearizable:\n%s", seed, res.T.Interpreted())
+		}
+	}
+}
+
+// TestCollectAfterOwnUpdateReadsOnce: a DoubleCollect scan compares the
+// registers against the collect its process last agreed on, which the
+// process's own Update keeps current. After its own Update a quiet scan reads
+// one collect (and the flags, below full width) and returns the new value;
+// after another pid's Update the buffer is stale, and the scan reads a second
+// collect — no more than a scan that opened with a collect of its own.
+func TestCollectAfterOwnUpdateReadsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		n, width, flags int // pids 0 and 1 have written
+	}{
+		{2, 2, 0}, // full width: no flag read
+		{4, 2, 2}, // W[0] set, W[1] unset
+		{16, 2, 2},
+	} {
+		steps := memory.NewStepCounter(tc.n)
+		s := NewDoubleCollect[string](&memory.CountingAllocator{Inner: &memory.NativeAllocator{}, Counter: steps}, tc.n, spec.Bot)
+		s.Update(0, "a")
+		s.Update(1, "b")
+		s.Scan(0) // the scanner's hint catches up
+		for i, step := range []struct {
+			pid     int
+			x       string
+			collect int // collects the next scan by pid 0 reads
+		}{
+			{0, "c", 1},
+			{0, "d", 1},
+			{1, "e", 2},
+			{0, "f", 1},
+			{1, "g", 2},
+			{1, "h", 2},
+		} {
+			s.Update(step.pid, step.x)
+			steps.Reset()
+			view := s.Scan(0)
+			want := int64(step.collect*tc.width + tc.flags)
+			if got := steps.Reads(0); got != want {
+				t.Errorf("n = %d, scan %d after update(%s) by pid %d: read %d registers, want %d (%d collects and the flags)",
+					tc.n, i, step.x, step.pid, got, want, step.collect)
+			}
+			if view[step.pid] != step.x {
+				t.Errorf("n = %d, scan %d: component %d = %q, want %q", tc.n, i, step.pid, view[step.pid], step.x)
+			}
+		}
+	}
+}
+
+// staleBufferSystem is DoubleCollect at n = 3 where a scan starts from a
+// buffer the other processes' updates may have made stale: pid 0 scans,
+// updates and scans twice more, and pids 1 and 2 each update, scan and
+// update again — pid 2's first write widens every scan to full width, and
+// each second write lands while another process's scan may be half way.
+func staleBufferSystem() sched.System {
+	const n = 3
+	return sched.System{
+		N: n,
+		Setup: func(env *sched.Env) []sched.Program {
+			s := NewDoubleCollect[string](env, n, spec.Bot)
+			scan := func(p *sched.Proc) {
+				p.Do("scan()", func() string { return spec.FormatView(s.Scan(p.PID())) })
+			}
+			update := func(p *sched.Proc, x string) {
+				p.Do(spec.FormatInvocation("update", x), func() string { s.Update(p.PID(), x); return "ok" })
+			}
+			return []sched.Program{
+				func(p *sched.Proc) { scan(p); update(p, "a"); scan(p); scan(p) },
+				func(p *sched.Proc) { update(p, "b"); scan(p); update(p, "c") },
+				func(p *sched.Proc) { update(p, "d"); scan(p); update(p, "e") },
+			}
+		},
+	}
+}
+
+// TestCollectStaleBufferLinearizableSearch: a scan that starts from its
+// process's last collect, after other processes moved, stays linearizable
+// under seeded random schedules of staleBufferSystem.
+func TestCollectStaleBufferLinearizableSearch(t *testing.T) {
+	sys := staleBufferSystem()
+	for seed := int64(0); seed < 3000; seed++ {
+		res := sched.Run(sys, sched.NewSeeded(seed), sched.Options{})
+		if !res.Completed() {
+			t.Fatalf("seed %d: incomplete: %v", seed, res.Err)
+		}
+		chk, err := lincheck.CheckTranscript(res.T, spec.Snapshot{N: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

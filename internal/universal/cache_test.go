@@ -405,8 +405,8 @@ func TestReplayCacheContended(t *testing.T) {
 
 // TestCacheStatsString keeps fmt coverage honest for the exported struct.
 func TestCacheStatsString(t *testing.T) {
-	st := CacheStats{Hits: 2, Misses: 1, RootReplays: 1}
-	if s := fmt.Sprintf("%+v", st); s != "{Hits:2 Misses:1 RootReplays:1}" {
+	st := CacheStats{Hits: 2, Covered: 1, Misses: 1, RootReplays: 1}
+	if s := fmt.Sprintf("%+v", st); s != "{Hits:2 Covered:1 Misses:1 RootReplays:1}" {
 		t.Errorf("unexpected CacheStats rendering %q", s)
 	}
 }

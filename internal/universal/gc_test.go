@@ -464,8 +464,13 @@ func TestGCStaleAnchorFallback(t *testing.T) {
 		t.Fatal("no truncation happened; stale-anchor case needs a non-trivial root")
 	}
 	// Strand p0's latest anchor below the root and poison its cached state:
-	// the floor must reject the anchor and replay from a lower floor.
+	// the floor must reject the anchor and replay from a lower floor. The
+	// operations alternate, so a covering node would answer Execute before
+	// any floor is tried: the floors are driven directly first.
 	*o.local[0].own(0) = anchor{prefix: []int{-1, -1}, state: "POISON"}
+	if got, err := o.replay(&o.local[0], o.trunc.Load(), o.root.View(0)); err != nil || got != strconv.Itoa(ops) {
+		t.Fatalf("replay with stale anchor = %q, %v; want %d", got, err, ops)
+	}
 	got, err := o.Execute(0, "read()")
 	if err != nil {
 		t.Fatalf("stale-anchor Execute failed: %v", err)
@@ -479,7 +484,9 @@ func TestGCStaleAnchorFallback(t *testing.T) {
 // latest and the earlier ones in its ring — is stranded below the truncation
 // root, each with a prefix the untrimmed graph would still accept and a
 // poisoned state. All must be skipped without an extraction (no hit, no miss)
-// and the operation served from the root.
+// and the state served from the root. The operations alternate, so a
+// covering node would answer Execute before any floor is tried: the floors
+// are driven directly, white-box, as collect and extract are.
 func TestGCEarlierAnchorBelowRootSkipped(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
@@ -517,12 +524,15 @@ func TestGCEarlierAnchorBelowRootSkipped(t *testing.T) {
 		l.ring[i] = anchor{prefix: slices.Clone(old), state: "POISON"}
 	}
 	before := o.CacheStats()
-	got, err := o.Execute(0, "read()")
+	got, err := o.replay(l, o.trunc.Load(), o.root.View(0))
 	if err != nil || got != strconv.Itoa(ops) {
-		t.Fatalf("read() over stranded anchors = %q, %v; want %d", got, err, ops)
+		t.Fatalf("replay over stranded anchors = %q, %v; want %d", got, err, ops)
 	}
 	if st := o.CacheStats(); st != before {
 		t.Fatalf("an anchor below the root was extracted from: %+v -> %+v", before, st)
+	}
+	if got, err := o.Execute(0, "read()"); err != nil || got != strconv.Itoa(ops) {
+		t.Fatalf("read() over stranded anchors = %q, %v; want %d", got, err, ops)
 	}
 }
 
@@ -637,9 +647,10 @@ func TestGCRefusedBaseFallsBackToRoot(t *testing.T) {
 			t.Fatalf("after the fallback: %+v", st)
 		}
 	}
-	// The forged records were the collector's only: a read takes its floors
-	// from its process's private anchors, and p1 has executed nothing, so its
-	// read replays from the new root.
+	// The forged records were the collector's only: a read takes its state
+	// from a covering node or its floors from its process's private anchors,
+	// never from another process's published record — here p0's latest node
+	// covers p1's view.
 	for _, o := range []*Object{forged, twin} {
 		if resp, err := o.Execute(1, "read()"); err != nil || resp != "7" {
 			t.Fatalf("read() after the fallback = %q, %v; want \"7\"", resp, err)

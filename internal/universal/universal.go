@@ -35,7 +35,10 @@
 // than min(Window, publishEvery) operations apart — and collector passes read
 // that copy, as a low watermark and as a base whose state they may adopt. The
 // truncation root is a record of the same type; the initial one — nothing
-// linearized, the initial state, version 0 — exists from construction.
+// linearized, the initial state, version 0 — exists from construction. The
+// operation's node carries the record's state too, for as long as it is its
+// process's newest node: what the node's own prefix — its scanned view plus
+// itself — replays to.
 //
 // A published record may be up to publishEvery-1 operations older than its
 // process's latest, and that is sound: every rule that reads another process's
@@ -54,19 +57,31 @@
 // that. Replacing the prefix by the state it replays to therefore changes no
 // response and reorders nothing. The lemma speaks of a prefix, not of the
 // newest one: any record whose prefix the graph in hand covers is a sound
-// place to start, and the nearest is merely the cheapest. The replay cache
-// applies the lemma to the graph one scan reaches; truncation applies it to
-// every graph any later scan can reach, which is precisely prefix
-// preservation.
+// place to start, and the nearest is merely the cheapest. The prefix may be
+// the whole graph: when one scanned node's own view is the rest of the scan,
+// the graph is that node's prefix, and the state its node carries is the
+// graph's. The replay cache applies the lemma to the graph one scan reaches;
+// truncation applies it to every graph any later scan can reach, which is
+// precisely prefix preservation.
 //
 // # Replay cache
 //
 // Executed naively, steps 2-4 cost O(history). Process p instead starts from
-// the nearest floor the scanned graph covers. The candidates are one list:
-// p's own private anchors newest to oldest — its latest and the anchorRing
-// before it — and last the truncation root, which every reachable node covers
-// (gc.go; without GC the root stays the empty prefix and that last candidate
-// is the full extraction). From a candidate p extracts only the nodes beyond
+// the nearest floor the scanned graph covers. The first candidate is the
+// whole graph: a node of the view whose own view is the rest of the scan,
+// pointer for pointer, and which still carries its state — the common case
+// when operations do not overlap, since the newest operation scanned all the
+// others. Then p takes that state, applies its own invocation and replays
+// nothing (CacheStats.Covered). Only a node above the truncation root the
+// operation loaded is a candidate, and only its own view is read, never the
+// view of a node at or below the root, which the collector may sever. A node
+// that is no longer its process's newest has dropped its state — the live
+// graph pins at most n states — so an operation that scanned it while it was
+// falls to the list below. The other candidates are one list: p's own
+// private anchors newest to oldest — its latest and the anchorRing before it
+// — and last the truncation root, which every reachable node covers (gc.go;
+// without GC the root stays the empty prefix and that last candidate is the
+// full extraction). From a candidate p extracts only the nodes beyond
 // the prefix and replays them onto the anchored state, provided every extracted
 // node covers the prefix — the lemma's condition on the graph p scanned, so
 // node orders and responses are byte-identical to an uncached run (the
@@ -87,13 +102,16 @@
 // from (publishEvery).
 //
 // Strong linearizability is untouched: the cache reads nothing but what a
-// legal root scan returns, writes nothing shared, and computes the same
-// response function of the scanned view as the uncached algorithm.
+// legal root scan returns, takes no shared step (a node's state is written
+// before the node is published and dropped by a plain atomic store outside
+// the simulated shared memory), and computes the same response function of
+// the scanned view as the uncached algorithm.
 package universal
 
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"slmem/internal/core"
 	"slmem/internal/memory"
@@ -157,6 +175,30 @@ type node struct {
 	pid        int
 	index      int     // per-process operation index: (pid,index) is unique
 	preceding  []*node // view[i] at this operation's scan; nil = ⊥
+	// state and stateLen are the state its executor reached — the scanned
+	// graph's state with this operation applied, the state after the node's
+	// own prefix — as the string's first byte and length. The node holds it
+	// while it is its process's newest: the process drops it (one atomic
+	// store of nil) when it publishes its next node, so the live graph pins at
+	// most n states, and a node without one covers nothing.
+	state    atomic.Pointer[byte]
+	stateLen int
+}
+
+// setState gives a node that is not yet published the state it reached.
+func (e *node) setState(s string) {
+	e.stateLen = len(s)
+	e.state.Store(unsafe.StringData(s))
+}
+
+// reachedState returns the state e's executor reached, and false once e's
+// process has dropped it.
+func (e *node) reachedState() (string, bool) {
+	p := e.state.Load()
+	if p == nil {
+		return "", false
+	}
+	return unsafe.String(p, e.stateLen), true
 }
 
 // anchor is the one record of the package doc: a linearized index prefix, the
@@ -210,8 +252,10 @@ type plocal struct {
 	unpublished int
 	pubs        []anchor
 	pubPrefixes []int
-	// hits, misses and rootReplays count this process's cache outcomes.
+	// hits, covered, misses and rootReplays count this process's cache
+	// outcomes.
 	hits        atomic.Int64
+	covered     atomic.Int64
 	misses      atomic.Int64
 	rootReplays atomic.Int64
 
@@ -230,8 +274,12 @@ func bump(c *atomic.Int64) { c.Store(c.Load() + 1) }
 // CacheStats counts replay-cache outcomes across all processes.
 type CacheStats struct {
 	// Hits counts operations that replayed only the delta beyond their
-	// process's anchor.
+	// process's anchor, Covered included.
 	Hits int64
+	// Covered counts the hits that replayed nothing: one node of the scanned
+	// view had scanned the rest of the view exactly, so its state was the
+	// graph's and only the operation's own invocation was applied.
+	Covered int64
 	// Misses counts operations that replayed from a lower floor — an earlier
 	// anchor of their process or the truncation root — because some extracted
 	// node did not cover the latest anchor.
@@ -305,6 +353,7 @@ func (o *Object) CacheStats() CacheStats {
 	var st CacheStats
 	for p := range o.local {
 		st.Hits += o.local[p].hits.Load()
+		st.Covered += o.local[p].covered.Load()
 		st.Misses += o.local[p].misses.Load()
 		st.RootReplays += o.local[p].rootReplays.Load()
 	}
@@ -313,37 +362,18 @@ func (o *Object) CacheStats() CacheStats {
 
 // Execute performs the invocation as process p (Algorithm 5, execute):
 // it computes the response the history demands, publishes the operation's
-// node, and returns the response. It extracts, sorts, and replays only the
-// nodes beyond the nearest floor the scanned graph covers — with the replay
-// cache warm, process p's latest anchor — and no floor is ever below the
-// truncation root, whose state stands in for the truncated prefix.
+// node, and returns the response. With the replay cache warm it replays
+// nothing when one scanned node covers the rest of the view exactly, and
+// otherwise extracts, sorts, and replays only the nodes beyond the nearest
+// floor the scanned graph covers — process p's latest anchor, as a rule — and
+// no floor is ever below the truncation root, whose state stands in for the
+// truncated prefix.
 func (o *Object) Execute(p int, invoke string) (string, error) {
 	root := o.trunc.Load()
 	view := o.root.View(p) // line 81
 
 	l := &o.local[p]
-	from := o.floor(l, root, view) // line 82, restricted past the floor
-	if from == nil {
-		// Every reachable node covers the truncation root (the truncation
-		// invariant; trivially so for the initial one): only a graph that is
-		// not the construction's can get here.
-		o.coverFails.Add(1)
-		return "", fmt.Errorf("universal: precedence graph breaks the per-process chains or does not cover truncation root v%d", root.version)
-	}
-
-	// Line 83: topological sort of lingraph(G); lines 84-87: compute the
-	// response valid after H. H is only the suffix past the floor's prefix,
-	// replayed onto its state.
-	state := from.state
-	var err error
-	for _, nd := range l.linearize(o.t) {
-		state, _, err = o.sp.Apply(state, nd.pid, nd.invocation)
-		if err != nil {
-			err = fmt.Errorf("universal: replaying %s: %w", nd.invocation, err)
-			break
-		}
-	}
-	l.release()
+	state, err := o.reached(l, root, view)
 	if err != nil {
 		return "", err
 	}
@@ -358,10 +388,84 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 		index:      l.index,
 		preceding:  view, // lines 88-90 (a stored view is immutable: see Object.root)
 	}
+	e.setState(next)
 	l.index++
 	o.root.Update(p, e) // line 91
+	if prev := view[p]; prev != nil {
+		prev.state.Store(nil) // a scan from now on finds e, not prev, as p's newest
+	}
 	o.publish(l, view, e, next, root.version)
 	return resp, nil
+}
+
+// reached returns the state after the graph view reaches (Algorithm 5, lines
+// 82-87 short of the operation's own invocation). With the cache on, a view
+// node that covers the rest of the view exactly carries that state itself;
+// otherwise it is replayed.
+func (o *Object) reached(l *plocal, root *anchor, view []*node) (string, error) {
+	if o.caching {
+		if state, ok := covered(root, view); ok {
+			bump(&l.hits)
+			bump(&l.covered)
+			return state, nil
+		}
+	}
+	return o.replay(l, root, view)
+}
+
+// replay extracts the nodes past the nearest floor the graph covers (line
+// 82, restricted past the floor), sorts them (line 83: the topological sort
+// of lingraph(G)) and replays them onto the floor's state.
+func (o *Object) replay(l *plocal, root *anchor, view []*node) (string, error) {
+	from := o.floor(l, root, view)
+	if from == nil {
+		// Every reachable node covers the truncation root (the truncation
+		// invariant; trivially so for the initial one): only a graph that is
+		// not the construction's can get here.
+		o.coverFails.Add(1)
+		return "", fmt.Errorf("universal: precedence graph breaks the per-process chains or does not cover truncation root v%d", root.version)
+	}
+	state := from.state
+	var err error
+	for _, nd := range l.linearize(o.t) {
+		state, _, err = o.sp.Apply(state, nd.pid, nd.invocation)
+		if err != nil {
+			err = fmt.Errorf("universal: replaying %s: %w", nd.invocation, err)
+			break
+		}
+	}
+	l.release()
+	return state, err
+}
+
+// covered returns the state after the graph view reaches when a node of view
+// scanned the rest of view exactly — view[q] whose preceding[r] is view[r],
+// the same node or both ⊥, for every r ≠ q — and still holds its state. The
+// graph is then that node's prefix: its own view, which is already a
+// linearized graph, plus the node itself. That node covers its view, so by
+// the covering lemma the state after the graph is the one its executor
+// reached. Only a node above root is a candidate, and no other node's view is
+// read: a node at or below the truncation root this operation loaded may be a
+// boundary node whose view the collector severs, the same rule extraction
+// keeps. At most one node can qualify: two that each scanned the other would
+// make a cycle.
+func covered(root *anchor, view []*node) (string, bool) {
+	for q, e := range view {
+		if e == nil || e.index <= root.prefix[q] || len(e.preceding) != len(view) {
+			continue
+		}
+		exact := true
+		for r, nd := range view {
+			if r != q && e.preceding[r] != nd {
+				exact = false
+				break
+			}
+		}
+		if exact {
+			return e.reachedState()
+		}
+	}
+	return "", false
 }
 
 // floor extracts view past process l's nearest usable floor and returns that
