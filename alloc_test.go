@@ -92,9 +92,9 @@ func TestSnapshotScanAllocs(t *testing.T) {
 // pids alternating (delta 1), with truncation on (a collector pass every
 // window) and off: the root scan is R's stored view, kept uncopied as the
 // node's preceding vector; the root update publishes its three shared values;
-// the operation publishes its node, records its anchor in place in its
-// process's private ring, and publishes a copy of it for the collector once
-// every sixteen operations; and the scanned view's newest node covers the
+// the operation publishes its node, which its process keeps among its last
+// nine as its anchor, and publishes a copy of that anchor for the collector
+// once every sixteen operations; and the scanned view's newest node covers the
 // rest of it, so its state is the graph's and nothing is extracted or
 // replayed. The runs measure 5 allocations and about 153 bytes: the node
 // carries its state (80 bytes, 64 without it) and the replay's intermediate

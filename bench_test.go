@@ -477,7 +477,7 @@ func steadyObject(b *testing.B, caching bool) *Object {
 }
 
 // BenchmarkUniversalHitPath: replay cache on, every operation replays the
-// one node since its process's anchor; every window-th also runs a collector
+// one node since its process's newest; every window-th also runs a collector
 // pass over the live nodes.
 func BenchmarkUniversalHitPath(b *testing.B) {
 	o := steadyObject(b, true)
@@ -532,7 +532,8 @@ func (c countingSpec) Apply(state string, pid int, desc string) (string, string,
 // matrix's inproc-object; at one they never stop meeting. replayed-nodes/op is
 // every Apply beyond the operation's own — Execute's replays and the
 // collector's — so it is the count the replay floors and the collector's base
-// exist to keep near the delta.
+// exist to keep near the delta; root-replays/miss is the share of misses that
+// no node their process kept was covered for.
 func BenchmarkUniversalContended(b *testing.B) {
 	for _, objs := range []int{1, 64} {
 		b.Run("objs="+strconv.Itoa(objs), func(b *testing.B) {
@@ -566,6 +567,12 @@ func BenchmarkUniversalContended(b *testing.B) {
 				total += applies[i].Load()
 			}
 			b.ReportMetric(float64(total-int64(b.N))/float64(b.N), "replayed-nodes/op")
+			var misses, rootReplays int64
+			for _, o := range objects {
+				st := o.CacheStats()
+				misses, rootReplays = misses+st.Misses, rootReplays+st.RootReplays
+			}
+			b.ReportMetric(float64(rootReplays)/float64(max(misses, 1)), "root-replays/miss")
 		})
 	}
 }

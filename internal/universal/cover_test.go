@@ -183,12 +183,13 @@ func TestCollectReuseExecuteReads(t *testing.T) {
 	}
 }
 
-// TestCoveringNodeStateHeldByNewestOnly: a node holds the state it reached
-// only while it is its process's newest — the process drops it when it
-// publishes its next node — so however long the history, the graph pins at
-// most one state per process. A node whose state is gone covers nothing: an
-// operation that scanned it goes to its floors.
-func TestCoveringNodeStateHeldByNewestOnly(t *testing.T) {
+// TestCoveringNodeStateHeldByKeptNodesOnly: a node holds the state it reached
+// only while it is one of its process's last anchorRing+1 nodes — the process
+// drops it when it publishes the node that evicts it from its slot — so
+// however long the history, the graph pins at most anchorRing+1 states per
+// process. A node whose state is gone covers nothing: an operation that
+// scanned it goes to its floors.
+func TestCoveringNodeStateHeldByKeptNodesOnly(t *testing.T) {
 	const n, ops = 3, 60
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, n)
@@ -197,17 +198,19 @@ func TestCoveringNodeStateHeldByNewestOnly(t *testing.T) {
 	}
 	view := o.root.View(0)
 	for q, nd := range view {
-		if _, ok := nd.reachedState(); !ok {
-			t.Errorf("p%d's newest node holds no state", q)
-		}
-		for older := nd.preceding[q]; older != nil; older = older.preceding[q] {
-			if state, ok := older.reachedState(); ok {
-				t.Fatalf("p%d's node %d still holds state %q behind its newest, %d", q, older.index, state, nd.index)
+		age := 0
+		for ; nd != nil; nd, age = nd.preceding[q], age+1 {
+			state, ok := nd.reachedState()
+			if kept := age <= anchorRing; ok != kept {
+				t.Fatalf("p%d's node %d, %d behind its newest: holds a state %v (%q), want %v", q, nd.index, age, ok, state, kept)
 			}
+		}
+		if age != ops/n {
+			t.Fatalf("p%d's chain has %d nodes, want %d", q, age, ops/n)
 		}
 	}
 	// The newest node, p2's, covers the view; with its state gone the read
-	// replays from p0's anchor, and answers the same.
+	// replays from p0's newest node, and answers the same.
 	view[2].state.Store(nil)
 	before := o.CacheStats()
 	if got := mustExecute(t, o, 0, "read()"); got != strconv.Itoa(ops) {
@@ -215,5 +218,29 @@ func TestCoveringNodeStateHeldByNewestOnly(t *testing.T) {
 	}
 	if st := o.CacheStats(); st.Hits != before.Hits+1 || st.Covered != before.Covered {
 		t.Fatalf("a node without its state covered the view: %+v -> %+v", before, st)
+	}
+}
+
+// TestCoveringNodeEmptyState: a node whose state is the empty string holds it
+// like any other — an empty string's data pointer may be nil, the marker of a
+// dropped state — so in a sequential alternation every operation after the
+// first is covered, as it is for the same type with a non-empty state.
+func TestCoveringNodeEmptyState(t *testing.T) {
+	const ops = 100
+	for _, state := range []string{"", "s"} {
+		typ := FuncType{
+			TypeName: "constant",
+			Sequential: FuncSpec{SpecName: "constant", InitialState: state,
+				ApplyFn: func(string, int, string) (string, string, error) { return state, "ok", nil }},
+			CommutesFn: func(string, int, string, int) bool { return true },
+		}
+		var alloc memory.NativeAllocator
+		o := New(&alloc, typ, 2)
+		for i := 0; i < ops; i++ {
+			mustExecute(t, o, i%2, "nop()")
+		}
+		if st := o.CacheStats(); st.Covered != ops-1 || st.Hits != st.Covered || st.Misses != 0 {
+			t.Errorf("state %q: %+v, want every operation after the first covered", state, st)
+		}
 	}
 }

@@ -80,10 +80,11 @@
 // pointers into the prefix again (extraction never reads the view of a node
 // at or below its floor), and the collector severs the boundary views so the
 // Go runtime can free the prefix. A process has several floors to choose from
-// (its kept anchors, package doc) and a pass has its base, and neither
-// weakens this: every one of them is at or above the root loaded by the
-// operation or pass that uses it, and a record of version v belongs to a
-// process whose later operations — published or not — load roots at or past
+// (its own last nodes, package doc; its walk stops at a node at or below the
+// root it loaded, before reading that node's view) and a pass has its base,
+// and neither weakens this: every one of them is at or above the root loaded
+// by the operation or pass that uses it, and a record of version v belongs to
+// a process whose later operations — published or not — load roots at or past
 // v. The ordering argument is the record's store/load pair: the process's
 // operations that could still read under the cut all ran before it published
 // its record (release), and the collector observed quiescence (acquire)

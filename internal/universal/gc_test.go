@@ -320,7 +320,6 @@ func TestGCScanWatermarkGap(t *testing.T) {
 	// stalled, and publishes only now — after the collector's scan.
 	slow := &node{invocation: "inc()", pid: 1, index: 0, preceding: make([]*node, 2)}
 	o.root.Update(1, slow)
-	o.local[1].index = 1
 	// p1 then completes a second operation with a fresh scan — the first it
 	// executes, so it publishes — raising its watermark past the slow node
 	// before the collector reads it.
@@ -390,9 +389,7 @@ func TestGCReplayFailureSurfaced(t *testing.T) {
 	// so that every node outside the cut covers it.
 	bogus := &node{invocation: "bogus()", pid: 1, index: 0, preceding: o.root.View(1)}
 	o.root.Update(1, bogus)
-	o.local[1].index = 1
 	o.root.Update(0, &node{invocation: "inc()", pid: 0, index: 2, preceding: o.root.View(0)})
-	o.local[0].index = 3
 	view := o.root.View(0)
 	g := o.gc
 	o.local[0].rec.Store(&anchor{prefix: []int{2, 0}})
@@ -428,9 +425,8 @@ func TestGCCoverageFailureSurfaced(t *testing.T) {
 	}
 	// Fabricate the violation: a node above the cut whose view covers
 	// nothing.
-	bad := &node{invocation: "inc()", pid: 1, index: o.local[1].index, preceding: make([]*node, 2)}
+	bad := &node{invocation: "inc()", pid: 1, index: top(o.root.View(1)[1]) + 1, preceding: make([]*node, 2)}
 	o.root.Update(1, bad)
-	o.local[1].index++
 
 	if _, err := o.Execute(0, "read()"); err == nil {
 		t.Fatal("Execute succeeded against a node that does not cover the root")
@@ -444,95 +440,149 @@ func TestGCCoverageFailureSurfaced(t *testing.T) {
 	}
 }
 
-// TestGCStaleAnchorFallback is the GC/replay-cache interaction contract: a
-// latest anchor stranded below the truncation root (the protocol never
-// strands one: the root stays at or below every published record, and a
-// process's latest anchor is at or above its published one) must fall back —
-// never panic, never resurrect the poisoned cache state.
-func TestGCStaleAnchorFallback(t *testing.T) {
-	var alloc memory.NativeAllocator
-	o := New(&alloc, CounterType{}, 2)
-	o.SetGC(GCOptions{Window: 4})
-	const ops = 64
-	for i := 0; i < ops; i++ {
-		if _, err := o.Execute(i%2, "inc()"); err != nil {
-			t.Fatal(err)
+// poisonPassed gives every node process p keeps at or below the root a
+// poisoned state, and returns how many it poisoned. No floor may read them
+// while every operation loads a root at or past this one: p's walk down its
+// chain stops at the first node the root has passed, and covered never looks
+// at such a node.
+func poisonPassed(o *Object, p int, root *anchor) int {
+	poisoned := 0
+	for _, nd := range o.local[p].mine {
+		if nd != nil && nd.index <= root.prefix[p] {
+			nd.setState("POISON")
+			poisoned++
 		}
 	}
-	cut := o.trunc.Load().prefix
-	if cut[0] < 0 && cut[1] < 0 {
-		t.Fatal("no truncation happened; stale-anchor case needs a non-trivial root")
+	return poisoned
+}
+
+// TestGCStaleAnchorFallback is the GC/replay-cache interaction contract: once
+// the truncation root has passed a process's newest node — it idled while the
+// others caught the root up to its record — every node it keeps lies at or
+// below the root, and their states, poisoned here, must never come back: the
+// floors fall to the root without extracting from any of them, and never
+// panic.
+func TestGCStaleAnchorFallback(t *testing.T) {
+	const ops, window = 64, 4
+	var alloc memory.NativeAllocator
+	o := New(&alloc, CounterType{}, 2)
+	o.SetGC(GCOptions{Window: window})
+	for i := 0; i < ops; i++ {
+		mustExecute(t, o, i%2, "inc()")
 	}
-	// Strand p0's latest anchor below the root and poison its cached state:
-	// the floor must reject the anchor and replay from a lower floor. The
-	// operations alternate, so a covering node would answer Execute before
-	// any floor is tried: the floors are driven directly first.
-	*o.local[0].own(0) = anchor{prefix: []int{-1, -1}, state: "POISON"}
-	if got, err := o.replay(&o.local[0], o.trunc.Load(), o.root.View(0)); err != nil || got != strconv.Itoa(ops) {
-		t.Fatalf("replay with stale anchor = %q, %v; want %d", got, err, ops)
+	// p0 idles while p1's passes move the root up to p0's record, its newest.
+	extra := 0
+	for ; o.trunc.Load().prefix[0] < top(o.root.View(0)[0]); extra++ {
+		if extra == 4*window {
+			t.Fatalf("the root %v did not reach p0's newest node in %d operations of p1", o.trunc.Load().prefix, extra)
+		}
+		mustExecute(t, o, 1, "inc()")
 	}
-	got, err := o.Execute(0, "read()")
-	if err != nil {
-		t.Fatalf("stale-anchor Execute failed: %v", err)
+	if poisoned := poisonPassed(o, 0, o.trunc.Load()); poisoned != anchorRing+1 {
+		t.Fatalf("the root passed %d of p0's kept nodes, want all %d", poisoned, anchorRing+1)
 	}
-	if got != strconv.Itoa(ops) {
-		t.Fatalf("read() with stale anchor = %q, want %d", got, ops)
+	// The operations alternated, so a covering node would answer Execute
+	// before any floor is tried: the floors are driven directly first.
+	want := strconv.Itoa(ops + extra)
+	before := o.CacheStats()
+	if got, err := o.replay(0, o.trunc.Load(), o.root.View(0)); err != nil || got != want {
+		t.Fatalf("replay over passed nodes = %q, %v; want %s", got, err, want)
+	}
+	if st := o.CacheStats(); st != before {
+		t.Fatalf("a node the root passed was extracted from: %+v -> %+v", before, st)
+	}
+	if got := mustExecute(t, o, 0, "read()"); got != want {
+		t.Fatalf("read() over passed nodes = %q, want %s", got, want)
 	}
 }
 
-// TestGCEarlierAnchorBelowRootSkipped: every anchor a process keeps — its
-// latest and the earlier ones in its ring — is stranded below the truncation
-// root, each with a prefix the untrimmed graph would still accept and a
+// TestGCEarlierAnchorBelowRootSkipped: every node a process keeps — its newest
+// and the anchorRing before it — lies at or below the truncation root, each
+// with a prefix the untrimmed graph would still accept, and each with a
 // poisoned state. All must be skipped without an extraction (no hit, no miss)
-// and the state served from the root. The operations alternate, so a
-// covering node would answer Execute before any floor is tried: the floors
-// are driven directly, white-box, as collect and extract are.
+// and the state served from the root. The operations alternate, so a covering
+// node would answer Execute before any floor is tried: the floors are driven
+// directly, white-box, as collect and extract are.
 func TestGCEarlierAnchorBelowRootSkipped(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
 	o.SetGC(GCOptions{Window: 1 << 30}) // collect only when driven by hand
-	// Enough operations that both processes publish a second record, well
-	// past the anchor old is copied from.
-	const ops = 2*publishEvery + 8
-	var old []int
+	// p0's last operation is its second publication, and p1 runs past it
+	// until it publishes again: the records' minimum is p0's newest node.
+	const ops = 2*publishEvery + 1
 	for i := 0; i < ops; i++ {
-		if _, err := o.Execute(i%2, "inc()"); err != nil {
-			t.Fatal(err)
-		}
-		if i == 6 {
-			old = slices.Clone(o.local[0].own(0).prefix)
-		}
+		mustExecute(t, o, i%2, "inc()")
 	}
-	// One pass: the root moves past old, and the boundary views stay intact
-	// (they are cut by a later pass), so extraction past old would succeed.
+	mustExecute(t, o, 1, "inc()")
+	// One pass: the root moves to p0's newest node, and the boundary views
+	// stay intact (they are cut by a later pass), so extraction past any node
+	// p0 keeps would succeed.
 	view := o.root.View(0)
 	o.gc.mu.Lock()
 	o.collect(view)
 	o.gc.mu.Unlock()
-	if root := o.trunc.Load(); root.version != 1 || atOrAbove(old, root.prefix) {
-		t.Fatalf("root v%d %v did not pass the anchor %v", root.version, root.prefix, old)
+	if root := o.trunc.Load(); root.version != 1 || root.prefix[0] != top(view[0]) {
+		t.Fatalf("root v%d %v did not reach p0's newest node %d", root.version, root.prefix, top(view[0]))
 	}
 	l := &o.local[0]
-	if _, ok := l.extract(old, view); !ok {
-		t.Fatal("the graph refuses the stranded prefix anyway; the case needs it extractable")
+	prefix := make([]int, 2)
+	for _, nd := range l.mine {
+		if nd == nil {
+			t.Fatalf("p0 keeps fewer than %d nodes", len(l.mine))
+		}
+		prefixOf(prefix, nd)
+		if _, ok := l.extract(prefix, view); !ok {
+			t.Fatalf("the graph refuses node %d's prefix %v anyway; the case needs it extractable", nd.index, prefix)
+		}
+		l.release()
 	}
-	l.release()
-	if l.kept != len(l.ring) {
-		t.Fatalf("p0 keeps %d anchors, want a full ring of %d", l.kept, len(l.ring))
+	if poisoned := poisonPassed(o, 0, o.trunc.Load()); poisoned != len(l.mine) {
+		t.Fatalf("the root passed %d of p0's kept nodes, want all %d", poisoned, len(l.mine))
 	}
-	for i := range l.ring {
-		l.ring[i] = anchor{prefix: slices.Clone(old), state: "POISON"}
-	}
+	want := strconv.Itoa(ops + 1)
 	before := o.CacheStats()
-	got, err := o.replay(l, o.trunc.Load(), o.root.View(0))
-	if err != nil || got != strconv.Itoa(ops) {
-		t.Fatalf("replay over stranded anchors = %q, %v; want %d", got, err, ops)
+	got, err := o.replay(0, o.trunc.Load(), o.root.View(0))
+	if err != nil || got != want {
+		t.Fatalf("replay over passed nodes = %q, %v; want %s", got, err, want)
 	}
 	if st := o.CacheStats(); st != before {
-		t.Fatalf("an anchor below the root was extracted from: %+v -> %+v", before, st)
+		t.Fatalf("a node the root passed was extracted from: %+v -> %+v", before, st)
 	}
-	if got, err := o.Execute(0, "read()"); err != nil || got != strconv.Itoa(ops) {
-		t.Fatalf("read() over stranded anchors = %q, %v; want %d", got, err, ops)
+	if got := mustExecute(t, o, 0, "read()"); got != want {
+		t.Fatalf("read() over passed nodes = %q, want %s", got, want)
+	}
+}
+
+// TestGCSeveredAnchorAtRootSkipped: the collector severs a boundary node's view
+// once every process has executed past its root, and the boundary may be the
+// newest node of an idle process, which still keeps it. That process's next
+// floor must stop at the node — it lies exactly at the root it loaded — without
+// reading its view: no panic, no poisoned state, no race report, the answer
+// from the root.
+func TestGCSeveredAnchorAtRootSkipped(t *testing.T) {
+	const ops = 10
+	var alloc memory.NativeAllocator
+	o := New(&alloc, CounterType{}, 2)
+	o.SetGC(GCOptions{Window: 1 << 30}) // collect only when driven by hand
+	for i := 0; i < ops; i++ {
+		mustExecute(t, o, i%2, "inc()")
+	}
+	view := o.root.View(0)
+	o.trunc.Store(&anchor{prefix: []int{top(view[0]), top(view[1])}, state: strconv.Itoa(ops), version: 1})
+	if o.local[0].mine[view[0].index%len(o.local[0].mine)] != view[0] {
+		t.Fatal("p0 does not keep its newest node")
+	}
+	view[0].setState("POISON")
+	view[0].preceding = nil // the collector's cut
+	before := o.CacheStats()
+	if got, err := o.replay(0, o.trunc.Load(), o.root.View(0)); err != nil || got != strconv.Itoa(ops) {
+		t.Fatalf("replay over a severed node at the root = %q, %v; want %d", got, err, ops)
+	}
+	if st := o.CacheStats(); st != before {
+		t.Fatalf("the severed node was tried as a floor: %+v -> %+v", before, st)
+	}
+	if got := mustExecute(t, o, 0, "read()"); got != strconv.Itoa(ops) {
+		t.Fatalf("read() over a severed node at the root = %q, want %d", got, ops)
 	}
 }
 
@@ -570,9 +620,7 @@ func TestGCStragglerPastEveryAnchor(t *testing.T) {
 				view[0] = view[0].preceding[0]
 			}
 		}
-		l := &o.local[1]
-		o.root.Update(1, &node{invocation: "inc()", pid: 1, index: l.index, preceding: view})
-		l.index++
+		o.root.Update(1, &node{invocation: "inc()", pid: 1, index: top(o.root.View(1)[1]) + 1, preceding: view})
 	}
 	for i := 0; i < anchorRing+2; i++ {
 		both("inc()")
@@ -621,7 +669,6 @@ func TestGCRefusedBaseFallsBackToRoot(t *testing.T) {
 		// p1's first operation scanned after p0's first and publishes only now.
 		first := o.root.View(1)[0].preceding[0].preceding[0]
 		o.root.Update(1, &node{invocation: "inc()", pid: 1, index: 0, preceding: []*node{first, nil}})
-		o.local[1].index = 1
 		exec(3)
 		view := o.root.View(0)
 		o.local[0].rec.Store(rec0)
@@ -658,14 +705,17 @@ func TestGCRefusedBaseFallsBackToRoot(t *testing.T) {
 	}
 }
 
-// TestGCStaleAnchorUnderAdversary drives the same stale-anchor fallback
-// through adversarial schedules: each process strands its own cache anchor
-// mid-script (its cache entry is process-local, so self-poisoning between
-// operations is legal), and every resulting history must stay linearizable
-// with truncation live.
+// TestGCStaleAnchorUnderAdversary drives the same fallback through
+// adversarial schedules: before its last operation each process poisons the
+// states of the nodes it keeps that the truncation root has passed, and every
+// resulting history must stay linearizable with truncation live. The root it
+// poisons under is the oldest one the other processes observed before their
+// latest operations: every operation in flight or to come loads a root at or
+// past it.
 func TestGCStaleAnchorUnderAdversary(t *testing.T) {
 	const n = 3
 	scripts := counterScripts(n, 6)
+	var poisoned int
 	system := func(obj **Object) sched.System {
 		return sched.System{
 			N: n,
@@ -675,21 +725,32 @@ func TestGCStaleAnchorUnderAdversary(t *testing.T) {
 				if obj != nil {
 					*obj = o
 				}
+				// observed[q] is the root q's program saw before its latest
+				// operation began.
+				observed := make([]*anchor, n)
+				oldestOther := func(pid int) *anchor {
+					oldest := o.trunc.Load()
+					for q, root := range observed {
+						if q != pid && (root == nil || root.version < oldest.version) {
+							oldest = root
+						}
+						if oldest == nil {
+							return nil
+						}
+					}
+					return oldest
+				}
 				progs := make([]sched.Program, n)
 				for pid := range scripts {
 					pid := pid
 					progs[pid] = func(p *sched.Proc) {
 						for i, desc := range scripts[pid] {
 							if i == len(scripts[pid])-1 {
-								// Strand this process's own anchor below the
-								// cut — meaningful only once a truncation
-								// advanced the root; an all-(-1) anchor equals
-								// the trivial cut and would be legally used,
-								// poisoned state and all.
-								if cut := o.trunc.Load().prefix; cut[0] >= 0 || cut[1] >= 0 || cut[2] >= 0 {
-									*o.local[pid].own(0) = anchor{prefix: []int{-1, -1, -1}, state: "POISON"}
+								if root := oldestOther(pid); root != nil {
+									poisoned += poisonPassed(o, pid, root)
 								}
 							}
+							observed[pid] = o.trunc.Load()
 							desc := desc
 							p.Do(desc, func() string {
 								resp, err := o.Execute(pid, desc)
@@ -723,6 +784,9 @@ func TestGCStaleAnchorUnderAdversary(t *testing.T) {
 	}
 	if truncations == 0 {
 		t.Error("no schedule triggered a truncation under the stale-anchor workload")
+	}
+	if poisoned == 0 {
+		t.Error("no schedule let a process poison a node the root had passed")
 	}
 }
 
@@ -875,6 +939,7 @@ func TestGCPublishedRecordImmutable(t *testing.T) {
 	o := New(&alloc, CounterType{}, 3) // pid 2 scans for the collector goroutine
 	o.SetGC(GCOptions{Window: 1 << 30})
 	var seen []snapshot
+	var executed [3]int
 	exec := func(p int) {
 		t.Helper()
 		l := &o.local[p]
@@ -882,12 +947,13 @@ func TestGCPublishedRecordImmutable(t *testing.T) {
 		if _, err := o.Execute(p, "inc()"); err != nil {
 			t.Fatal(err)
 		}
-		rec := l.rec.Load()
+		rec, latest := l.rec.Load(), executed[p]
+		executed[p]++
 		if rec == nil {
-			t.Fatalf("p%d published nothing by its operation %d", p, l.index-1)
+			t.Fatalf("p%d published nothing by its operation %d", p, latest)
 		}
-		if lag := l.index - 1 - rec.prefix[p]; lag >= publishEvery {
-			t.Fatalf("p%d's record lags its operation %d by %d, want < %d", p, l.index-1, lag, publishEvery)
+		if lag := latest - rec.prefix[p]; lag >= publishEvery {
+			t.Fatalf("p%d's record lags its operation %d by %d, want < %d", p, latest, lag, publishEvery)
 		}
 		if rec != prev {
 			seen = append(seen, snapshot{rec, slices.Clone(rec.prefix), rec.state, rec.version})

@@ -315,9 +315,7 @@ func TestDominanceAskedPerClass(t *testing.T) {
 			if _, err := o.Execute(0, "inc()"); err != nil {
 				t.Fatal(err)
 			}
-			l1 := &o.local[1]
-			o.root.Update(1, &node{invocation: "inc()", pid: 1, index: l1.index, preceding: stale})
-			l1.index++
+			o.root.Update(1, &node{invocation: "inc()", pid: 1, index: top(stale[1]) + 1, preceding: stale})
 
 			calls = 0
 			before := o.CacheStats().Misses

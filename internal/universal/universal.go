@@ -24,21 +24,20 @@
 //
 // Everything this implementation adds to the paper's algorithm — the replay
 // cache below and the truncation of gc.go — rests on one record and one lemma.
-// After each operation, process p records an anchor: the per-process
-// operation-index prefix {(q, i) : i <= prefix[q]} it just linearized (its
-// scanned view plus its own node), the sequential state reached by replaying
-// that prefix, and the version of the truncation root it executed against.
-// The owner keeps its anchors to itself, rewritten in place, as the replay
-// floors of its later operations. It publishes an immutable copy of one into a
-// single-writer register outside the simulated shared memory — on its first
-// operation, on every operation that runs a collector pass, and never more
-// than min(Window, publishEvery) operations apart — and collector passes read
-// that copy, as a low watermark and as a base whose state they may adopt. The
-// truncation root is a record of the same type; the initial one — nothing
-// linearized, the initial state, version 0 — exists from construction. The
-// operation's node carries the record's state too, for as long as it is its
-// process's newest node: what the node's own prefix — its scanned view plus
-// itself — replays to.
+// Each operation of process p is an anchor: the per-process operation-index
+// prefix {(q, i) : i <= prefix[q]} it just linearized (its scanned view plus
+// its own node), the sequential state reached by replaying that prefix, and
+// the version of the truncation root it executed against. The operation's node
+// is that anchor in p's own hands — its preceding view and its index are the
+// prefix, and it carries the state while it is one of p's last anchorRing+1
+// nodes — so p's replay floors are its own nodes, kept in a fixed array. p
+// publishes an immutable copy of one anchor, as a record, into a single-writer
+// register outside the simulated shared memory — on its first operation, on
+// every operation that runs a collector pass, and never more than min(Window,
+// publishEvery) operations apart — and collector passes read that copy, as a
+// low watermark and as a base whose state they may adopt. The truncation root
+// is a record of the same type; the initial one — nothing linearized, the
+// initial state, version 0 — exists from construction.
 //
 // A published record may be up to publishEvery-1 operations older than its
 // process's latest, and that is sound: every rule that reads another process's
@@ -67,48 +66,49 @@
 // # Replay cache
 //
 // Executed naively, steps 2-4 cost O(history). Process p instead starts from
-// the nearest floor the scanned graph covers. The first candidate is the
-// whole graph: a node of the view whose own view is the rest of the scan,
-// pointer for pointer, and which still carries its state — the common case
-// when operations do not overlap, since the newest operation scanned all the
-// others. Then p takes that state, applies its own invocation and replays
-// nothing (CacheStats.Covered). Only a node above the truncation root the
-// operation loaded is a candidate, and only its own view is read, never the
-// view of a node at or below the root, which the collector may sever. A node
-// that is no longer its process's newest has dropped its state — the live
-// graph pins at most n states — so an operation that scanned it while it was
-// falls to the list below. The other candidates are one list: p's own
-// private anchors newest to oldest — its latest and the anchorRing before it
-// — and last the truncation root, which every reachable node covers (gc.go;
-// without GC the root stays the empty prefix and that last candidate is the
-// full extraction). From a candidate p extracts only the nodes beyond
-// the prefix and replays them onto the anchored state, provided every extracted
+// the nearest floor the scanned graph covers. The first candidate is the whole
+// graph: a node of the view whose own view is the rest of the scan, pointer for
+// pointer, and which still carries its state — the common case when operations
+// do not overlap, since the newest operation scanned all the others. Then p
+// takes that state, applies its own invocation and replays nothing
+// (CacheStats.Covered). Only a node above the truncation root the operation
+// loaded is a candidate, and only its own view is read, never the view of a
+// node at or below the root, which the collector may sever. A node that has
+// left its process's last anchorRing+1 has dropped its state, so an operation
+// that scanned it falls to the list below. The other candidates are one list:
+// p's own nodes newest to oldest — view[p], p's last node, and down its chain
+// while a node still holds its state and lies above the truncation root the
+// operation loaded before its scan — and last that root, which every reachable
+// node covers (gc.go; without GC the root stays the empty prefix and that last
+// candidate is the full extraction). From a candidate p extracts only the nodes
+// beyond its prefix and replays them onto its state, provided every extracted
 // node covers the prefix — the lemma's condition on the graph p scanned, so
 // node orders and responses are byte-identical to an uncached run (the
-// differential tests check this). Normally the latest anchor is covered and
-// the cost is O(Δ·n) for the Δ operations since p's previous one. A
-// non-covering node (a genuinely concurrent straggler that might linearize
-// inside the prefix) refuses the candidate, and the next one down is tried: a
-// straggler that overlapped one of p's recent operations scanned after the
-// operation before it, so it covers that operation's anchor and the miss costs
-// the few operations since, not the live graph. Only a straggler older than
-// every kept anchor sends p to the root (CacheStats.RootReplays). An anchor is
-// a candidate only at or above the truncation root the operation loaded before
-// its scan — the history under the root may already be trimmed, and the
-// quiescence rule of gc.go counts on no floor lying lower. What the list
-// retains is bounded: a fixed ring of anchorRing+1 records per process, their
-// prefix buffers allocated once and rewritten in place, and their state
-// strings — plus the (at most two) blocks its published copies are carved
-// from (publishEvery).
+// differential tests check this). Normally p's newest node is covered and the
+// cost is O(Δ·n) for the Δ operations since p's previous one. A non-covering
+// node (a genuinely concurrent straggler that might linearize inside the
+// prefix) refuses the candidate, and the next one down is tried: a straggler
+// that overlapped one of p's recent operations scanned after the operation
+// before it, so it covers that operation's node and the miss costs the few
+// operations since, not the live graph. Only a straggler older than every kept
+// node above the root sends p to the root (CacheStats.RootReplays). The walk
+// stops at the first node at or below the root — that node may be a boundary
+// node whose view the collector severs, and the quiescence rule of gc.go counts
+// on no floor lying lower. What the list retains is bounded: an array of
+// anchorRing+1 node pointers per process, one n-int buffer its candidates'
+// prefixes are written to, and the kept nodes' state strings — plus the (at
+// most two) blocks its published copies are carved from (publishEvery).
 //
 // Strong linearizability is untouched: the cache reads nothing but what a
 // legal root scan returns, takes no shared step (a node's state is written
 // before the node is published and dropped by a plain atomic store outside
-// the simulated shared memory), and computes the same response function of
-// the scanned view as the uncached algorithm.
+// the simulated shared memory, and the kept nodes are reached through p's own
+// scan), and computes the same response function of the scanned view as the
+// uncached algorithm.
 package universal
 
 import (
+	"cmp"
 	"fmt"
 	"sync/atomic"
 	"unsafe"
@@ -178,17 +178,22 @@ type node struct {
 	// state and stateLen are the state its executor reached — the scanned
 	// graph's state with this operation applied, the state after the node's
 	// own prefix — as the string's first byte and length. The node holds it
-	// while it is its process's newest: the process drops it (one atomic
-	// store of nil) when it publishes its next node, so the live graph pins at
-	// most n states, and a node without one covers nothing.
+	// while it is one of its process's last anchorRing+1 nodes: the process
+	// drops it (one atomic store of nil) when it publishes the node that
+	// evicts it, so the live graph pins at most anchorRing+1 states per
+	// process, and a node without one covers nothing and is no floor.
 	state    atomic.Pointer[byte]
 	stateLen int
 }
 
+// emptyState is where an empty state points: the data pointer of "" may be
+// nil, and nil marks a dropped state.
+var emptyState byte
+
 // setState gives a node that is not yet published the state it reached.
 func (e *node) setState(s string) {
 	e.stateLen = len(s)
-	e.state.Store(unsafe.StringData(s))
+	e.state.Store(cmp.Or(unsafe.StringData(s), &emptyState))
 }
 
 // reachedState returns the state e's executor reached, and false once e's
@@ -201,11 +206,11 @@ func (e *node) reachedState() (string, bool) {
 	return unsafe.String(p, e.stateLen), true
 }
 
-// anchor is the one record of the package doc: a linearized index prefix, the
-// sequential state it replays to, and a truncation-root version. A published
-// record and a truncation root are immutable; a process's private anchors are
-// rewritten in place. As a process's record, version is the root the
-// operation executed against; as a truncation root, it numbers the roots.
+// anchor is the shared record of the package doc: a linearized index prefix,
+// the sequential state it replays to, and a truncation-root version — a
+// process's published record or a truncation root, immutable either way. As a
+// process's record, version is the root the operation executed against; as a
+// truncation root, it numbers the roots.
 type anchor struct {
 	// prefix[q] is the highest operation index of process q in the prefix,
 	// -1 for none.
@@ -214,42 +219,42 @@ type anchor struct {
 	version int64
 }
 
-// anchorRing is the number of anchors a process keeps from before its latest
-// one, as lower replay floors for the operation a straggler makes miss.
+// anchorRing is the number of nodes a process keeps, with their states, from
+// before its newest one, as lower replay floors for the operation a straggler
+// makes miss.
 const anchorRing = 8
 
 // publishEvery bounds the operations between two publications of a process's
 // record when the collector's window is longer: a publication is the only
-// memory an anchor costs, and only a collector pass, once a window, reads the
-// record. Published copies are carved publishEvery at a time out of one block
-// of records and one of prefixes, so even at a window of one, where every
-// operation publishes, a copy costs an eighth of an allocation. A block stays
-// reachable while the published record or the collector's last reading of it
-// lies in it: at most two per process, with their records' state strings.
+// memory an anchor costs beyond its node, and only a collector pass, once a
+// window, reads the record. Published copies are carved publishEvery at a time
+// out of one block of records and one of prefixes, so even at a window of one,
+// where every operation publishes, a copy costs an eighth of an allocation. A
+// block stays reachable while the published record or the collector's last
+// reading of it lies in it: at most two per process, with their records' state
+// strings.
 const publishEvery = 16
 
-// plocal is everything process p keeps between its operations: its operation
-// count, its anchors, its published record and the scratch its extractions
-// and linearizations run in. It is written only by the goroutine driving that
-// pid — rec is the single-writer register collector passes load, and the
-// counters are atomic so CacheStats may read them concurrently — it is
-// indexed by pid, and it is never pooled and never shared: exclusive pid
-// ownership is the model's own invariant, so the rest needs no synchronising.
-// The trailing pad keeps one process's entry off the cache lines of the next.
+// plocal is everything process p keeps between its operations: its last
+// nodes, its published record and the scratch its extractions and
+// linearizations run in. It is written only by the goroutine driving that pid
+// — rec is the single-writer register collector passes load, and the counters
+// are atomic so CacheStats may read them concurrently — it is indexed by pid,
+// and it is never pooled and never shared: exclusive pid ownership is the
+// model's own invariant, so the rest needs no synchronising. The trailing pad
+// keeps one process's entry off the cache lines of the next.
 type plocal struct {
-	// index counts the operations the process has executed; ops counts them
-	// since its last collector pass.
-	index, ops int
-	// ring holds the owner's latest anchor, in slot head, and the anchorRing
-	// before it; kept counts the slots filled. The slots' prefixes share one
-	// buffer, allocated on the first operation and rewritten in place.
-	ring       [anchorRing + 1]anchor
-	head, kept int
-	// rec is the published copy of one of the ring's anchors, nil before the
-	// first operation; unpublished counts the operations since it. pubs and
-	// pubPrefixes are what is left of the blocks copies are carved from.
+	// ops counts the operations since the process's last collector pass.
+	ops int
+	// mine holds the process's last anchorRing+1 nodes, node i in slot i %
+	// len(mine): its anchors, each holding its state while it is here. at is
+	// the prefix of the one floor is trying.
+	mine [anchorRing + 1]*node
+	at   []int
+	// rec is the published copy of one of its anchors, nil before the first
+	// operation. pubs and pubPrefixes are what is left of the blocks copies
+	// are carved from.
 	rec         atomic.Pointer[anchor]
-	unpublished int
 	pubs        []anchor
 	pubPrefixes []int
 	// hits, covered, misses and rootReplays count this process's cache
@@ -263,31 +268,26 @@ type plocal struct {
 	_ [128]byte
 }
 
-// own returns the process's i-th newest anchor, 0 the latest, for i < kept.
-func (l *plocal) own(i int) *anchor {
-	return &l.ring[(l.head-i+len(l.ring))%len(l.ring)]
-}
-
 // bump adds one to a counter only this process writes.
 func bump(c *atomic.Int64) { c.Store(c.Load() + 1) }
 
 // CacheStats counts replay-cache outcomes across all processes.
 type CacheStats struct {
 	// Hits counts operations that replayed only the delta beyond their
-	// process's anchor, Covered included.
+	// process's newest node, Covered included.
 	Hits int64
 	// Covered counts the hits that replayed nothing: one node of the scanned
 	// view had scanned the rest of the view exactly, so its state was the
 	// graph's and only the operation's own invocation was applied.
 	Covered int64
 	// Misses counts operations that replayed from a lower floor — an earlier
-	// anchor of their process or the truncation root — because some extracted
-	// node did not cover the latest anchor.
+	// node of their process or the truncation root — because some extracted
+	// node did not cover their process's newest.
 	Misses int64
-	// RootReplays counts the misses that ended at the truncation root: no
-	// anchor the process still keeps was covered. Each costs a replay of every
-	// live node, so a share of Misses that grows says stragglers lag further
-	// behind than the kept anchors reach.
+	// RootReplays counts the misses that ended at the truncation root: none
+	// of the nodes the process keeps above the root was covered. Each costs a
+	// replay of every live node, so a share of Misses that grows says
+	// stragglers lag further behind than the kept nodes reach.
 	RootReplays int64
 }
 
@@ -343,8 +343,8 @@ func New(alloc memory.Allocator, t Type, n int) *Object {
 // Disabling leaves the truncation root as the only replay floor — without
 // GC the full O(history) extract-and-replay path; it exists for differential
 // tests and growth measurements. It must not be called concurrently with
-// Execute. Anchors are recorded either way, so a re-enabled cache resumes
-// from each process's latest operation.
+// Execute. A process keeps its last nodes either way, so a re-enabled cache
+// resumes from each process's latest operation.
 func (o *Object) SetCaching(on bool) { o.caching = on }
 
 // CacheStats returns the replay-cache hit/miss counters, summed over all
@@ -365,15 +365,14 @@ func (o *Object) CacheStats() CacheStats {
 // node, and returns the response. With the replay cache warm it replays
 // nothing when one scanned node covers the rest of the view exactly, and
 // otherwise extracts, sorts, and replays only the nodes beyond the nearest
-// floor the scanned graph covers — process p's latest anchor, as a rule — and
+// floor the scanned graph covers — process p's newest node, as a rule — and
 // no floor is ever below the truncation root, whose state stands in for the
 // truncated prefix.
 func (o *Object) Execute(p int, invoke string) (string, error) {
 	root := o.trunc.Load()
 	view := o.root.View(p) // line 81
 
-	l := &o.local[p]
-	state, err := o.reached(l, root, view)
+	state, err := o.reached(p, root, view)
 	if err != nil {
 		return "", err
 	}
@@ -385,16 +384,12 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 	e := &node{
 		invocation: invoke,
 		pid:        p,
-		index:      l.index,
-		preceding:  view, // lines 88-90 (a stored view is immutable: see Object.root)
+		index:      top(view[p]) + 1, // the root is linearizable: p's scan holds p's last node
+		preceding:  view,             // lines 88-90 (a stored view is immutable: see Object.root)
 	}
 	e.setState(next)
-	l.index++
 	o.root.Update(p, e) // line 91
-	if prev := view[p]; prev != nil {
-		prev.state.Store(nil) // a scan from now on finds e, not prev, as p's newest
-	}
-	o.publish(l, view, e, next, root.version)
+	o.publish(&o.local[p], e, next, root.version)
 	return resp, nil
 }
 
@@ -402,30 +397,31 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 // 82-87 short of the operation's own invocation). With the cache on, a view
 // node that covers the rest of the view exactly carries that state itself;
 // otherwise it is replayed.
-func (o *Object) reached(l *plocal, root *anchor, view []*node) (string, error) {
+func (o *Object) reached(p int, root *anchor, view []*node) (string, error) {
 	if o.caching {
 		if state, ok := covered(root, view); ok {
+			l := &o.local[p]
 			bump(&l.hits)
 			bump(&l.covered)
 			return state, nil
 		}
 	}
-	return o.replay(l, root, view)
+	return o.replay(p, root, view)
 }
 
 // replay extracts the nodes past the nearest floor the graph covers (line
 // 82, restricted past the floor), sorts them (line 83: the topological sort
 // of lingraph(G)) and replays them onto the floor's state.
-func (o *Object) replay(l *plocal, root *anchor, view []*node) (string, error) {
-	from := o.floor(l, root, view)
-	if from == nil {
+func (o *Object) replay(p int, root *anchor, view []*node) (string, error) {
+	state, ok := o.floor(p, root, view)
+	if !ok {
 		// Every reachable node covers the truncation root (the truncation
 		// invariant; trivially so for the initial one): only a graph that is
 		// not the construction's can get here.
 		o.coverFails.Add(1)
 		return "", fmt.Errorf("universal: precedence graph breaks the per-process chains or does not cover truncation root v%d", root.version)
 	}
-	state := from.state
+	l := &o.local[p]
 	var err error
 	for _, nd := range l.linearize(o.t) {
 		state, _, err = o.sp.Apply(state, nd.pid, nd.invocation)
@@ -468,31 +464,36 @@ func covered(root *anchor, view []*node) (string, bool) {
 	return "", false
 }
 
-// floor extracts view past process l's nearest usable floor and returns that
-// floor, nil when the graph covers none. The candidates are one list: with the
-// cache on, l's own anchors newest to oldest — each usable only at or above
-// root, the truncation root this Execute loaded: the root never passes l's
-// published record, but an anchor older than that record may lie below it,
-// over history that may be trimmed, so it is skipped, never extracted from
-// and never an error, because the root's state subsumes it — and then root
-// itself. Extraction is the covering check: a candidate is refused when some
-// extracted node does not cover it and may linearize inside its prefix, and
-// the next one down is tried.
-func (o *Object) floor(l *plocal, root *anchor, view []*node) *anchor {
+// floor extracts view past process p's nearest usable floor and returns that
+// floor's state, false when the graph covers none. The candidates (package
+// doc) are, with the cache on, p's own nodes from view[p] down its chain —
+// ending at the first that has dropped its state or lies at or below root, the
+// truncation root this Execute loaded, whose view is never read: the collector
+// may sever it — and then root itself. A node whose prefix is not at or above
+// root is skipped, never extracted from and never an error: the root's state
+// subsumes it. Extraction is the covering check: a candidate is refused when
+// some extracted node does not cover it, and the next one down is tried.
+func (o *Object) floor(p int, root *anchor, view []*node) (string, bool) {
+	l := &o.local[p]
 	refused := false
 	if o.caching {
-		for i := range l.kept {
-			a := l.own(i)
-			if !atOrAbove(a.prefix, root.prefix) {
+		l.at = grow(l.at, o.n)
+		for e := view[p]; e != nil && e.index > root.prefix[p]; e = e.preceding[p] {
+			state, ok := e.reachedState()
+			if !ok {
+				break
+			}
+			prefixOf(l.at, e)
+			if !atOrAbove(l.at, root.prefix) {
 				continue
 			}
-			if _, ok := l.extract(a.prefix, view); ok {
+			if _, ok := l.extract(l.at, view); ok {
 				if refused {
 					bump(&l.misses)
 				} else {
 					bump(&l.hits)
 				}
-				return a
+				return state, true
 			}
 			refused = true
 		}
@@ -502,9 +503,9 @@ func (o *Object) floor(l *plocal, root *anchor, view []*node) *anchor {
 		bump(&l.rootReplays)
 	}
 	if _, ok := l.extract(root.prefix, view); !ok {
-		return nil
+		return "", false
 	}
-	return root
+	return root.state, true
 }
 
 // atOrAbove reports whether prefix a includes the cut pointwise.
@@ -517,25 +518,24 @@ func atOrAbove(a, cut []int) bool {
 	return true
 }
 
-// publish records process l's anchor for the operation that just completed —
-// node e over view, reaching state, executed against root version — in the
-// oldest slot of its ring, publishes a copy when one is due (package doc),
-// and runs the amortized collector every window operations.
-func (o *Object) publish(l *plocal, view []*node, e *node, state string, version int64) {
-	if l.kept == 0 {
-		buf := make([]int, len(l.ring)*o.n)
-		for i := range l.ring {
-			l.ring[i].prefix = buf[i*o.n : (i+1)*o.n : (i+1)*o.n]
-		}
+// prefixOf writes node e's prefix — its scanned view plus itself — into at.
+func prefixOf(at []int, e *node) {
+	for q, nd := range e.preceding {
+		at[q] = top(nd)
 	}
-	l.head = (l.head + 1) % len(l.ring)
-	l.kept = min(l.kept+1, len(l.ring))
-	a := &l.ring[l.head]
-	for q, nd := range view {
-		a.prefix[q] = top(nd)
+	at[e.pid] = e.index
+}
+
+// publish makes node e, reaching state against root version, the newest of
+// process l's kept nodes — it evicts the oldest, whose state it drops —
+// publishes a copy of its anchor when one is due (package doc), and runs the
+// amortized collector every window operations.
+func (o *Object) publish(l *plocal, e *node, state string, version int64) {
+	slot := e.index % len(l.mine)
+	if old := l.mine[slot]; old != nil {
+		old.state.Store(nil)
 	}
-	a.prefix[e.pid] = e.index
-	a.state, a.version = state, version
+	l.mine[slot] = e
 
 	g, period, collect := o.gc, publishEvery, false
 	if g != nil {
@@ -545,20 +545,19 @@ func (o *Object) publish(l *plocal, view []*node, e *node, state string, version
 			collect = true
 		}
 	}
-	if l.unpublished++; l.unpublished >= period || collect || l.rec.Load() == nil {
+	if rec := l.rec.Load(); collect || rec == nil || e.index-rec.prefix[e.pid] >= period {
 		if len(l.pubs) == 0 {
 			l.pubs = make([]anchor, publishEvery)
 			l.pubPrefixes = make([]int, publishEvery*o.n)
 		}
 		c := &l.pubs[0]
-		*c = anchor{prefix: l.pubPrefixes[:o.n:o.n], state: a.state, version: a.version}
-		copy(c.prefix, a.prefix)
+		*c = anchor{prefix: l.pubPrefixes[:o.n:o.n], state: state, version: version}
+		prefixOf(c.prefix, e)
 		l.pubs, l.pubPrefixes = l.pubs[1:], l.pubPrefixes[o.n:]
-		l.unpublished = 0
 		l.rec.Store(c)
 	}
 	if collect && g.mu.TryLock() {
-		o.collect(view)
+		o.collect(e.preceding)
 		g.mu.Unlock()
 	}
 }

@@ -213,11 +213,12 @@ func (o *Object) Execute(pid int, invocation string) (string, error) {
 func (o *Object) SetCaching(on bool) { o.inner.SetCaching(on) }
 
 // ObjectCacheStats counts replay-cache outcomes across an Object's
-// processes: Hits (delta replays from the process's latest anchor) and,
-// among those, Covered (one scanned node had scanned the rest of the view,
-// so its state was taken and nothing replayed), Misses (a straggler forced a
-// lower floor) and, among those, RootReplays (no anchor the process keeps
-// was covered, so it replayed every live node from the truncation root).
+// processes: Hits (delta replays from the process's newest node) and, among
+// those, Covered (one scanned node had scanned the rest of the view, so its
+// state was taken and nothing replayed), Misses (a straggler forced a lower
+// floor) and, among those, RootReplays (none of the last nine nodes the
+// process keeps above the truncation root was covered, so it replayed every
+// live node from that root).
 type ObjectCacheStats = universal.CacheStats
 
 // CacheStats returns the replay-cache outcome counters.
