@@ -139,17 +139,19 @@ func TestObjectExecuteAllocs(t *testing.T) {
 }
 
 // TestObjectIdlePidPassAllocs pins what a collector pass costs when it cannot
-// proceed: with one pid that never executes, every pass ends at that pid's
-// unpublished record, and must end there before it allocates. A window of one
-// runs a pass per operation; the same operations with passes out of reach
-// allocate exactly as much.
+// proceed: with one pid that has begun — it read the object's GC stats, which
+// reads the graph as an operation does — but never executes, every pass ends
+// at that pid's unpublished record, and must end there before it allocates. A
+// window of one runs a pass per operation; the same operations with passes out
+// of reach allocate exactly as much.
 func TestObjectIdlePidPassAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	perOp := func(window int) float64 {
-		o := NewObject(CounterType{}, 3) // pid 2 stays idle
+		o := NewObject(CounterType{}, 3)
 		o.SetGC(ObjectGCOptions{Window: window})
+		o.GCStats(2) // pid 2 begins and then stays idle
 		pid := 0
 		return testing.AllocsPerRun(64, func() {
 			if _, err := o.Execute(pid, "inc()"); err != nil {

@@ -533,7 +533,8 @@ func (c countingSpec) Apply(state string, pid int, desc string) (string, string,
 // every Apply beyond the operation's own — Execute's replays and the
 // collector's — so it is the count the replay floors and the collector's base
 // exist to keep near the delta; root-replays/miss is the share of misses that
-// no node their process kept was covered for.
+// no node their process kept was covered for, and refused/miss the kept nodes
+// a miss extracted from in vain before its floor.
 func BenchmarkUniversalContended(b *testing.B) {
 	for _, objs := range []int{1, 64} {
 		b.Run("objs="+strconv.Itoa(objs), func(b *testing.B) {
@@ -567,12 +568,13 @@ func BenchmarkUniversalContended(b *testing.B) {
 				total += applies[i].Load()
 			}
 			b.ReportMetric(float64(total-int64(b.N))/float64(b.N), "replayed-nodes/op")
-			var misses, rootReplays int64
+			var misses, rootReplays, refused int64
 			for _, o := range objects {
 				st := o.CacheStats()
-				misses, rootReplays = misses+st.Misses, rootReplays+st.RootReplays
+				misses, rootReplays, refused = misses+st.Misses, rootReplays+st.RootReplays, refused+st.Refused
 			}
 			b.ReportMetric(float64(rootReplays)/float64(max(misses, 1)), "root-replays/miss")
+			b.ReportMetric(float64(refused)/float64(max(misses, 1)), "refused/miss")
 		})
 	}
 }

@@ -83,14 +83,6 @@ type step struct {
 	k    Kind // kind operand (stepNames only)
 }
 
-// resolution is the registry lookup of the previous entry. A batch memoizes
-// only that: a run of ops on one object (insert then remove, a burst of
-// executes) pays one Get, and a batch over many names pays no memo at all.
-type resolution struct {
-	key  objectKey
-	inst kind.Instance
-}
-
 // BatchWork is the working storage of one BatchExecuteWith call: results
 // and compiled steps. The zero value is ready to use, and a BatchWork may be
 // reused by one call after another (not concurrently) so that a warm batch
@@ -179,10 +171,9 @@ func (r *Registry) BatchExecuteWith(ctx context.Context, ops []BatchOp, w *Batch
 	// Phase 1, before leasing: validate every op through its driver codec,
 	// resolve its target instance, and compile its operand, so the leased
 	// phase below is a tight dispatch loop.
-	var prev resolution
 	runs := false
 	for i := range ops {
-		st, err := r.compile(&ops[i], &prev)
+		st, err := r.compile(&ops[i])
 		steps[i], results[i] = st, BatchResult{Err: err}
 		runs = runs || st.kind == stepRun
 	}
@@ -234,10 +225,9 @@ func (r *Registry) BatchExecuteWith(ctx context.Context, ops []BatchOp, w *Batch
 }
 
 // compile validates op through its kind's driver and returns its executable
-// step, resolving (and lazily creating) the target instance unless the
-// previous entry named the same object. A non-nil error means the op can
-// never succeed; no object is created for it.
-func (r *Registry) compile(op *BatchOp, prev *resolution) (step, error) {
+// step, resolving (and lazily creating) the target instance. A non-nil error
+// means the op can never succeed; no object is created for it.
+func (r *Registry) compile(op *BatchOp) (step, error) {
 	// Reserved introspection ops resolve against the registry itself.
 	switch op.Op {
 	case OpNames:
@@ -249,30 +239,27 @@ func (r *Registry) compile(op *BatchOp, prev *resolution) (step, error) {
 		return step{kind: stepStats}, nil
 	}
 
-	d, ok := kind.Lookup(string(op.Kind))
-	if !ok {
-		return step{}, kind.UnknownKind(string(op.Kind))
+	t, err := r.table(op.Kind)
+	if err != nil {
+		return step{}, err
 	}
 	if op.Name == "" {
 		return step{}, errors.New("empty object name")
 	}
 	req := kind.Request{Op: string(op.Op), Value: op.Value, Type: op.Type, Invocation: op.Invocation}
-	// Reject unknown ops and malformed operands before the registry lookup;
-	// a doomed op must not register an object.
-	if err := d.Validate(req); err != nil {
+	// Reject unknown ops and malformed operands before the name lookup; a
+	// doomed op must not register an object.
+	if err := t.driver.Validate(req); err != nil {
 		return step{}, err
 	}
-	if key := (objectKey{op.Kind, op.Name}); key != prev.key {
-		inst, _, err := r.Get(op.Kind, op.Name, req)
-		if err != nil {
-			return step{}, err
-		}
-		*prev = resolution{key: key, inst: inst}
+	inst, err := r.instance(t, op.Name, req)
+	if err != nil {
+		return step{}, err
 	}
 	// Compile carries the per-instance checks (e.g. the universal object's
 	// type-conflict detection), which must also fire between two ops of one
 	// batch that name the same object differently.
-	compiled, err := prev.inst.Compile(req)
+	compiled, err := inst.Compile(req)
 	if err != nil {
 		return step{}, err
 	}

@@ -71,6 +71,41 @@ func TestBatchExecuteMixedKinds(t *testing.T) {
 	}
 }
 
+// TestRegistryBatchAlternatingKinds: entries that alternate between two kinds
+// under one name each run on their own kind's instance — the counter counts
+// only its incs, the max-register holds only its writes.
+func TestRegistryBatchAlternatingKinds(t *testing.T) {
+	r := New(Options{Procs: 2})
+	ops := []BatchOp{
+		{Kind: KindCounter, Name: "x", Op: OpInc},
+		{Kind: KindMaxRegister, Name: "x", Op: OpWrite, Value: "5"},
+		{Kind: KindCounter, Name: "x", Op: OpInc},
+		{Kind: KindMaxRegister, Name: "x", Op: OpWrite, Value: "9"},
+		{Kind: KindCounter, Name: "x", Op: OpInc},
+		{Kind: KindMaxRegister, Name: "x", Op: OpWrite, Value: "3"},
+		{Kind: KindCounter, Name: "x", Op: OpRead},
+		{Kind: KindMaxRegister, Name: "x", Op: OpRead},
+	}
+	out, err := r.BatchExecute(context.Background(), ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range out.Results {
+		if res.Err != nil {
+			t.Fatalf("op %d (%s/%s %s) failed: %v", i, ops[i].Kind, ops[i].Name, ops[i].Op, res.Err)
+		}
+	}
+	if got := out.Results[6].Value; got != "3" {
+		t.Errorf("counter/x read = %q, want 3", got)
+	}
+	if got := out.Results[7].Value; got != "9" {
+		t.Errorf("maxreg/x read = %q, want 9", got)
+	}
+	if objects := r.Stats().Objects; objects[string(KindCounter)] != 1 || objects[string(KindMaxRegister)] != 1 {
+		t.Errorf("Stats().Objects = %v, want one counter and one maxreg", objects)
+	}
+}
+
 func TestBatchExecutePartialFailure(t *testing.T) {
 	r := New(Options{Procs: 2})
 	ctx := context.Background()

@@ -52,20 +52,20 @@ type Registry struct {
 	procs int
 	pool  *slmem.PIDPool
 
-	// objects maps objectKey to kind.Instance. An object is created once
-	// and never replaced or removed, which is the read-mostly, disjoint-key
-	// use sync.Map serves without a lock.
-	objects sync.Map
-
-	// created counts instances per kind name (*atomic.Int64 values).
-	created sync.Map
+	// tables maps a Kind to its *table, made on the kind's first use. An
+	// unregistered kind makes none, so the map holds at most one entry per
+	// registered kind whatever names clients send.
+	tables sync.Map
 }
 
-// objectKey names one object. The map is keyed by the pair rather than by a
-// concatenated "kind/name", which would cost a heap string per lookup.
-type objectKey struct {
-	kind Kind
-	name string
+// table is one kind's objects: the kind's driver, resolved once, a map from
+// name to kind.Instance, and how many instances it has created. An object is
+// created once and never replaced or removed, which is the read-mostly,
+// disjoint-key use sync.Map serves without a lock.
+type table struct {
+	driver  *kind.Driver
+	objects sync.Map
+	created atomic.Int64
 }
 
 // New constructs a registry.
@@ -85,43 +85,51 @@ func (r *Registry) Pool() *slmem.PIDPool { return r.pool }
 // Get returns the named instance of kind k and the pid pool its operations
 // lease from — always Pool() — creating the instance through the registered
 // driver on first use (req parameterizes creation, e.g. the universal
-// object's type). The fast path is one lock-free map load. Unknown kinds are
-// kind.NotFound errors; driver creation errors are returned without
-// registering anything.
+// object's type). The fast path is two lock-free map loads: the kind's table,
+// then the name. Unknown kinds are kind.NotFound errors; driver creation
+// errors are returned without registering anything.
 func (r *Registry) Get(k Kind, name string, req kind.Request) (kind.Instance, *slmem.PIDPool, error) {
-	if inst, hit := r.objects.Load(objectKey{k, name}); hit {
-		return inst.(kind.Instance), r.pool, nil
-	}
-	return r.create(k, name, req)
-}
-
-// create is Get's miss path: it resolves the driver and builds an instance
-// without a lock, so a slow New for one name never stalls another name's
-// first use. Concurrent first uses of one name may each build one; the
-// first to publish wins, and the others drop theirs and return the winner's.
-func (r *Registry) create(k Kind, name string, req kind.Request) (kind.Instance, *slmem.PIDPool, error) {
-	d, ok := kind.Lookup(string(k))
-	if !ok {
-		return nil, nil, kind.UnknownKind(string(k))
-	}
-	inst, err := d.New(kind.Env{Name: name, Procs: r.procs, Pool: r.pool, Req: req})
+	t, err := r.table(k)
 	if err != nil {
 		return nil, nil, err
 	}
-	if won, loaded := r.objects.LoadOrStore(objectKey{k, name}, inst); loaded {
-		return won.(kind.Instance), r.pool, nil
+	inst, err := r.instance(t, name, req)
+	if err != nil {
+		return nil, nil, err
 	}
-	r.countCreated(string(k))
 	return inst, r.pool, nil
 }
 
-// countCreated bumps the per-kind created counter.
-func (r *Registry) countCreated(kindName string) {
-	c, ok := r.created.Load(kindName)
-	if !ok {
-		c, _ = r.created.LoadOrStore(kindName, new(atomic.Int64))
+// table returns kind k's table, making it on the kind's first use.
+func (r *Registry) table(k Kind) (*table, error) {
+	if t, ok := r.tables.Load(k); ok {
+		return t.(*table), nil
 	}
-	c.(*atomic.Int64).Add(1)
+	d, ok := kind.Lookup(string(k))
+	if !ok {
+		return nil, kind.UnknownKind(string(k))
+	}
+	t, _ := r.tables.LoadOrStore(k, &table{driver: d})
+	return t.(*table), nil
+}
+
+// instance returns t's object called name, creating it on a miss without a
+// lock, so a slow New for one name never stalls another name's first use.
+// Concurrent first uses of one name may each build one; the first to publish
+// wins, and the others drop theirs uncounted and return the winner's.
+func (r *Registry) instance(t *table, name string, req kind.Request) (kind.Instance, error) {
+	if inst, ok := t.objects.Load(name); ok {
+		return inst.(kind.Instance), nil
+	}
+	inst, err := t.driver.New(kind.Env{Name: name, Procs: r.procs, Pool: r.pool, Req: req})
+	if err != nil {
+		return nil, err
+	}
+	if won, loaded := t.objects.LoadOrStore(name, inst); loaded {
+		return won.(kind.Instance), nil
+	}
+	t.created.Add(1)
+	return inst, nil
 }
 
 // mustGet is Get for built-in kinds whose creation cannot fail; it backs
@@ -171,15 +179,15 @@ func (r *Registry) Object(name, typeName string) (*slmem.PooledObject, error) {
 	return inst.(kind.Unwrapper).Unwrap().(*slmem.PooledObject), nil
 }
 
-// Names returns the names registered under kind, sorted.
-func (r *Registry) Names(kind Kind) []string {
+// Names returns the names registered under k, sorted.
+func (r *Registry) Names(k Kind) []string {
 	var names []string
-	r.objects.Range(func(key, _ any) bool {
-		if key := key.(objectKey); key.kind == kind {
-			names = append(names, key.name)
-		}
-		return true
-	})
+	if t, ok := r.tables.Load(k); ok {
+		t.(*table).objects.Range(func(name, _ any) bool {
+			names = append(names, name.(string))
+			return true
+		})
+	}
 	sort.Strings(names)
 	return names
 }
@@ -216,11 +224,10 @@ func (r *Registry) Stats() Stats {
 	names := kind.Names()
 	objects := make(map[string]int64, len(names))
 	for _, n := range names {
-		var count int64
-		if c, ok := r.created.Load(n); ok {
-			count = c.(*atomic.Int64).Load()
+		objects[n] = 0
+		if t, ok := r.tables.Load(Kind(n)); ok {
+			objects[n] = t.(*table).created.Load()
 		}
-		objects[n] = count
 	}
 	return Stats{
 		Procs:     r.procs,

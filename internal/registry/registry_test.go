@@ -125,6 +125,40 @@ func TestRegistryNames(t *testing.T) {
 	if got := r.Names(KindMaxRegister); len(got) != 1 || got[0] != "m0" {
 		t.Fatalf("Names(maxreg) = %v", got)
 	}
+
+	// One name under two kinds is two objects, each counted and listed under
+	// its own kind only.
+	c, _, err := r.Get(KindCounter, "shared", kind.Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := r.Get(KindMaxRegister, "shared", kind.Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == m {
+		t.Fatal("counter/shared and maxreg/shared are one instance")
+	}
+	ctx := context.Background()
+	if err := r.Counter("shared").Inc(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.MaxRegister("shared").MaxRead(ctx); err != nil || got != 0 {
+		t.Fatalf("maxreg/shared reads %d, %v after counter/shared inc, want 0", got, err)
+	}
+	if got := r.Names(KindCounter); !slices.Equal(got, []string{"c0", "c1", "c2", "c3", "c4", "shared"}) {
+		t.Fatalf("Names(counter) = %v", got)
+	}
+	if got := r.Names(KindMaxRegister); !slices.Equal(got, []string{"m0", "shared"}) {
+		t.Fatalf("Names(maxreg) = %v", got)
+	}
+	if got := r.Names(KindSnapshot); len(got) != 0 {
+		t.Fatalf("Names(snapshot) = %v, want none", got)
+	}
+	objects := r.Stats().Objects
+	if objects[string(KindCounter)] != 6 || objects[string(KindMaxRegister)] != 2 || objects[string(KindSnapshot)] != 0 {
+		t.Fatalf("Stats().Objects = %v, want counter 6, maxreg 2, snapshot 0", objects)
+	}
 }
 
 func TestRegistryConcurrentMixedTraffic(t *testing.T) {
@@ -333,8 +367,8 @@ func TestWarmScanOpDoesNotAllocate(t *testing.T) {
 }
 
 // TestWarmGetDoesNotAllocate pins the lookup every single-operation request
-// and every first touch in a batch pays: the map is keyed by the (kind,
-// name) pair, so resolving an existing object builds no key string.
+// and every batch entry pays: the kind's table is keyed by the kind and its
+// objects by the name, so resolving an existing object builds no key string.
 func TestWarmGetDoesNotAllocate(t *testing.T) {
 	r := New(Options{Procs: 4})
 	if _, _, err := r.Get(KindCounter, "warm", kind.Request{}); err != nil {

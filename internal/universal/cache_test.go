@@ -281,7 +281,7 @@ func TestDeltaNodesCovering(t *testing.T) {
 	if !ok || len(nodes) != 1 || nodes[0] != covering {
 		t.Fatalf("reference, covering node: nodes=%v ok=%v, want exactly the new node", nodes, ok)
 	}
-	live, ok := sc.extract(anchor, []*node{b, covering})
+	live, _, ok := sc.extract(anchor, []*node{b, covering})
 	if !ok || live != 1 || len(sc.nodes) != 1 || sc.nodes[0] != covering {
 		t.Fatalf("covering node: nodes=%v live=%d ok=%v, want exactly the new node", sc.nodes, live, ok)
 	}
@@ -296,8 +296,12 @@ func TestDeltaNodesCovering(t *testing.T) {
 		if _, ok := deltaNodes(anchor, []*node{b, nd}); ok {
 			t.Fatalf("reference: %s must force a fallback", name)
 		}
-		if live, ok := sc.extract(anchor, []*node{b, nd}); ok || live != 1 || len(sc.nodes) != 0 {
+		live, refuser, ok := sc.extract(anchor, []*node{b, nd})
+		if ok || live != 1 || len(sc.nodes) != 0 {
 			t.Fatalf("%s must force a fallback and leave nothing behind: live=%d ok=%v nodes=%v", name, live, ok, sc.nodes)
+		}
+		if refuser != nd {
+			t.Fatalf("%s: extraction names %v as the node that refused, want it", name, refuser)
 		}
 	}
 }
@@ -319,14 +323,14 @@ func TestExtractRefusesBrokenChains(t *testing.T) {
 			&node{pid: 0, index: 1, preceding: []*node{a0}}, nil},
 	} {
 		sc := &scratch{n: 2}
-		if _, ok := sc.extract(none, view); ok {
-			t.Errorf("%s: extraction accepted it", name)
+		if _, refuser, ok := sc.extract(none, view); ok || refuser != nil {
+			t.Errorf("%s: extraction accepted it or blamed a node's view (%v)", name, refuser)
 		}
 	}
 	// The same shapes, well-formed, pass.
 	a1 := &node{pid: 0, index: 1, preceding: []*node{a0, b0}}
 	sc := &scratch{n: 2}
-	if live, ok := sc.extract(none, []*node{a1, b0}); !ok || live != 3 {
+	if live, _, ok := sc.extract(none, []*node{a1, b0}); !ok || live != 3 {
 		t.Errorf("well-formed graph refused: live=%d ok=%v", live, ok)
 	}
 }
@@ -405,8 +409,8 @@ func TestReplayCacheContended(t *testing.T) {
 
 // TestCacheStatsString keeps fmt coverage honest for the exported struct.
 func TestCacheStatsString(t *testing.T) {
-	st := CacheStats{Hits: 2, Covered: 1, Misses: 1, RootReplays: 1}
-	if s := fmt.Sprintf("%+v", st); s != "{Hits:2 Covered:1 Misses:1 RootReplays:1}" {
+	st := CacheStats{Hits: 2, Covered: 1, Misses: 1, RootReplays: 1, Refused: 1}
+	if s := fmt.Sprintf("%+v", st); s != "{Hits:2 Covered:1 Misses:1 RootReplays:1 Refused:1}" {
 		t.Errorf("unexpected CacheStats rendering %q", s)
 	}
 }

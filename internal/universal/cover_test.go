@@ -3,6 +3,7 @@ package universal
 import (
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"slmem/internal/memory"
@@ -28,6 +29,12 @@ type applyCountingSpec struct {
 func (c applyCountingSpec) Apply(state string, pid int, desc string) (string, string, error) {
 	*c.applies++
 	return c.Spec.Apply(state, pid, desc)
+}
+
+// setState replaces the state a published node holds: a test's poison.
+func (e *node) setState(s string) {
+	e.stateLen = len(s)
+	atomic.StorePointer(&e.state, stateData(s))
 }
 
 // TestCoveringNodeReplaysNothing: in a sequential alternation every operation
@@ -122,9 +129,10 @@ func TestCoveringNodeRefusedWhenOverlapping(t *testing.T) {
 		}
 	}
 	// p1's first operation, both second ones and p1's read are covered; p0's
-	// read is the miss.
-	if st := cached.CacheStats(); st != (CacheStats{Hits: 4, Covered: 4, Misses: 1}) {
-		t.Fatalf("cache outcomes %+v, want 4 covered hits and 1 miss that stopped short of the root", st)
+	// read is the miss, refused by its newest node and stopping at the one
+	// before.
+	if st := cached.CacheStats(); st != (CacheStats{Hits: 4, Covered: 4, Misses: 1, Refused: 1}) {
+		t.Fatalf("cache outcomes %+v, want 4 covered hits and 1 miss that refused one node and stopped short of the root", st)
 	}
 }
 
@@ -211,7 +219,7 @@ func TestCoveringNodeStateHeldByKeptNodesOnly(t *testing.T) {
 	}
 	// The newest node, p2's, covers the view; with its state gone the read
 	// replays from p0's newest node, and answers the same.
-	view[2].state.Store(nil)
+	atomic.StorePointer(&view[2].state, nil)
 	before := o.CacheStats()
 	if got := mustExecute(t, o, 0, "read()"); got != strconv.Itoa(ops) {
 		t.Fatalf("read() = %q, want %d", got, ops)

@@ -29,12 +29,27 @@
 // version. A stale record is therefore only more conservative.
 //
 // Every Window operations a process attempts a truncation pass (one
-// TryLock'd collector at a time). The pass reads all n records, takes the
-// pointwise minimum M of their prefixes (the candidate), and lowers M to a
-// fixpoint where every reachable node outside M covers it. The fixpoint
-// terminates at or above the current root: every live node covers the current
-// root by induction, and M only decreases toward views that themselves cover
-// it.
+// TryLock'd collector at a time). The pass reads the records of the processes
+// that have begun (below), takes the pointwise minimum M of their prefixes
+// (the candidate), and lowers M to a fixpoint where every reachable node
+// outside M covers it. The fixpoint terminates at or above the current root:
+// every live node covers the current root by induction, and M only decreases
+// toward views that themselves cover it.
+//
+// A process begins by setting its flag, once, before its first load of the
+// truncation root and its first scan; a pass reads the flags after its scan.
+// A process the pass sees not begun is left out of the minimum, the freshness
+// gate, the base climb and the trim's quiescence, and that is sound by the
+// same Dekker pairing the pid leaser relies on: the atomics are sequentially
+// consistent, so a flag the pass missed is set after the pass read it, and
+// the process's first scan follows the pass's scan. By snapshot monotonicity
+// that scan, and every later one of the process, is pointwise at least the
+// pass's, which bounds M, so every node the process ever appends covers M —
+// the covering lemma's condition, for nodes no rule below examines. Its first
+// root load follows every truncation committed before the pass, so no trim
+// the pass makes can cut under a root it loaded; a later pass sees its flag,
+// and until the process publishes a record, a begun process without one ends
+// every pass, as a process with an operation in flight and no record must.
 //
 // The fixpoint only examines nodes reachable from the collector's scan,
 // and the records are read after that scan, so process q may have published
@@ -74,12 +89,12 @@
 // operations folded, Σ_q (M[q] − root[q]), whichever base did the folding.
 //
 // Physical reclamation is deferred: the boundary nodes (index exactly M[q],
-// reached by stepping down each chain from the scan) keep their preceding
-// views until every process's record carries a root version at or past the
+// reached by stepping down each chain from the scan) keep their preceding views
+// until every begun process's record carries a root version at or past the
 // truncation — from then on no replay floor can fall below M, nobody follows
-// pointers into the prefix again (extraction never reads the view of a node
-// at or below its floor), and the collector severs the boundary views so the
-// Go runtime can free the prefix. A process has several floors to choose from
+// pointers into the prefix again (extraction never reads the view of a node at
+// or below its floor), and the collector severs the boundary views so the Go
+// runtime can free the prefix. A process has several floors to choose from
 // (its own last nodes, package doc; its walk stops at a node at or below the
 // root it loaded, before reading that node's view) and a pass has its base,
 // and neither weakens this: every one of them is at or above the root loaded
@@ -90,13 +105,16 @@
 // its record (release), and the collector observed quiescence (acquire)
 // before it cut.
 //
-// Liveness caveat: truncation needs a record from all n processes, so a
-// process that never executes pins the graph (its watermark never
-// advances). The bound on live nodes is therefore the number of operations
-// executed between the slowest process's consecutive operations, plus the
-// Window between collector passes and the fewer than publishEvery
-// operations a record may lag — flat under steady traffic from every
-// process, the churn soak's assertion.
+// Liveness: truncation needs a record from every process that has begun, and
+// none from one that never executes, so idle pids pin nothing. A process that
+// has begun still pins the graph while it idles, at its last record: the
+// bound on live nodes is the number of operations executed between the
+// slowest begun process's consecutive operations, plus the Window between
+// collector passes and the fewer than publishEvery operations a record may lag
+// — flat under steady traffic from every process that runs, the churn soak's
+// assertion. Reading GCStats or HistorySize as a pid begins it too (the
+// extraction reads views as an operation's does), so a pid that only reads
+// them pins the graph until it executes.
 package universal
 
 import (
@@ -160,7 +178,7 @@ type gcInfo struct {
 	window      int
 	mu          sync.Mutex // serializes collector passes; guards pending, recs, cut and scratch
 	pending     []pendingTrim
-	recs        []*anchor // a pass's reading of every process's record
+	recs        []*anchor // a pass's reading of every process's record, nil for one not begun
 	cut         []int     // a pass's candidate: the pointwise minimum of recs, clamped
 	scratch     scratch   // the collector's own: a pass runs as no process
 	truncations atomic.Int64
@@ -189,7 +207,7 @@ func (o *Object) SetGC(opts GCOptions) {
 func (o *Object) GCEnabled() bool { return o.gc != nil }
 
 // GCStats returns collector progress, as process p (one root scan, same
-// pid ownership rules as Execute). With GC disabled only LiveNodes is set,
+// pid ownership rules as Execute; it begins p as an Execute does). With GC disabled only LiveNodes is set,
 // to the full history size.
 func (o *Object) GCStats(p int) GCStats {
 	live, root := o.liveNodes(p)
@@ -209,30 +227,41 @@ func (o *Object) GCStats(p int) GCStats {
 }
 
 // collect is one truncation pass, run with g.mu held. It reuses the
-// caller's root scan (view) so the pass adds no shared steps of its own.
+// caller's root scan (view) so the pass adds no shared steps of its own, and
+// reads the flags and records after it.
 func (o *Object) collect(view []*node) {
 	g := o.gc
 	cur := o.trunc.Load()
 
-	// Read every process's record. One unpublished record pins everything: a
-	// process that has never executed could still linearize an operation
-	// anywhere, so nothing is safely below it — and the pass has cost nothing.
+	// Read every process's record, and for one without a record its flag. A
+	// process that has not begun is left out of every rule below: it sets its
+	// flag before its first root load and scan, and the flag is read after
+	// this pass's scan, so its first scan follows this one and covers the
+	// cut, which is clamped to this scan. A process that has begun but has no
+	// record yet pins this pass: it may have loaded any root and be reading
+	// under it.
 	for q := range o.local {
-		if g.recs[q] = o.local[q].rec.Load(); g.recs[q] == nil {
+		l := &o.local[q]
+		if g.recs[q] = l.rec.Load(); g.recs[q] == nil && l.began.Load() {
 			return
 		}
 	}
-	cut := g.cut
-	copy(cut, g.recs[0].prefix)
-	minVer := g.recs[0].version
-	for _, rec := range g.recs[1:] {
+	cut, minVer := g.cut, cur.version
+	for q := range cut {
+		cut[q] = top(view[q])
+	}
+	for _, rec := range g.recs {
+		if rec == nil {
+			continue
+		}
 		minVer = min(minVer, rec.version)
 		for r, idx := range rec.prefix {
 			cut[r] = min(cut[r], idx)
 		}
 	}
 
-	// Cut boundary pointers of truncations every process has executed past.
+	// Cut boundary pointers of truncations every begun process has executed
+	// past.
 	g.trimQuiesced(minVer)
 
 	// Freshness gate: the records were read after the scan, so process q may
@@ -246,7 +275,7 @@ func (o *Object) collect(view []*node) {
 	// unsound (the node may not cover the cut, wedging later extractions), so
 	// wait for a fresher scan.
 	for q, rec := range g.recs {
-		if own := rec.prefix[q]; own > top(view[q])+1 {
+		if rec != nil && rec.prefix[q] > top(view[q])+1 {
 			return
 		}
 	}
@@ -274,7 +303,7 @@ func (o *Object) collect(view []*node) {
 	// read. Its state already folds everything at or below it.
 	base := cur
 	for _, rec := range g.recs {
-		if atOrAbove(rec.prefix, base.prefix) && atOrAbove(cut, rec.prefix) {
+		if rec != nil && atOrAbove(rec.prefix, base.prefix) && atOrAbove(cut, rec.prefix) {
 			base = rec
 		}
 	}
@@ -288,7 +317,7 @@ func (o *Object) collect(view []*node) {
 	m := make([]int, o.n)
 	for {
 		copy(m, cut)
-		if _, ok := sc.extract(base.prefix, view); ok {
+		if _, _, ok := sc.extract(base.prefix, view); ok {
 			lowerToCover(m, sc.nodes)
 			if atOrAbove(m, base.prefix) {
 				break
@@ -384,9 +413,9 @@ func lowerToCover(m []int, nodes []*node) {
 }
 
 // trimQuiesced severs the boundary views of truncations whose root version
-// every process's record has reached: from then on no process's replay floor
-// can fall below that cut, extraction never follows a pointer into it again,
-// and the store/load ordering through the records makes the cut safe.
+// every begun process's record has reached: from then on no process's replay
+// floor can fall below that cut, extraction never follows a pointer into it
+// again, and the store/load ordering through the records makes the cut safe.
 func (g *gcInfo) trimQuiesced(minVer int64) {
 	for len(g.pending) > 0 && g.pending[0].version <= minVer {
 		for _, nd := range g.pending[0].boundary {

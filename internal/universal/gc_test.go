@@ -1,9 +1,11 @@
 package universal
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 
 	"slmem/internal/lincheck"
@@ -394,6 +396,7 @@ func TestGCReplayFailureSurfaced(t *testing.T) {
 	g := o.gc
 	o.local[0].rec.Store(&anchor{prefix: []int{2, 0}})
 	o.local[1].rec.Store(&anchor{prefix: []int{1, 1}})
+	o.local[1].began.Store(true) // p1 never ran; a process with a record has begun
 	g.mu.Lock()
 	o.collect(view)
 	g.mu.Unlock()
@@ -531,7 +534,7 @@ func TestGCEarlierAnchorBelowRootSkipped(t *testing.T) {
 			t.Fatalf("p0 keeps fewer than %d nodes", len(l.mine))
 		}
 		prefixOf(prefix, nd)
-		if _, ok := l.extract(prefix, view); !ok {
+		if _, _, ok := l.extract(prefix, view); !ok {
 			t.Fatalf("the graph refuses node %d's prefix %v anyway; the case needs it extractable", nd.index, prefix)
 		}
 		l.release()
@@ -589,7 +592,9 @@ func TestGCSeveredAnchorAtRootSkipped(t *testing.T) {
 // TestGCStragglerPastEveryAnchor: a straggler that covers none of the anchors
 // its observer keeps sends the operation to the root, one that covers an
 // earlier anchor stops there, and both responses are those of a twin object
-// that replays everything every time.
+// that replays everything every time. Each miss extracts from one kept node
+// only: the straggler's view of the observer, below the refused node, tells
+// which others it refuses too.
 func TestGCStragglerPastEveryAnchor(t *testing.T) {
 	var alloc1, alloc2 memory.NativeAllocator
 	cached, twin := New(&alloc1, CounterType{}, 2), New(&alloc2, CounterType{}, 2)
@@ -634,6 +639,11 @@ func TestGCStragglerPastEveryAnchor(t *testing.T) {
 	if st := cached.CacheStats(); st.Misses != 1 || st.RootReplays != 1 {
 		t.Fatalf("a straggler covering no kept anchor must replay from the root once: %+v", st)
 	}
+	// The straggler's view of p0 is below every kept node, so the first
+	// refusal says it refuses them all.
+	if st := cached.CacheStats(); st.Refused != 1 {
+		t.Fatalf("the miss to the root extracted from %d kept nodes, want 1: %+v", st.Refused, st)
+	}
 
 	for i := 0; i < anchorRing; i++ {
 		both("inc()")
@@ -645,6 +655,11 @@ func TestGCStragglerPastEveryAnchor(t *testing.T) {
 	}
 	if st := cached.CacheStats(); st.Misses != 2 || st.RootReplays != 1 {
 		t.Fatalf("a straggler covering an earlier anchor must stop there: %+v", st)
+	}
+	// The straggler scanned p0's node three back: the nodes above it refuse,
+	// and only the newest is extracted to learn that.
+	if st := cached.CacheStats(); st.Refused != 2 {
+		t.Fatalf("the second miss extracted from %d refused kept nodes, want 1: %+v", st.Refused-1, st)
 	}
 }
 
@@ -673,6 +688,7 @@ func TestGCRefusedBaseFallsBackToRoot(t *testing.T) {
 		view := o.root.View(0)
 		o.local[0].rec.Store(rec0)
 		o.local[1].rec.Store(rec1)
+		o.local[1].began.Store(true) // p1 never ran; a process with a record has begun
 		o.gc.mu.Lock()
 		o.collect(view)
 		o.gc.mu.Unlock()
@@ -867,9 +883,9 @@ func TestGCConcurrentChurn(t *testing.T) {
 	o.SetGC(GCOptions{Window: window})
 
 	// No per-op yield: on one CPU the goroutines run in scheduler-sized
-	// bursts, and while one process has not published a watermark yet the
-	// collector is pinned (the idle-process caveat) and the others replay
-	// from an ever-longer graph. That costs O(live·n) per miss, not the
+	// bursts, and while one process that has begun has not published a
+	// watermark yet the collector is pinned and the others replay from an
+	// ever-longer graph. That costs O(live·n) per miss, not the
 	// pairwise O(live²) that used to stall this test on two cores, so the
 	// run finishes under -cpu 1,2,4 either way; the barrier only makes the
 	// overlap start at once.
@@ -904,9 +920,9 @@ func TestGCConcurrentChurn(t *testing.T) {
 		t.Fatalf("final count %q, want %q: truncation lost or duplicated operations", got, want)
 	}
 	// Whether a pass got through while the goroutines overlapped is the
-	// scheduler's call: when the last process starts late, every pass before
-	// its first operation meets an unpublished record and the few after it
-	// can all be refused by the freshness gate. A quiescent tail — each
+	// scheduler's call: a process descheduled inside its first operation has
+	// begun without a record, so every pass meanwhile ends there, and the few
+	// after it can all be refused by the freshness gate. A quiescent tail — each
 	// process in turn, one window — leaves no such excuse: its passes see
 	// every record and a scan no record runs ahead of.
 	for p := 0; p < n; p++ {
@@ -918,6 +934,152 @@ func TestGCConcurrentChurn(t *testing.T) {
 	}
 	if st := o.GCStats(0); st.Truncations == 0 || st.CoverageFailures+st.ReplayFailures != 0 {
 		t.Errorf("churn and a quiescent tail never truncated cleanly: %+v", st)
+	}
+}
+
+// TestGCIdlePidsDoNotPin: a process that has never begun pins nothing. At
+// n = 16 with k of the pids ever used — k goroutines running concurrently,
+// then one window per pid in turn — at most 3·k·window nodes stay live; a
+// pass that waited for a record from each of the 16 - k idle pids would keep
+// every operation.
+func TestGCIdlePidsDoNotPin(t *testing.T) {
+	const n, window = 16, 64
+	perProc := 20 * window
+	if testing.Short() {
+		perProc = 5 * window
+	}
+	for k := 1; k <= 3; k++ {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			var alloc memory.NativeAllocator
+			o := New(&alloc, CounterType{}, n)
+			o.SetGC(GCOptions{Window: window})
+			var wg sync.WaitGroup
+			errs := make(chan error, k)
+			for p := 0; p < k; p++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perProc; i++ {
+						if _, err := o.Execute(p, "inc()"); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			for p := 0; p < k; p++ {
+				for i := 0; i < window; i++ {
+					mustExecute(t, o, p, "inc()")
+				}
+			}
+			st := o.GCStats(0)
+			t.Logf("k=%d: %+v", k, st)
+			if st.LiveNodes > 3*k*window || st.CoverageFailures+st.ReplayFailures != 0 {
+				t.Fatalf("%d of 16 pids used: %d live nodes, want at most %d: %+v", k, st.LiveNodes, 3*k*window, st)
+			}
+			if ops := k * (perProc + window); st.LiveNodes+int(st.TruncatedNodes) != ops {
+				t.Fatalf("live %d + truncated %d != %d ops", st.LiveNodes, st.TruncatedNodes, ops)
+			}
+		})
+	}
+}
+
+// TestGCLateFirstOperation: a process whose first operation comes after ten
+// truncations — every pass before it left it out — answers exactly as a
+// GC-off, uncached twin, and so does every operation after it, its own and
+// the others'.
+func TestGCLateFirstOperation(t *testing.T) {
+	const n, window = 4, 4
+	var alloc1, alloc2 memory.NativeAllocator
+	o, twin := New(&alloc1, CounterType{}, n), New(&alloc2, CounterType{}, n)
+	o.SetGC(GCOptions{Window: window})
+	twin.SetCaching(false)
+	both := func(p int, desc string) {
+		t.Helper()
+		if got, want := mustExecute(t, o, p, desc), mustExecute(t, twin, p, desc); got != want {
+			t.Fatalf("p%d %s: %q, GC-off uncached twin %q", p, desc, got, want)
+		}
+	}
+	for i := 0; o.gc.truncations.Load() < 10; i++ {
+		if i == 1000 {
+			t.Fatalf("two of four pids running: %+v after %d operations, want 10 truncations", o.GCStats(0), i)
+		}
+		both(i%2, "inc()")
+	}
+	both(3, "read()")
+	for i := 0; i < 60; i++ {
+		both([]int{3, 0, 1}[i%3], []string{"inc()", "read()"}[i/3%2])
+	}
+	if st := o.GCStats(0); st.Truncations <= 10 || st.CoverageFailures+st.ReplayFailures != 0 {
+		t.Fatalf("after the late process joined: %+v, want more truncations and no failures", st)
+	}
+}
+
+// TestGCLateFirstOperationConcurrent: processes that begin one by one while
+// the others keep truncating, under real concurrency — the race detector
+// patrols a late process's first reads against the collector's boundary cuts
+// — lose and duplicate no operation.
+func TestGCLateFirstOperationConcurrent(t *testing.T) {
+	const n, window = 4, 8
+	perProc := 3000
+	if testing.Short() {
+		perProc = 600
+	}
+	var alloc memory.NativeAllocator
+	o := New(&alloc, CounterType{}, n)
+	o.SetGC(GCOptions{Window: window})
+	// p0 lets p2 begin a third of the way through its run and p3 two thirds
+	// (or as soon as it stops); those run a third of a run each.
+	late := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	run := func(p, ops int, wait <-chan struct{}) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if wait != nil {
+				<-wait
+			}
+			released := 0
+			if p == 0 {
+				defer func() {
+					for _, c := range late[released:] {
+						close(c)
+					}
+				}()
+			}
+			for i := 0; i < ops; i++ {
+				if p == 0 && released < len(late) && i == (released+1)*(ops/3) {
+					close(late[released])
+					released++
+				}
+				if _, err := o.Execute(p, "inc()"); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	run(0, perProc, nil)
+	run(1, perProc, nil)
+	run(2, perProc/3, late[0])
+	run(3, perProc/3, late[1])
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	want := strconv.Itoa(2*perProc + 2*(perProc/3))
+	if got := mustExecute(t, o, 0, "read()"); got != want {
+		t.Fatalf("final count %q, want %q", got, want)
+	}
+	if st := o.GCStats(0); st.Truncations == 0 || st.CoverageFailures+st.ReplayFailures != 0 {
+		t.Fatalf("%+v, want truncations and no failures", st)
 	}
 }
 

@@ -175,10 +175,11 @@ func grow[T any](s []T, n int) []T {
 // it lays out, in canonical order, the nodes reachable from view whose
 // operations are not in the prefix {(q, i) : i <= floor[q]}. ok is false when
 // some extracted node does not cover the floor — it may linearize inside the
-// prefix, so the caller must start from a lower floor — or when the graph is
-// not the chains the construction builds. live is the number of operations
-// past the floor either way; on failure nothing else is left behind.
-func (s *scratch) extract(floor []int, view []*node) (live int, ok bool) {
+// prefix, so the caller must start from a lower floor; that node is returned
+// as refuser — or when the graph is not the chains the construction builds.
+// live is the number of operations past the floor either way; on failure
+// nothing else is left behind.
+func (s *scratch) extract(floor []int, view []*node) (live int, refuser *node, ok bool) {
 	n := s.n
 	s.base = grow(s.base, n+1)
 	for q, nd := range view {
@@ -191,22 +192,22 @@ func (s *scratch) extract(floor []int, view []*node) (live int, ok bool) {
 	s.nodes = grow(s.nodes, live)
 	s.npid = grow(s.npid, live)
 	s.prel = grow(s.prel, live*n)
-	if !s.walk(floor, view) {
+	if refuser, ok = s.walk(floor, view); !ok {
 		s.release()
-		return live, false
 	}
-	return live, true
+	return live, refuser, ok
 }
 
 // walk fills in the layout extract sized, one chain at a time from the view
-// down, and reports whether every node passed the checks.
-func (s *scratch) walk(floor []int, view []*node) bool {
+// down, and reports whether every node passed the checks, and if not, the
+// node whose view misses part of the floor, nil for a broken chain.
+func (s *scratch) walk(floor []int, view []*node) (*node, bool) {
 	n := s.n
 	for q, nd := range view {
 		lo := int(s.base[q])
 		for id := int(s.base[q+1]) - 1; id >= lo; id-- {
 			if nd == nil || nd.pid != q || len(nd.preceding) != n {
-				return false
+				return nil, false
 			}
 			s.nodes[id], s.npid[id] = nd, int32(q)
 			row := s.prel[id*n : (id+1)*n]
@@ -217,18 +218,21 @@ func (s *scratch) walk(floor []int, view []*node) bool {
 				}
 				// Below 0 the view misses part of the prefix; above the
 				// chain's length it is ahead of the scan it is reachable from.
-				if rel < 0 || rel > int(s.base[r+1]-s.base[r]) {
-					return false
+				if rel < 0 {
+					return nd, false
+				}
+				if rel > int(s.base[r+1]-s.base[r]) {
+					return nil, false
 				}
 				row[r] = int32(rel)
 			}
 			if int(row[q]) != id-lo { // own component: the previous own node
-				return false
+				return nil, false
 			}
 			nd = nd.preceding[q]
 		}
 	}
-	return true
+	return nil, true
 }
 
 // release drops the node pointers so an idle scratch pins no history.

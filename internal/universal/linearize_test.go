@@ -87,7 +87,7 @@ func indexes(view []*node) []int {
 func checkAgainstReference(t testing.TB, sc *scratch, typ Type, floor []int, view []*node) {
 	t.Helper()
 	wantNodes, wantOK := deltaNodes(floor, view)
-	live, ok := sc.extract(floor, view)
+	live, _, ok := sc.extract(floor, view)
 	if ok != wantOK {
 		t.Fatalf("%s floor %v view %v: extract ok = %v, reference %v", typ.Name(), floor, indexes(view), ok, wantOK)
 	}

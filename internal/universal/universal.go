@@ -47,6 +47,15 @@
 // older root version, so the cut it yields is lower and the trim it allows
 // later: more conservative, never wrong.
 //
+// A process that has never begun has no record, and the rules leave it out
+// rather than wait for one. It sets a flag once, before its first load of the
+// truncation root and its first scan, and collector passes read the flags
+// after their scans: with sequentially consistent atomics, a pass that misses
+// the flag ran its scan before the process's first, so by snapshot
+// monotonicity every node the process will ever append covers the pass's cut,
+// which never exceeds that scan, and its first root load follows every
+// truncation before the pass (gc.go).
+//
 // A node covers a prefix when its scanned view includes every node of the
 // prefix. Covering lemma: in a precedence graph whose nodes outside a prefix
 // all cover it, the prefix is an exact prefix of the graph's linearization.
@@ -87,14 +96,16 @@
 // differential tests check this). Normally p's newest node is covered and the
 // cost is O(Δ·n) for the Δ operations since p's previous one. A non-covering
 // node (a genuinely concurrent straggler that might linearize inside the
-// prefix) refuses the candidate, and the next one down is tried: a straggler
+// prefix) refuses the candidate, and the next one down is tried — the first at
+// or below the straggler's view of p, since the straggler refuses every kept
+// node above that view too, and nothing is extracted to learn it: a straggler
 // that overlapped one of p's recent operations scanned after the operation
-// before it, so it covers that operation's node and the miss costs the few
-// operations since, not the live graph. Only a straggler older than every kept
-// node above the root sends p to the root (CacheStats.RootReplays). The walk
-// stops at the first node at or below the root — that node may be a boundary
-// node whose view the collector severs, and the quiescence rule of gc.go counts
-// on no floor lying lower. What the list retains is bounded: an array of
+// before it, so it covers that operation's node and the miss costs one refused
+// extraction and the few operations since, not the live graph. Only a straggler
+// older than every kept node above the root sends p to the root
+// (CacheStats.RootReplays). The walk stops at the first node at or below the
+// root — that node may be a boundary node whose view the collector severs, and
+// the quiescence rule of gc.go counts on no floor lying lower. What the list retains is bounded: an array of
 // anchorRing+1 node pointers per process, one n-int buffer its candidates'
 // prefixes are written to, and the kept nodes' state strings — plus the (at
 // most two) blocks its published copies are carved from (publishEvery).
@@ -177,12 +188,13 @@ type node struct {
 	preceding  []*node // view[i] at this operation's scan; nil = ⊥
 	// state and stateLen are the state its executor reached — the scanned
 	// graph's state with this operation applied, the state after the node's
-	// own prefix — as the string's first byte and length. The node holds it
-	// while it is one of its process's last anchorRing+1 nodes: the process
-	// drops it (one atomic store of nil) when it publishes the node that
-	// evicts it, so the live graph pins at most anchorRing+1 states per
-	// process, and a node without one covers nothing and is no floor.
-	state    atomic.Pointer[byte]
+	// own prefix — as the string's first byte (stateData) and length, set
+	// before the node is published. The node holds it while it is one of its
+	// process's last anchorRing+1 nodes: the process drops it (one atomic store
+	// of nil) when it publishes the node that evicts it, so the live graph pins
+	// at most anchorRing+1 states per process, and a node without one covers
+	// nothing and is no floor.
+	state    unsafe.Pointer
 	stateLen int
 }
 
@@ -190,20 +202,19 @@ type node struct {
 // nil, and nil marks a dropped state.
 var emptyState byte
 
-// setState gives a node that is not yet published the state it reached.
-func (e *node) setState(s string) {
-	e.stateLen = len(s)
-	e.state.Store(cmp.Or(unsafe.StringData(s), &emptyState))
+// stateData is the state pointer a node reaching s carries.
+func stateData(s string) unsafe.Pointer {
+	return unsafe.Pointer(cmp.Or(unsafe.StringData(s), &emptyState))
 }
 
 // reachedState returns the state e's executor reached, and false once e's
 // process has dropped it.
 func (e *node) reachedState() (string, bool) {
-	p := e.state.Load()
+	p := atomic.LoadPointer(&e.state)
 	if p == nil {
 		return "", false
 	}
-	return unsafe.String(p, e.stateLen), true
+	return unsafe.String((*byte)(p), e.stateLen), true
 }
 
 // anchor is the shared record of the package doc: a linearized index prefix,
@@ -238,12 +249,16 @@ const publishEvery = 16
 // plocal is everything process p keeps between its operations: its last
 // nodes, its published record and the scratch its extractions and
 // linearizations run in. It is written only by the goroutine driving that pid
-// — rec is the single-writer register collector passes load, and the counters
-// are atomic so CacheStats may read them concurrently — it is indexed by pid,
-// and it is never pooled and never shared: exclusive pid ownership is the
-// model's own invariant, so the rest needs no synchronising. The trailing pad
-// keeps one process's entry off the cache lines of the next.
+// — began and rec are the single-writer registers collector passes load, and
+// the counters are atomic so CacheStats may read them concurrently — it is
+// indexed by pid, and it is never pooled and never shared: exclusive pid
+// ownership is the model's own invariant, so the rest needs no synchronising.
+// The trailing pad keeps one process's entry off the cache lines of the next.
 type plocal struct {
+	// began is set, once and for good, before the process's first load of
+	// the truncation root: collector passes leave out a process that has not
+	// begun (gc.go).
+	began atomic.Bool
 	// ops counts the operations since the process's last collector pass.
 	ops int
 	// mine holds the process's last anchorRing+1 nodes, node i in slot i %
@@ -257,12 +272,13 @@ type plocal struct {
 	rec         atomic.Pointer[anchor]
 	pubs        []anchor
 	pubPrefixes []int
-	// hits, covered, misses and rootReplays count this process's cache
-	// outcomes.
+	// hits, covered, misses, rootReplays and refused count this process's
+	// cache outcomes.
 	hits        atomic.Int64
 	covered     atomic.Int64
 	misses      atomic.Int64
 	rootReplays atomic.Int64
+	refused     atomic.Int64
 
 	scratch
 	_ [128]byte
@@ -289,6 +305,11 @@ type CacheStats struct {
 	// replay of every live node, so a share of Misses that grows says
 	// stragglers lag further behind than the kept nodes reach.
 	RootReplays int64
+	// Refused counts the kept nodes misses extracted from and had refused,
+	// each an extraction paid for nothing. The node that refuses a kept node
+	// refuses every older one above its view of the process too, so a miss
+	// steps past those without extracting.
+	Refused int64
 }
 
 // Object is an implementation of a simple type from a snapshot object.
@@ -356,6 +377,7 @@ func (o *Object) CacheStats() CacheStats {
 		st.Covered += o.local[p].covered.Load()
 		st.Misses += o.local[p].misses.Load()
 		st.RootReplays += o.local[p].rootReplays.Load()
+		st.Refused += o.local[p].refused.Load()
 	}
 	return st
 }
@@ -369,6 +391,7 @@ func (o *Object) CacheStats() CacheStats {
 // no floor is ever below the truncation root, whose state stands in for the
 // truncated prefix.
 func (o *Object) Execute(p int, invoke string) (string, error) {
+	o.begin(p)
 	root := o.trunc.Load()
 	view := o.root.View(p) // line 81
 
@@ -386,11 +409,21 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 		pid:        p,
 		index:      top(view[p]) + 1, // the root is linearizable: p's scan holds p's last node
 		preceding:  view,             // lines 88-90 (a stored view is immutable: see Object.root)
+		state:      stateData(next),
+		stateLen:   len(next),
 	}
-	e.setState(next)
 	o.root.Update(p, e) // line 91
 	o.publish(&o.local[p], e, next, root.version)
 	return resp, nil
+}
+
+// begin enters process p into the collector's protocol before its first
+// load of the truncation root (gc.go): from then on no pass truncates without
+// a record of p's.
+func (o *Object) begin(p int) {
+	if l := &o.local[p]; !l.began.Load() {
+		l.began.Store(true)
+	}
 }
 
 // reached returns the state after the graph view reaches (Algorithm 5, lines
@@ -472,13 +505,20 @@ func covered(root *anchor, view []*node) (string, bool) {
 // may sever it — and then root itself. A node whose prefix is not at or above
 // root is skipped, never extracted from and never an error: the root's state
 // subsumes it. Extraction is the covering check: a candidate is refused when
-// some extracted node does not cover it, and the next one down is tried.
+// some extracted node does not cover it, and the next one down is tried —
+// unless that node's view of p lies below it too. The refusing node is then
+// extracted for every older candidate above its view of p and refuses each of
+// them, so the walk steps past them without extracting.
 func (o *Object) floor(p int, root *anchor, view []*node) (string, bool) {
 	l := &o.local[p]
 	refused := false
 	if o.caching {
 		l.at = grow(l.at, o.n)
+		below := top(view[p]) // candidates above it are known to be refused
 		for e := view[p]; e != nil && e.index > root.prefix[p]; e = e.preceding[p] {
+			if e.index > below {
+				continue
+			}
 			state, ok := e.reachedState()
 			if !ok {
 				break
@@ -487,7 +527,8 @@ func (o *Object) floor(p int, root *anchor, view []*node) (string, bool) {
 			if !atOrAbove(l.at, root.prefix) {
 				continue
 			}
-			if _, ok := l.extract(l.at, view); ok {
+			_, refuser, ok := l.extract(l.at, view)
+			if ok {
 				if refused {
 					bump(&l.misses)
 				} else {
@@ -496,13 +537,17 @@ func (o *Object) floor(p int, root *anchor, view []*node) (string, bool) {
 				return state, true
 			}
 			refused = true
+			bump(&l.refused)
+			if refuser != nil {
+				below = top(refuser.preceding[p])
+			}
 		}
 	}
 	if refused {
 		bump(&l.misses)
 		bump(&l.rootReplays)
 	}
-	if _, ok := l.extract(root.prefix, view); !ok {
+	if _, _, ok := l.extract(root.prefix, view); !ok {
 		return "", false
 	}
 	return root.state, true
@@ -533,7 +578,7 @@ func prefixOf(at []int, e *node) {
 func (o *Object) publish(l *plocal, e *node, state string, version int64) {
 	slot := e.index % len(l.mine)
 	if old := l.mine[slot]; old != nil {
-		old.state.Store(nil)
+		atomic.StorePointer(&old.state, nil)
 	}
 	l.mine[slot] = e
 
@@ -577,10 +622,11 @@ func (o *Object) HistorySize(p int) int {
 // against. An extraction the graph refuses still yields the count, and is
 // surfaced through the coverage-failure counter rather than under-reported.
 func (o *Object) liveNodes(p int) (int, *anchor) {
+	o.begin(p) // the extraction below reads views as an operation's does
 	root := o.trunc.Load()
 	view := o.root.View(p)
 	l := &o.local[p]
-	live, ok := l.extract(root.prefix, view)
+	live, _, ok := l.extract(root.prefix, view)
 	if !ok {
 		o.coverFails.Add(1)
 	}

@@ -218,7 +218,9 @@ func (o *Object) SetCaching(on bool) { o.inner.SetCaching(on) }
 // state was taken and nothing replayed), Misses (a straggler forced a lower
 // floor) and, among those, RootReplays (none of the last nine nodes the
 // process keeps above the truncation root was covered, so it replayed every
-// live node from that root).
+// live node from that root), and Refused (the kept nodes misses extracted
+// from in vain; a miss steps without extracting past those a refusal shows
+// are refused too).
 type ObjectCacheStats = universal.CacheStats
 
 // CacheStats returns the replay-cache outcome counters.
@@ -243,14 +245,15 @@ const DefaultObjectGCWindow = universal.DefaultGCWindow
 // SetCaching it must not be called concurrently with Execute; unlike
 // caching it cannot be undone — calling SetGC again only retunes the
 // window. Note a process that stops executing pins collection at its last
-// watermark.
+// watermark; one that never executes (nor reads GCStats) pins nothing.
 func (o *Object) SetGC(opts ObjectGCOptions) { o.inner.SetGC(opts) }
 
 // GCEnabled reports whether SetGC has enabled history truncation.
 func (o *Object) GCEnabled() bool { return o.inner.GCEnabled() }
 
 // GCStats returns garbage-collection progress, reading as process pid
-// (same pid ownership rules as Execute). With GC disabled only LiveNodes
+// (same pid ownership rules as Execute, and like an Execute it enters pid
+// into the collector's protocol: see SetGC). With GC disabled only LiveNodes
 // is populated, with the full history size.
 func (o *Object) GCStats(pid int) ObjectGCStats { return o.inner.GCStats(pid) }
 
