@@ -139,11 +139,10 @@ func TestObjectExecuteAllocs(t *testing.T) {
 }
 
 // TestObjectIdlePidPassAllocs pins what a collector pass costs when it cannot
-// proceed: with one pid that has begun — it read the object's GC stats, which
-// reads the graph as an operation does — but never executes, every pass ends
-// at that pid's unpublished record, and must end there before it allocates. A
-// window of one runs a pass per operation; the same operations with passes out
-// of reach allocate exactly as much.
+// proceed: with one pid that executed once and then idles, every pass ends at
+// that pid's record once the truncation root has reached it, and must end
+// there before it allocates. A window of one runs a pass per operation; the
+// same operations with passes out of reach allocate exactly as much.
 func TestObjectIdlePidPassAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -151,14 +150,20 @@ func TestObjectIdlePidPassAllocs(t *testing.T) {
 	perOp := func(window int) float64 {
 		o := NewObject(CounterType{}, 3)
 		o.SetGC(ObjectGCOptions{Window: window})
-		o.GCStats(2) // pid 2 begins and then stays idle
+		if _, err := o.Execute(2, "inc()"); err != nil { // pid 2 publishes a record and then stays idle
+			t.Fatal(err)
+		}
 		pid := 0
-		return testing.AllocsPerRun(64, func() {
+		step := func() {
 			if _, err := o.Execute(pid, "inc()"); err != nil {
 				t.Fatal(err)
 			}
 			pid = 1 - pid
-		})
+		}
+		for i := 0; i < 8; i++ { // the root reaches pid 2's record
+			step()
+		}
+		return testing.AllocsPerRun(64, step)
 	}
 	if passes, none := perOp(1), perOp(1<<30); passes != none {
 		t.Errorf("an operation with a refused pass = %.2f allocs, without a pass %.2f", passes, none)

@@ -193,14 +193,19 @@ func (r *Registry) BatchExecuteWith(ctx context.Context, ops []BatchOp, w *Batch
 		defer r.pool.Release(pid)
 	}
 
+	// Cancellation is polled per op on the Done channel: ctx.Err locks the
+	// context's mutex on every call, Err is read only once Done is closed.
+	done := ctx.Done()
 	for i := range steps {
 		st := &steps[i]
 		if st.kind == stepInvalid {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			results[i].Err = fmt.Errorf("batch cancelled before op %d: %w", i, err)
+		select {
+		case <-done:
+			results[i].Err = fmt.Errorf("batch cancelled before op %d: %w", i, ctx.Err())
 			continue
+		default:
 		}
 		switch st.kind {
 		case stepNames:

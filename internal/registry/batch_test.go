@@ -6,10 +6,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"slmem"
+	"slmem/internal/kind"
 )
 
 func TestBatchExecuteMixedKinds(t *testing.T) {
@@ -237,32 +237,44 @@ func TestBatchExecuteCancelledBeforeLease(t *testing.T) {
 	}
 }
 
-// trippingContext reports cancellation after its Err method has been polled
-// a fixed number of times, making "the context gets cancelled mid-batch"
-// deterministic: BatchExecute polls Err once on entry (before compiling)
-// and once before each op.
-type trippingContext struct {
-	context.Context
-	polls  atomic.Int32
-	budget int32
+// tripDriver is a test driver whose one op, trip, calls tripCancel: a batch
+// holding it is cancelled between two of its ops, deterministically.
+var (
+	tripDriver = kind.Driver{
+		Info: kind.Info{Kind: "testtrip", Doc: "test tripwire", Ops: []kind.OpInfo{{Name: "trip", Doc: "call tripCancel"}}},
+		New:  func(kind.Env) (kind.Instance, error) { return tripwire{}, nil },
+	}
+	registerTrip sync.Once
+	tripCancel   context.CancelFunc
+)
+
+type tripwire struct{}
+
+func (tripwire) Compile(req kind.Request) (kind.Compiled, error) {
+	if req.Op != "trip" {
+		return nil, tripDriver.UnknownOp(req.Op)
+	}
+	return tripwire{}, nil
 }
 
-func (c *trippingContext) Err() error {
-	if c.polls.Add(1) > c.budget {
-		return context.Canceled
-	}
-	return nil
+func (tripwire) Run(int) (kind.Result, error) {
+	tripCancel()
+	return kind.Result{Value: "tripped"}, nil
 }
 
 func TestBatchExecuteCancelledMidBatch(t *testing.T) {
+	registerTrip.Do(func() { kind.Register(tripDriver) })
 	r := New(Options{Procs: 2})
-	// Budget 3: one poll for the entry check, then ops 0 and 1 pass;
-	// ops 2 and 3 see the cancellation.
-	ctx := &trippingContext{Context: context.Background(), budget: 3}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tripCancel = cancel
 
+	// Ops 0 and 1 run, op 2 cancels the batch's context, ops 3 and 4 see
+	// the cancellation.
 	ops := []BatchOp{
 		{Kind: KindCounter, Name: "c", Op: OpInc},
 		{Kind: KindCounter, Name: "c", Op: OpRead},
+		{Kind: "testtrip", Name: "w", Op: "trip"},
 		{Kind: KindCounter, Name: "c", Op: OpInc},
 		{Kind: KindCounter, Name: "c", Op: OpRead},
 	}
@@ -271,13 +283,13 @@ func TestBatchExecuteCancelledMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := out.Results
-	if results[0].Err != nil || results[1].Err != nil {
-		t.Fatalf("pre-cancellation ops failed: %v / %v", results[0].Err, results[1].Err)
+	if results[0].Err != nil || results[1].Err != nil || results[2].Err != nil {
+		t.Fatalf("pre-cancellation ops failed: %v / %v / %v", results[0].Err, results[1].Err, results[2].Err)
 	}
 	if results[1].Value != "1" {
 		t.Errorf("read before cancellation = %q, want 1", results[1].Value)
 	}
-	for _, i := range []int{2, 3} {
+	for _, i := range []int{3, 4} {
 		if results[i].Err == nil || !errors.Is(results[i].Err, context.Canceled) {
 			t.Errorf("op %d after cancellation: err = %v, want context.Canceled", i, results[i].Err)
 		}

@@ -222,8 +222,8 @@ func TestReplayCacheSteadyStateHits(t *testing.T) {
 	if st.Hits < ops-4 {
 		t.Errorf("hits = %d, want >= %d (every op after each process's first)", st.Hits, ops-4)
 	}
-	if got := o.HistorySize(0); got != ops {
-		t.Errorf("HistorySize = %d, want %d (cache must not drop history)", got, ops)
+	if got := o.GCStats(0).LiveNodes; got != ops {
+		t.Errorf("LiveNodes = %d, want %d (cache must not drop history)", got, ops)
 	}
 	if got, err := o.Execute(0, "read()"); err != nil || got != strconv.Itoa(ops) {
 		t.Errorf("read() = %q, %v; want %d", got, err, ops)

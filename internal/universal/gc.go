@@ -36,20 +36,23 @@
 // every live node covers the current root by induction, and M only decreases
 // toward views that themselves cover it.
 //
-// A process begins by setting its flag, once, before its first load of the
-// truncation root and its first scan; a pass reads the flags after its scan.
-// A process the pass sees not begun is left out of the minimum, the freshness
-// gate, the base climb and the trim's quiescence, and that is sound by the
-// same Dekker pairing the pid leaser relies on: the atomics are sequentially
-// consistent, so a flag the pass missed is set after the pass read it, and
-// the process's first scan follows the pass's scan. By snapshot monotonicity
-// that scan, and every later one of the process, is pointwise at least the
-// pass's, which bounds M, so every node the process ever appends covers M —
-// the covering lemma's condition, for nodes no rule below examines. Its first
-// root load follows every truncation committed before the pass, so no trim
-// the pass makes can cut under a root it loaded; a later pass sees its flag,
-// and until the process publishes a record, a begun process without one ends
-// every pass, as a process with an operation in flight and no record must.
+// A process begins by publishing the initial truncation root as its record,
+// once, before its first load of the truncation root and its first scan; a
+// pass reads the records after its scan. A process the pass sees without a
+// record is left out of the minimum, the freshness gate, the base climb and
+// the trim's quiescence, and that is sound by the same Dekker pairing the pid
+// leaser relies on: the atomics are sequentially consistent, so a record the
+// pass missed is stored after the pass read it, and the process's first scan
+// follows the pass's scan. By snapshot monotonicity that scan, and every
+// later one of the process, is pointwise at least the pass's, which bounds M,
+// so every node the process ever appends covers M — the covering lemma's
+// condition, for nodes no rule below examines. Its first root load follows
+// every truncation committed before the pass, so no trim the pass makes can
+// cut under a root it loaded. A later pass sees the initial record — the
+// empty prefix at version 0 — until the process publishes its own: the
+// minimum then clamps to the current root and the trim's quiescence to
+// version 0, so the pass neither cuts nor trims, as it must while a process
+// with an operation in flight may be reading under any root.
 //
 // The fixpoint only examines nodes reachable from the collector's scan,
 // and the records are read after that scan, so process q may have published
@@ -90,7 +93,7 @@
 //
 // Physical reclamation is deferred: the boundary nodes (index exactly M[q],
 // reached by stepping down each chain from the scan) keep their preceding views
-// until every begun process's record carries a root version at or past the
+// until every published record carries a root version at or past the
 // truncation — from then on no replay floor can fall below M, nobody follows
 // pointers into the prefix again (extraction never reads the view of a node at
 // or below its floor), and the collector severs the boundary views so the Go
@@ -112,9 +115,8 @@
 // slowest begun process's consecutive operations, plus the Window between
 // collector passes and the fewer than publishEvery operations a record may lag
 // — flat under steady traffic from every process that runs, the churn soak's
-// assertion. Reading GCStats or HistorySize as a pid begins it too (the
-// extraction reads views as an operation's does), so a pid that only reads
-// them pins the graph until it executes.
+// assertion. Reading GCStats begins no process: it counts the live nodes from
+// a scan's indexes and follows no view.
 package universal
 
 import (
@@ -138,8 +140,8 @@ type GCOptions struct {
 // GCStats describes the garbage collector's progress.
 type GCStats struct {
 	// LiveNodes is the number of precedence-graph nodes reachable past the
-	// truncation root, from one root scan. With GC disabled it is the full
-	// history size.
+	// truncation root, counted from one root scan's indexes. With GC disabled
+	// it is the full history size.
 	LiveNodes int
 	// Truncations counts completed truncation passes that advanced the root.
 	Truncations int64
@@ -156,8 +158,8 @@ type GCStats struct {
 	// CoverageFailures counts extractions that found a reachable node not
 	// covering the truncation root, and collector passes whose fixpoint fell
 	// below it. The truncation invariant rules both out; a nonzero count
-	// means the invariant broke — Execute returns errors and LiveNodes may
-	// undercount — so the breakage is observable here instead of masked.
+	// means the invariant broke — Execute returns errors — so the breakage
+	// is observable here instead of masked.
 	CoverageFailures int64
 	// ReplayFailures counts truncation passes abandoned because the
 	// truncated prefix failed to replay onto the root's state. A
@@ -206,11 +208,17 @@ func (o *Object) SetGC(opts GCOptions) {
 // GCEnabled reports whether SetGC has enabled truncation.
 func (o *Object) GCEnabled() bool { return o.gc != nil }
 
-// GCStats returns collector progress, as process p (one root scan, same
-// pid ownership rules as Execute; it begins p as an Execute does). With GC disabled only LiveNodes is set,
-// to the full history size.
+// GCStats returns collector progress, as process p (one root scan, same pid
+// ownership rules as Execute). It counts the live nodes from the scan's
+// indexes, Σ_q (view[q] − root[q]), and follows no view, so it does not enter
+// p into the collector's protocol: a pid that only reads stats pins nothing.
+// With GC disabled only LiveNodes is set, to the full history size.
 func (o *Object) GCStats(p int) GCStats {
-	live, root := o.liveNodes(p)
+	root := o.trunc.Load()
+	live := 0
+	for q, nd := range o.root.View(p) {
+		live += max(top(nd)-root.prefix[q], 0)
+	}
 	if o.gc == nil {
 		return GCStats{LiveNodes: live, CoverageFailures: o.coverFails.Load()}
 	}
@@ -228,23 +236,20 @@ func (o *Object) GCStats(p int) GCStats {
 
 // collect is one truncation pass, run with g.mu held. It reuses the
 // caller's root scan (view) so the pass adds no shared steps of its own, and
-// reads the flags and records after it.
+// reads the records after it.
 func (o *Object) collect(view []*node) {
 	g := o.gc
 	cur := o.trunc.Load()
 
-	// Read every process's record, and for one without a record its flag. A
-	// process that has not begun is left out of every rule below: it sets its
-	// flag before its first root load and scan, and the flag is read after
-	// this pass's scan, so its first scan follows this one and covers the
-	// cut, which is clamped to this scan. A process that has begun but has no
-	// record yet pins this pass: it may have loaded any root and be reading
-	// under it.
+	// Read every process's record. A process without one has not begun and
+	// is left out of every rule below: it stores its first record before its
+	// first root load and scan, and the record is read after this pass's scan,
+	// so its first scan follows this one and covers the cut, which is clamped
+	// to this scan. A process whose record is still the initial one may have
+	// loaded any root and be reading under it; that record's empty prefix and
+	// version 0 keep this pass from cutting or trimming.
 	for q := range o.local {
-		l := &o.local[q]
-		if g.recs[q] = l.rec.Load(); g.recs[q] == nil && l.began.Load() {
-			return
-		}
+		g.recs[q] = o.local[q].rec.Load()
 	}
 	cut, minVer := g.cut, cur.version
 	for q := range cut {

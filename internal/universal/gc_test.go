@@ -396,7 +396,6 @@ func TestGCReplayFailureSurfaced(t *testing.T) {
 	g := o.gc
 	o.local[0].rec.Store(&anchor{prefix: []int{2, 0}})
 	o.local[1].rec.Store(&anchor{prefix: []int{1, 1}})
-	o.local[1].began.Store(true) // p1 never ran; a process with a record has begun
 	g.mu.Lock()
 	o.collect(view)
 	g.mu.Unlock()
@@ -411,8 +410,8 @@ func TestGCReplayFailureSurfaced(t *testing.T) {
 
 // TestGCCoverageFailureSurfaced pins the observability of a broken
 // truncation invariant: if a reachable node does not cover the root,
-// Execute errors and both GCStats and HistorySize must count the failure
-// instead of silently under-reporting the live set.
+// Execute errors and GCStats must count the failure, and its live count,
+// read from the scan's indexes, must not shrink with the refused extraction.
 func TestGCCoverageFailureSurfaced(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
@@ -438,8 +437,8 @@ func TestGCCoverageFailureSurfaced(t *testing.T) {
 	if st.CoverageFailures == 0 {
 		t.Fatalf("broken truncation invariant not surfaced: %+v", st)
 	}
-	if o.HistorySize(0) == 0 {
-		t.Error("partial extraction reported zero live nodes")
+	if st.LiveNodes == 0 {
+		t.Error("a refused extraction reported zero live nodes")
 	}
 }
 
@@ -688,7 +687,6 @@ func TestGCRefusedBaseFallsBackToRoot(t *testing.T) {
 		view := o.root.View(0)
 		o.local[0].rec.Store(rec0)
 		o.local[1].rec.Store(rec1)
-		o.local[1].began.Store(true) // p1 never ran; a process with a record has begun
 		o.gc.mu.Lock()
 		o.collect(view)
 		o.gc.mu.Unlock()
@@ -862,7 +860,7 @@ func TestGCChurnSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := unbounded.HistorySize(0); got != ubOps {
+	if got := unbounded.GCStats(0).LiveNodes; got != ubOps {
 		t.Errorf("unbounded history = %d after %d ops, want exact linear growth", got, ubOps)
 	}
 }
@@ -982,10 +980,74 @@ func TestGCIdlePidsDoNotPin(t *testing.T) {
 			if st.LiveNodes > 3*k*window || st.CoverageFailures+st.ReplayFailures != 0 {
 				t.Fatalf("%d of 16 pids used: %d live nodes, want at most %d: %+v", k, st.LiveNodes, 3*k*window, st)
 			}
+			if walked := extractedLive(t, o, 0); st.LiveNodes != walked {
+				t.Fatalf("GCStats counts %d live nodes, a full extraction from the root walks %d", st.LiveNodes, walked)
+			}
 			if ops := k * (perProc + window); st.LiveNodes+int(st.TruncatedNodes) != ops {
 				t.Fatalf("live %d + truncated %d != %d ops", st.LiveNodes, st.TruncatedNodes, ops)
 			}
 		})
+	}
+}
+
+// extractedLive returns the number of nodes a full extraction from the
+// truncation root walks, as process p: the count GCStats reads off a scan's
+// indexes instead.
+func extractedLive(t *testing.T, o *Object, p int) int {
+	t.Helper()
+	sc := &scratch{n: o.n}
+	if _, _, ok := sc.extract(o.trunc.Load().prefix, o.root.View(p)); !ok {
+		t.Fatal("the live graph refused an extraction from the truncation root")
+	}
+	defer sc.release()
+	return len(sc.nodes)
+}
+
+// TestGCStatsReaderDoesNotPin: a pid that only reads GCStats — here while two
+// others run ten windows side by side, then one more window each in turn —
+// enters nothing into the collector's protocol, so passes still truncate and
+// at most 3·2·window nodes stay live. A stats read that began its pid would
+// leave it without a record and end every pass.
+func TestGCStatsReaderDoesNotPin(t *testing.T) {
+	const n, window, rounds = 3, 64, 10
+	var alloc memory.NativeAllocator
+	o := New(&alloc, CounterType{}, n)
+	o.SetGC(GCOptions{Window: window})
+	runWindow := func(p int) error {
+		for i := 0; i < window; i++ {
+			if _, err := o.Execute(p, "inc()"); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for p := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[p] = runWindow(p)
+			}()
+		}
+		o.GCStats(2)
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for p := 0; p < 2; p++ {
+		o.GCStats(2)
+		if err := runWindow(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := o.GCStats(2)
+	if st.Truncations == 0 || st.LiveNodes > 3*2*window || st.CoverageFailures+st.ReplayFailures != 0 {
+		t.Fatalf("pid 2 only read stats: %+v, want truncations and at most %d live nodes", st, 3*2*window)
 	}
 }
 

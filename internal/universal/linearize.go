@@ -175,8 +175,9 @@ func grow[T any](s []T, n int) []T {
 // it lays out, in canonical order, the nodes reachable from view whose
 // operations are not in the prefix {(q, i) : i <= floor[q]}. ok is false when
 // some extracted node does not cover the floor — it may linearize inside the
-// prefix, so the caller must start from a lower floor; that node is returned
-// as refuser — or when the graph is not the chains the construction builds.
+// prefix, so the caller must start from a lower floor; the lowest such node
+// of its chain is returned as refuser — or when the graph is not the chains
+// the construction builds.
 // live is the number of operations past the floor either way; on failure
 // nothing else is left behind.
 func (s *scratch) extract(floor []int, view []*node) (live int, refuser *node, ok bool) {
@@ -199,12 +200,16 @@ func (s *scratch) extract(floor []int, view []*node) (live int, refuser *node, o
 }
 
 // walk fills in the layout extract sized, one chain at a time from the view
-// down, and reports whether every node passed the checks, and if not, the
-// node whose view misses part of the floor, nil for a broken chain.
+// down, and reports whether every node passed the checks, and if not, a node
+// whose view misses part of the floor, nil for a broken chain. The node it
+// reports is the refusing chain's lowest extracted one: views only fall down a
+// chain, so that node refuses too, and its view of every process is the
+// chain's lowest — the furthest a floor's walk may skip.
 func (s *scratch) walk(floor []int, view []*node) (*node, bool) {
 	n := s.n
 	for q, nd := range view {
 		lo := int(s.base[q])
+		refused := false
 		for id := int(s.base[q+1]) - 1; id >= lo; id-- {
 			if nd == nil || nd.pid != q || len(nd.preceding) != n {
 				return nil, false
@@ -218,18 +223,19 @@ func (s *scratch) walk(floor []int, view []*node) (*node, bool) {
 				}
 				// Below 0 the view misses part of the prefix; above the
 				// chain's length it is ahead of the scan it is reachable from.
-				if rel < 0 {
-					return nd, false
-				}
 				if rel > int(s.base[r+1]-s.base[r]) {
 					return nil, false
 				}
+				refused = refused || rel < 0
 				row[r] = int32(rel)
 			}
 			if int(row[q]) != id-lo { // own component: the previous own node
 				return nil, false
 			}
 			nd = nd.preceding[q]
+		}
+		if refused {
+			return s.nodes[lo], false
 		}
 	}
 	return nil, true

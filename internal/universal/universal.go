@@ -48,13 +48,15 @@
 // later: more conservative, never wrong.
 //
 // A process that has never begun has no record, and the rules leave it out
-// rather than wait for one. It sets a flag once, before its first load of the
-// truncation root and its first scan, and collector passes read the flags
-// after their scans: with sequentially consistent atomics, a pass that misses
-// the flag ran its scan before the process's first, so by snapshot
-// monotonicity every node the process will ever append covers the pass's cut,
-// which never exceeds that scan, and its first root load follows every
-// truncation before the pass (gc.go).
+// rather than wait for one. It begins by publishing the initial truncation
+// root as its record, once, before its first load of the truncation root and
+// its first scan, and collector passes read the records after their scans:
+// with sequentially consistent atomics, a pass that misses the record ran its
+// scan before the process's first, so by snapshot monotonicity every node the
+// process will ever append covers the pass's cut, which never exceeds that
+// scan, and its first root load follows every truncation before the pass. A
+// pass that sees the initial record neither cuts nor trims (gc.go). Reading
+// GCStats begins nobody: it reads a scan's indexes and no node's view.
 //
 // A node covers a prefix when its scanned view includes every node of the
 // prefix. Covering lemma: in a precedence graph whose nodes outside a prefix
@@ -98,7 +100,9 @@
 // node (a genuinely concurrent straggler that might linearize inside the
 // prefix) refuses the candidate, and the next one down is tried — the first at
 // or below the straggler's view of p, since the straggler refuses every kept
-// node above that view too, and nothing is extracted to learn it: a straggler
+// node above that view too, and nothing is extracted to learn it. Views only
+// fall down a chain, so the straggler named is the refusing chain's lowest
+// extracted node, whose view of p is that chain's lowest. A straggler
 // that overlapped one of p's recent operations scanned after the operation
 // before it, so it covers that operation's node and the miss costs one refused
 // extraction and the few operations since, not the live graph. Only a straggler
@@ -249,16 +253,12 @@ const publishEvery = 16
 // plocal is everything process p keeps between its operations: its last
 // nodes, its published record and the scratch its extractions and
 // linearizations run in. It is written only by the goroutine driving that pid
-// — began and rec are the single-writer registers collector passes load, and
-// the counters are atomic so CacheStats may read them concurrently — it is
+// — rec is the single-writer register collector passes load, and the counters
+// are atomic so CacheStats may read them concurrently — it is
 // indexed by pid, and it is never pooled and never shared: exclusive pid
 // ownership is the model's own invariant, so the rest needs no synchronising.
 // The trailing pad keeps one process's entry off the cache lines of the next.
 type plocal struct {
-	// began is set, once and for good, before the process's first load of
-	// the truncation root: collector passes leave out a process that has not
-	// begun (gc.go).
-	began atomic.Bool
 	// ops counts the operations since the process's last collector pass.
 	ops int
 	// mine holds the process's last anchorRing+1 nodes, node i in slot i %
@@ -266,9 +266,10 @@ type plocal struct {
 	// the prefix of the one floor is trying.
 	mine [anchorRing + 1]*node
 	at   []int
-	// rec is the published copy of one of its anchors, nil before the first
-	// operation. pubs and pubPrefixes are what is left of the blocks copies
-	// are carved from.
+	// rec is the published copy of one of its anchors: nil before the
+	// process begins, the initial truncation root (Object.zero) from then
+	// until its first operation publishes. pubs and pubPrefixes are what is
+	// left of the blocks copies are carved from.
 	rec         atomic.Pointer[anchor]
 	pubs        []anchor
 	pubPrefixes []int
@@ -328,8 +329,10 @@ type Object struct {
 	caching bool
 	local   []plocal
 	// trunc is the truncation root: the floor under every replay. Only a
-	// collector pass advances it, so without GC it stays the initial record.
+	// collector pass advances it, so without GC it stays zero, the initial
+	// record — nothing linearized, the initial state, version 0.
 	trunc atomic.Pointer[anchor]
+	zero  *anchor
 	gc    *gcInfo // nil until SetGC enables truncation
 	// coverFails counts extractions refused because a reachable node does
 	// not cover the floor they must start from, or breaks the chain rules.
@@ -356,7 +359,8 @@ func New(alloc memory.Allocator, t Type, n int) *Object {
 		o.local[p].n = n
 		none[p] = -1
 	}
-	o.trunc.Store(&anchor{prefix: none, state: o.sp.Initial()})
+	o.zero = &anchor{prefix: none, state: o.sp.Initial()}
+	o.trunc.Store(o.zero)
 	return o
 }
 
@@ -418,11 +422,11 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 }
 
 // begin enters process p into the collector's protocol before its first
-// load of the truncation root (gc.go): from then on no pass truncates without
-// a record of p's.
+// load of the truncation root (gc.go) by publishing the initial record: from
+// then on no pass cuts or trims past a record of p's.
 func (o *Object) begin(p int) {
-	if l := &o.local[p]; !l.began.Load() {
-		l.began.Store(true)
+	if l := &o.local[p]; l.rec.Load() == nil {
+		l.rec.Store(o.zero)
 	}
 }
 
@@ -590,7 +594,7 @@ func (o *Object) publish(l *plocal, e *node, state string, version int64) {
 			collect = true
 		}
 	}
-	if rec := l.rec.Load(); collect || rec == nil || e.index-rec.prefix[e.pid] >= period {
+	if rec := l.rec.Load(); collect || rec == o.zero || e.index-rec.prefix[e.pid] >= period {
 		if len(l.pubs) == 0 {
 			l.pubs = make([]anchor, publishEvery)
 			l.pubPrefixes = make([]int, publishEvery*o.n)
@@ -605,33 +609,6 @@ func (o *Object) publish(l *plocal, e *node, state string, version int64) {
 		o.collect(e.preceding)
 		g.mu.Unlock()
 	}
-}
-
-// HistorySize returns the number of operations currently reachable in the
-// shared precedence graph, as observed by process p (for growth
-// measurements; one root scan). With GC enabled it reports the live nodes
-// past the truncation root — the truncated prefix survives only as the
-// root's state.
-func (o *Object) HistorySize(p int) int {
-	live, _ := o.liveNodes(p)
-	return live
-}
-
-// liveNodes counts the operations past the truncation root (all of them
-// without GC) as process p, from one root scan, with the root it counted
-// against. An extraction the graph refuses still yields the count, and is
-// surfaced through the coverage-failure counter rather than under-reported.
-func (o *Object) liveNodes(p int) (int, *anchor) {
-	o.begin(p) // the extraction below reads views as an operation's does
-	root := o.trunc.Load()
-	view := o.root.View(p)
-	l := &o.local[p]
-	live, _, ok := l.extract(root.prefix, view)
-	if !ok {
-		o.coverFails.Add(1)
-	}
-	l.release()
-	return live, root
 }
 
 // top is the operation index a view component stands for: -1 for ⊥.

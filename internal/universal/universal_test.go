@@ -340,14 +340,14 @@ func TestStrongBranchingTreesPastFirstNode(t *testing.T) {
 
 func TestHistoryGrowth(t *testing.T) {
 	// The shared precedence graph keeps every operation (the construction is
-	// not bounded wait-free; Section 5.3). HistorySize must track the total
+	// not bounded wait-free; Section 5.3). LiveNodes must track the total
 	// number of executed operations.
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
 	for i := 1; i <= 10; i++ {
 		mustExecute(t, o, i%2, "inc()")
-		if got := o.HistorySize(0); got != i {
-			t.Fatalf("after %d ops HistorySize = %d", i, got)
+		if got := o.GCStats(0).LiveNodes; got != i {
+			t.Fatalf("after %d ops LiveNodes = %d", i, got)
 		}
 	}
 }

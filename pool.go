@@ -194,10 +194,13 @@ func (o *PooledObject) Execute(ctx context.Context, invocation string) (string, 
 // the error, so callers know exactly which prefix took effect.
 func (o *PooledObject) ExecuteMany(ctx context.Context, invocations []string) ([]string, error) {
 	resps := make([]string, 0, len(invocations))
+	done := ctx.Done() // polled without ctx.Err's lock; see registry.BatchExecuteWith
 	err := o.pids.With(ctx, func(pid int) error {
 		for i, inv := range invocations {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("batch cancelled before invocation %d: %w", i, err)
+			select {
+			case <-done:
+				return fmt.Errorf("batch cancelled before invocation %d: %w", i, ctx.Err())
+			default:
 			}
 			resp, err := o.o.Execute(pid, inv)
 			if err != nil {
@@ -211,7 +214,7 @@ func (o *PooledObject) ExecuteMany(ctx context.Context, invocations []string) ([
 }
 
 // GCStats leases a pid and returns the object's garbage-collection
-// progress; see Object.GCStats.
+// progress; see Object.GCStats. The read pins nothing, so any pid will do.
 func (o *PooledObject) GCStats(ctx context.Context) (ObjectGCStats, error) {
 	var stats ObjectGCStats
 	err := o.pids.With(ctx, func(pid int) error {

@@ -245,16 +245,17 @@ const DefaultObjectGCWindow = universal.DefaultGCWindow
 // SetCaching it must not be called concurrently with Execute; unlike
 // caching it cannot be undone — calling SetGC again only retunes the
 // window. Note a process that stops executing pins collection at its last
-// watermark; one that never executes (nor reads GCStats) pins nothing.
+// watermark; one that never executes pins nothing, whatever GCStats it reads.
 func (o *Object) SetGC(opts ObjectGCOptions) { o.inner.SetGC(opts) }
 
 // GCEnabled reports whether SetGC has enabled history truncation.
 func (o *Object) GCEnabled() bool { return o.inner.GCEnabled() }
 
-// GCStats returns garbage-collection progress, reading as process pid
-// (same pid ownership rules as Execute, and like an Execute it enters pid
-// into the collector's protocol: see SetGC). With GC disabled only LiveNodes
-// is populated, with the full history size.
+// GCStats returns garbage-collection progress, reading as process pid (same
+// pid ownership rules as Execute). Unlike an Execute it does not enter pid
+// into the collector's protocol: it counts live nodes from one scan's indexes
+// and pins nothing (see SetGC). With GC disabled only LiveNodes is populated,
+// with the full history size.
 func (o *Object) GCStats(pid int) ObjectGCStats { return o.inner.GCStats(pid) }
 
 // ValidateSimple checks that the type's invocations pairwise commute or
