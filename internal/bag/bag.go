@@ -105,6 +105,7 @@
 package bag
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"slmem/internal/core"
@@ -373,13 +374,10 @@ func (b *Bag) walkPublished(p int, limit int, visit func(c *chunk, i int) bool) 
 // remover's test-and-set winning, or an owner's bounded migration window
 // progressing.
 func (b *Bag) Remove(pid int) (string, bool) {
-	view := b.pub.View(pid)
-	l := &b.logs[pid]
-	for {
-		b.readTransit(&l.tcBefore)
+	var won *chunk
+	wonIdx := 0
+	b.doubleCollect(pid, func(view []int) (done, stands bool) {
 		allClaimed := true
-		var won *chunk
-		wonIdx := 0
 		for p := 0; p < b.n && won == nil; p++ {
 			b.walkPublished(p, view[p], func(c *chunk, i int) bool {
 				if c.taken(i) {
@@ -395,21 +393,16 @@ func (b *Bag) Remove(pid int) (string, bool) {
 				return true
 			})
 		}
-		if won != nil {
-			return won.vals[wonIdx], true
-		}
-		view2 := b.pub.View(pid)
-		b.readTransit(&l.tcAfter)
-		if allClaimed && equalViews(view, view2) && transitClean(l.tcBefore, l.tcAfter) {
-			// Empty case: at the last claimed-bit read, every item
-			// published then (= view, unchanged through the second scan)
-			// was already claimed — and none of those claims belonged to a
-			// migration still in flight — so the bag was empty at that
-			// instant.
-			return "", false
-		}
-		view = view2
+		return won != nil, allClaimed
+	})
+	if won != nil {
+		return won.vals[wonIdx], true
 	}
+	// Empty case: at the last claimed-bit read, every item published then
+	// (= view, unchanged through the second scan) was already claimed — and
+	// none of those claims belonged to a migration still in flight — so the
+	// bag was empty at that instant.
+	return "", false
 }
 
 // Size returns the number of items in the bag, as process pid: published
@@ -421,27 +414,43 @@ func (b *Bag) Remove(pid int) (string, bool) {
 // Lock-free: it retries only when an insert publishes between the two
 // scans or an owner's bounded migration window progresses.
 func (b *Bag) Size(pid int) int {
+	size := 0
+	b.doubleCollect(pid, func(view []int) (done, stands bool) {
+		// Published cells not visited were recycled, so claimed: the items
+		// are the visited cells not yet claimed.
+		size = 0
+		for p := 0; p < b.n; p++ {
+			b.walkPublished(p, view[p], func(c *chunk, i int) bool {
+				if !c.taken(i) {
+					size++
+				}
+				return true
+			})
+		}
+		return false, true
+	})
+	return size
+}
+
+// doubleCollect runs collect as process pid over publication views until
+// one run is validated: the transit counters read before and after it are
+// equal and even, and the view read after it equals the one it walked. Each
+// retry walks the newer view. collect reports done when it has its answer
+// without validation (Remove's winning test-and-set), which ends the loop at
+// once, and otherwise whether its result stands if the run is validated.
+func (b *Bag) doubleCollect(pid int, collect func(view []int) (done, stands bool)) {
 	view := b.pub.View(pid)
 	l := &b.logs[pid]
 	for {
 		b.readTransit(&l.tcBefore)
-		total, claimed := 0, 0
-		for p := 0; p < b.n; p++ {
-			total += view[p]
-			reachableClaimed := 0
-			visited := b.walkPublished(p, view[p], func(c *chunk, i int) bool {
-				if c.taken(i) {
-					reachableClaimed++
-				}
-				return true
-			})
-			// Published cells not visited were recycled: all claimed.
-			claimed += reachableClaimed + (view[p] - visited)
+		done, stands := collect(view)
+		if done {
+			return
 		}
 		view2 := b.pub.View(pid)
 		b.readTransit(&l.tcAfter)
-		if equalViews(view, view2) && transitClean(l.tcBefore, l.tcAfter) {
-			return total - claimed
+		if stands && slices.Equal(view, view2) && transitClean(l.tcBefore, l.tcAfter) {
+			return
 		}
 		view = view2
 	}
@@ -520,17 +529,4 @@ func (b *Bag) Stats(pid int) BagStats {
 		})
 	}
 	return st
-}
-
-// equalViews compares two publication views.
-func equalViews(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -34,6 +34,7 @@ package kind
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -250,25 +251,28 @@ func IsConflict(err error) bool { return errors.Is(err, ErrConflict) }
 // introspection entries; Register rejects drivers that declare them.
 var ReservedOps = []string{"names", "stats"}
 
-// drivers is the registered driver set, published copy-on-write so Lookup
-// is a single atomic load on the hot path. interned maps every registered
+// catalog is the registered vocabulary, never written once published:
+// drivers maps a kind name to its driver, and interned maps every registered
 // kind name and op name (plus the reserved introspection ops) to one
-// canonical string, maintained the same way, so hot-path decoders can
-// resolve vocabulary bytes to strings without allocating.
+// canonical string, so hot-path decoders can resolve vocabulary bytes to
+// strings without allocating. Register publishes a new catalog with one
+// store, so Lookup and Intern are one atomic load each on the hot path.
+type catalog struct {
+	drivers  map[string]*Driver
+	interned map[string]string
+}
+
 var (
-	regMu    sync.Mutex
-	drivers  atomic.Pointer[map[string]*Driver]
-	interned atomic.Pointer[map[string]string]
+	regMu   sync.Mutex
+	current atomic.Pointer[catalog]
 )
 
 func init() {
-	m := map[string]*Driver{}
-	drivers.Store(&m)
-	in := make(map[string]string, len(ReservedOps))
+	c := &catalog{drivers: map[string]*Driver{}, interned: map[string]string{}}
 	for _, op := range ReservedOps {
-		in[op] = op
+		c.interned[op] = op
 	}
-	interned.Store(&in)
+	current.Store(c)
 }
 
 // Register makes a driver available under its kind name, keeping its own
@@ -292,27 +296,17 @@ func Register(d Driver) {
 	d.Ops = slices.Clone(d.Ops)
 	regMu.Lock()
 	defer regMu.Unlock()
-	old := *drivers.Load()
-	if _, dup := old[name]; dup {
+	old := current.Load()
+	if _, dup := old.drivers[name]; dup {
 		panic(fmt.Sprintf("kind: Register called twice for kind %q", name))
 	}
-	next := make(map[string]*Driver, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[name] = &d
-	drivers.Store(&next)
-
-	oldIn := *interned.Load()
-	nextIn := make(map[string]string, len(oldIn)+1+len(d.Ops))
-	for k, v := range oldIn {
-		nextIn[k] = v
-	}
-	nextIn[name] = name
+	next := &catalog{drivers: maps.Clone(old.drivers), interned: maps.Clone(old.interned)}
+	next.drivers[name] = &d
+	next.interned[name] = name
 	for _, op := range d.Ops {
-		nextIn[op.Name] = op.Name
+		next.interned[op.Name] = op.Name
 	}
-	interned.Store(&nextIn)
+	current.Store(next)
 }
 
 // Intern returns the canonical string for b when b spells a registered kind
@@ -322,7 +316,7 @@ func Register(d Driver) {
 // vocabulary field. ok is false for anything outside the vocabulary; safe
 // for concurrent use with Register.
 func Intern(b []byte) (s string, ok bool) {
-	s, ok = (*interned.Load())[string(b)]
+	s, ok = current.Load().interned[string(b)]
 	return s, ok
 }
 
@@ -330,13 +324,13 @@ func Intern(b []byte) (s string, ok bool) {
 // modify. The fast path is one atomic load; safe for concurrent use with
 // Register.
 func Lookup(name string) (*Driver, bool) {
-	d, ok := (*drivers.Load())[name]
+	d, ok := current.Load().drivers[name]
 	return d, ok
 }
 
 // Names returns the registered kind names, sorted.
 func Names() []string {
-	m := *drivers.Load()
+	m := current.Load().drivers
 	names := make([]string, 0, len(m))
 	for name := range m {
 		names = append(names, name)
@@ -349,7 +343,7 @@ func Names() []string {
 // reads one snapshot of the driver map, so a kind registered meanwhile is
 // either described whole or absent.
 func Describe() []Info {
-	m := *drivers.Load()
+	m := current.Load().drivers
 	infos := make([]Info, 0, len(m))
 	for _, d := range m {
 		info := d.Info

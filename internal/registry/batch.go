@@ -76,11 +76,12 @@ const (
 
 // step is a validated BatchOp with its target resolved and operand parsed,
 // so the leased execution loop is a tight dispatch with no map lookups or
-// parsing.
+// parsing. t is the table of the entry's kind whenever that kind is
+// registered, valid entry or not: the entry counts in its ops.
 type step struct {
 	kind stepKind
 	run  kind.Compiled
-	k    Kind // kind operand (stepNames only)
+	t    *table
 }
 
 // BatchWork is the working storage of one BatchExecuteWith call: results
@@ -139,6 +140,10 @@ type BatchOutcome struct {
 //   - Cancellation: the context is checked between ops; once it is
 //     cancelled, every remaining op's slot reports the cancellation error
 //     while earlier results stand.
+//   - Counting: once the batch runs (it holds its lease, or needs none),
+//     every entry whose kind is registered counts in Stats().Ops under that
+//     kind, failed and cancelled entries included. A batch refused as a
+//     whole counts nothing.
 //
 // The returned error is non-nil only when the batch as a whole could not
 // run: the context was already cancelled on entry, or it was cancelled
@@ -192,6 +197,7 @@ func (r *Registry) BatchExecuteWith(ctx context.Context, ops []BatchOp, w *Batch
 		// Deferred, so a panicking op still gives the pid back.
 		defer r.pool.Release(pid)
 	}
+	countOps(steps)
 
 	// Cancellation is polled per op on the Done channel: ctx.Err locks the
 	// context's mutex on every call, Err is read only once Done is closed.
@@ -209,7 +215,7 @@ func (r *Registry) BatchExecuteWith(ctx context.Context, ops []BatchOp, w *Batch
 		}
 		switch st.kind {
 		case stepNames:
-			results[i].View = r.Names(st.k)
+			results[i].View = st.t.names()
 		case stepStats:
 			doc, err := json.Marshal(r.Stats())
 			results[i] = BatchResult{Value: string(doc), Err: err}
@@ -231,42 +237,54 @@ func (r *Registry) BatchExecuteWith(ctx context.Context, ops []BatchOp, w *Batch
 
 // compile validates op through its kind's driver and returns its executable
 // step, resolving (and lazily creating) the target instance. A non-nil error
-// means the op can never succeed; no object is created for it.
+// means the op can never succeed; no object is created for it. The step
+// names the kind's table whenever the kind is registered, error or not.
 func (r *Registry) compile(op *BatchOp) (step, error) {
-	// Reserved introspection ops resolve against the registry itself.
-	switch op.Op {
-	case OpNames:
-		if _, ok := kind.Lookup(string(op.Kind)); !ok {
-			return step{}, kind.UnknownKind(string(op.Kind))
-		}
-		return step{kind: stepNames, k: op.Kind}, nil
-	case OpStats:
-		return step{kind: stepStats}, nil
-	}
-
-	t, err := r.table(op.Kind)
-	if err != nil {
-		return step{}, err
-	}
-	if op.Name == "" {
-		return step{}, errors.New("empty object name")
+	t, known := r.table(op.Kind)
+	// Reserved introspection ops resolve against the registry itself; stats
+	// reads the whole registry, whatever kind its entry names.
+	switch {
+	case op.Op == OpStats:
+		return step{kind: stepStats, t: t}, nil
+	case !known:
+		return step{}, kind.UnknownKind(string(op.Kind))
+	case op.Op == OpNames:
+		return step{kind: stepNames, t: t}, nil
+	case op.Name == "":
+		return step{t: t}, errors.New("empty object name")
 	}
 	req := kind.Request{Op: string(op.Op), Value: op.Value, Type: op.Type, Invocation: op.Invocation}
 	// Reject unknown ops and malformed operands before the name lookup; a
 	// doomed op must not register an object.
 	if err := t.driver.Validate(req); err != nil {
-		return step{}, err
+		return step{t: t}, err
 	}
 	inst, err := r.instance(t, op.Name, req)
 	if err != nil {
-		return step{}, err
+		return step{t: t}, err
 	}
 	// Compile carries the per-instance checks (e.g. the universal object's
 	// type-conflict detection), which must also fire between two ops of one
 	// batch that name the same object differently.
 	compiled, err := inst.Compile(req)
 	if err != nil {
-		return step{}, err
+		return step{t: t}, err
 	}
-	return step{kind: stepRun, run: compiled}, nil
+	return step{kind: stepRun, run: compiled, t: t}, nil
+}
+
+// countOps adds a running batch's steps to their kinds' op counts, one add
+// per run of steps of one kind: batches are usually homogeneous, so this is
+// one atomic add a batch, not one an entry.
+func countOps(steps []step) {
+	for i := 0; i < len(steps); {
+		t, j := steps[i].t, i+1
+		for j < len(steps) && steps[j].t == t {
+			j++
+		}
+		if t != nil {
+			t.ops.Add(int64(j - i))
+		}
+		i = j
+	}
 }

@@ -3,10 +3,12 @@ package registry
 import (
 	"context"
 	"errors"
+	"maps"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"slmem"
 	"slmem/internal/kind"
@@ -234,6 +236,70 @@ func TestBatchExecuteCancelledBeforeLease(t *testing.T) {
 	}
 	if v != 0 {
 		t.Fatalf("cancelled batch incremented counter to %d", v)
+	}
+}
+
+// TestRegistryBatchCountsOps pins which entries a batch counts in Stats().Ops:
+// every entry whose kind is registered, once the batch runs — valid or not,
+// introspection included — and nothing for a kind that is not registered or
+// for a batch refused as a whole.
+func TestRegistryBatchCountsOps(t *testing.T) {
+	r := New(Options{Procs: 1})
+	ops := []BatchOp{
+		{Kind: KindCounter, Name: "c", Op: OpInc},
+		{Kind: KindMaxRegister, Name: "m", Op: OpWrite, Value: "x"}, // bad operand
+		{Kind: KindCounter, Name: "", Op: OpInc},                    // empty name
+		{Kind: KindSnapshot, Op: OpNames},
+		{Kind: KindCounter, Op: OpStats},
+		{Kind: "nosuchkind", Name: "x", Op: OpInc},
+		{Op: OpStats}, // names no kind
+	}
+	out, err := r.BatchExecute(context.Background(), ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wantErr := range []bool{false, true, true, false, false, true, false} {
+		if (out.Results[i].Err != nil) != wantErr {
+			t.Errorf("entry %d: err = %v, want error %v", i, out.Results[i].Err, wantErr)
+		}
+	}
+	want := map[string]int64{"counter": 3, "maxreg": 1, "snapshot": 1, "object": 0}
+	counted := r.Stats().Ops
+	for k, n := range want {
+		if counted[k] != n {
+			t.Errorf("ops[%s] = %d, want %d (all: %v)", k, counted[k], n, counted)
+		}
+	}
+	if _, ok := counted["nosuchkind"]; ok {
+		t.Errorf("ops counts an unregistered kind: %v", counted)
+	}
+
+	// A batch cancelled while it queues for the only pid counts nothing.
+	pid, err := r.Pool().Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Pool().Release(pid)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.BatchExecute(ctx, ops)
+		done <- err
+	}()
+	for r.Pool().Stats().Blocks == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("batch returned %v before it queued for the lease", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch cancelled in the lease queue: err = %v, want context.Canceled", err)
+	}
+	if got := r.Stats().Ops; !maps.Equal(got, counted) {
+		t.Errorf("ops = %v after a batch cancelled in the lease queue, want %v", got, counted)
 	}
 }
 

@@ -59,13 +59,20 @@ type Registry struct {
 }
 
 // table is one kind's objects: the kind's driver, resolved once, a map from
-// name to kind.Instance, and how many instances it has created. An object is
-// created once and never replaced or removed, which is the read-mostly,
-// disjoint-key use sync.Map serves without a lock.
+// name to kind.Instance, how many instances it has created, and how many
+// batch entries have named the kind. An object is created once and never
+// replaced or removed, which is the read-mostly, disjoint-key use sync.Map
+// serves without a lock.
 type table struct {
 	driver  *kind.Driver
 	objects sync.Map
 	created atomic.Int64
+	// ops is written by every batch naming the kind, so it keeps a cache
+	// line of its own, away from the driver and objects every Get and
+	// compile reads.
+	_   [64]byte
+	ops atomic.Int64
+	_   [56]byte
 }
 
 // New constructs a registry.
@@ -89,9 +96,9 @@ func (r *Registry) Pool() *slmem.PIDPool { return r.pool }
 // then the name. Unknown kinds are kind.NotFound errors; driver creation
 // errors are returned without registering anything.
 func (r *Registry) Get(k Kind, name string, req kind.Request) (kind.Instance, *slmem.PIDPool, error) {
-	t, err := r.table(k)
-	if err != nil {
-		return nil, nil, err
+	t, ok := r.table(k)
+	if !ok {
+		return nil, nil, kind.UnknownKind(string(k))
 	}
 	inst, err := r.instance(t, name, req)
 	if err != nil {
@@ -100,17 +107,18 @@ func (r *Registry) Get(k Kind, name string, req kind.Request) (kind.Instance, *s
 	return inst, r.pool, nil
 }
 
-// table returns kind k's table, making it on the kind's first use.
-func (r *Registry) table(k Kind) (*table, error) {
+// table returns kind k's table, making it on the kind's first use; ok is
+// false when no driver is registered under k.
+func (r *Registry) table(k Kind) (*table, bool) {
 	if t, ok := r.tables.Load(k); ok {
-		return t.(*table), nil
+		return t.(*table), true
 	}
 	d, ok := kind.Lookup(string(k))
 	if !ok {
-		return nil, kind.UnknownKind(string(k))
+		return nil, false
 	}
 	t, _ := r.tables.LoadOrStore(k, &table{driver: d})
-	return t.(*table), nil
+	return t.(*table), true
 }
 
 // instance returns t's object called name, creating it on a miss without a
@@ -181,13 +189,20 @@ func (r *Registry) Object(name, typeName string) (*slmem.PooledObject, error) {
 
 // Names returns the names registered under k, sorted.
 func (r *Registry) Names(k Kind) []string {
-	var names []string
-	if t, ok := r.tables.Load(k); ok {
-		t.(*table).objects.Range(func(name, _ any) bool {
-			names = append(names, name.(string))
-			return true
-		})
+	t, ok := r.tables.Load(k)
+	if !ok {
+		return nil
 	}
+	return t.(*table).names()
+}
+
+// names returns the names of t's objects, sorted.
+func (t *table) names() []string {
+	var names []string
+	t.objects.Range(func(name, _ any) bool {
+		names = append(names, name.(string))
+		return true
+	})
 	sort.Strings(names)
 	return names
 }
@@ -213,6 +228,10 @@ type Stats struct {
 	PIDsInUse int `json:"pids_in_use"`
 	// Objects counts created objects by kind, one entry per registered kind.
 	Objects map[string]int64 `json:"objects"`
+	// Ops counts batch entries by kind, one entry per registered kind: an
+	// entry counts once the batch naming its kind runs, whether or not the
+	// entry itself succeeds (see BatchExecuteWith).
+	Ops map[string]int64 `json:"ops"`
 	// Pool reports how shared-pool lease acquisitions were served.
 	Pool slmem.PoolStats `json:"pool"`
 	// KindPools is always empty and never encoded; see KindPoolStats.
@@ -223,16 +242,19 @@ type Stats struct {
 func (r *Registry) Stats() Stats {
 	names := kind.Names()
 	objects := make(map[string]int64, len(names))
+	ops := make(map[string]int64, len(names))
 	for _, n := range names {
-		objects[n] = 0
-		if t, ok := r.tables.Load(Kind(n)); ok {
-			objects[n] = t.(*table).created.Load()
+		objects[n], ops[n] = 0, 0
+		if v, ok := r.tables.Load(Kind(n)); ok {
+			t := v.(*table)
+			objects[n], ops[n] = t.created.Load(), t.ops.Load()
 		}
 	}
 	return Stats{
 		Procs:     r.procs,
 		PIDsInUse: r.pool.InUse(),
 		Objects:   objects,
+		Ops:       ops,
 		Pool:      r.pool.Stats(),
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"slmem/internal/kind"
 	"slmem/internal/registry"
 )
 
@@ -154,20 +153,6 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, sc *batchScr
 		if out.Results[i].Err != nil {
 			failed++
 		}
-	}
-	// Count ops per kind by run length: batches are usually homogeneous, so
-	// this is one registry lookup and one counter update per run of a kind
-	// instead of one of each per entry.
-	for i := 0; i < len(entries); {
-		k := entries[i].Kind
-		j := i + 1
-		for j < len(entries) && entries[j].Kind == k {
-			j++
-		}
-		if _, known := kind.Lookup(string(k)); known {
-			s.countOps(string(k), int64(j-i))
-		}
-		i = j
 	}
 	s.batches.Add(1)
 	s.batchOps.Add(int64(len(entries)))

@@ -34,7 +34,8 @@ func init() {
 
 // TestOpRequestDeadClient sends a single operation whose client has already
 // gone: it is refused with 503 before anything happens, so no object is
-// created and no lease is taken — the rule /v1/batch follows too.
+// created, no lease is taken and no operation is counted — the rule
+// /v1/batch follows too.
 func TestOpRequestDeadClient(t *testing.T) {
 	srv := New(registry.Options{Procs: 2})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -55,6 +56,10 @@ func TestOpRequestDeadClient(t *testing.T) {
 	}
 	if st := srv.Registry().Stats(); st.Pool.Acquires != 0 {
 		t.Errorf("dead client took %d leases, want 0", st.Pool.Acquires)
+	}
+	// Its one-entry batch never ran, so it counts no operation either.
+	if n := srv.Stats().Ops["counter"]; n != 0 {
+		t.Errorf("dead client counted %d counter ops, want 0", n)
 	}
 }
 

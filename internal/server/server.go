@@ -64,9 +64,6 @@ type Server struct {
 	// a load run actually reached.
 	inFlight    atomic.Int64
 	maxInFlight atomic.Int64
-	// opsByKind counts operations per kind name (*atomic.Int64 values);
-	// open-ended because the kind set is.
-	opsByKind sync.Map
 	// endpoints counts requests per endpoint label (*atomic.Int64 values):
 	// "kind/op" for single-operation endpoints with registered vocabulary,
 	// "batch", "kinds", "stats", and "other" for everything unregistered —
@@ -131,16 +128,6 @@ func (s *Server) countEndpoint(label string) {
 	c.(*atomic.Int64).Add(1)
 }
 
-// endpointLabel maps a single-operation route to its bounded endpoint label:
-// "kind/op" when the kind is registered and declares the op, "other"
-// otherwise (so arbitrary request paths cannot grow the stats map).
-func endpointLabel(kindName, op string) string {
-	if d, ok := kind.Lookup(kindName); ok && d.Declares(op) {
-		return kindName + "/" + op
-	}
-	return "other"
-}
-
 // Request is the JSON body accepted by every operation endpoint; fields are
 // read only by the operations that need them.
 type Request struct {
@@ -173,7 +160,15 @@ const maxOpBytes = 1 << 20
 // nothing either.
 func (s *Server) serveOp(w http.ResponseWriter, r *http.Request, sc *batchScratch) {
 	kindName, op := r.PathValue("kind"), r.PathValue("op")
-	s.countEndpoint(endpointLabel(kindName, op))
+	// The endpoint label is "kind/op" when the kind is registered and
+	// declares the op, "other" otherwise, so arbitrary request paths cannot
+	// grow the stats map.
+	d, known := kind.Lookup(kindName)
+	label := "other"
+	if known && d.Declares(op) {
+		label = kindName + "/" + op
+	}
+	s.countEndpoint(label)
 
 	var err error
 	sc.body, err = readLimited(sc.body[:0], r.Body, maxOpBytes)
@@ -191,17 +186,12 @@ func (s *Server) serveOp(w http.ResponseWriter, r *http.Request, sc *batchScratc
 		s.replyOp(w, sc, http.StatusBadRequest, Response{Error: "bad request body: " + err.Error()})
 		return
 	}
-	d, known := kind.Lookup(kindName)
-	if known {
-		s.countOps(kindName, 1)
-	}
-
 	// The registry's introspection ops are batch entries, not endpoints: no
-	// driver declares them, so the driver's own Validate refuses them.
+	// driver declares them, so the driver refuses them as any unknown op.
 	if o := registry.Op(op); o == registry.OpNames || o == registry.OpStats {
 		err := kind.UnknownKind(kindName)
 		if known {
-			err = d.Validate(kind.Request{Op: op})
+			err = d.UnknownOp(op)
 		}
 		s.replyOp(w, sc, opStatus(err, false), Response{Error: err.Error()})
 		return
@@ -256,15 +246,6 @@ func decodeRequest(body []byte) (Request, error) {
 	return req, nil
 }
 
-// countOps adds n to the per-kind operation counter.
-func (s *Server) countOps(kindName string, n int64) {
-	c, ok := s.opsByKind.Load(kindName)
-	if !ok {
-		c, _ = s.opsByKind.LoadOrStore(kindName, new(atomic.Int64))
-	}
-	c.(*atomic.Int64).Add(n)
-}
-
 // replyOp writes a single-operation reply from sc.reply, counting a failed
 // operation into the server failure metric.
 func (s *Server) replyOp(w http.ResponseWriter, sc *batchScratch, status int, resp Response) {
@@ -298,7 +279,7 @@ func (s *Server) handleKinds(w http.ResponseWriter, r *http.Request) {
 
 // Stats is the JSON shape of GET /v1/stats. Batches counts /v1/batch
 // requests accepted for execution; BatchOps counts the entries they carried
-// (each also appears in Ops under its kind).
+// (each of a registered kind also appears in Ops under its kind).
 type Stats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Requests      int64   `json:"requests"`
@@ -315,21 +296,15 @@ type Stats struct {
 	// single-operation routes (a registered kind and an op it declares),
 	// "batch"/"kinds"/"stats" for the fixed routes, "other" for the rest.
 	Endpoints map[string]int64 `json:"endpoints"`
-	Ops       map[string]int64 `json:"ops"`
-	Registry  registry.Stats   `json:"registry"`
+	// Ops is Registry.Ops: operations counted per kind by the registry, a
+	// single operation exactly as its one-entry batch.
+	Ops      map[string]int64 `json:"ops"`
+	Registry registry.Stats   `json:"registry"`
 }
 
 // Stats returns a snapshot of server metrics.
 func (s *Server) Stats() Stats {
-	names := kind.Names()
-	ops := make(map[string]int64, len(names))
-	for _, n := range names {
-		var count int64
-		if c, ok := s.opsByKind.Load(n); ok {
-			count = c.(*atomic.Int64).Load()
-		}
-		ops[n] = count
-	}
+	reg := s.reg.Stats()
 	endpoints := make(map[string]int64)
 	s.endpoints.Range(func(key, value any) bool {
 		endpoints[key.(string)] = value.(*atomic.Int64).Load()
@@ -344,8 +319,8 @@ func (s *Server) Stats() Stats {
 		InFlight:      s.inFlight.Load(),
 		MaxInFlight:   s.maxInFlight.Load(),
 		Endpoints:     endpoints,
-		Ops:           ops,
-		Registry:      s.reg.Stats(),
+		Ops:           reg.Ops,
+		Registry:      reg,
 	}
 }
 

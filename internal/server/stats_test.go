@@ -68,16 +68,23 @@ func TestStatsEndpointCounts(t *testing.T) {
 
 // TestStatsEndpointsUndeclaredOp: an op the kind does not declare is a 404
 // and counts under "other", whether another kind declares it (scan), the
-// registry reserves it for batches (names) or nothing knows it (bogus).
+// registry reserves it for batches (names, stats) or nothing knows it
+// (bogus). A single operation counts in ops exactly as its one-entry batch
+// would: scan and bogus reach the registry and count, while names and stats
+// are refused before it and count nothing.
 func TestStatsEndpointsUndeclaredOp(t *testing.T) {
 	srv := New(registry.Options{Procs: 2})
-	for _, op := range []string{"scan", "names", "bogus"} {
+	for _, op := range []string{"scan", "names", "stats", "bogus"} {
 		if rec := do(t, srv, "POST", "/v1/counter/c/"+op, nil); rec.Code != 404 {
 			t.Errorf("POST /v1/counter/c/%s: %d %s, want 404", op, rec.Code, rec.Body)
 		}
 	}
-	if got := srv.Stats().Endpoints; len(got) != 1 || got["other"] != 3 {
-		t.Errorf("endpoints = %v, want only other: 3", got)
+	st := srv.Stats()
+	if got := st.Endpoints; len(got) != 1 || got["other"] != 4 {
+		t.Errorf("endpoints = %v, want only other: 4", got)
+	}
+	if n := st.Ops["counter"]; n != 2 {
+		t.Errorf("ops[counter] = %d, want 2 (scan and bogus)", n)
 	}
 }
 

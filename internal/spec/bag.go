@@ -3,7 +3,6 @@ package spec
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Bag specifies a bag (multiset) of strings, in outcome-refined form: a
@@ -33,27 +32,13 @@ func (Bag) Name() string { return "bag" }
 // Initial implements Spec.
 func (Bag) Initial() string { return "{}" }
 
-func bagElems(state string) []string {
-	if state == "{}" {
-		return nil
-	}
-	return strings.Split(state, ",")
-}
-
-func bagEncode(elems []string) string {
-	if len(elems) == 0 {
-		return "{}"
-	}
-	return strings.Join(elems, ",")
-}
-
 // Apply implements Spec.
 func (Bag) Apply(state string, _ int, desc string) (string, string, error) {
 	name, args, err := ParseInvocation(desc)
 	if err != nil {
 		return "", "", err
 	}
-	elems := bagElems(state)
+	elems := listElems(state)
 	switch name {
 	case "insert":
 		if len(args) != 1 {
@@ -70,7 +55,7 @@ func (Bag) Apply(state string, _ int, desc string) (string, string, error) {
 		next = append(next, elems[:pos]...)
 		next = append(next, x)
 		next = append(next, elems[pos:]...)
-		return bagEncode(next), "ok", nil
+		return listEncode(next), "ok", nil
 	case "remove":
 		switch len(args) {
 		case 0:
@@ -86,7 +71,7 @@ func (Bag) Apply(state string, _ int, desc string) (string, string, error) {
 					next := make([]string, 0, len(elems)-1)
 					next = append(next, elems[:i]...)
 					next = append(next, elems[i+1:]...)
-					return bagEncode(next), x, nil
+					return listEncode(next), x, nil
 				}
 			}
 			return state, "absent", nil

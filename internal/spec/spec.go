@@ -307,14 +307,17 @@ func (Set) Name() string { return "set" }
 // Initial implements Spec.
 func (Set) Initial() string { return "{}" }
 
-func setElems(state string) []string {
+// listElems decodes the element-list state Set and Bag share: a sorted
+// comma-joined list, "{}" when empty.
+func listElems(state string) []string {
 	if state == "{}" {
 		return nil
 	}
 	return strings.Split(state, ",")
 }
 
-func setEncode(elems []string) string {
+// listEncode is listElems' inverse.
+func listEncode(elems []string) string {
 	if len(elems) == 0 {
 		return "{}"
 	}
@@ -327,7 +330,7 @@ func (Set) Apply(state string, _ int, desc string) (string, string, error) {
 	if err != nil {
 		return "", "", err
 	}
-	elems := setElems(state)
+	elems := listElems(state)
 	switch name {
 	case "add":
 		if len(args) != 1 {
@@ -346,7 +349,7 @@ func (Set) Apply(state string, _ int, desc string) (string, string, error) {
 		next = append(next, elems[:pos]...)
 		next = append(next, x)
 		next = append(next, elems[pos:]...)
-		return setEncode(next), "ok", nil
+		return listEncode(next), "ok", nil
 	case "contains":
 		if len(args) != 1 {
 			return "", "", fmt.Errorf("%w: %q", ErrBadInvocation, desc)
