@@ -140,8 +140,8 @@ func TestObjectExecuteAllocs(t *testing.T) {
 
 // TestObjectIdlePidPassAllocs pins what a collector pass costs when it cannot
 // proceed: with one pid that executed once and then idles, every pass ends at
-// that pid's record once the truncation root has reached it, and must end
-// there before it allocates. A window of one runs a pass per operation; the
+// that pid's node once the truncation root has reached it, and must end there
+// before it allocates. A window of one runs a pass per operation; the
 // same operations with passes out of reach allocate exactly as much.
 func TestObjectIdlePidPassAllocs(t *testing.T) {
 	if raceEnabled {
@@ -150,7 +150,7 @@ func TestObjectIdlePidPassAllocs(t *testing.T) {
 	perOp := func(window int) float64 {
 		o := NewObject(CounterType{}, 3)
 		o.SetGC(ObjectGCOptions{Window: window})
-		if _, err := o.Execute(2, "inc()"); err != nil { // pid 2 publishes a record and then stays idle
+		if _, err := o.Execute(2, "inc()"); err != nil { // pid 2 appends one node and then stays idle
 			t.Fatal(err)
 		}
 		pid := 0
@@ -160,7 +160,7 @@ func TestObjectIdlePidPassAllocs(t *testing.T) {
 			}
 			pid = 1 - pid
 		}
-		for i := 0; i < 8; i++ { // the root reaches pid 2's record
+		for i := 0; i < 8; i++ { // the root reaches pid 2's node
 			step()
 		}
 		return testing.AllocsPerRun(64, step)

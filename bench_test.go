@@ -532,9 +532,11 @@ func (c countingSpec) Apply(state string, pid int, desc string) (string, string,
 // matrix's inproc-object; at one they never stop meeting. replayed-nodes/op is
 // every Apply beyond the operation's own — Execute's replays and the
 // collector's — so it is the count the replay floors and the collector's base
-// exist to keep near the delta; root-replays/miss is the share of misses that
-// no node their process kept was covered for, and refused/miss the kept nodes
-// a miss extracted from in vain before its floor.
+// exist to keep near the delta; misses/op is the share of operations that
+// replayed from below their process's newest node, kept-floor-misses/op the
+// share of those a kept node served rather than the root; root-replays/miss is
+// the share of misses that no node their process kept was covered for, and
+// refused/miss the kept nodes a miss extracted from in vain before its floor.
 func BenchmarkUniversalContended(b *testing.B) {
 	for _, objs := range []int{1, 64} {
 		b.Run("objs="+strconv.Itoa(objs), func(b *testing.B) {
@@ -573,6 +575,8 @@ func BenchmarkUniversalContended(b *testing.B) {
 				st := o.CacheStats()
 				misses, rootReplays, refused = misses+st.Misses, rootReplays+st.RootReplays, refused+st.Refused
 			}
+			b.ReportMetric(float64(misses)/float64(b.N), "misses/op")
+			b.ReportMetric(float64(misses-rootReplays)/float64(b.N), "kept-floor-misses/op")
 			b.ReportMetric(float64(rootReplays)/float64(max(misses, 1)), "root-replays/miss")
 			b.ReportMetric(float64(refused)/float64(max(misses, 1)), "refused/miss")
 		})

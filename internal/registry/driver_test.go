@@ -117,6 +117,13 @@ func TestRegistryHotKindDoesNotStarveAnother(t *testing.T) {
 				_, err := inc.Run(pid)
 				if incs == 0 {
 					close(leased)
+					// Hold the first lease until the bag side has queued for
+					// it (bounded, so a broken pool fails the Blocks check
+					// below rather than hanging): that check then measures a
+					// real queued acquisition, not the scheduler's timing.
+					for deadline := time.Now().Add(5 * time.Second); r.Pool().Stats().Blocks == 0 && time.Now().Before(deadline); {
+						time.Sleep(time.Millisecond)
+					}
 				}
 				// Yield while leased, so even at GOMAXPROCS=1 the bag side
 				// finds the pid taken.

@@ -1,122 +1,98 @@
 // gc.go bounds the construction's memory with a shared low-watermark
-// protocol over the anchor records of the package doc. The precedence graph
-// of Algorithm 5 keeps every node forever; the replay cache bounded time per
+// protocol over the anchors of the package doc. The precedence graph of
+// Algorithm 5 keeps every node forever; the replay cache bounded time per
 // operation, and this file is its memory analogue.
 //
 // # Protocol
 //
-// Process p's watermark is its published record: a copy of the anchor of one
-// of its recent operations — the prefix that operation linearized and the
-// version of the truncation root it executed against — published on p's
-// first operation, on every operation that runs a pass, and at least every
-// min(Window, publishEvery) operations. The hot path never reads another
-// process's record; only the amortized truncation pass does, so no shared
-// steps are added to Execute (the records live outside the simulated shared
-// memory, invisible to the sched adversary — GC-on and GC-off runs take
-// byte-identical schedules).
-//
-// A record may be stale — up to publishEvery-1 operations behind its
-// process's latest — and every rule below stays sound, because none of them
-// needs q's latest record, only some record q once published, which is
-// immutable. The freshness gate bounds q's unseen operations from below by
-// the record's own index; an older record has a smaller one, so the gate
-// passes no operation it should not, and every operation of q from that index
-// on still covers a cut at or below the record. The pointwise-minimum cut
-// takes a lower prefix, so it folds less. Base adoption takes a record's
-// state, which is the state of its prefix however old. The trim's quiescence
-// test reads an older root version, so a cut is severed later, and every
-// operation q runs after publishing that record loads a root at or past its
-// version. A stale record is therefore only more conservative.
-//
 // Every Window operations a process attempts a truncation pass (one
-// TryLock'd collector at a time). The pass reads the records of the processes
-// that have begun (below), takes the pointwise minimum M of their prefixes
-// (the candidate), and lowers M to a fixpoint where every reachable node
-// outside M covers it. The fixpoint terminates at or above the current root:
-// every live node covers the current root by induction, and M only decreases
-// toward views that themselves cover it.
+// TryLock'd collector at a time) over the root scan its operation just took.
+// An operation reads nothing of the collector's but the truncation root, and
+// a pass reads only that scan, the root and, after the scan, the begun bits;
+// the bits and the root live outside the simulated shared memory, invisible
+// to the sched adversary, so no shared step is added to Execute and GC-on and
+// GC-off runs take byte-identical schedules.
 //
-// A process begins by publishing the initial truncation root as its record,
-// once, before its first load of the truncation root and its first scan; a
-// pass reads the records after its scan. A process the pass sees without a
-// record is left out of the minimum, the freshness gate, the base climb and
-// the trim's quiescence, and that is sound by the same Dekker pairing the pid
-// leaser relies on: the atomics are sequentially consistent, so a record the
-// pass missed is stored after the pass read it, and the process's first scan
+// Process q's watermark is its newest node in the scan, an anchor: the prefix
+// that operation linearized and the version of the root it executed against.
+// The caller's is the node it has just appended, whose prefix is the scan
+// plus itself. The pass takes the pointwise minimum M of the watermarks'
+// prefixes, clamped into the scan and above the current root (the candidate),
+// and lowers M to a fixpoint where every reachable node outside M covers it.
+// The fixpoint terminates at or above the current root: every live node
+// covers the current root by induction, and M only decreases toward views
+// that themselves cover it.
+//
+// The fixpoint examines only the nodes the scan reaches. Every other node
+// covers M as well. A node of q that the scan misses follows q's watermark
+// on q's chain, so it scanned after the watermark was appended, and by
+// snapshot monotonicity its view holds the watermark's prefix, which is at or
+// above M; the caller's new node's view is the scan itself. A process with no
+// node in the scan is the remaining case. A process begins by setting its
+// begun bit, once, before its first load of the truncation root and its first
+// scan, and a pass reads the bits after its scan. A process the pass sees
+// without the bit is left out, and that is sound by the same Dekker pairing
+// the pid leaser relies on: the atomics are sequentially consistent, so a bit
+// the pass missed is set after the pass read it, and the process's first scan
 // follows the pass's scan. By snapshot monotonicity that scan, and every
 // later one of the process, is pointwise at least the pass's, which bounds M,
-// so every node the process ever appends covers M — the covering lemma's
-// condition, for nodes no rule below examines. Its first root load follows
-// every truncation committed before the pass, so no trim the pass makes can
-// cut under a root it loaded. A later pass sees the initial record — the
-// empty prefix at version 0 — until the process publishes its own: the
-// minimum then clamps to the current root and the trim's quiescence to
-// version 0, so the pass neither cuts nor trims, as it must while a process
-// with an operation in flight may be reading under any root.
+// so every node the process ever appends covers M. Its first root load
+// follows every truncation committed before the pass, so no trim the pass
+// makes can cut under a root it loaded. A process that has begun but has no
+// node in the scan may have loaded any root and be reading under it, so the
+// pass neither cuts nor trims.
 //
-// The fixpoint only examines nodes reachable from the collector's scan,
-// and the records are read after that scan, so process q may have published
-// operations the scan cannot see. The freshness gate makes those safe sight
-// unseen: the pass proceeds only if each record's own index W_q[q] is at
-// most one past the scan's view of q, so every unseen node of q has index at
-// least W_q[q]. Operation W_q[q]'s view is W_q minus its own component and M
-// is pointwise at most W_q (M starts at the minimum and is only lowered), so
-// it covers M; per-process scans are pointwise monotone and own indexes only
-// grow, so by induction every later operation of q — already published or
-// still in the future — covers M too. Without the gate, an operation that
-// scanned a stale view and published between the collector's scan and its
-// record reads, its process then raising its record past it with further
-// operations, would be examined by neither rule; committing a cut it does
-// not cover would wedge every subsequent extraction against the root.
+// So every node outside M covers it, in every graph any later scan can reach,
+// and by the covering lemma of the package doc M's replayed state can stand
+// in for M: the pass publishes {M, state, version} as the new truncation root
+// in one atomic pointer.
 //
-// So every node outside M covers it — those reachable from the scan by the
-// fixpoint, unseen and future ones by the freshness gate — in every graph
-// any later scan can reach, and by the covering lemma of the package doc M's
-// replayed state can stand in for M: the pass publishes {M, state, version}
-// as the new truncation root in one atomic pointer.
+// A watermark at or below the current root may be a boundary node that a pass
+// since the scan has severed (below), so its view is never read. The pass
+// still counts its version for the trim but cuts nothing: the node's prefix
+// lies inside the root's, so M would only clamp to the root.
 //
 // The state is computed from the nearest checkpoint the pass has in hand, not
-// from the farthest. Its base is the highest record between the current root
-// and the candidate — found by climbing from the root through the n records
-// just read, so the root is simply the list's last resort. The candidate is
-// the pointwise minimum of those records, so a record at or below it is the
-// candidate itself: one process's anchor that every other has passed, the
-// ordinary case when operations do not overlap. Extraction, the fixpoint and
-// the replay run over the nodes above the base only; extraction is the
-// covering check, so by the lemma the base's state is the state of its
-// prefix in this graph, whoever computed it, and when M is the base nothing is
-// sorted or applied — the record's state is adopted. A straggler outside the
-// base that does not cover it makes extraction refuse (or, in a graph that is
-// not the construction's, the fixpoint sink below the base), and the pass
-// starts over from the current root. GCStats.TruncatedNodes counts the
-// operations folded, Σ_q (M[q] − root[q]), whichever base did the folding.
+// from the farthest. Its base is the highest scanned node above the current
+// root that still holds its state and whose prefix lies between the root's
+// and the candidate; the root is simply the last resort. A watermark other
+// than the caller's is at or above the candidate, so such a node's prefix is
+// the candidate itself, one process's anchor that every other has passed:
+// the ordinary case when operations do not overlap. Extraction, the fixpoint
+// and the replay run over the nodes above the base only; extraction is the
+// covering check, so by the lemma the base's state is the state of its prefix
+// in this graph, and when M is the base nothing is sorted or applied — the
+// node's state is adopted. A straggler outside the base that does not cover it
+// makes extraction refuse (or, in a graph that is not the construction's, the
+// fixpoint sink below the base), and the pass starts over from the current
+// root. GCStats.TruncatedNodes counts the operations folded,
+// Σ_q (M[q] − root[q]), whichever base did the folding.
 //
 // Physical reclamation is deferred: the boundary nodes (index exactly M[q],
-// reached by stepping down each chain from the scan) keep their preceding views
-// until every published record carries a root version at or past the
+// reached by stepping down each chain from the scan) keep their preceding
+// views until every watermark of a pass carries a root version at or past the
 // truncation — from then on no replay floor can fall below M, nobody follows
 // pointers into the prefix again (extraction never reads the view of a node at
 // or below its floor), and the collector severs the boundary views so the Go
-// runtime can free the prefix. A process has several floors to choose from
-// (its own last nodes, package doc; its walk stops at a node at or below the
-// root it loaded, before reading that node's view) and a pass has its base,
-// and neither weakens this: every one of them is at or above the root loaded
-// by the operation or pass that uses it, and a record of version v belongs to
-// a process whose later operations — published or not — load roots at or past
-// v. The ordering argument is the record's store/load pair: the process's
-// operations that could still read under the cut all ran before it published
-// its record (release), and the collector observed quiescence (acquire)
-// before it cut.
+// runtime can free the prefix. The watermarks' minimum version suffices: q's
+// operation in flight, and every later one, loaded its root after q's newest
+// scanned node completed, and roots only advance. A process has several
+// floors to choose from (its own last nodes, package doc; its walk stops at a
+// node at or below the root it loaded, before reading that node's view) and a
+// pass has its base, and neither weakens this: every one of them is at or
+// above the root loaded by the operation or pass that uses it. The ordering is
+// the snapshot's: an operation of q that could still read under the cut
+// finished reading before q appended its watermark (release), and the pass
+// read the watermark in its scan (acquire) before it cut.
 //
-// Liveness: truncation needs a record from every process that has begun, and
-// none from one that never executes, so idle pids pin nothing. A process that
-// has begun still pins the graph while it idles, at its last record: the
-// bound on live nodes is the number of operations executed between the
-// slowest begun process's consecutive operations, plus the Window between
-// collector passes and the fewer than publishEvery operations a record may lag
-// — flat under steady traffic from every process that runs, the churn soak's
-// assertion. Reading GCStats begins no process: it counts the live nodes from
-// a scan's indexes and follows no view.
+// Liveness: truncation needs a node in the scan from every process that has
+// begun, and nothing from one that never executes, so idle pids pin nothing.
+// A process that has begun still pins the graph while it idles, at its newest
+// node: the bound on live nodes is the number of operations executed between
+// the slowest begun process's consecutive operations, plus the Window between
+// collector passes — flat under steady traffic from every process that runs,
+// the churn soak's assertion. Reading GCStats begins no process: it counts the
+// live nodes from a scan's indexes and follows no view.
 package universal
 
 import (
@@ -178,11 +154,11 @@ type pendingTrim struct {
 // gcInfo is the per-object collector state.
 type gcInfo struct {
 	window      int
-	mu          sync.Mutex // serializes collector passes; guards pending, recs, cut and scratch
+	mu          sync.Mutex // serializes collector passes; guards pending, cut, at, held and scratch
 	pending     []pendingTrim
-	recs        []*anchor // a pass's reading of every process's record, nil for one not begun
-	cut         []int     // a pass's candidate: the pointwise minimum of recs, clamped
-	scratch     scratch   // the collector's own: a pass runs as no process
+	cut         []int   // a pass's candidate: the pointwise minimum of the watermarks, clamped
+	at, held    []int   // a scanned node's prefix, and the base's while it is a node's
+	scratch     scratch // the collector's own: a pass runs as no process
 	truncations atomic.Int64
 	truncated   atomic.Int64
 	trims       atomic.Int64
@@ -202,7 +178,7 @@ func (o *Object) SetGC(opts GCOptions) {
 		o.gc.window = window
 		return
 	}
-	o.gc = &gcInfo{window: window, recs: make([]*anchor, o.n), cut: make([]int, o.n), scratch: scratch{n: o.n}}
+	o.gc = &gcInfo{window: window, cut: make([]int, o.n), at: make([]int, o.n), held: make([]int, o.n), scratch: scratch{n: o.n}}
 }
 
 // GCEnabled reports whether SetGC has enabled truncation.
@@ -234,60 +210,47 @@ func (o *Object) GCStats(p int) GCStats {
 	}
 }
 
-// collect is one truncation pass, run with g.mu held. It reuses the
-// caller's root scan (view) so the pass adds no shared steps of its own, and
-// reads the records after it.
-func (o *Object) collect(view []*node) {
+// collect is one truncation pass, run with g.mu held by process p over the
+// root scan view of the operation that loaded root version: the pass adds no
+// shared steps of its own, and reads nothing after the scan but begun bits.
+func (o *Object) collect(p int, view []*node, version int64) {
 	g := o.gc
 	cur := o.trunc.Load()
 
-	// Read every process's record. A process without one has not begun and
-	// is left out of every rule below: it stores its first record before its
-	// first root load and scan, and the record is read after this pass's scan,
-	// so its first scan follows this one and covers the cut, which is clamped
-	// to this scan. A process whose record is still the initial one may have
-	// loaded any root and be reading under it; that record's empty prefix and
-	// version 0 keep this pass from cutting or trimming.
-	for q := range o.local {
-		g.recs[q] = o.local[q].rec.Load()
-	}
-	cut, minVer := g.cut, cur.version
+	// The watermarks: p's new node, whose prefix is the scan plus itself, so
+	// that the candidate starts at the scan, and every other process's newest
+	// scanned node.
+	cut, minVer, cuts := g.cut, min(cur.version, version), true
 	for q := range cut {
 		cut[q] = top(view[q])
 	}
-	for _, rec := range g.recs {
-		if rec == nil {
-			continue
-		}
-		minVer = min(minVer, rec.version)
-		for r, idx := range rec.prefix {
-			cut[r] = min(cut[r], idx)
+	for q, nd := range view {
+		switch {
+		case q == p:
+		case nd == nil:
+			if o.local[q].begun.Load() {
+				return // q may be reading under any root
+			}
+		case nd.index <= cur.prefix[q]:
+			minVer = min(minVer, nd.version)
+			cuts = false // nd's view may be severed, and the root holds its prefix
+		default:
+			minVer = min(minVer, nd.version)
+			for r, prev := range nd.preceding {
+				if r != q { // nd's prefix holds nd itself, which cut[q] is at most
+					cut[r] = min(cut[r], top(prev))
+				}
+			}
 		}
 	}
 
-	// Cut boundary pointers of truncations every begun process has executed
-	// past.
+	// Cut boundary pointers of truncations every watermark has executed past.
 	g.trimQuiesced(minVer)
-
-	// Freshness gate: the records were read after the scan, so process q may
-	// have completed operations the scan cannot see. With own = q's last
-	// completed operation per its record, operations at or past own are safe
-	// unseen — operation own's view is q's prefix minus its own component, the
-	// cut never exceeds that prefix, and later scans of q are pointwise at
-	// least it — but an operation strictly between the scan's top of q and own
-	// carries a view this pass never examines: it published after the scan
-	// and q's record already moved past it. Truncating across such a gap is
-	// unsound (the node may not cover the cut, wedging later extractions), so
-	// wait for a fresher scan.
-	for q, rec := range g.recs {
-		if rec != nil && rec.prefix[q] > top(view[q])+1 {
-			return
-		}
+	if !cuts {
+		return
 	}
 
-	// Clamp the candidate into [cur.prefix, view]: monotone above the current
-	// root, and within what this scan reached — the records were read
-	// after the scan, so they may run ahead of it. A scan older than the
+	// Clamp the candidate above the current root. A scan older than the
 	// current root (another process truncated since) waits for a fresher one.
 	advanced := false
 	for q := range cut {
@@ -303,18 +266,27 @@ func (o *Object) collect(view []*node) {
 		return
 	}
 
-	// The base of the pass: the highest record between the current root and
-	// the candidate, found by climbing from the root through the records just
-	// read. Its state already folds everything at or below it.
-	base := cur
-	for _, rec := range g.recs {
-		if rec != nil && atOrAbove(rec.prefix, base.prefix) && atOrAbove(cut, rec.prefix) {
-			base = rec
+	// The base of the pass: the highest scanned node above the current root
+	// that still holds its state and whose prefix lies between the root's and
+	// the candidate. Its state already folds everything at or below it.
+	base, state, adopted := cur.prefix, cur.state, false
+	for q, nd := range view {
+		if nd == nil || nd.index <= cur.prefix[q] {
+			continue
+		}
+		s, ok := nd.reachedState()
+		if !ok {
+			continue
+		}
+		prefixOf(g.at, nd)
+		if atOrAbove(g.at, base) && atOrAbove(cut, g.at) {
+			base, state, adopted = g.at, s, true
+			g.at, g.held = g.held, g.at
 		}
 	}
 
 	// Extract past the base and lower m to the covering fixpoint. The graph
-	// may refuse a record as a base — a straggler outside it need not cover it
+	// may refuse a node as a base — a straggler outside it need not cover it
 	// — and then the pass starts over from the current root, which every live
 	// node covers. m becomes the new root's prefix, so it is fresh storage.
 	sc := &g.scratch
@@ -322,17 +294,17 @@ func (o *Object) collect(view []*node) {
 	m := make([]int, o.n)
 	for {
 		copy(m, cut)
-		if _, _, ok := sc.extract(base.prefix, view); ok {
+		if _, _, ok := sc.extract(base, view); ok {
 			lowerToCover(m, sc.nodes)
-			if atOrAbove(m, base.prefix) {
+			if atOrAbove(m, base) {
 				break
 			}
 		}
-		if base == cur {
+		if !adopted {
 			o.coverFails.Add(1)
 			return // unreachable: every live node covers the current root
 		}
-		base = cur
+		base, state, adopted = cur.prefix, cur.state, false
 	}
 	folded := 0
 	for q := range m {
@@ -356,7 +328,7 @@ func (o *Object) collect(view []*node) {
 	if between > 0 {
 		order = sc.linearize(o.t)
 	}
-	state, count := base.state, 0
+	count := 0
 	for _, nd := range order {
 		if !anchored(m, nd) {
 			break
@@ -418,9 +390,9 @@ func lowerToCover(m []int, nodes []*node) {
 }
 
 // trimQuiesced severs the boundary views of truncations whose root version
-// every begun process's record has reached: from then on no process's replay
-// floor can fall below that cut, extraction never follows a pointer into it
-// again, and the store/load ordering through the records makes the cut safe.
+// every watermark of a pass has reached: from then on no process's replay
+// floor can fall below that cut, and extraction never follows a pointer into
+// it again.
 func (g *gcInfo) trimQuiesced(minVer int64) {
 	for len(g.pending) > 0 && g.pending[0].version <= minVer {
 		for _, nd := range g.pending[0].boundary {

@@ -106,8 +106,7 @@ func (c *classTable) dominance(t Type, a, b int32) (aDom, bDom bool) {
 	ka, kb := c.keys[a], c.keys[b]
 	ab := t.Overwrites(ka.inv, ka.pid, kb.inv, kb.pid)
 	ba := t.Overwrites(kb.inv, kb.pid, ka.inv, ka.pid)
-	aDom = ab && (!ba || ka.pid > kb.pid)
-	bDom = ba && (!ab || kb.pid > ka.pid)
+	aDom, bDom = dominates(ab, ba, ka.pid, kb.pid), dominates(ba, ab, kb.pid, ka.pid)
 	if slot != nil {
 		switch {
 		case aDom:

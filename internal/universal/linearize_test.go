@@ -329,10 +329,7 @@ func TestDominanceAskedPerClass(t *testing.T) {
 			if _, err := o.Execute(1, "inc()"); err != nil {
 				t.Fatal(err)
 			}
-			view := o.root.View(0)
-			o.gc.mu.Lock()
-			o.collect(view)
-			o.gc.mu.Unlock()
+			pass(o, 0)
 			st := o.GCStats(0)
 			if st.Truncations != 1 || st.CoverageFailures != 0 || st.ReplayFailures != 0 {
 				t.Fatalf("collector pass did not truncate cleanly: %+v", st)

@@ -20,7 +20,7 @@
 // re-extract and re-sort the whole history, so per-operation cost grows with
 // history length — measured by experiment E6.
 //
-// # The anchor record and the covering lemma
+// # Anchors and the covering lemma
 //
 // Everything this implementation adds to the paper's algorithm — the replay
 // cache below and the truncation of gc.go — rests on one record and one lemma.
@@ -28,35 +28,19 @@
 // prefix {(q, i) : i <= prefix[q]} it just linearized (its scanned view plus
 // its own node), the sequential state reached by replaying that prefix, and
 // the version of the truncation root it executed against. The operation's node
-// is that anchor in p's own hands — its preceding view and its index are the
-// prefix, and it carries the state while it is one of p's last anchorRing+1
-// nodes — so p's replay floors are its own nodes, kept in a fixed array. p
-// publishes an immutable copy of one anchor, as a record, into a single-writer
-// register outside the simulated shared memory — on its first operation, on
-// every operation that runs a collector pass, and never more than min(Window,
-// publishEvery) operations apart — and collector passes read that copy, as a
-// low watermark and as a base whose state they may adopt. The truncation root
-// is a record of the same type; the initial one — nothing linearized, the
+// is that anchor — its preceding view and its index are the prefix, it records
+// the root version, and it carries the state while it is one of p's last
+// anchorRing+1 nodes — so p's replay floors are its own nodes, kept in a fixed
+// array, and a collector pass takes every process's low watermark, and a base
+// whose state it may adopt, from the nodes its own scan returns (gc.go). The
+// truncation root is an anchor too; the initial one — nothing linearized, the
 // initial state, version 0 — exists from construction.
 //
-// A published record may be up to publishEvery-1 operations older than its
-// process's latest, and that is sound: every rule that reads another process's
-// record — the freshness gate, the pointwise-minimum cut, base adoption and
-// the trim's quiescence test (gc.go) — needs only some record that process
-// once published, never its latest. An older record is a lower prefix and an
-// older root version, so the cut it yields is lower and the trim it allows
-// later: more conservative, never wrong.
-//
-// A process that has never begun has no record, and the rules leave it out
-// rather than wait for one. It begins by publishing the initial truncation
-// root as its record, once, before its first load of the truncation root and
-// its first scan, and collector passes read the records after their scans:
-// with sequentially consistent atomics, a pass that misses the record ran its
-// scan before the process's first, so by snapshot monotonicity every node the
-// process will ever append covers the pass's cut, which never exceeds that
-// scan, and its first root load follows every truncation before the pass. A
-// pass that sees the initial record neither cuts nor trims (gc.go). Reading
-// GCStats begins nobody: it reads a scan's indexes and no node's view.
+// A process that has never begun is left out of every pass rather than waited
+// for. It begins by setting its begun bit, once, before its first load of the
+// truncation root and its first scan; that bit is all a pass reads after its
+// scan (gc.go says why this is sound). Reading GCStats begins nobody: it reads
+// a scan's indexes and no node's view.
 //
 // A node covers a prefix when its scanned view includes every node of the
 // prefix. Covering lemma: in a precedence graph whose nodes outside a prefix
@@ -66,7 +50,7 @@
 // dominance edges skip pairs precedence already orders, so no edge can invert
 // that. Replacing the prefix by the state it replays to therefore changes no
 // response and reorders nothing. The lemma speaks of a prefix, not of the
-// newest one: any record whose prefix the graph in hand covers is a sound
+// newest one: any anchor whose prefix the graph in hand covers is a sound
 // place to start, and the nearest is merely the cheapest. The prefix may be
 // the whole graph: when one scanned node's own view is the rest of the scan,
 // the graph is that node's prefix, and the state its node carries is the
@@ -109,10 +93,10 @@
 // older than every kept node above the root sends p to the root
 // (CacheStats.RootReplays). The walk stops at the first node at or below the
 // root — that node may be a boundary node whose view the collector severs, and
-// the quiescence rule of gc.go counts on no floor lying lower. What the list retains is bounded: an array of
-// anchorRing+1 node pointers per process, one n-int buffer its candidates'
-// prefixes are written to, and the kept nodes' state strings — plus the (at
-// most two) blocks its published copies are carved from (publishEvery).
+// the quiescence rule of gc.go counts on no floor lying lower. What the list
+// retains is bounded: an array of anchorRing+1 node pointers per process, one
+// n-int buffer its candidates' prefixes are written to, and the kept nodes'
+// state strings.
 //
 // Strong linearizability is untouched: the cache reads nothing but what a
 // legal root scan returns, takes no shared step (a node's state is written
@@ -153,16 +137,13 @@ type Type interface {
 // overwrites b but not vice versa, or they overwrite each other and a's
 // process id is larger.
 func Dominates(t Type, descA string, pidA int, descB string, pidB int) bool {
-	ab := t.Overwrites(descA, pidA, descB, pidB)
-	ba := t.Overwrites(descB, pidB, descA, pidA)
-	switch {
-	case ab && !ba:
-		return true
-	case ab && ba:
-		return pidA > pidB
-	default:
-		return false
-	}
+	return dominates(t.Overwrites(descA, pidA, descB, pidB), t.Overwrites(descB, pidB, descA, pidA), pidA, pidB)
+}
+
+// dominates is Definition 34 given whether a overwrites b (ab) and b
+// overwrites a (ba).
+func dominates(ab, ba bool, pidA, pidB int) bool {
+	return ab && (!ba || pidA > pidB)
 }
 
 // ValidateSimple checks Definition 33 over a set of invocation samples:
@@ -190,6 +171,7 @@ type node struct {
 	pid        int
 	index      int     // per-process operation index: (pid,index) is unique
 	preceding  []*node // view[i] at this operation's scan; nil = ⊥
+	version    int64   // the truncation root's version this operation executed against
 	// state and stateLen are the state its executor reached — the scanned
 	// graph's state with this operation applied, the state after the node's
 	// own prefix — as the string's first byte (stateData) and length, set
@@ -221,11 +203,9 @@ func (e *node) reachedState() (string, bool) {
 	return unsafe.String((*byte)(p), e.stateLen), true
 }
 
-// anchor is the shared record of the package doc: a linearized index prefix,
-// the sequential state it replays to, and a truncation-root version — a
-// process's published record or a truncation root, immutable either way. As a
-// process's record, version is the root the operation executed against; as a
-// truncation root, it numbers the roots.
+// anchor is a truncation root (package doc): a linearized index prefix, the
+// sequential state it replays to, and a version numbering the roots. It is
+// immutable.
 type anchor struct {
 	// prefix[q] is the highest operation index of process q in the prefix,
 	// -1 for none.
@@ -239,22 +219,11 @@ type anchor struct {
 // makes miss.
 const anchorRing = 8
 
-// publishEvery bounds the operations between two publications of a process's
-// record when the collector's window is longer: a publication is the only
-// memory an anchor costs beyond its node, and only a collector pass, once a
-// window, reads the record. Published copies are carved publishEvery at a time
-// out of one block of records and one of prefixes, so even at a window of one,
-// where every operation publishes, a copy costs an eighth of an allocation. A
-// block stays reachable while the published record or the collector's last
-// reading of it lies in it: at most two per process, with their records' state
-// strings.
-const publishEvery = 16
-
 // plocal is everything process p keeps between its operations: its last
-// nodes, its published record and the scratch its extractions and
-// linearizations run in. It is written only by the goroutine driving that pid
-// — rec is the single-writer register collector passes load, and the counters
-// are atomic so CacheStats may read them concurrently — it is
+// nodes, its begun bit and the scratch its extractions and linearizations run
+// in. It is written only by the goroutine driving that pid — begun is the bit
+// collector passes load, and the counters are atomic so CacheStats may read
+// them concurrently — it is
 // indexed by pid, and it is never pooled and never shared: exclusive pid
 // ownership is the model's own invariant, so the rest needs no synchronising.
 // The trailing pad keeps one process's entry off the cache lines of the next.
@@ -266,13 +235,9 @@ type plocal struct {
 	// the prefix of the one floor is trying.
 	mine [anchorRing + 1]*node
 	at   []int
-	// rec is the published copy of one of its anchors: nil before the
-	// process begins, the initial truncation root (Object.zero) from then
-	// until its first operation publishes. pubs and pubPrefixes are what is
-	// left of the blocks copies are carved from.
-	rec         atomic.Pointer[anchor]
-	pubs        []anchor
-	pubPrefixes []int
+	// begun is set before the process's first load of the truncation root
+	// and never cleared.
+	begun atomic.Bool
 	// hits, covered, misses, rootReplays and refused count this process's
 	// cache outcomes.
 	hits        atomic.Int64
@@ -329,10 +294,9 @@ type Object struct {
 	caching bool
 	local   []plocal
 	// trunc is the truncation root: the floor under every replay. Only a
-	// collector pass advances it, so without GC it stays zero, the initial
-	// record — nothing linearized, the initial state, version 0.
+	// collector pass advances it, so without GC it stays the initial anchor —
+	// nothing linearized, the initial state, version 0.
 	trunc atomic.Pointer[anchor]
-	zero  *anchor
 	gc    *gcInfo // nil until SetGC enables truncation
 	// coverFails counts extractions refused because a reachable node does
 	// not cover the floor they must start from, or breaks the chain rules.
@@ -359,8 +323,7 @@ func New(alloc memory.Allocator, t Type, n int) *Object {
 		o.local[p].n = n
 		none[p] = -1
 	}
-	o.zero = &anchor{prefix: none, state: o.sp.Initial()}
-	o.trunc.Store(o.zero)
+	o.trunc.Store(&anchor{prefix: none, state: o.sp.Initial()})
 	return o
 }
 
@@ -413,20 +376,20 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 		pid:        p,
 		index:      top(view[p]) + 1, // the root is linearizable: p's scan holds p's last node
 		preceding:  view,             // lines 88-90 (a stored view is immutable: see Object.root)
+		version:    root.version,
 		state:      stateData(next),
 		stateLen:   len(next),
 	}
 	o.root.Update(p, e) // line 91
-	o.publish(&o.local[p], e, next, root.version)
+	o.publish(&o.local[p], e)
 	return resp, nil
 }
 
 // begin enters process p into the collector's protocol before its first
-// load of the truncation root (gc.go) by publishing the initial record: from
-// then on no pass cuts or trims past a record of p's.
+// load of the truncation root (gc.go): from then on no pass leaves p out.
 func (o *Object) begin(p int) {
-	if l := &o.local[p]; l.rec.Load() == nil {
-		l.rec.Store(o.zero)
+	if l := &o.local[p]; !l.begun.Load() {
+		l.begun.Store(true)
 	}
 }
 
@@ -575,38 +538,25 @@ func prefixOf(at []int, e *node) {
 	at[e.pid] = e.index
 }
 
-// publish makes node e, reaching state against root version, the newest of
-// process l's kept nodes — it evicts the oldest, whose state it drops —
-// publishes a copy of its anchor when one is due (package doc), and runs the
-// amortized collector every window operations.
-func (o *Object) publish(l *plocal, e *node, state string, version int64) {
+// publish makes node e the newest of process l's kept nodes — it evicts the
+// oldest, whose state it drops — and runs the amortized collector over e's
+// scan every window operations.
+func (o *Object) publish(l *plocal, e *node) {
 	slot := e.index % len(l.mine)
 	if old := l.mine[slot]; old != nil {
 		atomic.StorePointer(&old.state, nil)
 	}
 	l.mine[slot] = e
-
-	g, period, collect := o.gc, publishEvery, false
-	if g != nil {
-		period = min(period, g.window)
-		if l.ops++; l.ops >= g.window {
-			l.ops = 0
-			collect = true
-		}
+	g := o.gc
+	if g == nil {
+		return
 	}
-	if rec := l.rec.Load(); collect || rec == o.zero || e.index-rec.prefix[e.pid] >= period {
-		if len(l.pubs) == 0 {
-			l.pubs = make([]anchor, publishEvery)
-			l.pubPrefixes = make([]int, publishEvery*o.n)
-		}
-		c := &l.pubs[0]
-		*c = anchor{prefix: l.pubPrefixes[:o.n:o.n], state: state, version: version}
-		prefixOf(c.prefix, e)
-		l.pubs, l.pubPrefixes = l.pubs[1:], l.pubPrefixes[o.n:]
-		l.rec.Store(c)
+	if l.ops++; l.ops < g.window {
+		return
 	}
-	if collect && g.mu.TryLock() {
-		o.collect(e.preceding)
+	l.ops = 0
+	if g.mu.TryLock() {
+		o.collect(e.pid, e.preceding, e.version)
 		g.mu.Unlock()
 	}
 }
