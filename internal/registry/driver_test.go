@@ -277,6 +277,59 @@ func TestGetConcurrentFirstUse(t *testing.T) {
 	}
 }
 
+// lateKinds numbers the kinds TestRegistryKindRegisteredAfterFirstGet
+// registers: a kind name registers once per process, and the test may run
+// more than once in one.
+var lateKinds atomic.Int64
+
+// TestRegistryKindRegisteredAfterFirstGet: the registry publishes a new copy
+// of its kind map on each kind's first use, so a kind registered after the
+// registry has made tables for others still resolves, the tables made before
+// stay, and concurrent first uses of the new kind make one table.
+func TestRegistryKindRegisteredAfterFirstGet(t *testing.T) {
+	r := New(Options{Procs: 2})
+	counter := r.Counter("early")
+	k := Kind(fmt.Sprintf("testlate%d", lateKinds.Add(1)))
+	if _, _, err := r.Get(k, "x", kind.Request{}); !kind.IsNotFound(err) {
+		t.Fatalf("Get of an unregistered kind: %v, want a not-found error", err)
+	}
+	d := gaugeDriver
+	d.Kind = string(k)
+	kind.Register(d)
+
+	const goroutines = 16
+	tables := make(chan *table, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tb, ok := r.table(k)
+			if !ok {
+				t.Errorf("kind %s registered after the first Get does not resolve", k)
+			}
+			tables <- tb
+		}()
+	}
+	wg.Wait()
+	close(tables)
+	first := <-tables
+	for tb := range tables {
+		if tb != first || tb == nil {
+			t.Fatal("concurrent first uses of one kind made distinct tables")
+		}
+	}
+	if _, _, err := r.Get(k, "x", kind.Request{}); err != nil {
+		t.Fatal(err)
+	}
+	if r.Counter("early") != counter {
+		t.Fatal("a table made before the kind map was copied was lost")
+	}
+	if st := r.Stats(); st.Objects[string(k)] != 1 || st.Objects["counter"] != 1 {
+		t.Fatalf("created %v, want one %s and one counter", st.Objects, k)
+	}
+}
+
 // slowNew is the gauge's New for another kind name: for a name with a hook
 // in slowHooks, it counts the call and waits for the hook's gate to close, so
 // a test can hold a creation open while it does other things.

@@ -13,6 +13,7 @@ package registry
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,8 +55,11 @@ type Registry struct {
 
 	// tables maps a Kind to its *table, made on the kind's first use. An
 	// unregistered kind makes none, so the map holds at most one entry per
-	// registered kind whatever names clients send.
-	tables sync.Map
+	// registered kind whatever names clients send. A published map is never
+	// written: a kind's first use publishes a copy with its table added,
+	// under mu, so a lookup is one atomic load and a map index.
+	mu     sync.Mutex
+	tables atomic.Pointer[map[Kind]*table]
 }
 
 // table is one kind's objects: the kind's driver, resolved once, a map from
@@ -80,7 +84,9 @@ func New(opts Options) *Registry {
 	if opts.Procs <= 0 {
 		opts.Procs = 16
 	}
-	return &Registry{procs: opts.Procs, pool: slmem.NewPIDPool(opts.Procs)}
+	r := &Registry{procs: opts.Procs, pool: slmem.NewPIDPool(opts.Procs)}
+	r.tables.Store(&map[Kind]*table{})
+	return r
 }
 
 // Procs returns the size of the shared process pool.
@@ -93,8 +99,9 @@ func (r *Registry) Pool() *slmem.PIDPool { return r.pool }
 // lease from — always Pool() — creating the instance through the registered
 // driver on first use (req parameterizes creation, e.g. the universal
 // object's type). The fast path is two lock-free map loads: the kind's table,
-// then the name. Unknown kinds are kind.NotFound errors; driver creation
-// errors are returned without registering anything.
+// from the published kind map, then the name. Unknown kinds are
+// kind.NotFound errors; driver creation errors are returned without
+// registering anything.
 func (r *Registry) Get(k Kind, name string, req kind.Request) (kind.Instance, *slmem.PIDPool, error) {
 	t, ok := r.table(k)
 	if !ok {
@@ -110,15 +117,24 @@ func (r *Registry) Get(k Kind, name string, req kind.Request) (kind.Instance, *s
 // table returns kind k's table, making it on the kind's first use; ok is
 // false when no driver is registered under k.
 func (r *Registry) table(k Kind) (*table, bool) {
-	if t, ok := r.tables.Load(k); ok {
-		return t.(*table), true
+	if t, ok := (*r.tables.Load())[k]; ok {
+		return t, true
 	}
 	d, ok := kind.Lookup(string(k))
 	if !ok {
 		return nil, false
 	}
-	t, _ := r.tables.LoadOrStore(k, &table{driver: d})
-	return t.(*table), true
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := *r.tables.Load()
+	if t, ok := old[k]; ok {
+		return t, true
+	}
+	next := maps.Clone(old)
+	t := &table{driver: d}
+	next[k] = t
+	r.tables.Store(&next)
+	return t, true
 }
 
 // instance returns t's object called name, creating it on a miss without a
@@ -189,11 +205,11 @@ func (r *Registry) Object(name, typeName string) (*slmem.PooledObject, error) {
 
 // Names returns the names registered under k, sorted.
 func (r *Registry) Names(k Kind) []string {
-	t, ok := r.tables.Load(k)
+	t, ok := (*r.tables.Load())[k]
 	if !ok {
 		return nil
 	}
-	return t.(*table).names()
+	return t.names()
 }
 
 // names returns the names of t's objects, sorted.
@@ -240,13 +256,12 @@ type Stats struct {
 
 // Stats returns a snapshot of registry-wide metrics.
 func (r *Registry) Stats() Stats {
-	names := kind.Names()
+	names, tables := kind.Names(), *r.tables.Load()
 	objects := make(map[string]int64, len(names))
 	ops := make(map[string]int64, len(names))
 	for _, n := range names {
 		objects[n], ops[n] = 0, 0
-		if v, ok := r.tables.Load(Kind(n)); ok {
-			t := v.(*table)
+		if t, ok := tables[Kind(n)]; ok {
 			objects[n], ops[n] = t.created.Load(), t.ops.Load()
 		}
 	}

@@ -44,29 +44,15 @@
 //
 // So every node outside M covers it, in every graph any later scan can reach,
 // and by the covering lemma of the package doc M's replayed state can stand
-// in for M: the pass publishes {M, state, version} as the new truncation root
-// in one atomic pointer.
+// in for M: the pass replays it from the floor its caller's operations would
+// start from, bounded by the candidate (package doc, Replay cache), and
+// publishes {M, state, version} as the new truncation root in one atomic
+// pointer.
 //
 // A watermark at or below the current root may be a boundary node that a pass
 // since the scan has severed (below), so its view is never read. The pass
 // still counts its version for the trim but cuts nothing: the node's prefix
 // lies inside the root's, so M would only clamp to the root.
-//
-// The state is computed from the nearest checkpoint the pass has in hand, not
-// from the farthest. Its base is the highest scanned node above the current
-// root that still holds its state and whose prefix lies between the root's
-// and the candidate; the root is simply the last resort. A watermark other
-// than the caller's is at or above the candidate, so such a node's prefix is
-// the candidate itself, one process's anchor that every other has passed:
-// the ordinary case when operations do not overlap. Extraction, the fixpoint
-// and the replay run over the nodes above the base only; extraction is the
-// covering check, so by the lemma the base's state is the state of its prefix
-// in this graph, and when M is the base nothing is sorted or applied — the
-// node's state is adopted. A straggler outside the base that does not cover it
-// makes extraction refuse (or, in a graph that is not the construction's, the
-// fixpoint sink below the base), and the pass starts over from the current
-// root. GCStats.TruncatedNodes counts the operations folded,
-// Σ_q (M[q] − root[q]), whichever base did the folding.
 //
 // Physical reclamation is deferred: the boundary nodes (index exactly M[q],
 // reached by stepping down each chain from the scan) keep their preceding
@@ -77,9 +63,9 @@
 // runtime can free the prefix. The watermarks' minimum version suffices: q's
 // operation in flight, and every later one, loaded its root after q's newest
 // scanned node completed, and roots only advance. A process has several
-// floors to choose from (its own last nodes, package doc; its walk stops at a
-// node at or below the root it loaded, before reading that node's view) and a
-// pass has its base, and neither weakens this: every one of them is at or
+// floors to choose from, for its operations and its passes alike (package doc;
+// its walk stops at a node at or below the root it loaded, before reading that
+// node's view), and that does not weaken this: every one of them is at or
 // above the root loaded by the operation or pass that uses it. The ordering is
 // the snapshot's: an operation of q that could still read under the cut
 // finished reading before q appended its watermark (release), and the pass
@@ -154,11 +140,9 @@ type pendingTrim struct {
 // gcInfo is the per-object collector state.
 type gcInfo struct {
 	window      int
-	mu          sync.Mutex // serializes collector passes; guards pending, cut, at, held and scratch
+	mu          sync.Mutex // serializes collector passes; guards pending and cut
 	pending     []pendingTrim
-	cut         []int   // a pass's candidate: the pointwise minimum of the watermarks, clamped
-	at, held    []int   // a scanned node's prefix, and the base's while it is a node's
-	scratch     scratch // the collector's own: a pass runs as no process
+	cut         []int // a pass's candidate: the pointwise minimum of the watermarks, clamped
 	truncations atomic.Int64
 	truncated   atomic.Int64
 	trims       atomic.Int64
@@ -178,7 +162,7 @@ func (o *Object) SetGC(opts GCOptions) {
 		o.gc.window = window
 		return
 	}
-	o.gc = &gcInfo{window: window, cut: make([]int, o.n), at: make([]int, o.n), held: make([]int, o.n), scratch: scratch{n: o.n}}
+	o.gc = &gcInfo{window: window, cut: make([]int, o.n)}
 }
 
 // GCEnabled reports whether SetGC has enabled truncation.
@@ -266,45 +250,20 @@ func (o *Object) collect(p int, view []*node, version int64) {
 		return
 	}
 
-	// The base of the pass: the highest scanned node above the current root
-	// that still holds its state and whose prefix lies between the root's and
-	// the candidate. Its state already folds everything at or below it.
-	base, state, adopted := cur.prefix, cur.state, false
-	for q, nd := range view {
-		if nd == nil || nd.index <= cur.prefix[q] {
-			continue
-		}
-		s, ok := nd.reachedState()
-		if !ok {
-			continue
-		}
-		prefixOf(g.at, nd)
-		if atOrAbove(g.at, base) && atOrAbove(cut, g.at) {
-			base, state, adopted = g.at, s, true
-			g.at, g.held = g.held, g.at
-		}
-	}
-
-	// Extract past the base and lower m to the covering fixpoint. The graph
-	// may refuse a node as a base — a straggler outside it need not cover it
-	// — and then the pass starts over from the current root, which every live
-	// node covers. m becomes the new root's prefix, so it is fresh storage.
-	sc := &g.scratch
-	defer sc.release()
+	// The floor of the pass is p's, by the rule p's operations follow (package
+	// doc), but at or below the candidate. The pass runs in p's scratch, which
+	// the operation it follows has released, and the scratch keeps the nodes
+	// past the floor, over which m is lowered to the covering fixpoint. m
+	// becomes the new root's prefix, so it is fresh storage.
+	l := &o.local[p]
+	defer l.release()
+	f := o.floor(p, cur, view, cut)
 	m := make([]int, o.n)
-	for {
-		copy(m, cut)
-		if _, _, ok := sc.extract(base, view); ok {
-			lowerToCover(m, sc.nodes)
-			if atOrAbove(m, base) {
-				break
-			}
-		}
-		if !adopted {
-			o.coverFails.Add(1)
-			return // unreachable: every live node covers the current root
-		}
-		base, state, adopted = cur.prefix, cur.state, false
+	copy(m, cut)
+	lowerToCover(m, l.nodes)
+	if f.prefix == nil || !atOrAbove(m, f.prefix) {
+		o.coverFails.Add(1)
+		return // unreachable: every live node covers the current root, and every node past a floor covers it
 	}
 	folded := 0
 	for q := range m {
@@ -314,39 +273,27 @@ func (o *Object) collect(p int, view []*node, version int64) {
 		return
 	}
 
-	// Replay what lies between the base and m onto the base's state; when m
-	// is the base there is nothing to sort. By the covering fixpoint the
+	// Replay what lies between the floor and m onto the floor's state; when m
+	// is the floor there is nothing to sort. By the covering fixpoint the
 	// prefix nodes form an exact prefix of the linearization (prefix-first),
 	// checked defensively before committing.
 	between := 0
-	for _, nd := range sc.nodes {
+	for _, nd := range l.nodes {
 		if anchored(m, nd) {
 			between++
 		}
 	}
 	var order []*node
 	if between > 0 {
-		order = sc.linearize(o.t)
+		order = l.linearize(o.t)
 	}
-	count := 0
-	for _, nd := range order {
-		if !anchored(m, nd) {
-			break
-		}
-		next, _, err := o.sp.Apply(state, nd.pid, nd.invocation)
-		if err != nil {
-			// Leave the graph untruncated, but observably: a persistent
-			// replay failure would otherwise disable GC forever while
-			// looking like normal non-advancement.
-			g.replayFails.Add(1)
-			return
-		}
-		state = next
-		count++
-	}
-	if count != between {
+	state, applied, err := o.apply(f.state, order, m)
+	if err != nil || applied != between {
+		// Leave the graph untruncated, but observably: a persistent replay
+		// failure would otherwise disable GC forever while looking like
+		// normal non-advancement. (A prefix-first violation is unreachable.)
 		g.replayFails.Add(1)
-		return // unreachable: prefix-first order violated
+		return
 	}
 
 	o.trunc.Store(&anchor{prefix: m, state: state, version: cur.version + 1})

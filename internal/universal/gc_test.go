@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"slmem/internal/lincheck"
@@ -278,7 +279,8 @@ func TestGCTruncationRules(t *testing.T) {
 	t.Run("accepts-covered-cut", func(t *testing.T) {
 		o := build(true)
 		// The candidate {5, 0} holds p1's node, and p0's newest node, whose
-		// prefix it is, is the base: its state is adopted.
+		// prefix it is, covers p1's scan exactly: it is the pass's floor, and
+		// its state is taken with nothing replayed.
 		pass(o, 1)
 		st := o.GCStats(0)
 		if st.Truncations != 1 || st.RootVersion != 1 || st.TruncatedNodes != 7 {
@@ -360,8 +362,9 @@ func TestGCScanWatermarkGap(t *testing.T) {
 // truncation: a prefix that fails to replay onto the root's state
 // leaves the graph untruncated, but the failure must show up in GCStats
 // rather than masquerade as normal non-advancement. The fabricated nodes hold
-// no state, so neither is a base — a base's state would be adopted, replaying
-// nothing — and the pass replays from the root.
+// no state, so neither is a floor — a floor's state would be taken, replaying
+// nothing — and the caller's walk ends at its fabricated newest node: the
+// pass replays from the root.
 func TestGCReplayFailureSurfaced(t *testing.T) {
 	var alloc memory.NativeAllocator
 	o := New(&alloc, CounterType{}, 2)
@@ -464,8 +467,11 @@ func TestGCStaleAnchorFallback(t *testing.T) {
 	if poisoned := poisonPassed(o, 0, o.trunc.Load()); poisoned != anchorRing+1 {
 		t.Fatalf("the root passed %d of p0's kept nodes, want all %d", poisoned, anchorRing+1)
 	}
-	// The operations alternated, so a covering node would answer Execute
-	// before any floor is tried: the floors are driven directly first.
+	// p1's newest node scanned p0's idle chain, so it covers p0's scan exactly
+	// and would be the floor before any node of p0's is tried. Its state is
+	// dropped, as if it had left p1's last nodes, and the floors are driven
+	// directly first.
+	atomic.StorePointer(&o.root.View(0)[1].state, nil)
 	want := strconv.Itoa(ops + extra)
 	before := o.CacheStats()
 	if got, err := o.replay(0, o.trunc.Load(), o.root.View(0)); err != nil || got != want {
@@ -641,11 +647,11 @@ func TestGCStragglerPastEveryAnchor(t *testing.T) {
 	}
 }
 
-// TestGCRefusedBaseFallsBackToRoot: a scanned node whose prefix lies between
-// the root and the cut is the collector's base, but the graph refuses it — a
-// node outside it does not cover it — so the pass must start over from the
-// root and commit exactly what a twin commits in which that node holds no
-// state, and so is no base.
+// TestGCRefusedBaseFallsBackToRoot: a node the caller of a pass keeps, whose
+// prefix lies between the root and the cut, is the pass's floor, but the graph
+// refuses it — a node outside it does not cover it — so the pass must not take
+// its state: it falls to the root and commits exactly what a twin commits in
+// which that node holds no state, and so is no floor.
 func TestGCRefusedBaseFallsBackToRoot(t *testing.T) {
 	build := func(state string) *Object {
 		var alloc memory.NativeAllocator
@@ -659,20 +665,31 @@ func TestGCRefusedBaseFallsBackToRoot(t *testing.T) {
 			}
 		}
 		exec(3)
-		// p1's first operation scanned after p0's first and publishes only now.
-		first := o.root.View(1)[0].preceding[0].preceding[0]
+		// p1's first operation scanned after p0's first and publishes only
+		// now; its second scanned after p0's second and before p0's third
+		// published.
+		v := o.root.View(1)
+		first, second := v[0].preceding[0].preceding[0], v[0].preceding[0]
 		straggler := &node{invocation: "inc()", pid: 1, index: 0, preceding: []*node{first, nil}}
-		if state != "" {
-			straggler.setState(state)
-		}
 		o.root.Update(1, straggler)
-		exec(3)
+		o.root.Update(1, &node{invocation: "inc()", pid: 1, index: 1, preceding: []*node{second, straggler}})
+		exec(2)
+		// p0's second node is the candidate; p0's first has dropped its state,
+		// as if it had left p0's last nodes, so the root lies next below.
+		atomic.StorePointer(&first.state, nil)
+		if state != "" {
+			second.setState(state)
+		} else {
+			atomic.StorePointer(&second.state, nil)
+		}
 		pass(o, 0)
 		return o
 	}
-	// p0's pass takes p1's node, prefix {0, 0}, as its candidate, and as its
-	// base where it holds a state; p0's second and third nodes lie outside it
-	// and do not cover it, so the fixpoint lowers the cut to {0, -1}.
+	// p0's pass takes {1, 1} as its candidate (p1's second node and its view
+	// of p0), and p0's second node, prefix {1, -1}, as its floor where it
+	// holds a state. p1's first node lies outside that floor and does
+	// not cover it, and p0's third node lies outside the candidate and does
+	// not cover it, so the fixpoint lowers the cut to {0, -1}.
 	forged, twin := build("POISON"), build("")
 	got, want := forged.trunc.Load(), twin.trunc.Load()
 	if want.version != 1 || want.state != "1" || want.prefix[0] != 0 || want.prefix[1] != -1 {

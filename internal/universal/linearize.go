@@ -56,8 +56,8 @@ const (
 	relLow
 )
 
-// classTable numbers the classes one process (or the collector) has met and
-// remembers how they dominate one another.
+// classTable numbers the classes one process has met, in its operations and
+// its collector passes, and remembers how they dominate one another.
 type classTable struct {
 	ids   map[classKey]int32
 	keys  []classKey
@@ -121,8 +121,9 @@ func (c *classTable) dominance(t Type, a, b int32) (aDom, bDom bool) {
 }
 
 // scratch is the working memory of one extraction and linearization. Each
-// process owns one and the collector owns one (under its mutex); every slice
-// is reused from call to call, so the steady state allocates nothing.
+// process owns one, which its operations and the collector passes it runs
+// share; every slice is reused from call to call, so the steady state
+// allocates nothing.
 type scratch struct {
 	n int
 

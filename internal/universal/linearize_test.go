@@ -354,3 +354,52 @@ func TestDominanceAskedPerClass(t *testing.T) {
 		})
 	}
 }
+
+// TestLinearizeClassTableStartsOver drives one register with caching off, so every
+// operation linearizes the whole live graph, and GC on at a window of 4,
+// through 1500 distinct writes, each followed by a read: more classes than
+// maxClasses, so the process's class table must start over, and every
+// response must still be the sequential register's. A pass runs after every
+// fourth operation, a read, and leaves that read the only live node, so each
+// call meets at most one class its table lacks: after no operation does the
+// table hold more than maxClasses+1.
+func TestLinearizeClassTableStartsOver(t *testing.T) {
+	const writes = 1500
+	var alloc memory.NativeAllocator
+	o := New(&alloc, RegisterType{}, 1)
+	o.SetCaching(false)
+	o.SetGC(GCOptions{Window: 4})
+	sp := RegisterType{}.Spec()
+	state, classes := sp.Initial(), &o.local[0].classes
+	resets, most, last := 0, 0, 0
+	for i := 0; i < 2*writes; i++ {
+		inv := "read()"
+		if i%2 == 0 {
+			inv = fmt.Sprintf("write(%d)", i/2)
+		}
+		got := mustExecute(t, o, 0, inv)
+		next, want, err := sp.Apply(state, 0, inv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("operation %d, %s: %q, sequential register %q", i, inv, got, want)
+		}
+		state = next
+		if len(classes.keys) < last {
+			resets++
+		}
+		last = len(classes.keys)
+		most = max(most, last)
+	}
+	if resets == 0 {
+		t.Fatalf("the class table never started over; it holds %d classes", last)
+	}
+	if most > maxClasses+1 {
+		t.Fatalf("the class table held %d classes, want at most %d", most, maxClasses+1)
+	}
+	if st := o.GCStats(0); st.Truncations == 0 || st.CoverageFailures+st.ReplayFailures != 0 {
+		t.Fatalf("%+v, want truncations and no failures", st)
+	}
+	t.Logf("%d resets, at most %d classes", resets, most)
+}

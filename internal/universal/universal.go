@@ -31,10 +31,10 @@
 // is that anchor — its preceding view and its index are the prefix, it records
 // the root version, and it carries the state while it is one of p's last
 // anchorRing+1 nodes — so p's replay floors are its own nodes, kept in a fixed
-// array, and a collector pass takes every process's low watermark, and a base
-// whose state it may adopt, from the nodes its own scan returns (gc.go). The
-// truncation root is an anchor too; the initial one — nothing linearized, the
-// initial state, version 0 — exists from construction.
+// array, and a collector pass takes every process's low watermark from the
+// nodes its own scan returns (gc.go). The truncation root is an anchor too;
+// the initial one — nothing linearized, the initial state, version 0 — exists
+// from construction.
 //
 // A process that has never begun is left out of every pass rather than waited
 // for. It begins by setting its begun bit, once, before its first load of the
@@ -60,43 +60,61 @@
 //
 // # Replay cache
 //
-// Executed naively, steps 2-4 cost O(history). Process p instead starts from
-// the nearest floor the scanned graph covers. The first candidate is the whole
-// graph: a node of the view whose own view is the rest of the scan, pointer for
-// pointer, and which still carries its state — the common case when operations
-// do not overlap, since the newest operation scanned all the others. Then p
-// takes that state, applies its own invocation and replays nothing
-// (CacheStats.Covered). Only a node above the truncation root the operation
-// loaded is a candidate, and only its own view is read, never the view of a
-// node at or below the root, which the collector may sever. A node that has
-// left its process's last anchorRing+1 has dropped its state, so an operation
-// that scanned it falls to the list below. The other candidates are one list:
-// p's own nodes newest to oldest — view[p], p's last node, and down its chain
-// while a node still holds its state and lies above the truncation root the
-// operation loaded before its scan — and last that root, which every reachable
-// node covers (gc.go; without GC the root stays the empty prefix and that last
-// candidate is the full extraction). From a candidate p extracts only the nodes
-// beyond its prefix and replays them onto its state, provided every extracted
-// node covers the prefix — the lemma's condition on the graph p scanned, so
-// node orders and responses are byte-identical to an uncached run (the
-// differential tests check this). Normally p's newest node is covered and the
-// cost is O(Δ·n) for the Δ operations since p's previous one. A non-covering
-// node (a genuinely concurrent straggler that might linearize inside the
-// prefix) refuses the candidate, and the next one down is tried — the first at
-// or below the straggler's view of p, since the straggler refuses every kept
-// node above that view too, and nothing is extracted to learn it. Views only
-// fall down a chain, so the straggler named is the refusing chain's lowest
-// extracted node, whose view of p is that chain's lowest. A straggler
-// that overlapped one of p's recent operations scanned after the operation
-// before it, so it covers that operation's node and the miss costs one refused
-// extraction and the few operations since, not the live graph. Only a straggler
-// older than every kept node above the root sends p to the root
-// (CacheStats.RootReplays). The walk stops at the first node at or below the
-// root — that node may be a boundary node whose view the collector severs, and
-// the quiescence rule of gc.go counts on no floor lying lower. What the list
-// retains is bounded: an array of anchorRing+1 node pointers per process, one
-// n-int buffer its candidates' prefixes are written to, and the kept nodes'
-// state strings.
+// Executed naively, steps 2-4 cost O(history). One rule instead chooses where
+// process p starts — its floor — for its operations and for the collector
+// passes it runs alike: the first of three candidates whose prefix the graph
+// p scanned covers and, for a pass, lies at or below the pass's candidate cut.
+// With the cache off the root is the only candidate.
+//
+//  1. The whole graph: a node of the view whose own view is the rest of the
+//     scan, pointer for pointer, and which still carries its state — the
+//     common case when operations do not overlap, since the newest operation
+//     scanned all the others. Then p takes that state, applies its own
+//     invocation and replays nothing (CacheStats.Covered). Only a node above
+//     the truncation root the operation loaded is a candidate, and only its
+//     own view is read, never the view of a node at or below the root, which
+//     the collector may sever. A node that has left its process's last
+//     anchorRing+1 has dropped its state and is no candidate.
+//  2. p's own nodes newest to oldest: view[p], p's last node, and down its
+//     chain while a node still holds its state and lies above the truncation
+//     root the operation loaded before its scan.
+//  3. That root, which every reachable node covers (gc.go; without GC the root
+//     stays the empty prefix and this is the full extraction).
+//
+// From a candidate p extracts only the nodes beyond its prefix and replays them
+// onto its state, provided every extracted node covers the prefix — the
+// lemma's condition on the graph p scanned, so node orders and responses are
+// byte-identical to an uncached run (the differential tests check this).
+// Normally p's newest node is covered and the cost is O(Δ·n) for the Δ
+// operations since p's previous one. A non-covering node (a genuinely
+// concurrent straggler that might linearize inside the prefix) refuses the
+// candidate, and the next one down is tried — the first at or below the
+// straggler's view of p, since the straggler refuses every kept node above
+// that view too, and nothing is extracted to learn it. Views only fall down a
+// chain, so the straggler named is the refusing chain's lowest extracted node,
+// whose view of p is that chain's lowest. A straggler that overlapped one of
+// p's recent operations scanned after the operation before it, so it covers
+// that operation's node and the miss costs one refused extraction and the few
+// operations since, not the live graph. Only a straggler older than every kept
+// node above the root sends p to the root (CacheStats.RootReplays). The walk
+// stops at the first node at or below the root — that node may be a boundary
+// node whose view the collector severs, and the quiescence rule of gc.go
+// counts on no floor lying lower. What the list retains is bounded: an array
+// of anchorRing+1 node pointers per process, one n-int buffer its candidates'
+// prefixes are written to, and the kept nodes' state strings.
+//
+// A pass runs in its caller's scratch, inside the caller's Execute after the
+// operation's replay, so its floor is the one the caller would take, bounded
+// by the cut. That floor's state already folds everything at or below it:
+// extraction, the covering fixpoint and the replay run over the nodes past it
+// only, and when the fixpoint is the floor nothing is sorted or applied. When
+// operations do not overlap the cut is the caller's whole scan, and the node
+// covering the scan exactly is the floor; otherwise it is, as a rule, one of
+// the caller's kept nodes a few operations below the cut. A fixpoint never
+// sinks below a floor the extraction accepted, since every node past it covers
+// it; should it, the pass counts a coverage failure and commits nothing.
+// GCStats.TruncatedNodes counts the operations folded, Σ_q (M[q] − root[q]),
+// whichever floor did the folding.
 //
 // Strong linearizability is untouched: the cache reads nothing but what a
 // legal root scan returns, takes no shared step (a node's state is written
@@ -221,7 +239,8 @@ const anchorRing = 8
 
 // plocal is everything process p keeps between its operations: its last
 // nodes, its begun bit and the scratch its extractions and linearizations run
-// in. It is written only by the goroutine driving that pid — begun is the bit
+// in, its collector passes' included. It is written only by the goroutine
+// driving that pid — begun is the bit
 // collector passes load, and the counters are atomic so CacheStats may read
 // them concurrently — it is
 // indexed by pid, and it is never pooled and never shared: exclusive pid
@@ -362,7 +381,7 @@ func (o *Object) Execute(p int, invoke string) (string, error) {
 	root := o.trunc.Load()
 	view := o.root.View(p) // line 81
 
-	state, err := o.reached(p, root, view)
+	state, err := o.replay(p, root, view)
 	if err != nil {
 		return "", err
 	}
@@ -393,45 +412,42 @@ func (o *Object) begin(p int) {
 	}
 }
 
-// reached returns the state after the graph view reaches (Algorithm 5, lines
-// 82-87 short of the operation's own invocation). With the cache on, a view
-// node that covers the rest of the view exactly carries that state itself;
-// otherwise it is replayed.
-func (o *Object) reached(p int, root *anchor, view []*node) (string, error) {
-	if o.caching {
-		if state, ok := covered(root, view); ok {
-			l := &o.local[p]
-			bump(&l.hits)
-			bump(&l.covered)
-			return state, nil
-		}
-	}
-	return o.replay(p, root, view)
-}
-
-// replay extracts the nodes past the nearest floor the graph covers (line
-// 82, restricted past the floor), sorts them (line 83: the topological sort
-// of lingraph(G)) and replays them onto the floor's state.
+// replay returns the state after the graph view reaches (Algorithm 5, lines
+// 82-87 short of the operation's own invocation): it extracts the nodes past
+// p's floor (line 82, restricted past the floor), sorts them (line 83: the
+// topological sort of lingraph(G)) and replays them onto the floor's state.
+// It counts the floor in p's CacheStats.
 func (o *Object) replay(p int, root *anchor, view []*node) (string, error) {
-	state, ok := o.floor(p, root, view)
-	if !ok {
+	l := &o.local[p]
+	f := o.floor(p, root, view, nil)
+	l.count(f)
+	if f.prefix == nil {
 		// Every reachable node covers the truncation root (the truncation
 		// invariant; trivially so for the initial one): only a graph that is
 		// not the construction's can get here.
 		o.coverFails.Add(1)
 		return "", fmt.Errorf("universal: precedence graph breaks the per-process chains or does not cover truncation root v%d", root.version)
 	}
-	l := &o.local[p]
-	var err error
-	for _, nd := range l.linearize(o.t) {
-		state, _, err = o.sp.Apply(state, nd.pid, nd.invocation)
-		if err != nil {
-			err = fmt.Errorf("universal: replaying %s: %w", nd.invocation, err)
-			break
-		}
-	}
+	state, _, err := o.apply(f.state, l.linearize(o.t), nil)
 	l.release()
 	return state, err
+}
+
+// apply replays order onto state, the state of the floor the nodes lie past,
+// up to the first node outside the prefix upto (nil holds every node), and
+// returns how many it applied.
+func (o *Object) apply(state string, order []*node, upto []int) (string, int, error) {
+	for i, nd := range order {
+		if upto != nil && !anchored(upto, nd) {
+			return state, i, nil
+		}
+		next, _, err := o.sp.Apply(state, nd.pid, nd.invocation)
+		if err != nil {
+			return state, i, fmt.Errorf("universal: replaying %s: %w", nd.invocation, err)
+		}
+		state = next
+	}
+	return state, len(order), nil
 }
 
 // covered returns the state after the graph view reaches when a node of view
@@ -464,23 +480,45 @@ func covered(root *anchor, view []*node) (string, bool) {
 	return "", false
 }
 
-// floor extracts view past process p's nearest usable floor and returns that
-// floor's state, false when the graph covers none. The candidates (package
-// doc) are, with the cache on, p's own nodes from view[p] down its chain —
-// ending at the first that has dropped its state or lies at or below root, the
-// truncation root this Execute loaded, whose view is never read: the collector
-// may sever it — and then root itself. A node whose prefix is not at or above
-// root is skipped, never extracted from and never an error: the root's state
-// subsumes it. Extraction is the covering check: a candidate is refused when
-// some extracted node does not cover it, and the next one down is tried —
-// unless that node's view of p lies below it too. The refusing node is then
-// extracted for every older candidate above its view of p and refuses each of
-// them, so the walk steps past them without extracting.
-func (o *Object) floor(p int, root *anchor, view []*node) (string, bool) {
+// start is a floor: the prefix an extraction starts past, nil when the graph
+// covers no candidate, and that prefix's state — with which candidate it was
+// and how many of p's kept nodes above it the graph refused.
+type start struct {
+	prefix  []int
+	state   string
+	covered bool // the node covering the scan exactly: nothing lies past it
+	kept    bool // one of p's kept nodes
+	refused int
+}
+
+// floor is the one rule choosing where process p starts from the graph view
+// reaches, for its operations and for the collector passes it runs alike
+// (package doc): the first candidate whose prefix the graph covers and lies at
+// or below ceil (nil bounds nothing). The candidates are, with the cache on, a
+// node covering the scan exactly, then p's own nodes from view[p] down its
+// chain — ending at the first that has dropped its state or lies at or below
+// root, the truncation root the caller loaded, whose view is never read: the
+// collector may sever it — and then root itself. A node whose prefix is not at
+// or above root is skipped, never extracted from and never an error: the
+// root's state subsumes it. Extraction is the covering check: a candidate is
+// refused when some extracted node does not cover it, and the next one down is
+// tried — unless that node's view of p lies below it too. The refusing node is
+// then extracted for every older candidate above its view of p and refuses
+// each of them, so the walk steps past them without extracting. p's scratch
+// is left holding the nodes past the floor: none past a covering node.
+func (o *Object) floor(p int, root *anchor, view []*node, ceil []int) start {
 	l := &o.local[p]
-	refused := false
+	var f start
 	if o.caching {
 		l.at = grow(l.at, o.n)
+		if state, ok := covered(root, view); ok {
+			for q, nd := range view {
+				l.at[q] = top(nd)
+			}
+			if ceil == nil || atOrAbove(ceil, l.at) {
+				return start{prefix: l.at, state: state, covered: true}
+			}
+		}
 		below := top(view[p]) // candidates above it are known to be refused
 		for e := view[p]; e != nil && e.index > root.prefix[p]; e = e.preceding[p] {
 			if e.index > below {
@@ -491,33 +529,42 @@ func (o *Object) floor(p int, root *anchor, view []*node) (string, bool) {
 				break
 			}
 			prefixOf(l.at, e)
-			if !atOrAbove(l.at, root.prefix) {
+			if !atOrAbove(l.at, root.prefix) || ceil != nil && !atOrAbove(ceil, l.at) {
 				continue
 			}
 			_, refuser, ok := l.extract(l.at, view)
 			if ok {
-				if refused {
-					bump(&l.misses)
-				} else {
-					bump(&l.hits)
-				}
-				return state, true
+				return start{prefix: l.at, state: state, kept: true, refused: f.refused}
 			}
-			refused = true
-			bump(&l.refused)
+			f.refused++
 			if refuser != nil {
 				below = top(refuser.preceding[p])
 			}
 		}
 	}
-	if refused {
+	if _, _, ok := l.extract(root.prefix, view); ok {
+		f.prefix, f.state = root.prefix, root.state
+	}
+	return f
+}
+
+// count adds an operation's floor to process l's cache outcomes.
+func (l *plocal) count(f start) {
+	switch {
+	case f.covered:
+		bump(&l.hits)
+		bump(&l.covered)
+	case f.refused == 0:
+		if f.kept {
+			bump(&l.hits)
+		}
+	default:
 		bump(&l.misses)
-		bump(&l.rootReplays)
+		if !f.kept {
+			bump(&l.rootReplays)
+		}
+		l.refused.Store(l.refused.Load() + int64(f.refused))
 	}
-	if _, _, ok := l.extract(root.prefix, view); !ok {
-		return "", false
-	}
-	return root.state, true
 }
 
 // atOrAbove reports whether prefix a includes the cut pointwise.
