@@ -166,10 +166,7 @@ type ownerLog struct {
 	// sweep cost per insert O(1); any productive sweep resets the interval.
 	sweepWait  int
 	sweepEvery int
-	// Caller-pid scratch for the transit validation reads, allocated on
-	// first use so the empty/size paths stay allocation-free per call.
-	tcBefore, tcAfter []int64
-	_                 [16]byte // pad to two cache lines (14 words above)
+	_          [64]byte // pad to two cache lines (8 words above)
 }
 
 // appendCell writes x into the owner's next log cell, linking a fresh
@@ -433,53 +430,44 @@ func (b *Bag) Size(pid int) int {
 }
 
 // doubleCollect runs collect as process pid over publication views until
-// one run is validated: the transit counters read before and after it are
-// equal and even, and the view read after it equals the one it walked. Each
-// retry walks the newer view. collect reports done when it has its answer
-// without validation (Remove's winning test-and-set), which ends the loop at
-// once, and otherwise whether its result stands if the run is validated.
+// one run is validated: the sums of the transit counters read before and
+// after it are equal, no counter was odd at the first read, and the view read
+// after it equals the one it walked. Each retry walks the newer view. collect
+// reports done when it has its answer without validation (Remove's winning
+// test-and-set), which ends the loop at once, and otherwise whether its
+// result stands if the run is validated.
 func (b *Bag) doubleCollect(pid int, collect func(view []int) (done, stands bool)) {
 	view := b.pub.View(pid)
-	l := &b.logs[pid]
 	for {
-		b.readTransit(&l.tcBefore)
+		before, even := b.transitSum()
 		done, stands := collect(view)
 		if done {
 			return
 		}
 		view2 := b.pub.View(pid)
-		b.readTransit(&l.tcAfter)
-		if stands && slices.Equal(view, view2) && transitClean(l.tcBefore, l.tcAfter) {
+		after, _ := b.transitSum()
+		if stands && even && before == after && slices.Equal(view, view2) {
 			return
 		}
 		view = view2
 	}
 }
 
-// readTransit loads every owner's migration counter into *dst, allocating
-// the caller's scratch on first use.
-func (b *Bag) readTransit(dst *[]int64) {
-	if *dst == nil {
-		*dst = make([]int64, b.n)
-	}
+// transitSum sums every owner's migration counter and reports whether all
+// were even. The counters are single-writer and only grow, so two equal sums
+// bracketing a collect's bit reads mean no counter moved between them, and
+// with every counter even at the first read no migration was in flight at
+// either read — any migration whose claim landed inside the bracket is caught
+// here (or, when it completed and republished before the first read, by the
+// publication views).
+func (b *Bag) transitSum() (sum int64, even bool) {
+	even = true
 	for p := range b.logs {
-		(*dst)[p] = b.logs[p].transit.Load()
+		t := b.logs[p].transit.Load()
+		sum += t
+		even = even && t%2 == 0
 	}
-}
-
-// transitClean reports whether two transit reads bracketing a collect's bit
-// reads are pointwise equal and even: no migration was in flight at either
-// read, and none completed between them. Counters are single-writer and
-// monotone, so equal reads mean no transition at all — any migration whose
-// claim landed inside the bracket is caught here (or, when it completed
-// and republished before the first read, by the publication views).
-func transitClean(before, after []int64) bool {
-	for i := range before {
-		if before[i] != after[i] || before[i]%2 != 0 {
-			return false
-		}
-	}
-	return true
+	return sum, even
 }
 
 // BagStats describes a bag's space at one instant, as observed by pid:

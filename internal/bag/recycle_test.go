@@ -297,6 +297,36 @@ func TestMigrationRacesRemovers(t *testing.T) {
 	}
 }
 
+// TestDoubleCollectWaitsOutTransit pins the transit validation of a clean
+// collect, which no native race reliably reaches: a collect that began while
+// an owner's counter was odd is retried, so is one across which a counter
+// moved, and the first one bracketed by two equal all-even reads stands.
+func TestDoubleCollectWaitsOutTransit(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		initial  int64
+		during   map[int]int64 // collect number -> owner 1's counter after it
+		collects int
+	}{
+		{"in flight at the first read", 1, map[int]int64{2: 2}, 3},
+		{"whole migration inside a collect", 0, map[int]int64{1: 2}, 2},
+	} {
+		b := New(2)
+		b.logs[1].transit.Store(c.initial)
+		collects := 0
+		b.doubleCollect(0, func([]int) (done, stands bool) {
+			collects++
+			if v, ok := c.during[collects]; ok {
+				b.logs[1].transit.Store(v)
+			}
+			return false, true
+		})
+		if collects != c.collects {
+			t.Errorf("%s: %d collects, want %d", c.name, collects, c.collects)
+		}
+	}
+}
+
 // TestChurnWithStragglersBoundedSpace drives churn that continually strands
 // stragglers and checks migration keeps reachable space bounded: without
 // it, every stranded chunk would stay live and space would grow with the

@@ -2,21 +2,23 @@
 // paper's asynchronous model (Section 2): n processes take atomic steps on
 // shared registers, one at a time, in an order chosen by an adversary.
 //
-// Each simulated process runs in its own goroutine but only one process is
-// ever runnable: processes block at every step (invocation event, register
-// access, response event) until the scheduler grants them the step. Runs are
-// therefore deterministic functions of the adversary's choices, which makes
-// executions replayable and lets internal/lincheck explore prefix-closed
-// transcript trees — exactly the structures strong linearizability is
-// defined over.
+// Each simulated process is a coroutine (iter.Pull) that suspends at every
+// step (invocation event, register access, response event) until the
+// adversary grants it the step, so only one process ever runs. Run starts the
+// processes in pid order, each up to its first step, so code before a
+// program's first step runs in pid order too. Runs are therefore
+// deterministic functions of the adversary's choices, which makes executions
+// replayable and lets internal/lincheck explore prefix-closed transcript
+// trees — exactly the structures strong linearizability is defined over. A
+// panic in a program comes back out of Run to its caller.
 package sched
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -28,8 +30,8 @@ import (
 // not enabled.
 var ErrScheduleViolation = errors.New("sched: adversary chose a process that is not enabled")
 
-// errAborted is the sentinel used to unwind process goroutines when a run
-// stops with operations still pending.
+// errAborted is the sentinel used to unwind a process's program when a run
+// stops with its operations still pending.
 var errAborted = errors.New("sched: run aborted")
 
 // Program is the code of one simulated process. It receives the process
@@ -239,9 +241,6 @@ type Env struct {
 	// freed and reused for another object while the run lasts.
 	addrs map[string]string
 	kept  []any
-
-	reqCh  chan int
-	doneCh chan int
 }
 
 var _ memory.Allocator = (*Env)(nil)
@@ -252,12 +251,10 @@ func newEnv(n int) *Env {
 		t:        &trace.Transcript{},
 		regNames: make(map[string]int),
 		addrs:    make(map[string]string),
-		reqCh:    make(chan int),
-		doneCh:   make(chan int),
 	}
 	env.procs = make([]*Proc, n)
 	for pid := range env.procs {
-		env.procs[pid] = &Proc{env: env, pid: pid, grant: make(chan bool)}
+		env.procs[pid] = &Proc{env: env, pid: pid}
 	}
 	return env
 }
@@ -308,21 +305,22 @@ func (e *Env) format(v any) string {
 }
 
 // Proc is the handle a simulated process uses to perform operations and
-// steps. Exactly one goroutine uses a Proc.
+// steps. Only the process's own coroutine uses it.
 type Proc struct {
 	env   *Env
 	pid   int
-	grant chan bool
+	step  func(struct{}) bool // the coroutine's yield
 	curOp int
 }
 
 // PID returns the process id.
 func (p *Proc) PID() int { return p.pid }
 
-// yield blocks until the scheduler grants this process its next step.
+// yield suspends the process until the adversary grants it its next step.
+// The coroutine's yield returns false when the run stops instead, and
+// errAborted then unwinds the program.
 func (p *Proc) yield() {
-	p.env.reqCh <- p.pid
-	if !<-p.grant {
+	if !p.step(struct{}{}) {
 		panic(errAborted)
 	}
 }
@@ -382,7 +380,11 @@ func (r *simRegister) Write(pid int, v any) {
 
 func (r *simRegister) Name() string { return r.name }
 
-// Run executes the system under the adversary and returns the outcome.
+// Run executes the system under the adversary and returns the outcome. It
+// starts each process's coroutine in pid order, up to its first step, then
+// resumes whichever process the adversary picks. When the run stops, every
+// process still pending is unwound before Run returns. A panic in a program
+// is raised again in Run's caller, after the other programs are unwound.
 func Run(sys System, adv Adversary, opts Options) *Result {
 	limit := opts.StepLimit
 	if limit <= 0 {
@@ -395,97 +397,56 @@ func Run(sys System, adv Adversary, opts Options) *Result {
 		return &Result{T: env.t, Err: fmt.Errorf("sched: setup returned %d programs, want %d", len(programs), sys.N)}
 	}
 
-	for pid, prog := range programs {
-		go runProgram(env, env.procs[pid], prog)
-	}
-
-	res := &Result{T: env.t, Registers: env.regCount}
+	res := &Result{T: env.t}
+	// Deferred before the stops, so it runs after them.
+	defer func() { res.Registers = env.regCount }()
+	resume := make([]func() (struct{}, bool), sys.N)
 	pending := make([]bool, sys.N)
-	live := sys.N
-	outstanding := sys.N
-
-	stop := func() {
-		// Abort every blocked process and wait for all goroutines to exit.
-		for pid, isPending := range pending {
-			if isPending {
-				pending[pid] = false
-				env.procs[pid].grant <- false
-				outstanding++
-			}
-		}
-		for live > 0 {
-			select {
-			case pid := <-env.reqCh:
-				// A process that was running when the run stopped and is now
-				// requesting its next step; abort it too.
-				env.procs[pid].grant <- false
-			case <-env.doneCh:
-				live--
-			}
-		}
+	for pid, prog := range programs {
+		p := env.procs[pid]
+		next, stop := iter.Pull(func(yield func(struct{}) bool) {
+			defer func() {
+				if r := recover(); r != nil && r != errAborted { //nolint:errorlint // sentinel identity
+					panic(r)
+				}
+			}()
+			p.step = yield
+			prog(p)
+		})
+		defer stop()
+		resume[pid] = next
+		_, pending[pid] = next()
 	}
 
 	for {
-		for outstanding > 0 {
-			select {
-			case pid := <-env.reqCh:
-				pending[pid] = true
-				outstanding--
-			case <-env.doneCh:
-				live--
-				outstanding--
-			}
-		}
-		if live == 0 {
-			res.Registers = env.regCount
-			return res
-		}
-
-		enabled := make([]int, 0, live)
+		enabled := make([]int, 0, sys.N)
 		for pid, isPending := range pending {
 			if isPending {
 				enabled = append(enabled, pid)
 			}
 		}
-		sort.Ints(enabled)
-
+		if len(enabled) == 0 {
+			return res
+		}
 		if res.Steps >= limit {
 			res.Enabled = enabled
 			res.Err = fmt.Errorf("sched: step limit %d reached", limit)
-			stop()
-			res.Registers = env.regCount
 			return res
 		}
 
 		pid := adv.Next(enabled, env.t)
 		if pid == -1 {
 			res.Enabled = enabled
-			stop()
-			res.Registers = env.regCount
 			return res
 		}
 		if pid < 0 || pid >= sys.N || !pending[pid] {
 			res.Enabled = enabled
 			res.Err = fmt.Errorf("%w: pid %d, enabled %v", ErrScheduleViolation, pid, enabled)
-			stop()
-			res.Registers = env.regCount
 			return res
 		}
 
-		pending[pid] = false
-		outstanding = 1
-		env.procs[pid].grant <- true
 		res.Steps++
 		res.Schedule = append(res.Schedule, pid)
+		_, pending[pid] = resume[pid]()
 	}
-}
-
-func runProgram(env *Env, p *Proc, prog Program) {
-	defer func() {
-		if r := recover(); r != nil && r != errAborted { //nolint:errorlint // sentinel identity
-			panic(r)
-		}
-		env.doneCh <- p.pid
-	}()
-	prog(p)
 }

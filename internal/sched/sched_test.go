@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -152,6 +153,109 @@ func TestAbortLeavesPendingOps(t *testing.T) {
 	h := res.T.Interpreted()
 	if len(h.Ops) != 1 || h.Ops[0].Complete() {
 		t.Fatalf("want exactly one pending op, got:\n%s", h)
+	}
+}
+
+// TestRunEndsLeaveNoGoroutine: however a run ends, Run has unwound every
+// process's coroutine before it returns, and its Result reports the end.
+func TestRunEndsLeaveNoGoroutine(t *testing.T) {
+	cases := []struct {
+		name     string
+		adv      Adversary
+		opts     Options
+		steps    int
+		enabled  []int
+		err      string
+		complete bool
+	}{
+		{"completed", &RoundRobin{}, Options{}, 12, nil, "<nil>", true},
+		{"adversary stops", NewScript(0, 1, 0), Options{}, 3, []int{0, 1}, "<nil>", false},
+		{"step limit", &RoundRobin{}, Options{StepLimit: 5}, 5, []int{0, 1}, "sched: step limit 5 reached", false},
+		{"schedule violation", NewScript(0, 2), Options{}, 1, []int{0, 1}, ErrScheduleViolation.Error() + ": pid 2, enabled [0 1]", false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			res := Run(regSystem(2, 1), c.adv, c.opts)
+			if after := runtime.NumGoroutine(); after != before {
+				t.Errorf("%d goroutines after Run, %d before", after, before)
+			}
+			if res.Steps != c.steps || len(res.Schedule) != c.steps {
+				t.Errorf("Steps = %d, Schedule = %v; want %d steps", res.Steps, res.Schedule, c.steps)
+			}
+			if !reflect.DeepEqual(res.Enabled, c.enabled) {
+				t.Errorf("Enabled = %v, want %v", res.Enabled, c.enabled)
+			}
+			if got := fmt.Sprint(res.Err); got != c.err {
+				t.Errorf("Err = %s, want %s", got, c.err)
+			}
+			if res.Completed() != c.complete || res.Registers != 1 || len(res.T.Events) != c.steps {
+				t.Errorf("Completed = %v, Registers = %d, %d events; want %v, 1, %d",
+					res.Completed(), res.Registers, len(res.T.Events), c.complete, c.steps)
+			}
+		})
+	}
+}
+
+// TestProgramPanicReachesCaller: a panic in a program, before its first step
+// or after one, comes back out of Run, and the other processes are unwound.
+func TestProgramPanicReachesCaller(t *testing.T) {
+	for _, steps := range []int{0, 1} {
+		sys := System{
+			N: 2,
+			Setup: func(env *Env) []Program {
+				x := memory.NewReg(env, "X", 0)
+				return []Program{
+					func(p *Proc) { x.Read(0) },
+					func(p *Proc) {
+						for i := 0; i < steps; i++ {
+							x.Read(1)
+						}
+						panic("boom")
+					},
+				}
+			},
+		}
+		before := runtime.NumGoroutine()
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("steps=%d: recovered %v, want boom", steps, r)
+				}
+			}()
+			Run(sys, NewScript(1), Options{})
+			t.Errorf("steps=%d: Run returned", steps)
+		}()
+		if after := runtime.NumGoroutine(); after != before {
+			t.Errorf("steps=%d: %d goroutines after Run, %d before", steps, after, before)
+		}
+	}
+}
+
+// TestRunStartsProgramsInPidOrder: code before a program's first step runs
+// in pid order, one program at a time.
+func TestRunStartsProgramsInPidOrder(t *testing.T) {
+	var order []int
+	sys := System{
+		N: 4,
+		Setup: func(env *Env) []Program {
+			x := memory.NewReg(env, "X", 0)
+			progs := make([]Program, 4)
+			for pid := range progs {
+				progs[pid] = func(p *Proc) {
+					order = append(order, pid)
+					x.Read(pid)
+				}
+			}
+			return progs
+		},
+	}
+	res := Run(sys, NewScript(), Options{})
+	if !reflect.DeepEqual(order, []int{0, 1, 2, 3}) {
+		t.Errorf("programs started in order %v, want [0 1 2 3]", order)
+	}
+	if !reflect.DeepEqual(res.Enabled, []int{0, 1, 2, 3}) || res.Steps != 0 {
+		t.Errorf("Enabled = %v after %d steps, want [0 1 2 3] after 0", res.Enabled, res.Steps)
 	}
 }
 
