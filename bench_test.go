@@ -583,6 +583,57 @@ func BenchmarkUniversalContended(b *testing.B) {
 	}
 }
 
+// BenchmarkUniversalDominance is BenchmarkUniversalContended over types whose
+// classes dominate one another, so linearizations run lingraph's pair loop
+// (run it with -cpu 2): two goroutines as pids 0 and 1 split b.N operations
+// over objs truncating objects, half of them writes. On the register every
+// operation overwrites a read() and a write(x), x in 0..9, overwrites every
+// write; on the set every operation overwrites a contains(x) and an add(x),
+// x in 0..99, overwrites add(x).
+func BenchmarkUniversalDominance(b *testing.B) {
+	for _, tc := range []struct {
+		name        string
+		typ         SimpleType
+		read, write string // printf formats over one operand
+		operands    int
+	}{
+		{"register", RegisterType{}, "read()", "write(%d)", 10},
+		{"set", SetType{}, "contains(%d)", "add(%d)", 100},
+	} {
+		for _, objs := range []int{1, 64} {
+			b.Run(tc.name+"/objs="+strconv.Itoa(objs), func(b *testing.B) {
+				const pids = 2
+				objects := make([]*Object, objs)
+				for i := range objects {
+					objects[i] = NewObject(tc.typ, pids)
+					objects[i].SetGC(ObjectGCOptions{Window: DefaultObjectGCWindow})
+				}
+				invs := make([]string, 0, 2*tc.operands)
+				for x := 0; x < tc.operands; x++ {
+					invs = append(invs, fmt.Sprintf(tc.read, x), fmt.Sprintf(tc.write, x))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for pid := 0; pid < pids; pid++ {
+					wg.Add(1)
+					go func(pid int) {
+						defer wg.Done()
+						rng := rand.New(rand.NewSource(int64(pid) + 1))
+						for i := pid; i < b.N; i += pids {
+							if _, err := objects[rng.Intn(objs)].Execute(pid, invs[rng.Intn(len(invs))]); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(pid)
+				}
+				wg.Wait()
+			})
+		}
+	}
+}
+
 // --- E5 companion: space growth as a benchmark metric ---------------------------
 
 func BenchmarkVersionedSpaceGrowth(b *testing.B) {

@@ -1,9 +1,8 @@
 // Package registry provides a named-object registry: a concurrent map from
 // (kind, name) to lazily created strongly linearizable objects, every one of
 // them leasing process ids from the registry's one pool. It is the state
-// layer of cmd/slserve —
-// callers name an object ("counter/clicks", "snapshot/board") and get back
-// a pooled handle any goroutine can use.
+// layer of cmd/slserve — callers name an object ("counter/clicks",
+// "snapshot/board") and get back a pooled handle any goroutine can use.
 //
 // Kinds are open: the registry resolves them through the driver API of
 // internal/kind, so a new type (see internal/bag) plugs in by registering a

@@ -14,9 +14,10 @@
 //     successor lists, in-degrees and the ready set are slices over ids, and
 //     the smallest ready id is the canonical-smallest ready node.
 //   - Dominance (Definition 34) is a function of the invocation description
-//     and the process id, so it is decided once per class (pid, invocation)
-//     and remembered; the pair loop of lingraph visits only pairs whose
-//     classes dominate one way, in the algorithm's (i, j) order. A pair that
+//     and the process id, so one call asks the type once about each pair of
+//     the classes (pid, invocation) its nodes fall into, and keeps nothing
+//     for the next; the pair loop of lingraph visits only pairs whose classes
+//     dominate one way, in the algorithm's (i, j) order. A pair that
 //     precedence already orders adds nothing to the order either way round —
 //     the dominated-after-dominating edge is refused because it closes a
 //     cycle, the other is implied — and "u precedes v" is one comparison,
@@ -30,94 +31,15 @@
 // map-based reference (reference_test.go) computes.
 package universal
 
-import "math/bits"
-
-// maxCachedClasses bounds the classes whose pairwise dominance is remembered
-// across calls (a triangular byte matrix, 2 KB when full); pairs involving a
-// later class ask the type again on every call. maxClasses bounds the class
-// table itself: past it the table starts over, so an object fed unboundedly
-// many distinct invocations cannot grow it without limit.
-const (
-	maxCachedClasses = 64
-	maxClasses       = 1024
+import (
+	"math/bits"
+	"slices"
 )
 
 // classKey is what Type.Overwrites may depend on.
 type classKey struct {
 	pid int
 	inv string
-}
-
-// Dominance between two classes, as stored for the pair (higher id, lower id).
-const (
-	relUnknown int8 = iota
-	relNone
-	relHigh // the class with the higher id dominates
-	relLow
-)
-
-// classTable numbers the classes one process has met, in its operations and
-// its collector passes, and remembers how they dominate one another.
-type classTable struct {
-	ids   map[classKey]int32
-	keys  []classKey
-	rel   [][]int8 // rel[a][b] for b < a < maxCachedClasses
-	local []int32  // per class: its index among the classes of the current call, -1 outside
-}
-
-func (c *classTable) id(pid int, inv string) int32 {
-	key := classKey{pid, inv}
-	if id, ok := c.ids[key]; ok {
-		return id
-	}
-	if c.ids == nil {
-		c.ids = make(map[classKey]int32)
-	}
-	id := int32(len(c.keys))
-	c.ids[key] = id
-	c.keys = append(c.keys, key)
-	c.local = append(c.local, -1)
-	if id < maxCachedClasses {
-		c.rel = append(c.rel, make([]int8, id))
-	}
-	return id
-}
-
-func (c *classTable) reset() {
-	clear(c.ids)
-	clear(c.keys) // drop the invocation strings
-	c.keys, c.rel, c.local = c.keys[:0], c.rel[:0], c.local[:0]
-}
-
-// dominance reports whether class a dominates class b, b dominates a, or
-// neither (Definition 34), for a != b.
-func (c *classTable) dominance(t Type, a, b int32) (aDom, bDom bool) {
-	if a < b {
-		bDom, aDom = c.dominance(t, b, a)
-		return aDom, bDom
-	}
-	var slot *int8
-	if a < maxCachedClasses {
-		slot = &c.rel[a][b]
-		if *slot != relUnknown {
-			return *slot == relHigh, *slot == relLow
-		}
-	}
-	ka, kb := c.keys[a], c.keys[b]
-	ab := t.Overwrites(ka.inv, ka.pid, kb.inv, kb.pid)
-	ba := t.Overwrites(kb.inv, kb.pid, ka.inv, ka.pid)
-	aDom, bDom = dominates(ab, ba, ka.pid, kb.pid), dominates(ba, ab, kb.pid, ka.pid)
-	if slot != nil {
-		switch {
-		case aDom:
-			*slot = relHigh
-		case bDom:
-			*slot = relLow
-		default:
-			*slot = relNone
-		}
-	}
-	return aDom, bDom
 }
 
 // scratch is the working memory of one extraction and linearization. Each
@@ -145,11 +67,11 @@ type scratch struct {
 	order  []int32
 	out    []*node
 
-	// Dominance: classes, and per class two bit rows over positions in the
-	// first topological order — the nodes it dominates, the nodes dominating it.
-	classes classTable
+	// Dominance: the classes of the call's nodes, which release forgets, and
+	// per class two bit rows over positions in the first topological order —
+	// the nodes it dominates, the nodes dominating it.
 	ncls    []int32 // per node: its class's index in present
-	present []int32
+	present []classKey
 	clsAt   []int32 // positions of the nodes of present[l]: clsPos[clsAt[l]:clsAt[l+1]]
 	clsPos  []int32
 	rowOf   []int32 // per present class: offset of its two rows in rows, -1 for none
@@ -241,11 +163,13 @@ func (s *scratch) walk(floor []int, view []*node) (*node, bool) {
 	return nil, true
 }
 
-// release drops the node pointers so an idle scratch pins no history.
+// release drops the node pointers and the invocation strings of the classes
+// so an idle scratch pins no history.
 func (s *scratch) release() {
 	clear(s.nodes)
 	clear(s.out)
-	s.nodes, s.out = s.nodes[:0], s.out[:0]
+	clear(s.present)
+	s.nodes, s.out, s.present = s.nodes[:0], s.out[:0], s.present[:0]
 	if cap(s.rows) > 1<<16 { // the one buffer that can be quadratic in the delta
 		s.rows = nil
 	}
@@ -373,39 +297,36 @@ func (s *scratch) precedes(u, v int32) bool {
 // are any.
 func (s *scratch) addDominance(t Type) bool {
 	k := len(s.nodes)
-	c := &s.classes
-	if len(c.keys) > maxClasses {
-		c.reset()
-	}
 
 	// Class of every node. A process's nodes are contiguous, and runs of one
-	// invocation are the common case, so the table is asked once per run.
+	// invocation are the common case, so present is searched once per run.
 	s.ncls = grow(s.ncls, k)
 	present := s.present[:0]
-	prevPid, prevInv, prevLocal := -1, "", int32(0)
+	prev, l := classKey{pid: -1}, int32(0)
 	for v, nd := range s.nodes {
-		if nd.pid != prevPid || nd.invocation != prevInv {
-			g := c.id(nd.pid, nd.invocation)
-			if c.local[g] < 0 {
-				c.local[g] = int32(len(present))
-				present = append(present, g)
+		if key := (classKey{nd.pid, nd.invocation}); key != prev {
+			l = int32(slices.Index(present, key))
+			if l < 0 {
+				l = int32(len(present))
+				present = append(present, key)
 			}
-			prevPid, prevInv, prevLocal = nd.pid, nd.invocation, c.local[g]
+			prev = key
 		}
-		s.ncls[v] = prevLocal
+		s.ncls[v] = l
 	}
 	s.present = present
-	for _, g := range present {
-		c.local[g] = -1
-	}
 
 	// Per class pair that dominates one way, mark in each class's rows where
 	// the other's nodes stand. Everything past the class numbering is set up
 	// only once such a pair turns up.
 	related := false
 	for la := 1; la < len(present); la++ {
+		a := present[la]
 		for lb := 0; lb < la; lb++ {
-			aDom, bDom := c.dominance(t, present[la], present[lb])
+			b := present[lb]
+			ab := t.Overwrites(a.inv, a.pid, b.inv, b.pid)
+			ba := t.Overwrites(b.inv, b.pid, a.inv, a.pid)
+			aDom, bDom := dominates(ab, ba, a.pid, b.pid), dominates(ba, ab, b.pid, a.pid)
 			if !aDom && !bDom {
 				continue
 			}

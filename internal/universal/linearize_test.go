@@ -283,7 +283,10 @@ func (c countingType) Commutes(a string, pa int, b string, pb int) bool {
 // truncation root) and a collector pass each extract and linearize all of
 // them, and together they may ask the type about pairs of classes only —
 // 2 classes, at most 16 questions — where the pairwise loop asked about
-// every pair of nodes, half a million times.
+// every pair of nodes, half a million times. The bounds hold because
+// sequential operations take the covering node and linearize nothing, so
+// they ask nothing, and one call asks about each pair of the classes present
+// in it once, both ways round.
 func TestDominanceAskedPerClass(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -305,7 +308,7 @@ func TestDominanceAskedPerClass(t *testing.T) {
 				}
 			}
 			if whole := calls; whole > 3*tc.classes*tc.classes {
-				t.Errorf("%d operations asked the type %d questions, want at most %d (classes² per scratch)",
+				t.Errorf("%d operations asked the type %d questions, want at most %d (sequential operations ask nothing)",
 					live, whole, 3*tc.classes*tc.classes)
 			}
 
@@ -355,23 +358,20 @@ func TestDominanceAskedPerClass(t *testing.T) {
 	}
 }
 
-// TestLinearizeClassTableStartsOver drives one register with caching off, so every
-// operation linearizes the whole live graph, and GC on at a window of 4,
-// through 1500 distinct writes, each followed by a read: more classes than
-// maxClasses, so the process's class table must start over, and every
-// response must still be the sequential register's. A pass runs after every
-// fourth operation, a read, and leaves that read the only live node, so each
-// call meets at most one class its table lacks: after no operation does the
-// table hold more than maxClasses+1.
-func TestLinearizeClassTableStartsOver(t *testing.T) {
+// TestLinearizeManyDistinctClasses drives one register with caching off, so
+// every operation linearizes the whole live graph, and GC on at a window of 4,
+// through 1500 distinct writes, each followed by a read: every response must
+// still be the sequential register's, and after every operation the process's
+// scratch must hold no class, so no invocation string outlives the call that
+// met it.
+func TestLinearizeManyDistinctClasses(t *testing.T) {
 	const writes = 1500
 	var alloc memory.NativeAllocator
 	o := New(&alloc, RegisterType{}, 1)
 	o.SetCaching(false)
 	o.SetGC(GCOptions{Window: 4})
 	sp := RegisterType{}.Spec()
-	state, classes := sp.Initial(), &o.local[0].classes
-	resets, most, last := 0, 0, 0
+	state, l := sp.Initial(), &o.local[0]
 	for i := 0; i < 2*writes; i++ {
 		inv := "read()"
 		if i%2 == 0 {
@@ -386,20 +386,16 @@ func TestLinearizeClassTableStartsOver(t *testing.T) {
 			t.Fatalf("operation %d, %s: %q, sequential register %q", i, inv, got, want)
 		}
 		state = next
-		if len(classes.keys) < last {
-			resets++
+		if len(l.present) != 0 {
+			t.Fatalf("after operation %d the scratch holds %d classes", i, len(l.present))
 		}
-		last = len(classes.keys)
-		most = max(most, last)
-	}
-	if resets == 0 {
-		t.Fatalf("the class table never started over; it holds %d classes", last)
-	}
-	if most > maxClasses+1 {
-		t.Fatalf("the class table held %d classes, want at most %d", most, maxClasses+1)
+		for _, c := range l.present[:cap(l.present)] {
+			if c.inv != "" {
+				t.Fatalf("after operation %d the scratch pins invocation %q", i, c.inv)
+			}
+		}
 	}
 	if st := o.GCStats(0); st.Truncations == 0 || st.CoverageFailures+st.ReplayFailures != 0 {
 		t.Fatalf("%+v, want truncations and no failures", st)
 	}
-	t.Logf("%d resets, at most %d classes", resets, most)
 }

@@ -166,8 +166,11 @@ func dominates(ab, ba bool, pidA, pidB int) bool {
 
 // ValidateSimple checks Definition 33 over a set of invocation samples:
 // every pair must commute or overwrite one way. It returns the first
-// offending pair, if any.
+// offending pair, if any, and an error for an empty pid sample.
 func ValidateSimple(t Type, descs []string, pids []int) error {
+	if len(pids) == 0 {
+		return fmt.Errorf("universal: validating %s needs at least one pid, the pid sample is empty", t.Name())
+	}
 	for i, a := range descs {
 		for j, b := range descs {
 			pa, pb := pids[i%len(pids)], pids[j%len(pids)]
@@ -240,18 +243,17 @@ const anchorRing = 8
 // plocal is everything process p keeps between its operations: its last
 // nodes, its begun bit and the scratch its extractions and linearizations run
 // in, its collector passes' included. It is written only by the goroutine
-// driving that pid — begun is the bit
-// collector passes load, and the counters are atomic so CacheStats may read
-// them concurrently — it is
-// indexed by pid, and it is never pooled and never shared: exclusive pid
-// ownership is the model's own invariant, so the rest needs no synchronising.
-// The trailing pad keeps one process's entry off the cache lines of the next.
+// driving that pid — begun is the bit collector passes load, and the counters
+// are atomic so CacheStats may read them concurrently — it is indexed by pid,
+// and it is never pooled and never shared: exclusive pid ownership is the
+// model's own invariant, so the rest needs no synchronising. The trailing pad
+// keeps one process's entry off the cache lines of the next.
 type plocal struct {
 	// ops counts the operations since the process's last collector pass.
 	ops int
 	// mine holds the process's last anchorRing+1 nodes, node i in slot i %
 	// len(mine): its anchors, each holding its state while it is here. at is
-	// the prefix of the one floor is trying.
+	// the prefix of the candidate floor that floor is trying.
 	mine [anchorRing + 1]*node
 	at   []int
 	// begun is set before the process's first load of the truncation root

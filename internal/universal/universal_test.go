@@ -415,6 +415,13 @@ func TestValidateSimpleRejectsNonSimple(t *testing.T) {
 	}
 }
 
+func TestValidateSimpleRejectsEmptyPidSample(t *testing.T) {
+	err := ValidateSimple(CounterType{}, []string{"inc()", "read()"}, nil)
+	if err == nil || !strings.Contains(err.Error(), "pid sample is empty") {
+		t.Errorf("ValidateSimple with no pids: %v, want an error naming the empty pid sample", err)
+	}
+}
+
 // stickyBitType is a deliberately non-simple type: write0 and write1 neither
 // commute nor overwrite (a sticky bit keeps its first value, and has
 // consensus number 2 — Definition 33 excludes it).

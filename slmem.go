@@ -259,7 +259,8 @@ func (o *Object) GCEnabled() bool { return o.inner.GCEnabled() }
 func (o *Object) GCStats(pid int) ObjectGCStats { return o.inner.GCStats(pid) }
 
 // ValidateSimple checks that the type's invocations pairwise commute or
-// overwrite (Definition 33) over the given invocation and pid samples.
+// overwrite (Definition 33) over the given invocation and pid samples. An
+// empty pid sample is an error.
 func ValidateSimple(t SimpleType, invocations []string, pids []int) error {
 	return universal.ValidateSimple(t, invocations, pids)
 }
