@@ -536,7 +536,8 @@ func (c countingSpec) Apply(state string, pid int, desc string) (string, string,
 // replayed from below their process's newest node, kept-floor-misses/op the
 // share of those a kept node served rather than the root; root-replays/miss is
 // the share of misses that no node their process kept was covered for, and
-// refused/miss the kept nodes a miss extracted from in vain before its floor.
+// refused/miss the kept nodes a miss extracted from in vain before its floor;
+// live-nodes and truncations/op are the collector's (reportGC).
 func BenchmarkUniversalContended(b *testing.B) {
 	for _, objs := range []int{1, 64} {
 		b.Run("objs="+strconv.Itoa(objs), func(b *testing.B) {
@@ -579,6 +580,7 @@ func BenchmarkUniversalContended(b *testing.B) {
 			b.ReportMetric(float64(misses-rootReplays)/float64(b.N), "kept-floor-misses/op")
 			b.ReportMetric(float64(rootReplays)/float64(max(misses, 1)), "root-replays/miss")
 			b.ReportMetric(float64(refused)/float64(max(misses, 1)), "refused/miss")
+			reportGC(b, objects)
 		})
 	}
 }
@@ -589,7 +591,8 @@ func BenchmarkUniversalContended(b *testing.B) {
 // over objs truncating objects, half of them writes. On the register every
 // operation overwrites a read() and a write(x), x in 0..9, overwrites every
 // write; on the set every operation overwrites a contains(x) and an add(x),
-// x in 0..99, overwrites add(x).
+// x in 0..99, overwrites add(x). live-nodes and truncations/op are the
+// collector's (reportGC).
 func BenchmarkUniversalDominance(b *testing.B) {
 	for _, tc := range []struct {
 		name        string
@@ -629,9 +632,25 @@ func BenchmarkUniversalDominance(b *testing.B) {
 					}(pid)
 				}
 				wg.Wait()
+				b.StopTimer()
+				reportGC(b, objects)
 			})
 		}
 	}
+}
+
+// reportGC reports the mean live nodes per object, read after the run, and
+// the collector's truncations per operation. A begun pid that idles between
+// its operations pins its object's graph until it runs again (ROADMAP P0
+// (a2)), so live nodes grow with the other pid's run of operations.
+func reportGC(b *testing.B, objects []*Object) {
+	var live, truncs int64
+	for _, o := range objects {
+		st := o.GCStats(0)
+		live, truncs = live+int64(st.LiveNodes), truncs+st.Truncations
+	}
+	b.ReportMetric(float64(live)/float64(len(objects)), "live-nodes")
+	b.ReportMetric(float64(truncs)/float64(b.N), "truncations/op")
 }
 
 // --- E5 companion: space growth as a benchmark metric ---------------------------

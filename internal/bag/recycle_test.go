@@ -2,7 +2,10 @@ package bag
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -93,7 +96,7 @@ func TestRecycledValuesNeverResurface(t *testing.T) {
 }
 
 // TestConcurrentChurnRecycling races removers and a sizer against inserting
-// owners (run with -race): recycling sweeps run concurrently with walkers
+// owners (run with -race): recycling steps run concurrently with walkers
 // holding unlinked chunks, and every item must be removed exactly once.
 func TestConcurrentChurnRecycling(t *testing.T) {
 	const n = 4
@@ -141,7 +144,7 @@ func TestConcurrentChurnRecycling(t *testing.T) {
 	if got := b.Size(0); got != 0 {
 		t.Errorf("Size = %d after draining, want 0", got)
 	}
-	// Insert-time sweeps stop with the last insert; an explicit Compact by
+	// Insert-time recycling stops with the last insert; an explicit Compact by
 	// each idle producer reclaims everything except its open tail chunk.
 	for p := 0; p < n/2; p++ {
 		b.Compact(p)
@@ -179,165 +182,92 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// claimFiat marks cell (c, i) claimed outside any Remove, standing in for a
-// remover that happened to claim exactly that cell: the bag's invariants
-// only require claimed bits to be monotone, never contiguous.
-func claimFiat(t *testing.T, c *chunk, i int) {
-	t.Helper()
-	if !c.tas(i) {
-		t.Fatalf("cell %d already claimed", i)
-	}
-}
-
-// TestStragglerChunkMigratesAndUnlinks pins the fragmentation fix: a chunk
-// left with a single unclaimed cell is migrated — the owner claims the
-// straggler and republishes it at the tail — and then unlinks, instead of
-// pinning chunkSize cells forever.
-func TestStragglerChunkMigratesAndUnlinks(t *testing.T) {
-	b := New(1)
-	for i := 0; i < 2*chunkSize; i++ {
-		b.Insert(0, fmt.Sprintf("item-%d", i))
-	}
-	// Strand one straggler: claim every cell of the head chunk except the
-	// last. Before the fix this chunk could never recycle.
-	head := b.logs[0].head.Load()
-	for i := 0; i < chunkSize-1; i++ {
-		claimFiat(t, head, i)
-	}
-	if freed := b.Compact(0); freed < 1 {
-		t.Fatalf("Compact freed %d chunks, want >= 1 (straggler chunk should migrate and unlink)", freed)
-	}
-	st := b.Stats(0)
-	if st.MigratedCells != 1 {
-		t.Errorf("MigratedCells = %d, want 1", st.MigratedCells)
-	}
-	if st.RecycledChunks < 1 {
-		t.Errorf("RecycledChunks = %d, want >= 1", st.RecycledChunks)
-	}
-	if b.logs[0].head.Load() == head {
-		t.Error("straggler chunk still linked as head after Compact")
-	}
-	if tc := b.logs[0].transit.Load(); tc%2 != 0 {
-		t.Errorf("transit counter = %d after Compact, want even", tc)
-	}
-	// The migrated item and the second chunk's items are all still here,
-	// exactly once each.
-	want := chunkSize + 1
-	if got := b.Size(0); got != want {
-		t.Fatalf("Size = %d after migration, want %d", got, want)
-	}
-	seen := make(map[string]bool)
-	for i := 0; i < want; i++ {
-		v, ok := b.Remove(0)
-		if !ok {
-			t.Fatalf("drain %d: bag empty early", i)
-		}
-		if seen[v] {
-			t.Fatalf("item %q removed twice (migration duplicated it)", v)
-		}
-		seen[v] = true
-	}
-	if !seen[fmt.Sprintf("item-%d", chunkSize-1)] {
-		t.Error("the migrated straggler was never removed")
-	}
-	if _, ok := b.Remove(0); ok {
-		t.Error("bag should be empty after draining")
-	}
-}
-
-// TestMigrationRacesRemovers races the owner's migrating Compact against a
-// remover gunning for the same straggler cell (run with -race): exactly one
-// of them wins the item, nothing is duplicated or lost, and the empty/size
-// double collects never linearize against the half-moved item.
-func TestMigrationRacesRemovers(t *testing.T) {
-	iters := 200
+// TestClaimedCellsFormPrefix pins the invariant recycling rests on: in
+// every log the claimed cells are a prefix of the published cells, because
+// Remove passes a cell only once it is claimed. A checker reads each owner's
+// published cells from the highest index down while owners insert and
+// removers drain; once it has seen a claimed cell, every cell below it must
+// read claimed too. The scan runs downward because claimed bits are
+// monotone: an unclaimed cell read after a claimed one above it was already
+// unclaimed when that one was read, so the gap was real. Read upward, the
+// lower cell could be claimed between the two reads and a gap that never
+// existed would show.
+func TestClaimedCellsFormPrefix(t *testing.T) {
+	const owners, removers = 2, 2
+	perOwner := 32 * chunkSize
 	if testing.Short() {
-		iters = 40
+		perOwner = 8 * chunkSize
 	}
-	for it := 0; it < iters; it++ {
-		b := New(2)
-		for i := 0; i < chunkSize+1; i++ {
-			b.Insert(0, fmt.Sprintf("item-%d", i))
-		}
-		head := b.logs[0].head.Load()
-		for i := 0; i < chunkSize-1; i++ {
-			claimFiat(t, head, i)
-		}
-		// Bag now holds the straggler and the one tail item.
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { // owner: migrating sweeps
+	checker := owners + removers
+	b := New(checker + 1)
+	var wg sync.WaitGroup
+	for p := 0; p < owners; p++ {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			b.Compact(0)
-			b.Compact(0)
+			for i := 0; i < perOwner; i++ {
+				b.Insert(p, fmt.Sprintf("p%d-%d", p, i))
+			}
 		}()
-		removed := make([]string, 0, 2)
-		go func() { // remover: drain both items
+	}
+	var removed atomic.Int64
+	for r := 0; r < removers; r++ {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			for len(removed) < 2 {
-				if v, ok := b.Remove(1); ok {
-					removed = append(removed, v)
+			for removed.Load() < int64(owners*perOwner) {
+				if _, ok := b.Remove(owners + r); ok {
+					removed.Add(1)
+				}
+				runtime.Gosched() // take turns with the checker on one core too
+			}
+		}()
+	}
+	var done atomic.Bool
+	gap := make(chan string, 1)
+	go func() {
+		defer close(gap)
+		var chunks []*chunk
+		for ; !done.Load(); runtime.Gosched() {
+			view := b.pub.View(checker)
+			for p := 0; p < owners; p++ {
+				chunks = chunks[:0]
+				for c := b.logs[p].head.Load(); c != nil && c.base < view[p]; c = c.next.Load() {
+					chunks = append(chunks, c)
+				}
+				seen := -1 // lowest claimed index read so far
+				for _, c := range slices.Backward(chunks) {
+					for i := min(view[p]-c.base, chunkSize) - 1; i >= 0; i-- {
+						switch {
+						case c.taken(i):
+							seen = c.base + i
+						case seen >= 0:
+							gap <- fmt.Sprintf("log %d: cell %d unclaimed below claimed cell %d", p, c.base+i, seen)
+							return
+						}
+					}
 				}
 			}
-		}()
-		wg.Wait()
-		if removed[0] == removed[1] {
-			t.Fatalf("iter %d: item %q removed twice", it, removed[0])
 		}
-		if got := b.Size(0); got != 0 {
-			t.Fatalf("iter %d: Size = %d after drain, want 0", it, got)
-		}
-		if tc := b.logs[0].transit.Load(); tc%2 != 0 {
-			t.Fatalf("iter %d: transit counter = %d, want even", it, tc)
-		}
-		b.Compact(0)
-		if st := b.Stats(0); st.LiveCells > chunkSize {
-			t.Fatalf("iter %d: LiveCells = %d after drain+compact, want <= one tail chunk", it, st.LiveCells)
-		}
+	}()
+	wg.Wait()
+	done.Store(true)
+	if msg, ok := <-gap; ok {
+		t.Fatal(msg)
 	}
 }
 
-// TestDoubleCollectWaitsOutTransit pins the transit validation of a clean
-// collect, which no native race reliably reaches: a collect that began while
-// an owner's counter was odd is retried, so is one across which a counter
-// moved, and the first one bracketed by two equal all-even reads stands.
-func TestDoubleCollectWaitsOutTransit(t *testing.T) {
-	for _, c := range []struct {
-		name     string
-		initial  int64
-		during   map[int]int64 // collect number -> owner 1's counter after it
-		collects int
-	}{
-		{"in flight at the first read", 1, map[int]int64{2: 2}, 3},
-		{"whole migration inside a collect", 0, map[int]int64{1: 2}, 2},
-	} {
-		b := New(2)
-		b.logs[1].transit.Store(c.initial)
-		collects := 0
-		b.doubleCollect(0, func([]int) (done, stands bool) {
-			collects++
-			if v, ok := c.during[collects]; ok {
-				b.logs[1].transit.Store(v)
-			}
-			return false, true
-		})
-		if collects != c.collects {
-			t.Errorf("%s: %d collects, want %d", c.name, collects, c.collects)
-		}
-	}
-}
-
-// TestChurnWithStragglersBoundedSpace drives churn that continually strands
-// stragglers and checks migration keeps reachable space bounded: without
-// it, every stranded chunk would stay live and space would grow with the
-// churn total.
+// TestChurnWithStragglersBoundedSpace drives churn that leaves one survivor
+// per round and checks no survivor is stranded: Remove claims each log
+// lowest first, so the survivors are the newest cells, packed at the end of
+// the log, and reachable space tracks the survivor count, not the churn
+// total.
 func TestChurnWithStragglersBoundedSpace(t *testing.T) {
 	const rounds = 40
 	b := New(1)
 	next := 0
 	for r := 0; r < rounds; r++ {
-		// Fill two chunks, strand one straggler in the first by claiming
-		// around it, drain the rest through Remove.
+		// Fill two chunks and drain all but one cell through Remove.
 		for i := 0; i < 2*chunkSize; i++ {
 			b.Insert(0, fmt.Sprintf("item-%d", next))
 			next++
@@ -347,21 +277,16 @@ func TestChurnWithStragglersBoundedSpace(t *testing.T) {
 				t.Fatalf("round %d: bag empty early", r)
 			}
 		}
-		// One item per round survives; migration must keep repacking the
-		// survivors so live space tracks the survivor count, not rounds.
 	}
 	b.Compact(0)
 	st := b.Stats(0)
 	if got := b.Size(0); got != rounds {
 		t.Fatalf("Size = %d, want %d survivors", got, rounds)
 	}
-	// rounds survivors fit in O(rounds/chunkSize) chunks once migrated;
-	// allow generous slack for the open tail and not-yet-migrated chunks.
+	// rounds survivors fit in O(rounds/chunkSize) chunks; allow generous
+	// slack for the open tail and the chunk holding the oldest survivor.
 	limit := (rounds/chunkSize + 4) * chunkSize
 	if st.LiveCells > limit {
-		t.Errorf("LiveCells = %d, want <= %d (migration failed to repack stragglers)", st.LiveCells, limit)
-	}
-	if st.MigratedCells == 0 {
-		t.Error("no cells migrated despite stranded survivors")
+		t.Errorf("LiveCells = %d, want <= %d (a survivor stranded its chunk)", st.LiveCells, limit)
 	}
 }

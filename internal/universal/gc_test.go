@@ -997,6 +997,52 @@ func extractedLive(t *testing.T, o *Object, p int) int {
 	return len(sc.nodes)
 }
 
+// TestGCBegunIdlePidReleasesOnResume pins the liveness bound gc.go states
+// and the recovery after it. Pid 1 runs one operation and idles while pid 0
+// runs ten windows: pid 1's newest node pins the graph, so live nodes grow
+// with pid 0's run, but no further than the operations since pid 1's last
+// one plus one window. Once pid 1 runs again, pid 0's passes cut up to that
+// new node, and live nodes fall back under pid 0's operations since then
+// plus one window. This is the baseline an in-flight announcement (ROADMAP
+// P0 (a2)) would tighten.
+func TestGCBegunIdlePidReleasesOnResume(t *testing.T) {
+	const window, idle, resumed = 64, 10 * 64, 130
+	for _, c := range []struct {
+		name string
+		typ  Type
+		inv  []string
+	}{
+		{"counter", CounterType{}, []string{"inc()", "read()"}},
+		{"register", RegisterType{}, []string{"write(x)", "read()", "write(y)"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var alloc memory.NativeAllocator
+			o := New(&alloc, c.typ, 2)
+			o.SetGC(GCOptions{Window: window})
+			ops := 0
+			run := func(p, k int) {
+				for range k {
+					mustExecute(t, o, p, c.inv[ops%len(c.inv)])
+					ops++
+				}
+			}
+			run(1, 1)
+			run(0, idle)
+			pinned := o.GCStats(0)
+			if pinned.LiveNodes > idle+window || pinned.CoverageFailures+pinned.ReplayFailures != 0 {
+				t.Fatalf("pid 1 idle for %d operations: %+v, want at most %d live nodes", idle, pinned, idle+window)
+			}
+			run(1, 1)
+			run(0, resumed)
+			st := o.GCStats(0)
+			if st.LiveNodes >= resumed+window || st.CoverageFailures+st.ReplayFailures != 0 {
+				t.Fatalf("%d operations after pid 1 resumed: %+v, want under %d live nodes", resumed, st, resumed+window)
+			}
+			t.Logf("live nodes: %d after pid 1 idled, %d after it resumed", pinned.LiveNodes, st.LiveNodes)
+		})
+	}
+}
+
 // TestGCStatsReaderDoesNotPin: a pid that only reads GCStats — here while two
 // others run ten windows side by side, then one more window each in turn —
 // enters nothing into the collector's protocol, so passes still truncate and
